@@ -5,8 +5,8 @@ keyed on ``Network._topology_version``: any mutation of topology state
 (link tables, node liveness, FIB contents, vN-Bone overlay structure)
 that does not sit on a call path through a version bump or a fast-path
 invalidation leaves a stale cache serving wrong answers — the class of
-bug that today only the cached==uncached equivalence matrix would
-catch, at CI-smoke time.
+bug that otherwise only the re-derive-every-hit equivalence tests
+would catch, at test time.
 
 * **C1** — a statement mutating link/liveness topology state (``.links``
   table writes, ``.up``/``.cost`` attribute writes) in a function from

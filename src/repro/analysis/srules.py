@@ -1,8 +1,8 @@
 """S-rules: schema drift between artifact emitters and validators.
 
-The repo maintains six hand-rolled versioned artifact schemas
-(``repro.experiment/v1``, ``repro.bench/v2``, ``repro.fleet/v1``,
-``repro.report/v1``, ``repro.trace/v2``, ``repro.matrix/v1``), each
+The repo maintains five hand-rolled versioned artifact schemas
+(``repro.experiment/v1``, ``repro.fleet/v1``, ``repro.report/v1``,
+``repro.trace/v2``, ``repro.matrix/v1``), each
 with an emitter building a dict literal and a validator checking it
 structurally.  An edit that lands on only one side — a new emitted key
 nobody validates, or a newly-required key no emitter produces — used to

@@ -1,8 +1,6 @@
 """Inter-domain path-vector routing (BGP) with anycast-aware policy."""
 
-from repro.bgp.egress import (EgressCache, grouped_install,
-                              grouped_install_enabled,
-                              set_grouped_install_default)
+from repro.bgp.egress import EgressCache
 from repro.bgp.policy import BgpPolicy, BilateralAgreements, local_pref_for
 from repro.bgp.protocol import SESSION_DELAY, BgpProtocol, BgpSpeaker
 from repro.bgp.routes import (LOCAL_PREF_CUSTOMER, LOCAL_PREF_ORIGINATED,
@@ -10,8 +8,6 @@ from repro.bgp.routes import (LOCAL_PREF_CUSTOMER, LOCAL_PREF_ORIGINATED,
                               BgpUpdate, RouteScope)
 
 __all__ = ["BgpPolicy", "BilateralAgreements", "local_pref_for", "SESSION_DELAY",
-           "BgpProtocol", "BgpSpeaker", "EgressCache", "grouped_install",
-           "grouped_install_enabled", "set_grouped_install_default",
-           "LOCAL_PREF_CUSTOMER",
+           "BgpProtocol", "BgpSpeaker", "EgressCache", "LOCAL_PREF_CUSTOMER",
            "LOCAL_PREF_ORIGINATED", "LOCAL_PREF_PEER", "LOCAL_PREF_PROVIDER",
            "BgpRoute", "BgpUpdate", "RouteScope"]

@@ -3,11 +3,10 @@
 Installing converged BGP state asks, for every (domain, next-hop AS)
 pair, which live inter-domain links leave the domain towards that
 neighbor — the answer drives both hot-potato egress selection and
-session liveness checks.  The seed implementation recomputed the scan
-(`sorted borders × inter-domain neighbors`) once per Loc-RIB prefix;
-at internet scale a transit AS carries one route per remote AS over a
-handful of sessions, so the same scan repeated thousands of times per
-install pass.
+session liveness checks.  At internet scale a transit AS carries one
+route per remote AS over a handful of sessions, so the same scan
+(`sorted borders × inter-domain neighbors`) would otherwise repeat for
+every group of every install pass and every session check.
 
 :class:`EgressCache` memoizes the scan per ``(asn, next_hop_asn)``
 key, invalidated — exactly like :class:`repro.perf.cache.PathCache` —
@@ -18,22 +17,6 @@ result bumps the version: link ``fail()``/``restore()`` flips (the
 Border-router *sets* only grow via ``add_link``/``connect_domains``,
 which bump too.
 
-The module also owns the process-wide **grouped-install** switch, the
-PR-9 sibling of :func:`repro.perf.cache.caching` and
-:func:`repro.net.fastpath.flow_fastpath`: it selects, at
-:class:`~repro.bgp.protocol.BgpProtocol` construction time, between
-the optimized control plane (grouped/incremental FIB installation and
-MRAI-style update batching) and the per-prefix seed path kept as the
-equivalence baseline::
-
-    from repro.bgp.egress import grouped_install
-
-    with grouped_install(False):        # seed-faithful control plane
-        orchestrator = Orchestrator(network)
-
-Both paths must produce byte-identical FIBs — ``tests/bgp`` asserts
-it across the workload matrix, fault plans, and caching modes.
-
 Per rule D4 the hit/miss/invalidation counters are registered behind
 ``obs.enabled``; the cache keeps plain integer stats that are always
 live, so tests need no observability handle.
@@ -41,44 +24,18 @@ live, so tests need no observability handle.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.net.link import LinkScope
 from repro.obs import get_obs
-from repro.perf.cache import caching_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
 
-#: Process-wide default consulted by BgpProtocol at construction time.
-_GROUPED_INSTALL_DEFAULT = True
-
 
 def grouped_install_enabled() -> bool:
-    """The current process-wide grouped-install default."""
-    return _GROUPED_INSTALL_DEFAULT
-
-
-def set_grouped_install_default(enabled: bool) -> bool:
-    """Set the process-wide grouped-install default; returns the
-    previous value."""
-    global _GROUPED_INSTALL_DEFAULT
-    previous = _GROUPED_INSTALL_DEFAULT
-    _GROUPED_INSTALL_DEFAULT = enabled
-    return previous
-
-
-@contextmanager
-def grouped_install(enabled: bool) -> Iterator[None]:
-    """Scope the grouped-install default (``with grouped_install(False):``
-    builds a seed-faithful baseline); protocols constructed inside the
-    block keep the setting for their lifetime."""
-    previous = set_grouped_install_default(enabled)
-    try:
-        yield
-    finally:
-        set_grouped_install_default(previous)
+    # Read by bench/harness.py::provenance; goes when that block does.
+    return True
 
 
 #: One cache key: (domain ASN, next-hop ASN).
@@ -97,11 +54,9 @@ class EgressCache:
     ``perf.bgp.egress_cache.*`` counters feed the bench harness.
     """
 
-    def __init__(self, network: "Network",
-                 enabled: Optional[bool] = None) -> None:
+    def __init__(self, network: "Network") -> None:
         self.network = network
         self.obs = get_obs()
-        self.enabled = caching_enabled() if enabled is None else enabled
         self._version = network.topology_version
         self._links: Dict[EgressKey, EgressLinks] = {}
         self.hits = 0
@@ -126,26 +81,24 @@ class EgressCache:
     # -- queries ----------------------------------------------------------
     def links(self, asn: int, next_hop_asn: int) -> EgressLinks:
         """(local border, remote border) pairs over live links from
-        *asn* to *next_hop_asn* — bit-identical to the uncached scan."""
+        *asn* to *next_hop_asn*."""
         self._check_version()
         key = (asn, next_hop_asn)
-        if self.enabled:
-            cached = self._links.get(key)
-            if cached is not None:
-                self.hits += 1
-                if self.obs.enabled:
-                    self.obs.counter("perf.bgp.egress_cache.hits").inc()
-                return cached
+        cached = self._links.get(key)
+        if cached is not None:
+            self.hits += 1
+            if self.obs.enabled:
+                self.obs.counter("perf.bgp.egress_cache.hits").inc()
+            return cached
         self.misses += 1
         if self.obs.enabled:
             self.obs.counter("perf.bgp.egress_cache.misses").inc()
         pairs = self._compute(asn, next_hop_asn)
-        if self.enabled:
-            self._links[key] = pairs
+        self._links[key] = pairs
         return pairs
 
     def _compute(self, asn: int, next_hop_asn: int) -> EgressLinks:
-        """The raw scan the seed's ``_egress_links`` performed."""
+        """The raw scan, run on a miss."""
         pairs: EgressLinks = []
         domain = self.network.domains[asn]
         for border_id in sorted(domain.border_routers):

@@ -15,38 +15,32 @@ that border's loopback.  This keeps the data plane honest — if the IGP
 hasn't learned a path to the egress, the BGP route is unusable and is
 not installed.
 
-The install path runs in one of two modes, selected process-wide at
-construction time by :func:`repro.bgp.egress.grouped_install`:
+A router's hot-potato egress decision depends only on the route's
+next-hop AS, never on the prefix, so Loc-RIB prefixes are grouped by
+``learned_from`` and the per-router IGP scan runs once per (router,
+next-hop AS) group before bulk-installing every prefix in the group:
+O(P×R×B) FIB lookups become O(R×B×A) for A next-hop ASes.  When the
+topology version is unchanged since a domain's last install, only
+*dirty* prefixes (Loc-RIB deltas tracked by :meth:`BgpSpeaker.decide`)
+are withdrawn and reinstalled instead of rebuilding every FIB from
+scratch.  Update propagation coalesces all updates one speaker sends
+one neighbor at one tick into a single MRAI-style batch event
+(per-prefix send order preserved); whenever a
+:class:`~repro.net.simulator.MessagePerturbation` is active it sends
+per message instead, so loss/jitter draws stay per message.
 
-* **grouped/incremental** (the default) — a router's hot-potato egress
-  decision depends only on the route's next-hop AS, never on the
-  prefix, so Loc-RIB prefixes are grouped by ``learned_from`` and the
-  per-router IGP scan runs once per (router, next-hop AS) group before
-  bulk-installing every prefix in the group: O(P×R×B) FIB lookups
-  become O(R×B×A) for A next-hop ASes.  When the topology version is
-  unchanged since the last install, only *dirty* prefixes (Loc-RIB
-  deltas tracked by :meth:`BgpSpeaker.decide`) are withdrawn and
-  reinstalled instead of rebuilding every FIB from scratch.  Update
-  propagation additionally coalesces all updates one speaker sends one
-  neighbor at one tick into a single MRAI-style batch event
-  (per-prefix send order preserved; per-message scheduling returns
-  whenever a :class:`~repro.net.simulator.MessagePerturbation` is
-  active, so loss/jitter semantics stay exact).
-* **seed** — the per-prefix reference path, kept verbatim so
-  equivalence tests and the bench's control-plane leg can prove the
-  grouped mode byte-identical (``tests/bgp/test_install_equivalence``).
-
-Both modes produce identical FIBs because the per-(prefix, router)
-entry is a pure function of (Loc-RIB route, egress links, IGP state),
-FIB installs are per-source idempotent overwrites, and BGP-carried
-prefixes never cover border-router loopbacks (other domains' address
-blocks are disjoint), so install order cannot feed back into the
-hot-potato lookups.
+Grouping is answer-preserving because the per-(prefix, router) entry
+is a pure function of (Loc-RIB route, egress links, IGP state), FIB
+installs are per-source idempotent overwrites, and BGP-carried prefixes
+never cover border-router loopbacks (other domains' address blocks are
+disjoint), so install order cannot feed back into the hot-potato
+lookups.  ``tests/oracles.py::seed_bgp_fib`` recomputes the BGP rows
+one (prefix, router) at a time; ``tests/bgp`` holds every install to
+it.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.address import Prefix
@@ -56,7 +50,7 @@ from repro.net.network import Network
 from repro.net.node import FibEntry, RouteSource, Router
 from repro.net.simulator import EventScheduler, MessageStats
 from repro.obs import get_obs
-from repro.bgp.egress import EgressCache, grouped_install_enabled
+from repro.bgp.egress import EgressCache
 from repro.bgp.policy import BgpPolicy
 from repro.bgp.routes import (LOCAL_PREF_ORIGINATED, BgpRoute, BgpUpdate,
                               RouteScope)
@@ -155,23 +149,15 @@ class BgpProtocol:
         self._started = False
         #: Memoized (asn, next_hop_asn) -> egress links (repro.bgp.egress).
         self.egress_cache = EgressCache(network)
-        #: Grouped/incremental install + MRAI batching vs. the verbatim
-        #: seed path; consulted process-wide at construction time.
-        self.grouped_install = grouped_install_enabled()
-        #: MRAI-style per-(session, tick) update coalescing; follows the
-        #: install mode so the seed mode is seed-faithful end to end.
-        self.batch_updates = self.grouped_install
+        #: MRAI-style per-(session, tick) update coalescing.
         self._pending_batches: Dict[BatchKey, List[BgpUpdate]] = {}
         #: topology_version at each speaker's last install — the gate
         #: between full rebuilds and incremental dirty-set reinstalls.
         self._install_state: Dict[int, int] = {}
         #: FIB lookups performed by forwarding-state installation.
-        #: Plain int, always live — the bench's primary control-plane
-        #: signal (the perf.bgp.install_fib_lookups counter mirrors it
-        #: under an enabled observability handle).
+        #: Plain int, always live (the perf.bgp.install_fib_lookups
+        #: counter mirrors it under an enabled observability handle).
         self.install_fib_lookups = 0
-        #: Cumulative wall-clock cost of install_routes (D2: wall_*).
-        self.wall_install_seconds = 0.0
 
     def speaker(self, asn: int) -> BgpSpeaker:
         try:
@@ -246,11 +232,9 @@ class BgpProtocol:
                 self._c_withdrawals.inc()
             else:
                 self._c_announcements.inc()
-        if (not self.batch_updates
-                or self.scheduler.message_perturbation is not None):
-            # Per-message scheduling: the seed path.  A perturbation
-            # draws loss/jitter per message, so batching would change
-            # which updates are lost or reordered — fall back.
+        if self.scheduler.message_perturbation is not None:
+            # A perturbation draws loss/jitter per message, so batching
+            # would change which updates are lost or reordered.
             self.scheduler.schedule_message(
                 SESSION_DELAY, lambda: self._receive(to_asn, update))
             return
@@ -266,7 +250,7 @@ class BgpProtocol:
     def _deliver_batch(self, key: BatchKey) -> None:
         """Deliver one MRAI batch: every update one speaker queued for
         one neighbor at one tick, replayed in send order — so the
-        per-prefix, per-session delivery order the seed path guarantees
+        per-prefix, per-session delivery order of per-message sending
         is preserved exactly."""
         updates = self._pending_batches.pop(key, None)
         if updates is None:
@@ -460,109 +444,66 @@ class BgpProtocol:
     def install_routes(self) -> None:
         """Install converged BGP state into every router's FIB.
 
-        Grouped mode rebuilds a domain in full only when the topology
-        version moved since its last install; otherwise it reinstalls
-        just the dirty Loc-RIB deltas.  Seed mode always rebuilds, one
-        prefix at a time.  Either way the caller
+        A domain is rebuilt in full only when the topology version
+        moved since its last install; otherwise just its dirty Loc-RIB
+        deltas are reinstalled.  The caller
         (:meth:`~repro.core.orchestrator.Orchestrator.install_routes`)
         bumps the forwarding fast path afterwards.
         """
         lookups_before = self.install_fib_lookups
-        wall_t0 = time.perf_counter()
         for asn in sorted(self.speakers):
             self._install_domain(asn)
-        self.wall_install_seconds += time.perf_counter() - wall_t0
         if self.obs.enabled:
             delta = self.install_fib_lookups - lookups_before
             if delta:
                 self._c_install_lookups.inc(delta)
 
     def _install_domain(self, asn: int) -> None:
+        """Reinstall one domain's BGP routes, grouped by next-hop AS.
+
+        With the topology version unchanged since the domain's last
+        install, egress maps and the IGP routes the hot-potato scan
+        reads cannot have moved, so every non-dirty prefix's installed
+        entry is still what a rebuild would produce: only
+        ``speaker.dirty`` is withdrawn and reinstalled.  Otherwise the
+        whole Loc-RIB is, after ``withdraw_all``.
+        """
         speaker = self.speakers[asn]
         version = self.network.topology_version
-        if not self.grouped_install:
-            self._install_domain_seed(asn, speaker)
-        elif self._install_state.get(asn) == version:
-            self._install_domain_incremental(asn, speaker)
+        incremental = self._install_state.get(asn) == version
+        if incremental and not speaker.dirty:
+            return
+        routers = self._domain_routers(asn)
+        if incremental:
+            prefixes = sorted(speaker.dirty, key=Prefix.sort_key)
+            for router in routers:
+                fib = router.fib4
+                for prefix in prefixes:
+                    fib.withdraw(prefix, RouteSource.BGP)
         else:
-            self._install_domain_full(asn, speaker)
-        # Both full paths leave FIBs consistent with the Loc-RIB at
-        # this version, so the next unchanged-version pass may go
-        # incremental; the dirty set has been folded in either way.
+            prefixes = sorted(speaker.loc_rib, key=Prefix.sort_key)
+            for router in routers:
+                router.fib4.withdraw_all(RouteSource.BGP)
+        # Group lists inherit the sorted prefix order.
+        groups: Dict[int, List[Prefix]] = {}
+        for prefix in prefixes:
+            route = speaker.loc_rib.get(prefix)
+            if route is None or route.originated:
+                continue  # withdrawn, or internal (the IGP's job)
+            groups.setdefault(self._learned_from(asn, prefix, route),
+                              []).append(prefix)
+        memo: Dict[Tuple[str, str], Optional[FibEntry]] = {}
+        for next_hop_asn in sorted(groups):
+            self._install_group(asn, routers, next_hop_asn,
+                                groups[next_hop_asn], memo)
         self._install_state[asn] = version
         speaker.dirty.clear()
+        if incremental and self.obs.enabled:
+            self.obs.counter("perf.bgp.incremental_installs").inc()
 
     def _domain_routers(self, asn: int) -> List[Router]:
         domain = self.network.domains[asn]
         return [self.network.node(rid) for rid in sorted(domain.routers)]
-
-    def _install_domain_seed(self, asn: int, speaker: BgpSpeaker) -> None:
-        """The per-prefix reference path: withdraw everything, then run
-        the hot-potato scan once per (prefix, router).  Kept verbatim
-        (modulo the cached sort key) as the equivalence baseline."""
-        routers = self._domain_routers(asn)
-        for router in routers:
-            router.fib4.withdraw_all(RouteSource.BGP)
-        for prefix, route in sorted(speaker.loc_rib.items(),
-                                    key=lambda item: item[0].sort_key()):
-            if route.originated:
-                continue  # internal destinations are the IGP's job
-            next_hop_asn = self._learned_from(asn, prefix, route)
-            egress = self._egress_links(asn, next_hop_asn)
-            if not egress:
-                continue  # session exists but no live physical link
-            remote_by_border = {local: remote for local, remote in egress}
-            for router in routers:
-                self._install_router(router, prefix, remote_by_border)
-
-    def _install_domain_full(self, asn: int, speaker: BgpSpeaker) -> None:
-        """Grouped full rebuild: one egress decision per (router,
-        next-hop AS), bulk-installed across the group's prefixes."""
-        routers = self._domain_routers(asn)
-        for router in routers:
-            router.fib4.withdraw_all(RouteSource.BGP)
-        groups: Dict[int, List[Prefix]] = {}
-        for prefix, route in speaker.loc_rib.items():
-            if route.originated:
-                continue  # internal destinations are the IGP's job
-            groups.setdefault(self._learned_from(asn, prefix, route),
-                              []).append(prefix)
-        memo: Dict[Tuple[str, str], Optional[FibEntry]] = {}
-        for next_hop_asn in sorted(groups):
-            self._install_group(asn, routers, next_hop_asn,
-                                sorted(groups[next_hop_asn],
-                                       key=Prefix.sort_key), memo)
-
-    def _install_domain_incremental(self, asn: int, speaker: BgpSpeaker) -> None:
-        """Reinstall only the Loc-RIB deltas since the last install.
-
-        Sound because the topology version is unchanged (checked by the
-        caller): egress maps and the IGP routes the hot-potato scan
-        reads cannot have moved, so every non-dirty prefix's installed
-        entry is still exactly what a full rebuild would produce.
-        """
-        if not speaker.dirty:
-            return
-        routers = self._domain_routers(asn)
-        dirty = sorted(speaker.dirty, key=Prefix.sort_key)
-        for router in routers:
-            fib = router.fib4
-            for prefix in dirty:
-                fib.withdraw(prefix, RouteSource.BGP)
-        groups: Dict[int, List[Prefix]] = {}
-        for prefix in dirty:
-            route = speaker.loc_rib.get(prefix)
-            if route is None or route.originated:
-                continue  # withdrawn (or IGP-owned): the withdraw above sufficed
-            groups.setdefault(self._learned_from(asn, prefix, route),
-                              []).append(prefix)
-        memo: Dict[Tuple[str, str], Optional[FibEntry]] = {}
-        for next_hop_asn in sorted(groups):
-            # Group lists inherit the sorted dirty order.
-            self._install_group(asn, routers, next_hop_asn,
-                                groups[next_hop_asn], memo)
-        if self.obs.enabled:
-            self.obs.counter("perf.bgp.incremental_installs").inc()
 
     def _learned_from(self, asn: int, prefix: Prefix, route: BgpRoute) -> int:
         next_hop_asn = route.learned_from
@@ -574,8 +515,7 @@ class BgpProtocol:
 
     def _install_group(self, asn: int, routers: List[Router],
                        next_hop_asn: int, prefixes: List[Prefix],
-                       memo: Optional[Dict[Tuple[str, str],
-                                           Optional[FibEntry]]] = None
+                       memo: Dict[Tuple[str, str], Optional[FibEntry]]
                        ) -> None:
         egress = self._egress_links(asn, next_hop_asn)
         if not egress:
@@ -591,47 +531,32 @@ class BgpProtocol:
                 fib.install(FibEntry(prefix=prefix, next_hop=next_hop,
                                      source=RouteSource.BGP, metric=metric))
 
-    def _install_router(self, router: Router, prefix: Prefix,
-                        remote_by_border: Dict[str, str]) -> None:
-        decision = self._router_egress(router, remote_by_border)
-        if decision is None:
-            return  # egress unreachable via IGP; BGP route unusable
-        next_hop, metric = decision
-        router.fib4.install(FibEntry(prefix=prefix, next_hop=next_hop,
-                                     source=RouteSource.BGP, metric=metric))
-
     def _router_egress(self, router: Router, remote_by_border: Dict[str, str],
-                       memo: Optional[Dict[Tuple[str, str],
-                                           Optional[FibEntry]]] = None
+                       memo: Dict[Tuple[str, str], Optional[FibEntry]]
                        ) -> Optional[Tuple[str, float]]:
         """One router's egress decision towards one next-hop AS:
         ``(next hop, metric)``, or ``None`` if no egress is usable.
         A pure function of (router, egress links, IGP routes) — the
         invariant that makes grouped bulk-install answer-preserving.
 
-        *memo* (grouped paths only) reuses the (router, border) IGP
-        lookup across next-hop-AS groups within one install pass —
-        safe because the pass only mutates BGP FIB entries, and BGP
-        prefixes never cover border loopbacks, so the lookups it
-        memoizes cannot change mid-pass.
+        *memo* reuses the (router, border) IGP lookup across next-hop-AS
+        groups within one install pass — safe because the pass only
+        mutates BGP FIB entries, and BGP prefixes never cover border
+        loopbacks, so the lookups it memoizes cannot change mid-pass.
         """
         if router.node_id in remote_by_border:
             return remote_by_border[router.node_id], 0.0
         # Hot potato: forward towards the IGP-nearest egress border.
         best: Optional[Tuple[float, str, str]] = None
         for border_id in sorted(remote_by_border):
-            border = self.network.node(border_id)
-            if memo is None:
-                self.install_fib_lookups += 1
-                igp_entry = router.fib4.lookup(border.ipv4)
+            memo_key = (router.node_id, border_id)
+            if memo_key in memo:
+                igp_entry = memo[memo_key]
             else:
-                memo_key = (router.node_id, border_id)
-                if memo_key in memo:
-                    igp_entry = memo[memo_key]
-                else:
-                    self.install_fib_lookups += 1
-                    igp_entry = router.fib4.lookup(border.ipv4)
-                    memo[memo_key] = igp_entry
+                self.install_fib_lookups += 1
+                igp_entry = router.fib4.lookup(
+                    self.network.node(border_id).ipv4)
+                memo[memo_key] = igp_entry
             if igp_entry is None or igp_entry.next_hop is None:
                 continue
             key = (igp_entry.metric, border_id, igp_entry.next_hop)

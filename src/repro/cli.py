@@ -29,12 +29,6 @@ Runs the library's headline experiments from the shell:
   (D1–D5), plus — with ``--project`` — the whole-program
   cache-coherence, fleet-safety, and schema-drift families
   (C1/C2, P1–P3, S1/S2) with baseline and SARIF support;
-* ``bench`` — run the seeded perf-trajectory workload matrix
-  (:mod:`repro.perf.bench`) cached and uncached, write the
-  ``repro.bench/v2`` JSON, and fail unless cached Dijkstra work shrank
-  with bit-identical experiment metrics; ``--scale-sweep`` instead
-  sweeps the topology-size axis (:mod:`repro.perf.scale_bench`),
-  fast path on vs. off on power-law internets;
 * ``fleet`` — fan a declarative ``repro.matrix/v1`` workload matrix
   (:mod:`repro.fleet`) across worker processes and merge the per-cell
   artifacts into one deterministic ``repro.fleet/v1`` report: the same
@@ -581,105 +575,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf workload matrix (or the ``--scale-sweep`` size axis)
-    and write ``BENCH_*.json``.
-
-    Matrix mode: exit status 0 requires (a) a schema-valid document,
-    (b) bit-identical cached/uncached experiment metrics for every
-    workload, and (c) fewer total Dijkstra runs cached than uncached.
-    Sweep mode: (a) plus bit-identical fast-path-on/off delivery
-    metrics for every cell, plus byte-identical grouped-vs-seed FIBs
-    on every cell's control-plane leg, plus a sample-for-sample
-    identical probe RTT series across both forwarding legs.  Wall seconds and speedups are
-    recorded for trajectory plots but never gated on (no timing
-    thresholds).
-
-    ``--profile`` wraps the whole run in :mod:`cProfile` and prints
-    the top functions by cumulative time; ``--profile-out FILE``
-    additionally dumps the raw pstats data for ``snakeviz``/
-    ``pstats`` digging.
-    """
-    import json
-
-    from repro.perf.bench import (DEFAULT_BENCH_PATH, run_bench,
-                                  validate_bench_dict, write_bench)
-
-    def profiled(run):
-        """Run *run* under cProfile when --profile is set."""
-        if not args.profile and args.profile_out is None:
-            return run()
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            result = run()
-        finally:
-            profiler.disable()
-            stats = pstats.Stats(profiler, stream=sys.stderr)
-            stats.sort_stats("cumulative")
-            stats.print_stats(25)
-            if args.profile_out is not None:
-                stats.dump_stats(args.profile_out)
-                print(f"pstats dump written to {args.profile_out}",
-                      file=sys.stderr)
-        return result
-
-    if args.scale_sweep:
-        from repro.perf.scale_bench import DEFAULT_SWEEP_PATH, run_sweep
-
-        doc = profiled(lambda: run_sweep(seed=args.seed, quick=args.quick))
-        path = write_bench(doc, args.out or DEFAULT_SWEEP_PATH)
-        errors = validate_bench_dict(doc)
-        totals: dict = doc["totals"]  # type: ignore[assignment]
-        if not totals["identical_metrics"]:
-            errors.append(
-                "fast-path delivery metrics diverged from the slow path")
-        if not totals.get("identical_fibs", True):
-            errors.append(
-                "grouped-install FIBs diverged from the seed install path")
-        if not totals.get("identical_probe_series", True):
-            errors.append(
-                "fast-path probe RTT series diverged from the slow path")
-        status = {"ok": not errors, "out": path,
-                  "identical_metrics": totals["identical_metrics"],
-                  "identical_fibs": totals.get("identical_fibs"),
-                  "identical_probe_series":
-                      totals.get("identical_probe_series"),
-                  "speedups": {str(cell["routers_requested"]):
-                               round(float(cell["speedup"]), 2)  # type: ignore[arg-type]
-                               for cell in doc["cells"]},  # type: ignore[union-attr]
-                  "lookup_reductions": {
-                      str(cell["routers_requested"]):
-                      round(float(cell["control_plane"]["lookup_reduction"]), 2)  # type: ignore[index]
-                      for cell in doc["cells"]}}  # type: ignore[union-attr]
-        if errors:
-            status["errors"] = errors[:10]
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0 if not errors else 1
-
-    doc = profiled(lambda: run_bench(seed=args.seed, quick=args.quick))
-    path = write_bench(doc, args.out or DEFAULT_BENCH_PATH)
-    errors = validate_bench_dict(doc)
-    matrix_totals: dict = doc["totals"]  # type: ignore[assignment]
-    runs: dict = matrix_totals["dijkstra_runs"]
-    if not matrix_totals["identical_metrics"]:
-        errors.append("cached metrics diverged from the uncached baseline")
-    if not runs["cached"] < runs["uncached"]:
-        errors.append(
-            f"caching saved no Dijkstra runs ({runs['cached']} cached vs "
-            f"{runs['uncached']} uncached)")
-    status = {"ok": not errors, "out": path,
-              "dijkstra_runs": runs,
-              "identical_metrics": matrix_totals["identical_metrics"]}
-    if errors:
-        status["errors"] = errors[:10]
-    print(json.dumps(status, indent=2, sort_keys=True))
-    return 0 if not errors else 1
-
-
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Fan a workload matrix across worker processes and merge it.
 
@@ -887,30 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--list-rules", action="store_true",
                         help="list rule ids and descriptions")
     p_lint.set_defaults(func=cmd_lint)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the perf workload matrix or topology-size "
-                      "sweep (repro.bench/v2)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="small topology / fewer samples (CI smoke)")
-    p_bench.add_argument("--scale-sweep", action="store_true",
-                         help="sweep the topology-size axis instead of the "
-                              "workload matrix: fast-path on vs. off on "
-                              "power-law internets (repro.topogen.scale)")
-    p_bench.add_argument("--seed", type=int, default=42,
-                         help="workload seed (the matrix is a pure "
-                              "function of it)")
-    p_bench.add_argument("--out", metavar="FILE", default=None,
-                         help="where to write the JSON document (default: "
-                              "BENCH_PR6.json, or BENCH_PR9.json "
-                              "with --scale-sweep)")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="run under cProfile and print the top "
-                              "functions by cumulative time to stderr")
-    p_bench.add_argument("--profile-out", metavar="FILE", default=None,
-                         help="also dump raw pstats data to FILE "
-                              "(implies --profile)")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_fleet = sub.add_parser(
         "fleet", help="fan a workload matrix across worker processes "

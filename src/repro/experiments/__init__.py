@@ -4,14 +4,14 @@ Importing this package populates the workload-spec registry; use::
 
     from repro.experiments import all_specs, available, describe, run
 
-    print(available())          # ['E10', 'E11', ..., 'F1', ..., 'bench_*']
+    print(available())          # ['E10', 'E11', ..., 'F1', ...]
     result = run("F1")
     print(result.table())
 
 Every entry is a declarative :class:`WorkloadSpec` — id, runner, typed
 param schema with defaults, tags, artifact schema — so the CLI, the
-bench harness, the benchmark suite, and the :mod:`repro.fleet` sweep
-engine all enumerate and validate workloads through this one surface.
+benchmark suite, and the :mod:`repro.fleet` sweep engine all enumerate
+and validate workloads through this one surface.
 """
 
 from repro.experiments.base import (EXPERIMENT_SCHEMA, ExperimentResult,
@@ -31,9 +31,6 @@ from repro.experiments import igp_claims  # noqa: F401  (E11)
 from repro.experiments import service_claims  # noqa: F401  (E12a/b, E16)
 from repro.experiments import resilience_claims  # noqa: F401  (E17)
 from repro.experiments import measurement_claims  # noqa: F401  (rtt_catchment)
-# The perf-bench workloads register under bench_* so the fleet and the
-# CLI can sweep them through the same registry.
-from repro.perf import bench as _bench  # noqa: F401  (bench_*)
 
 __all__ = ["EXPERIMENT_SCHEMA", "ExperimentResult", "Param", "RunOutcome",
            "WorkloadSpec", "all_specs", "available", "describe",

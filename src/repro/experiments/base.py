@@ -1,6 +1,6 @@
 """The workload-spec registry, result type, and run API.
 
-Every reproduced figure, claim, and perf workload is a declarative
+Every reproduced figure and claim is a declarative
 :class:`WorkloadSpec` registered here: an id, a one-line description, a
 runner with the uniform ``runner(*, seed, params)`` signature, a typed
 parameter schema with defaults, a set of tags, and the schema tag of
@@ -14,10 +14,9 @@ enumerable and validatable through one surface::
         result = run(spec.workload_id)
 
 The same surface drives the shell (``python -m repro experiment F1``),
-the perf harness (:mod:`repro.perf.bench` registers its workloads under
-``bench_*`` tags), the benchmark suite (`benchmarks/`), and the
-multiprocess sweep engine (:mod:`repro.fleet`), which fans a parameter
-matrix over these specs across worker processes.
+the benchmark suite (`benchmarks/`), and the multiprocess sweep engine
+(:mod:`repro.fleet`), which fans a parameter matrix over these specs
+across worker processes.
 
 Runners have exactly one signature shape: keyword-accessible ``seed``
 and ``params`` (each may carry a runner-chosen default).  The zero-arg
@@ -291,7 +290,7 @@ def register(experiment_id: str, description: str, *,
 
     *params* declares the typed parameter schema (``None`` leaves the
     workload unconstrained); *tags* label workload families (e.g.
-    ``figure``, ``claim``, ``bench``) for enumeration and sweeps.
+    ``figure``, ``claim``) for enumeration and sweeps.
     """
 
     def wrap(runner: _Runner) -> _Runner:

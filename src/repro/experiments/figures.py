@@ -3,7 +3,7 @@
 The figure topologies are fixed by the paper (no randomness), so the
 uniform ``seed`` keyword does not perturb them; it is accepted, stamped
 into the result, and exists so the registry presents one runner shape
-to the CLI, bench harness, and fleet engine.
+to the CLI and the fleet engine.
 """
 
 from __future__ import annotations

@@ -6,9 +6,7 @@ that IGP/BGP populated from ``Link.cost``), but a user experiences
 allows right now?" by running Dijkstra over ``Link.delay`` on live
 links and live nodes — deliberately separate from
 :meth:`repro.net.network.Network.shortest_path` and its
-:class:`~repro.perf.cache.PathCache` so enabling or disabling the path
-cache cannot perturb measurement ground truth (recomputation is
-bit-identical either way).
+:class:`~repro.perf.cache.PathCache`, which weigh ``Link.cost``.
 
 Trees are memoized per source and invalidated wholesale whenever
 ``Network.topology_version`` changes (link/node state flips during

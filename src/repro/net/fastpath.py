@@ -34,23 +34,13 @@ cached trace is returned as a shared object and callers treat traces
 as read-only (the same contract :class:`~repro.perf.cache.PathCache`
 relies on for trees).
 
-The process-wide default mirrors :mod:`repro.perf.cache`: consulted at
-engine construction, scoped with the :func:`flow_fastpath` context
-manager::
-
-    from repro.net.fastpath import flow_fastpath
-
-    with flow_fastpath(False):
-        orch = Orchestrator(network)    # slow-path baseline
-
 Per rule D4 the obs counters are registered behind ``obs.enabled``;
 plain integer stats are always live.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.net.errors import ForwardingError
 from repro.net.packet import IPv4Header, Packet
@@ -60,32 +50,10 @@ if TYPE_CHECKING:  # import cycle: forwarding.py imports this module
     from repro.net.forwarding import ForwardingTrace
     from repro.net.network import Network
 
-#: Process-wide default consulted by every fast path at construction.
-_FASTPATH_DEFAULT = True
-
 
 def fastpath_enabled() -> bool:
-    """The current process-wide fast-path default."""
-    return _FASTPATH_DEFAULT
-
-
-def set_fastpath_default(enabled: bool) -> bool:
-    """Set the process-wide fast-path default; returns the previous value."""
-    global _FASTPATH_DEFAULT
-    previous = _FASTPATH_DEFAULT
-    _FASTPATH_DEFAULT = enabled
-    return previous
-
-
-@contextmanager
-def flow_fastpath(enabled: bool) -> Iterator[None]:
-    """Scope the fast-path default; engines constructed inside the block
-    keep the setting for their lifetime."""
-    previous = set_fastpath_default(enabled)
-    try:
-        yield
-    finally:
-        set_fastpath_default(previous)
+    # Read by bench/harness.py::provenance; goes when that block does.
+    return True
 
 
 #: One flow: (start node, exact outer IPv4 header — frozen, hashable).
@@ -95,11 +63,9 @@ FlowKey = Tuple[str, IPv4Header]
 class FlowFastPath:
     """Memoizes delivered pure-IPv4 walks per flow, per quiescent state."""
 
-    def __init__(self, network: "Network",
-                 enabled: Optional[bool] = None) -> None:
+    def __init__(self, network: "Network") -> None:
         self.network = network
         self.obs = get_obs()
-        self.enabled = fastpath_enabled() if enabled is None else enabled
         self._version = network.topology_version
         self._paused = 0
         self._traces: Dict[FlowKey, "ForwardingTrace"] = {}
@@ -112,7 +78,7 @@ class FlowFastPath:
     @property
     def active(self) -> bool:
         """Whether lookups may be served right now."""
-        return self.enabled and self._paused == 0
+        return self._paused == 0
 
     @property
     def paused(self) -> bool:

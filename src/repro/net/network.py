@@ -190,46 +190,13 @@ class Network:
         With ``intra_domain_only`` the search never crosses an
         inter-domain link (used by IGPs and intra-domain metrics).
 
-        When the :class:`~repro.perf.cache.PathCache` is enabled the
-        answer comes from the memoized shortest-path tree rooted at
-        *src* — bit-identical to the early-exit search (same heap
-        order, strict-``<`` relaxation, same neighbor order).
+        The answer comes from the :class:`~repro.perf.cache.PathCache`'s
+        memoized shortest-path tree rooted at *src*.
         """
         if src == dst:
             return 0.0, [src]
         self.node(src), self.node(dst)
-        if self.path_cache.enabled:
-            return self.path_cache.shortest_path(src, dst, intra_domain_only)
-        return self._compute_shortest_path(src, dst, intra_domain_only)
-
-    def _compute_shortest_path(self, src: str, dst: str,
-                               intra_domain_only: bool = False
-                               ) -> Optional[Tuple[float, List[str]]]:
-        """The raw early-exit Dijkstra (uncached baseline)."""
-        if self.obs.enabled:
-            self.obs.counter("perf.dijkstra_runs").inc()
-        dist: Dict[str, float] = {src: 0.0}
-        prev: Dict[str, str] = {}
-        heap: List[Tuple[float, str]] = [(0.0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
-                continue
-            if u == dst:
-                path = [dst]
-                while path[-1] != src:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return d, path
-            for v, link in self.neighbors(u):
-                if intra_domain_only and link.scope is LinkScope.INTER_DOMAIN:
-                    continue
-                nd = d + link.cost
-                if nd < dist.get(v, float("inf")):
-                    dist[v] = nd
-                    prev[v] = u
-                    heapq.heappush(heap, (nd, v))
-        return None
+        return self.path_cache.shortest_path(src, dst, intra_domain_only)
 
     def shortest_path_tree(self, src: str, intra_domain_only: bool = False,
                            domain: Optional[int] = None) -> Dict[str, Tuple[float, Optional[str]]]:
@@ -237,18 +204,16 @@ class Network:
 
         ``domain`` additionally restricts the traversal to one AS's nodes
         (used by link-state SPF).  Served from the
-        :class:`~repro.perf.cache.PathCache` when it is enabled; callers
-        must treat the returned tree as read-only.
+        :class:`~repro.perf.cache.PathCache`; callers must treat the
+        returned tree as read-only.
         """
-        if self.path_cache.enabled:
-            return self.path_cache.tree(src, intra_domain_only, domain)
-        return self._compute_shortest_path_tree(src, intra_domain_only, domain)
+        return self.path_cache.tree(src, intra_domain_only, domain)
 
     def _compute_shortest_path_tree(
             self, src: str, intra_domain_only: bool = False,
             domain: Optional[int] = None
     ) -> Dict[str, Tuple[float, Optional[str]]]:
-        """The raw full Dijkstra behind :meth:`shortest_path_tree`."""
+        """The raw full Dijkstra the :class:`PathCache` runs on a miss."""
         if self.obs.enabled:
             self.obs.counter("perf.dijkstra_runs").inc()
         allowed: Optional[Set[str]] = None

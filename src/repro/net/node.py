@@ -128,9 +128,9 @@ class Fib:
     def snapshot(self, source: Optional[RouteSource] = None
                  ) -> List[Tuple[str, str, str, float]]:
         """A canonical, sorted dump of every offer — the byte-exact
-        equivalence surface the control-plane bench and the grouped-
-        vs-seed install tests compare.  Optionally restricted to one
-        *source* (e.g. ``RouteSource.BGP``).
+        surface the benchmark's ``sim_digest`` and the install-oracle
+        tests compare.  Optionally restricted to one *source* (e.g.
+        ``RouteSource.BGP``).
         """
         rows: List[Tuple[str, str, str, float]] = []
         for pfx, offers in self._trie.items():

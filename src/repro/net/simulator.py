@@ -9,22 +9,10 @@ The kernel is intentionally small.  ``run_until_idle`` is the workhorse:
 protocol convergence in this library means "the event queue drained",
 with a configurable event budget as a divergence backstop.
 
-Two pending-event queue implementations sit behind the same scheduler
-API (selected by ``EventScheduler(queue=...)``):
-
-* ``"calendar"`` (the default) — a slotted calendar queue: events land
-  in fixed-width time buckets keyed by ``floor(time / width)``, a lazy
-  min-heap tracks the non-empty buckets, and each bucket is itself a
-  small heap ordered by ``(time, seq)``.  Because bucket keys are
-  monotone in time, draining buckets in key order then events in
-  per-bucket heap order reproduces the global ``(time, insertion-seq)``
-  order exactly; per-push/pop heap work is bounded by the (small)
-  bucket population instead of the whole queue.
-* ``"heap"`` — the seed implementation, one global binary heap.  Kept
-  as the executable reference: the property tests in
-  ``tests/net/test_simulator_properties.py`` drive both implementations
-  through identical schedule/cancel interleavings and assert the fired
-  event sequences are equal.
+Pending events sit in one global binary heap ordered by ``(time,
+insertion-seq)``; cancelled events stay in the heap and are skipped
+when they surface.  ``tests/net/test_simulator_properties.py`` checks
+the fired sequence against a stable sort of ``(time, seq)``.
 
 Fault injection hooks in at two points:
 
@@ -46,7 +34,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.errors import ConvergenceError, SimulationError
 from repro.obs import MetricSampler, Observability, SpanContext, get_obs
@@ -121,99 +109,6 @@ class MessagePerturbation:
     reorder_jitter: float = 0.0
 
 
-class _HeapQueue:
-    """The seed pending-event store: one global binary heap."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[_Event] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, event: _Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def pop(self) -> Optional[_Event]:
-        """Remove and return the minimum event (cancelled or not)."""
-        return heapq.heappop(self._heap) if self._heap else None
-
-    def peek(self) -> Optional[_Event]:
-        return self._heap[0] if self._heap else None
-
-
-#: Default calendar-queue bucket width.  Protocol delays in this library
-#: cluster around 1.0 (link delays, SESSION_DELAY, hold-down fractions),
-#: so unit-width buckets keep per-bucket heaps small without creating a
-#: bucket per event.
-DEFAULT_BUCKET_WIDTH = 1.0
-
-
-class _CalendarQueue:
-    """A slotted calendar queue, order-equivalent to :class:`_HeapQueue`.
-
-    Buckets are keyed by ``floor(time / width)``; ``_keys`` is a heap of
-    the keys currently present in ``_buckets``.  Invariant: a key is in
-    ``_keys`` iff it has a ``_buckets`` entry (possibly an empty list —
-    emptied buckets are removed lazily when they surface at the top of
-    the key heap), so keys are never duplicated.
-
-    Correctness of the ordering: for events ``x`` in bucket ``k`` and
-    ``y`` in bucket ``k' > k``, ``x.time < (k + 1) * width <= y.time``,
-    so cross-bucket order is strict in time; within a bucket the heap
-    orders by the event's own ``(time, seq)`` key.  Draining bucket by
-    bucket therefore yields the exact global ``(time, seq)`` order.
-    """
-
-    __slots__ = ("_width", "_buckets", "_keys", "_count")
-
-    def __init__(self, width: float = DEFAULT_BUCKET_WIDTH) -> None:
-        if width <= 0.0:
-            raise SimulationError(f"bucket width must be positive, got {width}")
-        self._width = width
-        self._buckets: Dict[int, List[_Event]] = {}
-        self._keys: List[int] = []
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def push(self, event: _Event) -> None:
-        key = int(event.time / self._width)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = []
-            self._buckets[key] = bucket
-            heapq.heappush(self._keys, key)
-        heapq.heappush(bucket, event)
-        self._count += 1
-
-    def _min_bucket(self) -> Optional[List[_Event]]:
-        while self._keys:
-            bucket = self._buckets[self._keys[0]]
-            if bucket:
-                return bucket
-            del self._buckets[heapq.heappop(self._keys)]
-        return None
-
-    def pop(self) -> Optional[_Event]:
-        """Remove and return the minimum event (cancelled or not)."""
-        bucket = self._min_bucket()
-        if bucket is None:
-            return None
-        self._count -= 1
-        return heapq.heappop(bucket)
-
-    def peek(self) -> Optional[_Event]:
-        bucket = self._min_bucket()
-        return bucket[0] if bucket else None
-
-
-#: Queue implementations selectable via ``EventScheduler(queue=...)``.
-QUEUE_KINDS = ("calendar", "heap")
-
-
 class EventScheduler:
     """A deterministic discrete-event scheduler.
 
@@ -222,23 +117,14 @@ class EventScheduler:
     seed:
         Seed for the scheduler's :class:`random.Random`, which protocols
         use for jitter so that independent runs are reproducible.
-    queue:
-        Pending-event store implementation: ``"calendar"`` (slotted
-        bucket queue, the default) or ``"heap"`` (the seed global binary
-        heap).  Both yield the identical event order; see the module
-        docstring.
     """
 
+    #: Read by bench/harness.py::provenance; goes when that block does.
+    queue_kind = "heap"
+
     def __init__(self, seed: int = 0,
-                 obs: Optional[Observability] = None,
-                 queue: str = "calendar",
-                 bucket_width: float = DEFAULT_BUCKET_WIDTH) -> None:
-        if queue not in QUEUE_KINDS:
-            raise SimulationError(
-                f"unknown queue kind {queue!r}; choose from {QUEUE_KINDS}")
-        self.queue_kind = queue
-        self._queue = (_CalendarQueue(bucket_width) if queue == "calendar"
-                       else _HeapQueue())
+                 obs: Optional[Observability] = None) -> None:
+        self._heap: List[_Event] = []
         self._seq = itertools.count()
         self._now = 0.0
         self.rng = random.Random(seed)
@@ -283,7 +169,7 @@ class EventScheduler:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         event = _Event(time=self._now + delay, seq=next(self._seq), callback=callback)
-        self._queue.push(event)
+        heapq.heappush(self._heap, event)
         self._live += 1
         if self.obs.enabled:
             self._c_scheduled.inc()
@@ -342,14 +228,14 @@ class EventScheduler:
         return self.schedule(delay, callback)
 
     def _pop_next(self) -> Optional[_Event]:
-        while True:
-            event = self._queue.pop()
-            if event is None:
-                return None
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)
             if not event.cancelled:
                 event.finished = True
                 self._live -= 1
                 return event
+        return None
 
     def attach_sampler(self, sampler: MetricSampler) -> None:
         """Drive *sampler* from this scheduler's clock advances.
@@ -428,7 +314,7 @@ class EventScheduler:
     def run_until(self, time: float, max_events: int = 2_000_000) -> int:
         """Run events with timestamps <= *time*; advance the clock to *time*."""
         processed = 0
-        while len(self._queue):
+        while self._heap:
             head = self._peek_time()
             if head is None or head > time:
                 break
@@ -447,13 +333,12 @@ class EventScheduler:
         return processed
 
     def _peek_time(self) -> Optional[float]:
-        while True:
-            event = self._queue.peek()
-            if event is None:
-                return None
-            if not event.cancelled:
-                return event.time
-            self._queue.pop()
+        heap = self._heap
+        while heap:
+            if not heap[0].cancelled:
+                return heap[0].time
+            heapq.heappop(heap)
+        return None
 
 
 @dataclass

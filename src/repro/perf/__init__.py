@@ -1,19 +1,11 @@
-"""repro.perf: topology-versioned path caching + the bench harness.
+"""repro.perf: topology-versioned path caching.
 
-Two halves:
-
-* :mod:`repro.perf.cache` — the :class:`PathCache` memoizing the
-  network's ground-truth Dijkstra trees per ``topology_version``, and
-  the process-wide :func:`caching` default the per-layer SPF caches
-  (link-state IGP, vN-Bone routing, vN-Bone topology) consult at
-  construction time.
-* :mod:`repro.perf.bench` — the reproducible perf-trajectory harness
-  behind ``python -m repro bench`` (schema ``repro.bench/v1``).  It is
-  *not* imported here: bench pulls in the whole experiment stack, and
-  this package must stay importable from :mod:`repro.net.network`.
+:mod:`repro.perf.cache` holds the :class:`PathCache` memoizing the
+network's ground-truth Dijkstra trees per ``topology_version``.  The
+package must stay importable from :mod:`repro.net.network`.  Measuring
+is the job of the top-level ``bench/`` package (see ``bench/README.md``).
 """
 
-from repro.perf.cache import (PathCache, caching, caching_enabled,
-                              set_caching_default)
+from repro.perf.cache import PathCache
 
-__all__ = ["PathCache", "caching", "caching_enabled", "set_caching_default"]
+__all__ = ["PathCache"]

@@ -20,25 +20,15 @@ The scheme is deliberately simple and *provably* answer-preserving:
   pointers.  Any version change invalidates the whole cache lazily on
   the next access.
 
-Bit-identical answers: both the early-exit ``shortest_path`` and the
-full ``shortest_path_tree`` pop ``(distance, node)`` heap entries,
-relax with strict ``<`` over the same ``neighbors()`` order, and link
-costs are non-negative — so the predecessor chain of every settled
-node is identical in both, and reconstructing the path from the tree
-yields exactly the path the early-exit search would have returned.
-The cached/uncached determinism test in ``tests/perf`` asserts this
-end to end on full experiment metrics.
-
-Caching defaults are process-wide and consulted at *construction* time
-(:func:`caching_enabled`), because top-level objects such as
-:class:`~repro.core.evolution.EvolvableInternet` converge inside their
-constructor — use the :func:`caching` context manager to build an
-uncached baseline::
-
-    from repro.perf import caching
-
-    with caching(False):
-        internet = EvolvableInternet.generate(seed=7)   # uncached
+Bit-identical answers: an early-exit Dijkstra towards one destination
+and the full ``shortest_path_tree`` both pop ``(distance, node)`` heap
+entries, relax with strict ``<`` over the same ``neighbors()`` order,
+and link costs are non-negative — so the predecessor chain of every
+settled node is identical in both, and reconstructing the path from
+the tree yields exactly the path the early-exit search returns.
+``tests/oracles.py::early_exit_dijkstra`` is that search, and
+``tests/perf/test_path_cache.py`` compares the two over random graphs
+with equal-cost ties and fail/restore/add_link sequences.
 
 Per rule D4 the hit/miss/invalidation counters are registered behind
 ``obs.enabled``; the cache also keeps plain integer stats that are
@@ -47,41 +37,17 @@ always live, so tests need no observability handle.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs import get_obs
 
 if TYPE_CHECKING:  # import cycle: network.py imports this module
     from repro.net.network import Network
 
-#: Process-wide default consulted by every cache at construction time.
-_CACHING_DEFAULT = True
-
 
 def caching_enabled() -> bool:
-    """The current process-wide caching default."""
-    return _CACHING_DEFAULT
-
-
-def set_caching_default(enabled: bool) -> bool:
-    """Set the process-wide caching default; returns the previous value."""
-    global _CACHING_DEFAULT
-    previous = _CACHING_DEFAULT
-    _CACHING_DEFAULT = enabled
-    return previous
-
-
-@contextmanager
-def caching(enabled: bool) -> Iterator[None]:
-    """Scope the caching default (e.g. ``with caching(False):`` for a
-    baseline run); objects constructed inside the block keep the setting
-    for their lifetime."""
-    previous = set_caching_default(enabled)
-    try:
-        yield
-    finally:
-        set_caching_default(previous)
+    # Read by bench/harness.py::provenance; goes when that block does.
+    return True
 
 
 #: One cache key: (source node, intra-domain-only flag, domain filter).
@@ -100,11 +66,9 @@ class PathCache:
     ``perf.path_cache.*`` counters feed the bench harness.
     """
 
-    def __init__(self, network: "Network",
-                 enabled: Optional[bool] = None) -> None:
+    def __init__(self, network: "Network") -> None:
         self.network = network
         self.obs = get_obs()
-        self.enabled = caching_enabled() if enabled is None else enabled
         self._version = network.topology_version
         self._trees: Dict[TreeKey, Tree] = {}
         self.hits = 0
@@ -148,7 +112,7 @@ class PathCache:
     def shortest_path(self, src: str, dst: str, intra_domain_only: bool = False
                       ) -> Optional[Tuple[float, List[str]]]:
         """(cost, node path) from the cached tree, or ``None`` if
-        unreachable — bit-identical to the early-exit Dijkstra."""
+        unreachable."""
         tree = self.tree(src, intra_domain_only, None)
         entry = tree.get(dst)
         if entry is None:

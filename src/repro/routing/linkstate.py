@@ -28,7 +28,6 @@ from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.node import FibEntry, RouteSource
 from repro.net.simulator import EventScheduler
-from repro.perf.cache import caching_enabled
 from repro.routing.igp import ANYCAST_STUB_COST, IgpProtocol
 
 
@@ -63,7 +62,6 @@ class LinkStateRouting(IgpProtocol):
         self._lsdb_gen: Dict[str, int] = {rid: 0 for rid in domain.routers}
         #: viewpoint -> (generation, SPF result); see :meth:`_spf`.
         self._spf_cache: Dict[str, Tuple[int, Dict[str, Tuple[float, Optional[str]]]]] = {}
-        self.spf_cache_enabled = caching_enabled()
 
     # -- origination and flooding ---------------------------------------------
     def _build_lsa(self, router_id: str) -> Lsa:
@@ -174,12 +172,11 @@ class LinkStateRouting(IgpProtocol):
         Callers treat the returned mapping as read-only.
         """
         generation = self._lsdb_gen.get(router_id, 0)
-        if self.spf_cache_enabled:
-            cached = self._spf_cache.get(router_id)
-            if cached is not None and cached[0] == generation:
-                if self.obs.enabled:
-                    self.obs.counter("igp.ls.spf_cache_hits").inc()
-                return cached[1]
+        cached = self._spf_cache.get(router_id)
+        if cached is not None and cached[0] == generation:
+            if self.obs.enabled:
+                self.obs.counter("igp.ls.spf_cache_hits").inc()
+            return cached[1]
         if self.obs.enabled:
             self.obs.counter("igp.ls.spf_runs").inc()
             self.obs.counter("perf.dijkstra_runs").inc()
@@ -210,8 +207,7 @@ class LinkStateRouting(IgpProtocol):
                 hop = v if first is None else first
                 heapq.heappush(heap, (d + cost, v, hop))
         result = {node: info for node, info in dist.items() if node in settled}
-        if self.spf_cache_enabled:
-            self._spf_cache[router_id] = (generation, result)
+        self._spf_cache[router_id] = (generation, result)
         return result
 
     def install_routes(self) -> None:

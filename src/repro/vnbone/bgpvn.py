@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.net.address import Prefix
 from repro.net.errors import ConvergenceError, RoutingError
 from repro.obs import get_obs
-from repro.perf.cache import caching_enabled
 from repro.vnbone.routing import (AdjacencySignature, OwnerEntry,
                                   adjacency_signature)
 from repro.vnbone.state import VnAction, VnFibEntry, VnRouterState
@@ -124,7 +123,6 @@ class LayeredVnRouting:
         self._intra_cache: Dict[int, Tuple[AdjacencySignature,
                                            Dict[str, Dict[str, float]],
                                            Dict[str, Dict[str, str]]]] = {}
-        self.spf_cache_enabled = caching_enabled()
 
     # -- intra-domain SPF --------------------------------------------------------
     def _intra_spf(self, members: Set[str],
@@ -193,16 +191,14 @@ class LayeredVnRouting:
         self._intra_hop.clear()
         for asn, members in members_by_domain.items():
             signature = adjacency_signature(intra_adj[asn])
-            cached = (self._intra_cache.get(asn)
-                      if self.spf_cache_enabled else None)
+            cached = self._intra_cache.get(asn)
             if cached is not None and cached[0] == signature:
                 _, dists, hops = cached
                 if self.obs.enabled:
                     self.obs.counter("vnbone.spf_cache_hits").inc()
             else:
                 dists, hops = self._intra_spf(members, intra_adj[asn])
-                if self.spf_cache_enabled:
-                    self._intra_cache[asn] = (signature, dists, hops)
+                self._intra_cache[asn] = (signature, dists, hops)
             self._intra_dist.update(dists)
             self._intra_hop.update(hops)
         # BGPvN: originations from owner entries, grouped by owner domain.

@@ -38,7 +38,6 @@ from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.packet import Packet, VNHeader
 from repro.obs import get_obs
-from repro.perf.cache import caching_enabled
 from repro.vnbone.state import VnAction, VnFibEntry, VnRouterState
 
 #: A canonical, hashable rendering of a tunnel-graph adjacency —
@@ -76,7 +75,6 @@ class VnRouting:
         self._first_hop: Dict[str, Dict[str, str]] = {}
         #: Tunnel-graph signature the current SPF results were built from.
         self._signature: Optional[AdjacencySignature] = None
-        self.spf_cache_enabled = caching_enabled()
 
     # -- SPF over the tunnel graph ------------------------------------------------
     def _spf(self, source: str,
@@ -122,7 +120,7 @@ class VnRouting:
                     cost, adjacency[member].get(neighbor, float("inf")))
                 adjacency[neighbor][member] = adjacency[member][neighbor]
         signature = adjacency_signature(adjacency)
-        if self.spf_cache_enabled and signature == self._signature:
+        if signature == self._signature:
             if self.obs.enabled:
                 self.obs.counter("vnbone.spf_cache_hits").inc()
         else:
@@ -133,7 +131,7 @@ class VnRouting:
             self._first_hop.clear()
             for member in sorted(states):
                 self._spf(member, sorted_adjacency)
-            self._signature = signature if self.spf_cache_enabled else None
+            self._signature = signature
         by_prefix: Dict[Prefix, List[OwnerEntry]] = {}
         for entry in owner_entries:
             by_prefix.setdefault(entry.prefix, []).append(entry)

@@ -34,7 +34,6 @@ from repro.net.errors import DeploymentError
 from repro.net.link import LinkScope
 from repro.net.network import Network
 from repro.core.orchestrator import Orchestrator
-from repro.perf.cache import caching_enabled
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,6 @@ class VnBoneTopology:
         self._intra_dist_cache: Dict[str, Dict[str, float]] = {}
         #: Topology version the dist caches were computed against.
         self._cache_version = self.network.topology_version
-        self.dist_cache_enabled = caching_enabled()
 
     # -- distance helpers -----------------------------------------------------
     def _intra_dists(self, member: str, asn: int) -> Dict[str, float]:
@@ -123,8 +121,7 @@ class VnBoneTopology:
         """Drop the distance maps only if the topology actually changed
         since they were computed (the version-aware variant used by
         :meth:`build`)."""
-        if (not self.dist_cache_enabled
-                or self._cache_version != self.network.topology_version):
+        if self._cache_version != self.network.topology_version:
             self.invalidate_caches()
 
     def member_distance(self, member: str, target_id: str,

@@ -14,9 +14,9 @@ from repro.analyze import (CATCHMENT_SCHEMA, build_catchment,
                            catchment_from_trace, render_catchment,
                            validate_catchment_dict)
 from repro.experiments import run
-from repro.net.fastpath import flow_fastpath
 from repro.obs import Observability, Tracer
-from repro.perf import caching
+
+from tests.oracles import slow_path_held
 
 
 def sample(t, vantage="v0", target="svc", replica="a", rtt=4.0,
@@ -153,17 +153,25 @@ class TestSeededMeasurementPlane:
                 == json.dumps(in_memory, sort_keys=True))
 
     def test_byte_identical_across_fastpath_modes(self):
-        with flow_fastpath(True):
-            fast = run("rtt_catchment", seed=19).data["catchment"]
-        with flow_fastpath(False):
+        fast = run("rtt_catchment", seed=19).data["catchment"]
+        with slow_path_held():
             slow = run("rtt_catchment", seed=19).data["catchment"]
         assert (json.dumps(fast, sort_keys=True)
                 == json.dumps(slow, sort_keys=True))
 
-    def test_byte_identical_across_caching_modes(self):
-        with caching(True):
-            cached = run("rtt_catchment", seed=19).data["catchment"]
-        with caching(False):
-            uncached = run("rtt_catchment", seed=19).data["catchment"]
-        assert (json.dumps(cached, sort_keys=True)
-                == json.dumps(uncached, sort_keys=True))
+    def test_byte_identical_across_caching_modes(self, plain_catchment,
+                                                 paranoid_caches):
+        # Every cache hit of this run is re-derived and compared, so it
+        # answers as an uncached run would.
+        rederived = run("rtt_catchment", seed=19).data["catchment"]
+        assert paranoid_caches["path_cache"] > 0
+        assert paranoid_caches["linkstate_spf"] > 0
+        assert (json.dumps(rederived, sort_keys=True)
+                == json.dumps(plain_catchment, sort_keys=True))
+
+
+@pytest.fixture(scope="module")
+def plain_catchment():
+    """The seeded document with no patch applied (module-scoped, so set
+    up before the function-scoped ``paranoid_caches``)."""
+    return run("rtt_catchment", seed=19).data["catchment"]

@@ -1,28 +1,24 @@
 """Unit tests for the control-plane install machinery.
 
-Covers the egress-link cache (:mod:`repro.bgp.egress`), the
-grouped-install switch, Adj-RIB-In pruning (no empty per-prefix dicts
-survive a withdrawal or session flush), dirty-prefix tracking, and
-MRAI-style update batching.  The end-to-end grouped-vs-seed
-equivalence lives in ``test_install_equivalence``.
+Covers the egress-link cache (:mod:`repro.bgp.egress`), Adj-RIB-In
+pruning (no empty per-prefix dicts survive a withdrawal or session
+flush), dirty-prefix tracking, and MRAI-style update batching with its
+per-message fallback.  The end-to-end equivalence with the per-prefix
+oracle lives in ``test_install_equivalence``.
 """
 
-import pytest
-
-from repro.bgp.egress import (EgressCache, grouped_install,
-                              grouped_install_enabled,
-                              set_grouped_install_default)
+from repro.bgp.egress import EgressCache, grouped_install_enabled
 from repro.bgp.routes import RouteScope
 from repro.core.orchestrator import Orchestrator
 from repro.net import Prefix, ipv4
-from repro.perf.cache import caching
-from tests.conftest import build_hub_network, build_two_domain_network
+from tests.conftest import build_hub_network
+from tests.oracles import per_message_bgp
 
 
 class TestEgressCache:
     def test_second_scan_is_a_hit(self, converged_two_domain):
         net = converged_two_domain.network
-        cache = EgressCache(net, enabled=True)
+        cache = EgressCache(net)
         first = cache.links(1, 2)
         assert first == [("r1b", "r2b")]
         assert cache.links(1, 2) == first
@@ -30,12 +26,12 @@ class TestEgressCache:
                                  "invalidations": 0, "entries": 1}
 
     def test_no_session_means_no_links(self, converged_two_domain):
-        cache = EgressCache(converged_two_domain.network, enabled=True)
+        cache = EgressCache(converged_two_domain.network)
         assert cache.links(1, 99) == []
 
     def test_version_bump_invalidates(self, converged_two_domain):
         net = converged_two_domain.network
-        cache = EgressCache(net, enabled=True)
+        cache = EgressCache(net)
         assert cache.links(1, 2) == [("r1b", "r2b")]
         net.link_between("r1b", "r2b").fail()
         # The dead link must disappear from the recomputed answer.
@@ -44,14 +40,6 @@ class TestEgressCache:
         net.link_between("r1b", "r2b").restore()
         assert cache.links(1, 2) == [("r1b", "r2b")]
         assert cache.invalidations == 2
-
-    def test_disabled_cache_always_rescans(self, converged_two_domain):
-        net = converged_two_domain.network
-        with caching(False):
-            cache = EgressCache(net)  # inherits the caching() switch
-        assert cache.enabled is False
-        assert cache.links(1, 2) == cache.links(1, 2) == [("r1b", "r2b")]
-        assert cache.hits == 0 and cache.misses == 2 and len(cache) == 0
 
     def test_protocol_egress_goes_through_the_cache(self, converged_hub):
         bgp = converged_hub.bgp
@@ -67,31 +55,9 @@ class TestEgressCache:
 
 class TestGroupedInstallSwitch:
     def test_default_is_grouped(self):
+        # No longer a switch: the constant bench/harness.py::provenance
+        # records until its ``switches`` block goes.
         assert grouped_install_enabled() is True
-
-    def test_context_manager_scopes_and_restores(self):
-        with grouped_install(False):
-            assert grouped_install_enabled() is False
-            with grouped_install(True):
-                assert grouped_install_enabled() is True
-            assert grouped_install_enabled() is False
-        assert grouped_install_enabled() is True
-
-    def test_set_default_returns_previous(self):
-        assert set_grouped_install_default(False) is True
-        try:
-            assert grouped_install_enabled() is False
-        finally:
-            assert set_grouped_install_default(True) is False
-
-    def test_protocol_consults_switch_at_construction(self):
-        with grouped_install(False):
-            orch = Orchestrator(build_two_domain_network())
-        assert orch.bgp.grouped_install is False
-        assert orch.bgp.batch_updates is False
-        # Constructed outside the block: back to the optimized path.
-        fresh = Orchestrator(build_two_domain_network())
-        assert fresh.bgp.grouped_install is True
 
 
 def assert_no_empty_ribs(bgp):
@@ -158,7 +124,6 @@ class TestDirtyTracking:
 class TestMraiBatching:
     def test_same_tick_updates_coalesce_into_one_batch(self, converged_chain):
         bgp = converged_chain.bgp
-        assert bgp.batch_updates is True
         p1 = Prefix.host(ipv4("240.0.0.1"))
         p2 = Prefix.host(ipv4("240.0.0.2"))
         bgp.originate(4, p1, scope=RouteScope.ANYCAST_GLOBAL)
@@ -174,18 +139,19 @@ class TestMraiBatching:
             assert bgp.speaker(asn).best_route(p2) is not None
 
     def test_batching_reduces_convergence_events(self):
-        def run(grouped):
-            with grouped_install(grouped):
-                orch = Orchestrator(build_hub_network())
-                orch.converge()
+        def run():
+            orch = Orchestrator(build_hub_network())
+            orch.converge()
             return orch
 
-        grouped, seed = run(True), run(False)
-        assert (grouped.scheduler.events_processed
-                < seed.scheduler.events_processed)
+        batched = run()
+        with per_message_bgp():
+            per_message = run()
+        assert (batched.scheduler.events_processed
+                < per_message.scheduler.events_processed)
         # Same traffic over the sessions, just fewer delivery events.
-        assert grouped.bgp.stats.sent == seed.bgp.stats.sent
-        assert grouped.bgp.stats.delivered == seed.bgp.stats.delivered
+        assert batched.bgp.stats.sent == per_message.bgp.stats.sent
+        assert batched.bgp.stats.delivered == per_message.bgp.stats.delivered
 
     def test_perturbation_falls_back_to_per_message(self, converged_chain):
         bgp = converged_chain.bgp
@@ -202,8 +168,30 @@ class TestMraiBatching:
         assert bgp.speaker(1).best_route(pfx) is not None
 
     def test_seed_mode_never_batches(self):
-        with grouped_install(False):
-            orch = Orchestrator(build_two_domain_network())
+        """With a (no-op) perturbation set from the start, every update
+        of a whole convergence is sent per message — nothing is ever
+        queued — and each session still sees the updates batching
+        delivers, in the same order."""
+        def run(per_message):
+            orch = Orchestrator(build_hub_network())
+            if per_message:
+                orch.scheduler.set_message_perturbation(loss_prob=0.0)
+            deliveries = {}
+            queued = []
+            receive = orch.bgp._receive
+
+            def logged(asn, update):
+                queued.append(len(orch.bgp._pending_batches))
+                deliveries.setdefault((update.sender_asn, asn), []).append(
+                    (update.prefix, update.route))
+                receive(asn, update)
+
+            orch.bgp._receive = logged
             orch.converge()
-        assert orch.bgp._pending_batches == {}
-        assert orch.bgp.batch_updates is False
+            return deliveries, queued
+
+        batched, batched_queued = run(per_message=False)
+        per_message, per_message_queued = run(per_message=True)
+        assert any(batched_queued)
+        assert not any(per_message_queued)
+        assert per_message == batched

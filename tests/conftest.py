@@ -9,6 +9,8 @@ import pytest
 from repro.net import Domain, Network, Prefix, Relationship
 from repro.core.orchestrator import Orchestrator
 
+from tests.oracles import paranoid_caches  # noqa: F401  (fixture)
+
 try:  # hypothesis is a dev dependency; the suite must run without it
     from hypothesis import settings as _hyp_settings
 

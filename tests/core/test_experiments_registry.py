@@ -10,9 +10,7 @@ from repro.experiments.base import register
 
 ALL_IDS = ["E10", "E11", "E12a", "E12b", "E13a", "E13b", "E14", "E15",
            "E16", "E17", "E5", "E6", "E7", "E8", "E9a", "E9b", "F1", "F2",
-           "F3", "F4", "anycast_failover", "bench_converge",
-           "bench_fault_epoch", "bench_multicast_fanout",
-           "bench_reachability_sweep", "rtt_catchment"]
+           "F3", "F4", "anycast_failover", "rtt_catchment"]
 
 
 class TestRegistry:

@@ -11,8 +11,7 @@ import pytest
 from repro.net import Domain, Network, Outcome, Prefix, ipv4, ipv4_packet
 from repro.net.address import VNAddress
 from repro.net.errors import ForwardingError
-from repro.net.fastpath import (FlowFastPath, fastpath_enabled, flow_fastpath,
-                                set_fastpath_default)
+from repro.net.fastpath import FlowFastPath
 from repro.net.forwarding import ForwardingEngine
 from repro.net.node import FibEntry, RouteSource
 from repro.net.packet import vn_packet
@@ -146,30 +145,3 @@ class TestPauseResume:
         with pytest.raises(ForwardingError):
             fastpath.resume()
 
-
-class TestDefaultScoping:
-    def test_flow_fastpath_scopes_the_process_default(self):
-        assert fastpath_enabled()
-        with flow_fastpath(False):
-            assert not fastpath_enabled()
-            net = line_network()
-            engine = ForwardingEngine(net)
-        assert fastpath_enabled()
-        # The engine keeps the setting it was constructed under.
-        engine.forward(_packet(net), "r0")
-        engine.forward(_packet(net), "r0")
-        assert engine.fastpath.hits == 0
-        assert len(engine.fastpath) == 0
-
-    def test_set_fastpath_default_returns_previous(self):
-        previous = set_fastpath_default(False)
-        try:
-            assert previous is True
-            assert set_fastpath_default(True) is False
-        finally:
-            set_fastpath_default(True)
-
-    def test_explicit_enabled_overrides_default(self):
-        with flow_fastpath(False):
-            fastpath = FlowFastPath(line_network(), enabled=True)
-        assert fastpath.enabled

@@ -135,9 +135,9 @@ class TestCancellationAndLiveCount:
         assert len(fired) == count  # nothing re-fires
 
 
-# Interleavings for the two-implementation equivalence suite: schedule
-# with a delay drawn from a coarse grid (forcing same-timestamp ties and
-# bucket-boundary collisions), or cancel an issued handle by index.
+# Interleavings for the model-equivalence suite: schedule with a delay
+# drawn from a coarse grid (forcing same-timestamp ties), or cancel an
+# issued handle by index.
 _tie_ops = st.lists(
     st.one_of(
         st.integers(min_value=0, max_value=40).map(lambda n: n * 0.5),
@@ -149,13 +149,13 @@ _tie_ops = st.lists(
 )
 
 
-def _drive(queue_kind, ops, horizon=None):
-    """Run one op sequence on one queue implementation.
+def _drive(ops, horizon=None):
+    """Run one op sequence on the scheduler.
 
-    Returns the fired event indices in order plus the final clock, so
-    two implementations can be compared wholesale.
+    Returns the fired event indices in order plus the final clock and
+    live count, so it can be compared wholesale with :func:`_model`.
     """
-    sched = EventScheduler(queue=queue_kind)
+    sched = EventScheduler()
     fired = []
     handles = []
     for op in ops:
@@ -171,73 +171,87 @@ def _drive(queue_kind, ops, horizon=None):
     return fired, sched.now, len(sched)
 
 
+def _model(ops, horizon=None):
+    """What :func:`_drive` must return: the live events in a stable
+    ``sorted((time, seq))`` order, cut at the horizon."""
+    times = []
+    cancelled = set()
+    for op in ops:
+        if isinstance(op, float):
+            times.append(op)
+        elif times:
+            cancelled.add(op % len(times))
+    order = sorted((time, seq) for seq, time in enumerate(times)
+                   if seq not in cancelled)
+    if horizon is None:
+        fired = [seq for _, seq in order]
+        return fired, (order[-1][0] if order else 0.0), 0
+    fired = [seq for time, seq in order if time <= horizon]
+    return fired, horizon, len(order) - len(fired)
+
+
 class TestCalendarHeapEquivalence:
-    """The calendar queue must be order-equivalent to the seed heap."""
+    """The scheduler's fired sequence equals a stable sort of
+    ``(time, insertion seq)`` over the live events (the model the heap
+    and the former calendar queue were both held to)."""
 
     @given(ops=_tie_ops)
     def test_identical_fired_sequence(self, ops):
-        heap_run = _drive("heap", ops)
-        calendar_run = _drive("calendar", ops)
-        assert calendar_run == heap_run
+        assert _drive(ops) == _model(ops)
 
     @given(ops=_tie_ops,
            horizon=st.floats(min_value=0.0, max_value=20.0,
                              allow_nan=False, allow_infinity=False))
     def test_identical_under_run_until(self, ops, horizon):
-        assert _drive("calendar", ops, horizon) == _drive("heap", ops, horizon)
-
-    @given(ops=_tie_ops,
-           width=st.sampled_from([0.1, 0.5, 1.0, 3.0, 100.0]))
-    def test_bucket_width_never_changes_order(self, ops, width):
-        sched = EventScheduler(queue="calendar", bucket_width=width)
-        fired = []
-        handles = []
-        for op in ops:
-            if isinstance(op, float):
-                idx = len(handles)
-                handles.append(
-                    sched.schedule(op, lambda i=idx: fired.append(i)))
-            elif handles:
-                handles[op % len(handles)].cancel()
-        sched.run_until_idle()
-        assert (fired, sched.now) == _drive("heap", ops)[:2]
+        assert _drive(ops, horizon) == _model(ops, horizon)
 
     @given(delays=st.lists(st.integers(min_value=0, max_value=6),
                            min_size=1, max_size=40))
     def test_same_timestamp_ties_break_by_insertion_seq(self, delays):
-        # Integer delays guarantee heavy timestamp collisions; both
-        # implementations must break ties by insertion sequence.
-        float_delays = [float(d) for d in delays]
-        heap_fired, _, _ = _drive("heap", float_delays)
-        calendar_fired, _, _ = _drive("calendar", float_delays)
-        expected = sorted(range(len(delays)), key=lambda i: (delays[i], i))
-        assert heap_fired == expected
-        assert calendar_fired == expected
+        # Integer delays guarantee heavy timestamp collisions; ties
+        # must break by insertion sequence.
+        fired, _, _ = _drive([float(d) for d in delays])
+        assert fired == sorted(range(len(delays)),
+                               key=lambda i: (delays[i], i))
 
     @given(ops=_tie_ops)
     def test_nested_scheduling_stays_equivalent(self, ops):
-        # Events scheduled from inside callbacks land in the current
-        # bucket or later ones; the implementations must still agree.
-        def run(queue_kind):
-            sched = EventScheduler(queue=queue_kind)
-            fired = []
+        # Events scheduled from inside callbacks join the same order:
+        # the model inserts them with the next sequence number at the
+        # time they are scheduled and keeps popping the minimum.
+        sched = EventScheduler()
+        fired = []
+        pending = []  # the model: live (time, seq, label, delay)
+        seqs = iter(range(10 ** 6))
 
-            def make(idx, delay):
-                def callback():
-                    fired.append(idx)
-                    if delay > 0.25:
-                        sched.schedule(delay / 2.0,
-                                       lambda: fired.append(-idx - 1))
-                return callback
+        def make(idx, delay):
+            def callback():
+                fired.append(idx)
+                if delay > 0.25:
+                    sched.schedule(delay / 2.0,
+                                   lambda: fired.append(-idx - 1))
+            return callback
 
-            handles = []
-            for op in ops:
-                if isinstance(op, float):
-                    idx = len(handles)
-                    handles.append(sched.schedule(op, make(idx, op)))
-                elif handles:
-                    handles[op % len(handles)].cancel()
-            sched.run_until_idle()
-            return fired, sched.now
+        handles = []
+        for op in ops:
+            if isinstance(op, float):
+                idx = len(handles)
+                handles.append(sched.schedule(op, make(idx, op)))
+                pending.append((op, next(seqs), idx, op))
+            elif handles:
+                victim = op % len(handles)
+                handles[victim].cancel()
+                pending = [e for e in pending if e[2] != victim]
+        sched.run_until_idle()
 
-        assert run("calendar") == run("heap")
+        expected = []
+        now = 0.0
+        while pending:
+            event = min(pending)
+            pending.remove(event)
+            now, _seq, label, delay = event
+            expected.append(label)
+            if label >= 0 and delay > 0.25:
+                pending.append((now + delay / 2.0, next(seqs),
+                                -label - 1, 0.0))
+        assert (fired, sched.now) == (expected, now)

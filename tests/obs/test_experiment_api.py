@@ -234,10 +234,3 @@ class TestRegistrySpecs:
 
     def test_figures_carry_the_figure_tag(self):
         assert "figure" in get_spec("F1").tags
-
-    def test_bench_workloads_register_through_the_same_surface(self):
-        spec = get_spec("bench_converge")
-        assert "bench" in spec.tags
-        assert spec.params == {"quick": Param("bool", False,
-                                              "small topology / fewer "
-                                              "samples")}

@@ -1,0 +1,317 @@
+"""Reference implementations the equivalence suites hold ``src/`` to.
+
+``src/`` carries one implementation per mechanism; what it is compared
+against lives here, as test code:
+
+* :func:`early_exit_dijkstra` — the per-destination search
+  :class:`~repro.perf.cache.PathCache` answers from a memoized tree;
+* :func:`seed_bgp_fib` — the BGP rows of every FIB recomputed one
+  (prefix, router) at a time from the Loc-RIBs, which grouped and
+  incremental installation must reproduce; :func:`checked_bgp_installs`
+  asserts it after every ``install_routes``;
+* :func:`paranoid_caches` — a fixture under which every cache hit is
+  re-derived from scratch and compared, so a run that finishes has given
+  exactly the answers an uncached run would have;
+* :func:`slow_path_held` and :func:`per_message_bgp` — hold the levers
+  ``src/`` selects from observable state (``FlowFastPath.pause()``, an
+  active ``MessagePerturbation``) for a whole run, to compare it with a
+  run that used the fast path / MRAI batching.
+"""
+
+from __future__ import annotations
+
+import heapq
+from collections import Counter
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+import pytest
+
+from repro.bgp.egress import EgressCache
+from repro.bgp.protocol import BgpProtocol
+from repro.net.fastpath import FlowFastPath
+from repro.net.link import LinkScope
+from repro.net.network import Network
+from repro.net.node import RouteSource
+from repro.net.simulator import EventScheduler, MessagePerturbation
+from repro.obs import NULL_OBS
+from repro.perf.cache import PathCache
+from repro.routing.linkstate import LinkStateRouting
+from repro.vnbone.bgpvn import LayeredVnRouting
+from repro.vnbone.routing import VnRouting
+from repro.vnbone.topology import VnBoneTopology
+
+#: One ``Fib.snapshot()`` row: (prefix, source, next hop, metric).
+FibRow = Tuple[str, str, str, float]
+
+
+# -- shortest paths -----------------------------------------------------------
+def early_exit_dijkstra(network: Network, src: str, dst: str,
+                        intra_domain_only: bool = False
+                        ) -> Optional[Tuple[float, List[str]]]:
+    """Dijkstra over live links that stops when *dst* is popped:
+    ``(cost, node path)`` or ``None``.  No tree, no memo."""
+    dist: Dict[str, float] = {src: 0.0}
+    prev: Dict[str, str] = {}
+    heap: List[Tuple[float, str]] = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, float("inf")):
+            continue
+        if u == dst:
+            path = [dst]
+            while path[-1] != src:
+                path.append(prev[path[-1]])
+            path.reverse()
+            return d, path
+        for v, link in network.neighbors(u):
+            if intra_domain_only and link.scope is LinkScope.INTER_DOMAIN:
+                continue
+            nd = d + link.cost
+            if nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                prev[v] = u
+                heapq.heappush(heap, (nd, v))
+    return None
+
+
+# -- BGP forwarding-state installation ----------------------------------------
+class SeedFib(NamedTuple):
+    """What per-prefix installation would have put in the FIBs."""
+
+    #: node id -> sorted BGP rows, in ``Fib.snapshot()`` form.
+    rows: Dict[str, List[FibRow]]
+    #: IGP lookups the per-(prefix, router) hot-potato scans performed.
+    lookups: int
+
+
+def seed_bgp_fib(network: Network, bgp: BgpProtocol) -> SeedFib:
+    """Recompute every router's BGP rows from the Loc-RIBs, one
+    (prefix, router) at a time.
+
+    Pure: reads Loc-RIBs, live inter-domain links and the IGP routes to
+    border loopbacks; installs nothing and consults no cache or memo.
+    """
+    rows: Dict[str, List[FibRow]] = {node_id: [] for node_id in network.nodes}
+    lookups = 0
+    for asn, speaker in bgp.speakers.items():
+        domain = network.domains[asn]
+        for prefix, route in speaker.loc_rib.items():
+            if route.originated:
+                continue  # internal destinations are the IGP's job
+            remote_by_border: Dict[str, str] = {}
+            for border_id in sorted(domain.border_routers):
+                for neighbor_id, _link in network.neighbors(
+                        border_id, scope=LinkScope.INTER_DOMAIN):
+                    if (network.node(neighbor_id).domain_id
+                            == route.learned_from):
+                        remote_by_border[border_id] = neighbor_id
+            if not remote_by_border:
+                continue  # session exists but no live physical link
+            for router_id in domain.routers:
+                if router_id in remote_by_border:
+                    next_hop, metric = remote_by_border[router_id], 0.0
+                else:
+                    # Hot potato: the IGP-nearest egress border.
+                    best: Optional[Tuple[float, str, str]] = None
+                    fib = network.node(router_id).fib4
+                    for border_id in sorted(remote_by_border):
+                        lookups += 1
+                        entry = fib.lookup(network.node(border_id).ipv4)
+                        if entry is None or entry.next_hop is None:
+                            continue
+                        key = (entry.metric, border_id, entry.next_hop)
+                        if best is None or key < best:
+                            best = key
+                    if best is None:
+                        continue  # egress unreachable via IGP
+                    metric, _border_id, next_hop = best
+                rows[router_id].append(
+                    (str(prefix), RouteSource.BGP.name, next_hop, metric))
+    for node_rows in rows.values():
+        node_rows.sort()
+    return SeedFib(rows, lookups)
+
+
+def installed_bgp_rows(network: Network) -> Dict[str, List[FibRow]]:
+    """The BGP rows actually in every FIB (``seed_bgp_fib(...).rows`` form)."""
+    return {node_id: node.fib4.snapshot(RouteSource.BGP)
+            for node_id, node in network.nodes.items()}
+
+
+@contextmanager
+def checked_bgp_installs() -> Iterator[List[SeedFib]]:
+    """Assert :func:`seed_bgp_fib` equality after every
+    ``BgpProtocol.install_routes`` inside the block — initial
+    convergence, every fault epoch, every incremental reinstall.
+    Yields the list the per-install oracle results are appended to.
+
+    Only live routers are compared.  A crashed router's IGP view
+    empties at the first ``refresh()`` after the crash, which moves no
+    topology version, so the incremental branch leaves it the BGP rows
+    of its last rebuild until the next version change; while down it
+    neither forwards nor accepts packets, so those rows cannot be
+    observed.
+    """
+    install_routes = BgpProtocol.install_routes
+    checked: List[SeedFib] = []
+
+    def install_and_check(self: BgpProtocol) -> None:
+        install_routes(self)
+        expected = seed_bgp_fib(self.network, self)
+        installed = installed_bgp_rows(self.network)
+        for node_id, node in self.network.nodes.items():
+            if node.up:
+                assert installed[node_id] == expected.rows[node_id], node_id
+        checked.append(expected)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BgpProtocol, "install_routes", install_and_check)
+        yield checked
+
+
+@contextmanager
+def per_message_bgp() -> Iterator[None]:
+    """Hold every ``BgpProtocol`` in the block on its per-message send
+    path: the scheduler reports a no-op perturbation whenever none is
+    set, which is the state ``_send`` falls back on.  Loss and jitter
+    themselves are untouched (``schedule_message`` reads the real one)."""
+    no_op = MessagePerturbation()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            EventScheduler, "message_perturbation",
+            property(lambda self: self._perturbation or no_op))
+        yield
+
+
+# -- the flow fast path ------------------------------------------------------
+@contextmanager
+def slow_path_held() -> Iterator[None]:
+    """Every ``FlowFastPath`` built in the block starts ``pause()``d and
+    is never resumed: each packet walks hop by hop."""
+    init = FlowFastPath.__init__
+
+    def init_paused(self: FlowFastPath, network: Network) -> None:
+        init(self, network)
+        self.pause()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FlowFastPath, "__init__", init_paused)
+        yield
+
+
+# -- paranoid caches ----------------------------------------------------------
+@contextmanager
+def _quiet(obj: object) -> Iterator[None]:
+    """Re-derive without touching *obj*'s metric counters."""
+    obs, obj.obs = obj.obs, NULL_OBS  # type: ignore[attr-defined]
+    try:
+        yield
+    finally:
+        obj.obs = obs  # type: ignore[attr-defined]
+
+
+def _distances(network: Network, src: str, intra_domain_only: bool = False,
+               domain: Optional[int] = None) -> Dict[str, float]:
+    with _quiet(network):
+        tree = network._compute_shortest_path_tree(src, intra_domain_only,
+                                                   domain)
+    return {node: info[0] for node, info in tree.items()}
+
+
+@pytest.fixture
+def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
+    """Re-derive on every cache hit and assert the cache said the same.
+
+    Covers each memo in ``src/``: ``PathCache.tree``,
+    ``EgressCache.links``, ``LinkStateRouting._spf``,
+    ``VnRouting.compute``, the ``LayeredVnRouting`` intra cache and
+    ``VnBoneTopology._refresh_caches``.  Returns the count of verified
+    hits per mechanism, so a test can show it was not vacuous.
+    """
+    verified: Counter = Counter()
+
+    tree = PathCache.tree
+
+    def paranoid_tree(self, src, intra_domain_only=False, domain=None):
+        hits = self.hits
+        cached = tree(self, src, intra_domain_only, domain)
+        if self.hits != hits:
+            with _quiet(self.network):
+                assert cached == self.network._compute_shortest_path_tree(
+                    src, intra_domain_only, domain)
+            verified["path_cache"] += 1
+        return cached
+
+    links = EgressCache.links
+
+    def paranoid_links(self, asn, next_hop_asn):
+        hits = self.hits
+        cached = links(self, asn, next_hop_asn)
+        if self.hits != hits:
+            assert cached == self._compute(asn, next_hop_asn)
+            verified["egress_cache"] += 1
+        return cached
+
+    spf = LinkStateRouting._spf
+
+    def paranoid_spf(self, router_id):
+        before = self._spf_cache.get(router_id)
+        result = spf(self, router_id)
+        if before is not None and result is before[1]:
+            del self._spf_cache[router_id]
+            with _quiet(self):
+                assert result == spf(self, router_id)
+            self._spf_cache[router_id] = before
+            verified["linkstate_spf"] += 1
+        return result
+
+    vn_compute = VnRouting.compute
+
+    def paranoid_vn_compute(self, states, owner_entries):
+        before = self._signature
+        vn_compute(self, states, owner_entries)
+        if before is not None and self._signature == before:
+            dist = {m: dict(d) for m, d in self._dist.items()}
+            first_hop = {m: dict(h) for m, h in self._first_hop.items()}
+            self._signature = None
+            with _quiet(self):
+                vn_compute(self, states, owner_entries)
+            assert (self._dist, self._first_hop) == (dist, first_hop)
+            verified["vn_routing"] += 1
+
+    layered_compute = LayeredVnRouting.compute
+
+    def paranoid_layered_compute(self, states, owner_entries, tunnels):
+        before = dict(self._intra_cache)
+        layered_compute(self, states, owner_entries, tunnels)
+        hits = [asn for asn, entry in self._intra_cache.items()
+                if entry is before.get(asn)]
+        if hits:
+            dist = {m: dict(d) for m, d in self._intra_dist.items()}
+            hops = {m: dict(h) for m, h in self._intra_hop.items()}
+            self._intra_cache.clear()
+            with _quiet(self):
+                layered_compute(self, states, owner_entries, tunnels)
+            assert (self._intra_dist, self._intra_hop) == (dist, hops)
+            verified["layered_intra"] += len(hits)
+
+    refresh = VnBoneTopology._refresh_caches
+
+    def paranoid_refresh(self):
+        refresh(self)
+        for member, cached in self._global_dist_cache.items():
+            assert cached == _distances(self.network, member)
+            verified["vnbone_dists"] += 1
+        for member, cached in self._intra_dist_cache.items():
+            asn = self.network.node(member).domain_id
+            assert cached == _distances(self.network, member, True, asn)
+            verified["vnbone_dists"] += 1
+
+    monkeypatch.setattr(PathCache, "tree", paranoid_tree)
+    monkeypatch.setattr(EgressCache, "links", paranoid_links)
+    monkeypatch.setattr(LinkStateRouting, "_spf", paranoid_spf)
+    monkeypatch.setattr(VnRouting, "compute", paranoid_vn_compute)
+    monkeypatch.setattr(LayeredVnRouting, "compute", paranoid_layered_compute)
+    monkeypatch.setattr(VnBoneTopology, "_refresh_caches", paranoid_refresh)
+    return verified

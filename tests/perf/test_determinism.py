@@ -1,45 +1,54 @@
-"""Cached == uncached: the perf layer must never change an answer.
+"""Cached == re-derived: no cache may ever change an answer.
 
-Every bench workload is run twice on the same seed — once with every
-cache enabled and once with caching globally off — and the canonical
-JSON payloads must be bit-identical.  This is the end-to-end
-determinism bar for the whole PR: topology-versioned path cache,
-LSDB-generation SPF cache and vN-Bone signature cache all sit under
-these workloads.
+Every scenario runs under ``paranoid_caches`` (``tests/oracles.py``):
+each cache hit — path cache, egress cache, LSDB-generation SPF cache,
+vN-Bone signature and distance caches — is re-derived from scratch on
+the spot and compared.  A run that finishes has therefore given
+exactly the answers an uncached run gives; its payload must also equal
+the plain run's, which shows the checking itself perturbs nothing.
 """
 
 import pytest
 
-from repro.perf.bench import WORKLOADS, run_leg
-
-WORKLOAD_IDS = [name for name, _ in WORKLOADS]
-
-
-@pytest.mark.parametrize("name,workload", WORKLOADS, ids=WORKLOAD_IDS)
-def test_cached_leg_matches_uncached_leg(name, workload):
-    cached = run_leg(workload, seed=7, quick=True, cached=True)
-    uncached = run_leg(workload, seed=7, quick=True, cached=False)
-    assert cached.payload == uncached.payload
-    # Caching may only remove Dijkstra work, never add it.
-    assert cached.counter("perf.dijkstra_runs") <= \
-        uncached.counter("perf.dijkstra_runs")
-    # The uncached leg must not touch any cache.
-    assert uncached.counter("perf.path_cache.hits") == 0
-    assert uncached.counter("igp.ls.spf_cache_hits") == 0
+from tests.scenarios import (SCENARIO_IDS, SCENARIOS, fault_epoch,
+                             reachability_sweep, run_leg)
 
 
-def test_fault_epoch_exercises_cache_invalidation():
-    from repro.perf.bench import workload_fault_epoch
-    leg = run_leg(workload_fault_epoch, seed=7, quick=True, cached=True)
+@pytest.fixture(scope="module")
+def plain_payloads():
+    """Each scenario's payload with no patch applied (module-scoped, so
+    set up before any function-scoped ``paranoid_caches``)."""
+    return {name: run_leg(scenario, seed=7).payload
+            for name, scenario in SCENARIOS}
+
+
+@pytest.mark.parametrize("name,scenario", SCENARIOS, ids=SCENARIO_IDS)
+def test_cached_leg_matches_uncached_leg(name, scenario, plain_payloads,
+                                         paranoid_caches):
+    leg = run_leg(scenario, seed=7)
+    assert leg.payload == plain_payloads[name]
+    # Not vacuous: every hit the run's own counters saw was re-derived.
+    assert paranoid_caches["path_cache"] == \
+        leg.counter("perf.path_cache.hits")
+    assert paranoid_caches["linkstate_spf"] == \
+        leg.counter("igp.ls.spf_cache_hits") > 0
+    assert paranoid_caches["egress_cache"] == \
+        leg.counter("perf.bgp.egress_cache.hits") > 0
+    assert paranoid_caches["vn_routing"] == \
+        leg.counter("vnbone.spf_cache_hits")
+
+
+def test_fault_epoch_exercises_cache_invalidation(paranoid_caches):
+    leg = run_leg(fault_epoch, seed=7)
     # Crash + recovery moved the topology version, so the path cache
     # must have been flushed at least twice while still being used.
     assert leg.counter("perf.path_cache.invalidations") >= 2
-    assert leg.counter("perf.path_cache.hits") > 0
+    assert paranoid_caches["path_cache"] == \
+        leg.counter("perf.path_cache.hits") > 0
 
 
 def test_same_seed_same_leg_is_reproducible():
-    from repro.perf.bench import workload_reachability_sweep
-    a = run_leg(workload_reachability_sweep, seed=3, quick=True, cached=True)
-    b = run_leg(workload_reachability_sweep, seed=3, quick=True, cached=True)
+    a = run_leg(reachability_sweep, seed=3)
+    b = run_leg(reachability_sweep, seed=3)
     assert a.payload == b.payload
     assert a.counter("perf.dijkstra_runs") == b.counter("perf.dijkstra_runs")

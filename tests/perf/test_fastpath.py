@@ -1,45 +1,41 @@
-"""Fast path on == fast path off: flow aggregation never changes answers.
+"""Fast path == slow path: flow aggregation never changes answers.
 
-Mirrors ``test_determinism`` (cached == uncached): every bench workload
-runs twice on the same seed — once with the flow-level forwarding fast
-path enabled and once forced onto the per-packet slow path — and the
-canonical JSON payloads must be bit-identical.  A traced fault-epoch
-run additionally locks the ``repro.report/v1`` critical paths: fault
-epochs pause the fast path, so the span trees the analyzer extracts
-phase timings from are the same event-for-event.
+Mirrors ``test_determinism``: every scenario runs twice on the same
+seed — once as shipped and once with ``FlowFastPath.pause()`` held from
+construction (``tests/oracles.py::slow_path_held``), so every packet
+walks hop by hop — and the canonical JSON payloads must be
+bit-identical.  A traced fault-epoch run additionally locks the
+``repro.report/v1`` critical paths: fault epochs pause the fast path
+themselves, so the span trees the analyzer extracts phase timings from
+are the same event for event.
 """
 
 import pytest
 
-from repro.analyze import build_report
-from repro.net.fastpath import flow_fastpath
-from repro.obs import Observability, Tracer, observing
-from repro.perf.bench import WORKLOADS, run_leg, workload_fault_epoch
-from repro.perf.cache import caching
+from repro.obs import Observability, observing
 
-WORKLOAD_IDS = [name for name, _ in WORKLOADS]
+from tests.oracles import slow_path_held
+from tests.scenarios import (SCENARIO_IDS, SCENARIOS, deployed_internet,
+                             fault_epoch, run_leg, traced_fault_report)
 
 
-@pytest.mark.parametrize("name,workload", WORKLOADS, ids=WORKLOAD_IDS)
-def test_fastpath_leg_matches_slowpath_leg(name, workload):
-    with flow_fastpath(True):
-        on = run_leg(workload, seed=7, quick=True, cached=True)
-    with flow_fastpath(False):
-        off = run_leg(workload, seed=7, quick=True, cached=False)
+@pytest.mark.parametrize("name,scenario", SCENARIOS, ids=SCENARIO_IDS)
+def test_fastpath_leg_matches_slowpath_leg(name, scenario):
+    on = run_leg(scenario, seed=7)
+    with slow_path_held():
+        off = run_leg(scenario, seed=7)
     assert on.payload == off.payload
-    # The disabled leg must never consult the flow cache.
+    # The paused leg must never consult the flow cache.
     assert off.counter("perf.fastpath.hits") == 0
     assert off.counter("perf.fastpath.misses") == 0
 
 
 def test_repeated_sweep_aggregates_flows():
     """Re-probing the same host pairs within a quiescent topology is
-    served from the flow cache — the scale sweep's hot path."""
-    from repro.perf.bench import _deployed_internet
-
+    served from the flow cache."""
     obs = Observability()
-    with flow_fastpath(True), caching(True), observing(obs):
-        internet, _deployment = _deployed_internet(seed=7, quick=True)
+    with observing(obs):
+        internet, _deployment = deployed_internet(seed=7)
         first = internet.ipv4_reachability(sample=30, seed=7).to_dict()
         second = internet.ipv4_reachability(sample=30, seed=7).to_dict()
         fastpath = internet.orchestrator.engine.fastpath
@@ -50,32 +46,23 @@ def test_repeated_sweep_aggregates_flows():
 
 
 def test_fault_epochs_always_take_the_slow_path():
-    with flow_fastpath(True):
-        leg = run_leg(workload_fault_epoch, seed=7, quick=True, cached=True)
+    leg = run_leg(fault_epoch, seed=7)
     # play() pauses the fast path for the whole plan, so transient and
     # recovered measurements never replay a cached walk.
     assert leg.counter("perf.fastpath.hits") == 0
 
 
-def _traced_fault_report(fastpath_on):
-    obs = Observability(tracer=Tracer(context={"seed": 7,
-                                               "fastpath": fastpath_on}))
-    with flow_fastpath(fastpath_on), caching(True), observing(obs):
-        workload_fault_epoch(7, True)
-    obs.close()
-    return build_report(obs.tracer.events())
-
-
 @pytest.mark.slow
 def test_report_critical_paths_identical_fastpath_on_vs_off():
-    on = _traced_fault_report(True)
-    off = _traced_fault_report(False)
+    on = traced_fault_report()
+    with slow_path_held():
+        off = traced_fault_report()
     assert len(on["epochs"]) == len(off["epochs"]) == 2
     for epoch_on, epoch_off in zip(on["epochs"], off["epochs"]):
         assert epoch_on["critical_path"] == epoch_off["critical_path"]
         assert epoch_on["transient"] == epoch_off["transient"]
         assert epoch_on["recovered"] == epoch_off["recovered"]
     # Forwarding distributions come from per-packet spans; the fault
-    # workload's probes all run under paused epochs, so even these
-    # match span-for-span.
+    # scenario's probes all run under paused epochs, so even these
+    # match span for span.
     assert on["forwarding"] == off["forwarding"]

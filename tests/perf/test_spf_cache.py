@@ -1,4 +1,4 @@
-"""LSDB-generation SPF cache: reuse across queries, precise invalidation.
+"""SPF caches: reuse across queries, precise invalidation.
 
 ``LinkStateRouting`` memoises each router's SPF result against its LSDB
 generation counter.  A converged domain must answer ``igp_distance``
@@ -7,8 +7,14 @@ must not disturb the cached state of another ("exactly the affected
 entries").
 """
 
+import pytest
+
+from repro.anycast import DefaultRootedAnycast
+from repro.core.evolution import EvolvableInternet
 from repro.core.orchestrator import Orchestrator
 from repro.obs import Observability, observing
+from repro.topogen.hierarchy import InternetSpec
+from repro.vnbone.deployment import VnDeployment
 
 from tests.conftest import build_two_domain_network
 
@@ -78,3 +84,31 @@ def test_recomputed_distances_reflect_the_new_topology():
     orch.notify_link_change(link)
     orch.reconverge()
     assert igp1.igp_distance("r1a", "r1b") == 1.0
+
+
+@pytest.mark.parametrize("routing_mode", ["global-spf", "layered"])
+def test_vnbone_rebuild_over_an_unchanged_tunnel_graph_is_rederived(
+        routing_mode, paranoid_caches):
+    """A second ``rebuild()`` at fixed membership finds the same tunnel
+    graph and reuses the SPF sweep (flat: one adjacency signature;
+    layered: one per adopting domain).  Under ``paranoid_caches`` each
+    reuse is recomputed and compared."""
+    internet = EvolvableInternet.generate(
+        InternetSpec(n_tier1=2, n_tier2=3, n_stub=5, seed=7), seed=7)
+    adopters = [internet.tier1_asns()[0]] + internet.stub_asns()[:2]
+    scheme = DefaultRootedAnycast(internet.orchestrator, "vn8",
+                                  default_asn=adopters[0])
+    deployment = VnDeployment(internet.orchestrator, scheme, version=8,
+                              routing_mode=routing_mode)
+    for asn in adopters:
+        deployment.deploy(asn)
+    deployment.rebuild()
+    fibs = {member: state.fib.entries()
+            for member, state in deployment.states.items()}
+    deployment.rebuild()
+    reused = ("vn_routing" if routing_mode == "global-spf"
+              else "layered_intra")
+    assert paranoid_caches[reused] > 0
+    assert paranoid_caches["vnbone_dists"] > 0
+    assert {member: state.fib.entries()
+            for member, state in deployment.states.items()} == fibs
