@@ -12,13 +12,13 @@ from repro.net.forwarding import (ForwardingEngine, ForwardingTrace, HopRecord,
                                   Outcome, VnDecision, VnDeliver, VnDrop, VnEgress,
                                   VnForward)
 from repro.net.link import Link, LinkScope
+from repro.net.lpm import PrefixTable
 from repro.net.network import Network
 from repro.net.node import Fib, FibEntry, Host, Node, NodeKind, Router, RouteSource
 from repro.net.packet import (DEFAULT_TTL, Header, IPv4Header, Packet, VNHeader,
                               ipv4_packet, vn_packet)
 from repro.net.simulator import (EventHandle, EventScheduler, MessagePerturbation,
                                  MessageStats)
-from repro.net.trie import PrefixTrie
 
 __all__ = [
     "IPV4_BITS", "VN_BITS", "Address", "IPv4Address", "Prefix", "VNAddress",
@@ -32,5 +32,5 @@ __all__ = [
     "Network", "Fib", "FibEntry", "Host", "Node", "NodeKind", "Router",
     "RouteSource", "DEFAULT_TTL", "Header", "IPv4Header", "Packet", "VNHeader",
     "ipv4_packet", "vn_packet", "EventHandle", "EventScheduler",
-    "MessagePerturbation", "MessageStats", "PrefixTrie",
+    "MessagePerturbation", "MessageStats", "PrefixTable",
 ]

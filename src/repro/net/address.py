@@ -10,14 +10,14 @@ The paper's mechanisms operate on two address families:
 
 Addresses are thin, hashable, totally ordered wrappers around ints so
 they can key dicts and sort deterministically.  Prefixes support
-containment tests and are the keys of the longest-prefix-match tries in
-:mod:`repro.net.trie`.
+containment tests and are the keys of the longest-prefix-match tables in
+:mod:`repro.net.lpm`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from repro.net.errors import AddressError
 
@@ -186,12 +186,6 @@ class Prefix:
                 return False
             value = item.value
         return (value & self.mask()) == self.address.value
-
-    def key_bits(self) -> Iterator[int]:
-        """The prefix's bits, most significant first (trie key)."""
-        bits = self.address.BITS
-        for i in range(self.plen):
-            yield (self.address.value >> (bits - 1 - i)) & 1
 
     def sort_key(self) -> str:
         """The canonical deterministic sort key — ``str(self)``, cached.

@@ -180,6 +180,9 @@ class ForwardingTrace:
     #: has to rescan the hop list (it is read per trace by both
     #: ``_observe_trace`` and ``to_dict``).
     _fault_recorded: bool = field(default=False, repr=False)
+    #: Deepest ``depth`` passed to :meth:`record`, kept the same way:
+    #: a traced walk reads :attr:`max_depth` twice.
+    _max_depth: int = field(default=1, repr=False)
 
     def record(self, node: Node, action: str, detail: str = "", depth: int = 1,
                faulted: bool = False) -> None:
@@ -188,6 +191,8 @@ class ForwardingTrace:
                                    faulted=faulted, latency=self.latency))
         if faulted:
             self._fault_recorded = True
+        if depth > self._max_depth:
+            self._max_depth = depth
 
     @property
     def delivered(self) -> bool:
@@ -222,7 +227,7 @@ class ForwardingTrace:
     @property
     def max_depth(self) -> int:
         """Deepest encapsulation level the packet reached."""
-        return max((hop.depth for hop in self.hops), default=1)
+        return self._max_depth
 
     def to_dict(self) -> Dict[str, object]:
         """Stable-key, JSON-safe form (the unified ``to_dict`` contract)."""
@@ -516,7 +521,8 @@ class ForwardingEngine:
         packet.replace_outer(outer.decremented())
         trace.physical_hops += 1
         trace.latency += link.delay
-        trace.record(node, "ipv4-forward", f"-> {entry.next_hop} ({entry.prefix})",
+        trace.record(node, "ipv4-forward",
+                     f"-> {entry.next_hop} ({entry.prefix.sort_key()})",
                      depth=packet.depth)
         return self.network.node(entry.next_hop)
 

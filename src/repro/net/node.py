@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.address import IPV4_BITS, Address, IPv4Address, Prefix, VNAddress
 from repro.net.errors import TopologyError
-from repro.net.trie import PrefixTrie
+from repro.net.lpm import PrefixTable
 
 
 class NodeKind(Enum):
@@ -61,69 +61,82 @@ class FibEntry:
             raise TopologyError(f"non-local FIB entry for {self.prefix} needs a next hop")
 
 
+def _rank(entry: FibEntry) -> Tuple[int, float]:
+    return (entry.source.admin_distance, entry.metric)
+
+
+class _Route:
+    """One installed prefix: every source's offer, and the winner."""
+
+    __slots__ = ("offers", "best")
+
+    def __init__(self, entry: FibEntry) -> None:
+        self.offers: Dict[RouteSource, FibEntry] = {entry.source: entry}
+        self.best = entry
+
+
 class Fib:
     """A longest-prefix-match forwarding table with admin-distance arbitration.
 
     Multiple protocols may offer routes for the same prefix; the FIB
     keeps the offer with the lowest (admin_distance, metric).  Offers
-    are tracked per source so a protocol can withdraw only its own.
+    are tracked per source so a protocol can withdraw only its own; the
+    winner is resolved when an offer changes, so reads return a stored
+    entry.
     """
 
     def __init__(self, bits: int = IPV4_BITS) -> None:
-        self._trie: PrefixTrie[Dict[RouteSource, FibEntry]] = PrefixTrie(bits)
+        self._table: PrefixTable[_Route] = PrefixTable(bits)
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._table)
 
     def install(self, entry: FibEntry) -> None:
         """Offer *entry*; replaces this source's previous offer for the prefix."""
-        offers = self._trie.get(entry.prefix)
-        if offers is None:
-            offers = {}
-            self._trie.insert(entry.prefix, offers)
+        route = self._table.get(entry.prefix)
+        if route is None:
+            self._table.insert(entry.prefix, _Route(entry))
+            return
+        offers = route.offers
         offers[entry.source] = entry
+        route.best = entry if len(offers) == 1 else min(offers.values(), key=_rank)
 
     def withdraw(self, prefix: Prefix, source: RouteSource) -> bool:
         """Remove *source*'s offer for *prefix*; True if one was removed."""
-        offers = self._trie.get(prefix)
-        if offers is None or source not in offers:
+        route = self._table.get(prefix)
+        if route is None or source not in route.offers:
             return False
-        del offers[source]
-        if not offers:
-            self._trie.remove(prefix)
+        del route.offers[source]
+        if not route.offers:
+            self._table.remove(prefix)
+        elif route.best.source is source:
+            route.best = min(route.offers.values(), key=_rank)
         return True
 
     def withdraw_all(self, source: RouteSource) -> int:
         """Remove every offer installed by *source*; returns the count."""
-        doomed = [pfx for pfx, offers in self._trie.items() if source in offers]
+        doomed = [pfx for pfx, route in self._table.items() if source in route.offers]
         for pfx in doomed:
             self.withdraw(pfx, source)
         return len(doomed)
 
-    @staticmethod
-    def _best(offers: Dict[RouteSource, FibEntry]) -> FibEntry:
-        return min(offers.values(), key=lambda e: (e.source.admin_distance, e.metric))
-
     def lookup(self, address: Address) -> Optional[FibEntry]:
-        """Longest-prefix match, then best offer by admin distance."""
-        match = self._trie.lookup(address)
-        if match is None:
-            return None
-        _, offers = match
-        return self._best(offers)
+        """Longest-prefix match; the best offer by admin distance."""
+        match = self._table.lookup(address)
+        return match[1].best if match is not None else None
 
     def get(self, prefix: Prefix, source: Optional[RouteSource] = None) -> Optional[FibEntry]:
         """Exact-prefix lookup; optionally restricted to one source."""
-        offers = self._trie.get(prefix)
-        if offers is None:
+        route = self._table.get(prefix)
+        if route is None:
             return None
         if source is not None:
-            return offers.get(source)
-        return self._best(offers)
+            return route.offers.get(source)
+        return route.best
 
     def entries(self) -> List[FibEntry]:
         """The winning entry for every installed prefix."""
-        return [self._best(offers) for _, offers in self._trie.items()]
+        return [route.best for _, route in self._table.items()]
 
     def snapshot(self, source: Optional[RouteSource] = None
                  ) -> List[Tuple[str, str, str, float]]:
@@ -133,7 +146,8 @@ class Fib:
         ``RouteSource.BGP``).
         """
         rows: List[Tuple[str, str, str, float]] = []
-        for pfx, offers in self._trie.items():
+        for pfx, route in self._table.items():
+            offers = route.offers
             for src in sorted(offers, key=lambda s: s.name):
                 if source is not None and src is not source:
                     continue
@@ -146,10 +160,10 @@ class Fib:
 
     def route_count(self) -> int:
         """Number of distinct prefixes with at least one offer."""
-        return len(self._trie)
+        return len(self._table)
 
     def clear(self) -> None:
-        self._trie.clear()
+        self._table.clear()
 
 
 @dataclass

@@ -22,7 +22,7 @@ when the destination sits in a non-IPvN domain (Section 3.3.2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from repro.net.address import IPv4Address, VNAddress
@@ -45,7 +45,7 @@ class IPv4Header:
 
     def decremented(self) -> "IPv4Header":
         """A copy with TTL reduced by one."""
-        return replace(self, ttl=self.ttl - 1)
+        return IPv4Header(self.src, self.dst, self.ttl - 1, self.protocol)
 
     def __str__(self) -> str:
         return f"IPv4[{self.src} -> {self.dst} ttl={self.ttl}]"
@@ -75,11 +75,12 @@ class VNHeader:
 
     def decremented(self) -> "VNHeader":
         """A copy with TTL reduced by one."""
-        return replace(self, ttl=self.ttl - 1)
+        return VNHeader(self.src, self.dst, self.ttl - 1, self.dest_ipv4,
+                        self.mcast_downstream)
 
     def marked_downstream(self) -> "VNHeader":
         """A copy with the multicast distribution flag set."""
-        return replace(self, mcast_downstream=True)
+        return VNHeader(self.src, self.dst, self.ttl, self.dest_ipv4, True)
 
     def effective_dest_ipv4(self) -> Optional[IPv4Address]:
         """The destination's IPv4 address, from the option field or the

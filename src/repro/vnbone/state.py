@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.address import VN_BITS, IPv4Address, Prefix, VNAddress
 from repro.net.errors import RoutingError
-from repro.net.trie import PrefixTrie
+from repro.net.lpm import PrefixTable
 
 
 class VnAction(Enum):
@@ -56,26 +56,26 @@ class VnFib:
     """Longest-prefix-match table over the 64-bit IPvN family."""
 
     def __init__(self) -> None:
-        self._trie: PrefixTrie[VnFibEntry] = PrefixTrie(VN_BITS)
+        self._table: PrefixTable[VnFibEntry] = PrefixTable(VN_BITS)
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._table)
 
     def install(self, entry: VnFibEntry) -> None:
-        self._trie.insert(entry.prefix, entry)
+        self._table.insert(entry.prefix, entry)
 
     def lookup(self, address: VNAddress) -> Optional[VnFibEntry]:
-        match = self._trie.lookup(address)
+        match = self._table.lookup(address)
         return match[1] if match is not None else None
 
     def entries(self) -> List[VnFibEntry]:
-        return [entry for _, entry in self._trie.items()]
+        return [entry for _, entry in self._table.items()]
 
     def route_count(self) -> int:
-        return len(self._trie)
+        return len(self._table)
 
     def clear(self) -> None:
-        self._trie.clear()
+        self._table.clear()
 
 
 @dataclass

@@ -114,10 +114,6 @@ class TestPrefix:
         with pytest.raises(AddressError):
             Prefix.parse(text)
 
-    def test_key_bits_msb_first(self):
-        bits = list(prefix("128.0.0.0/2").key_bits())
-        assert bits == [1, 0]
-
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=0, max_value=32))
     def test_canonical_prefix_contains_own_network(self, value, plen):

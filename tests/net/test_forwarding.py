@@ -210,3 +210,17 @@ class TestTraceAccounting:
         trace = engine.forward(
             ipv4_packet(net.node("r0").ipv4, net.node("r2").ipv4), "r0")
         assert "delivered" in str(trace)
+
+    def test_ipv4_forward_detail_is_next_hop_and_prefix(self):
+        # The hop detail is built from the cached Prefix.sort_key(); it
+        # must stay byte-equal to the f-string over the prefix itself.
+        net = line_network(4)
+        dst = net.node("r3").ipv4
+        trace = ForwardingEngine(net).forward(
+            ipv4_packet(net.node("r0").ipv4, dst), "r0")
+        forwards = [hop for hop in trace.hops if hop.action == "ipv4-forward"]
+        assert [hop.node_id for hop in forwards] == ["r0", "r1", "r2"]
+        for hop in forwards:
+            entry = net.node(hop.node_id).fib4.lookup(dst)
+            assert hop.detail == f"-> {entry.next_hop} ({entry.prefix})"
+        assert forwards[0].detail == f"-> r1 ({dst}/32)"

@@ -1,11 +1,15 @@
 """Unit tests for nodes, FIBs, and links."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.address import IPv4Address, Prefix, VNAddress, ipv4
 from repro.net.errors import TopologyError
 from repro.net.link import Link, LinkScope
 from repro.net.node import Fib, FibEntry, Host, NodeKind, Router, RouteSource
+
+from tests.oracles import FibOracle
 
 
 def entry(text, next_hop, source, metric=0.0):
@@ -102,6 +106,48 @@ class TestFib:
         fib.install(entry("10.0.0.0/8", "a", RouteSource.BGP))
         fib.install(entry("10.0.0.0/8", "b", RouteSource.IGP))
         assert len(fib.entries()) == 1
+
+
+# -- property-based: stored winners vs an oracle that recomputes them ----------
+
+# Three nested prefixes and a disjoint one over four sources and three
+# metrics: small enough that offers collide, replace and tie often.
+_FIB_PREFIXES = [Prefix.parse(text) for text in (
+    "0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.3/32", "192.168.0.0/24")]
+_fib_prefixes = st.sampled_from(_FIB_PREFIXES)
+_fib_sources = st.sampled_from(list(RouteSource))
+_fib_ops = st.one_of(
+    st.tuples(st.just("install"), _fib_prefixes, _fib_sources,
+              st.sampled_from([0.0, 1.0, 5.0]), st.sampled_from(["a", "b"])),
+    st.tuples(st.just("withdraw"), _fib_prefixes, _fib_sources),
+    st.tuples(st.just("withdraw_all"), _fib_sources))
+_fib_probes = [ipv4(text) for text in (
+    "10.1.2.3", "10.1.2.4", "10.1.9.9", "10.9.9.9", "192.168.0.7", "8.8.8.8")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_fib_ops, max_size=40))
+def test_fib_matches_recomputing_oracle(ops):
+    fib, oracle = Fib(), FibOracle()
+    for op, *args in ops:
+        if op == "install":
+            pfx, source, metric, next_hop = args
+            offer = FibEntry(prefix=pfx, next_hop=next_hop, source=source,
+                             metric=metric)
+            fib.install(offer)
+            oracle.install(offer)
+        else:
+            assert getattr(fib, op)(*args) == getattr(oracle, op)(*args)
+        assert fib.entries() == oracle.entries()
+        assert fib.snapshot() == oracle.snapshot()
+        assert fib.route_count() == len(fib) == oracle.route_count()
+        for address in _fib_probes:
+            assert fib.lookup(address) == oracle.lookup(address)
+        for pfx in _FIB_PREFIXES:
+            assert fib.get(pfx) == oracle.get(pfx)
+            for source in RouteSource:
+                assert fib.get(pfx, source) == oracle.get(pfx, source)
+                assert fib.snapshot(source) == oracle.snapshot(source)
 
 
 class TestNodes:

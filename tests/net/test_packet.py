@@ -1,5 +1,7 @@
 """Unit tests for packets and header encapsulation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +49,37 @@ class TestHeaders:
     def test_version_from_dst(self):
         header = VNHeader(src=VNAddress(1, version=9), dst=VNAddress(2, version=9))
         assert header.version == 9
+
+
+#: A non-default value for every header field.  A field added later has
+#: no sample here, so the test below fails until it gets one — and then
+#: checks that the hand-written copy methods carry it.
+_FIELD_SAMPLES = {
+    IPv4Header: dict(src=ipv4("1.1.1.1"), dst=ipv4("2.2.2.2"), ttl=7,
+                     protocol="udp"),
+    VNHeader: dict(src=VNAddress(1), dst=VNAddress(2), ttl=7,
+                   dest_ipv4=ipv4("9.9.9.9"), mcast_downstream=True),
+}
+
+
+@pytest.mark.parametrize("cls, method, changed", [
+    (IPv4Header, "decremented", lambda h: {"ttl": h.ttl - 1}),
+    (VNHeader, "decremented", lambda h: {"ttl": h.ttl - 1}),
+    (VNHeader, "marked_downstream", lambda h: {"mcast_downstream": True}),
+])
+def test_copy_methods_carry_every_field(cls, method, changed):
+    samples = _FIELD_SAMPLES[cls]
+    fields = dataclasses.fields(cls)
+    assert set(samples) == {f.name for f in fields}
+    for f in fields:
+        assert samples[f.name] != f.default, f"{f.name} sample is the default"
+    full = cls(**samples)
+    # ... and once more with the fields the method writes at their defaults.
+    plain = dataclasses.replace(full, **{
+        f.name: f.default for f in fields if f.name in changed(full)})
+    for header in (full, plain):
+        assert (getattr(header, method)()
+                == dataclasses.replace(header, **changed(header)))
 
 
 class TestPacket:

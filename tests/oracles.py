@@ -5,6 +5,9 @@ against lives here, as test code:
 
 * :func:`early_exit_dijkstra` — the per-destination search
   :class:`~repro.perf.cache.PathCache` answers from a memoized tree;
+* :class:`FibOracle` — a FIB that keeps only the live offers and
+  recomputes ``min((admin_distance, metric))`` on every read, which
+  :class:`~repro.net.node.Fib`'s stored winners must equal;
 * :func:`seed_bgp_fib` — the BGP rows of every FIB recomputed one
   (prefix, router) at a time from the Loc-RIBs, which grouped and
   incremental installation must reproduce; :func:`checked_bgp_installs`
@@ -32,7 +35,8 @@ from repro.bgp.protocol import BgpProtocol
 from repro.net.fastpath import FlowFastPath
 from repro.net.link import LinkScope
 from repro.net.network import Network
-from repro.net.node import RouteSource
+from repro.net.address import Address, Prefix
+from repro.net.node import FibEntry, RouteSource
 from repro.net.simulator import EventScheduler, MessagePerturbation
 from repro.obs import NULL_OBS
 from repro.perf.cache import PathCache
@@ -73,6 +77,59 @@ def early_exit_dijkstra(network: Network, src: str, dst: str,
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
     return None
+
+
+# -- admin-distance arbitration -------------------------------------------------
+class FibOracle:
+    """The live offers of a FIB and nothing else: every read scans them
+    and recomputes the ``min((admin_distance, metric))`` winner."""
+
+    def __init__(self) -> None:
+        self.offers: Dict[Tuple[Prefix, RouteSource], FibEntry] = {}
+
+    def install(self, entry: FibEntry) -> None:
+        self.offers[entry.prefix, entry.source] = entry
+
+    def withdraw(self, prefix: Prefix, source: RouteSource) -> bool:
+        return self.offers.pop((prefix, source), None) is not None
+
+    def withdraw_all(self, source: RouteSource) -> int:
+        doomed = [key for key in self.offers if key[1] is source]
+        for key in doomed:
+            del self.offers[key]
+        return len(doomed)
+
+    def _winner(self, prefix: Prefix) -> Optional[FibEntry]:
+        return min((entry for (pfx, _), entry in self.offers.items()
+                    if pfx == prefix),
+                   key=lambda e: (e.source.admin_distance, e.metric),
+                   default=None)
+
+    def get(self, prefix: Prefix,
+            source: Optional[RouteSource] = None) -> Optional[FibEntry]:
+        if source is not None:
+            return self.offers.get((prefix, source))
+        return self._winner(prefix)
+
+    def lookup(self, address: Address) -> Optional[FibEntry]:
+        covering = [pfx for pfx, _ in self.offers if pfx.contains(address)]
+        if not covering:
+            return None
+        return self._winner(max(covering, key=lambda pfx: pfx.plen))
+
+    def entries(self) -> List[FibEntry]:
+        prefixes = sorted({pfx for pfx, _ in self.offers},
+                          key=lambda pfx: (pfx.address.value, pfx.plen))
+        return [entry for entry in map(self._winner, prefixes)
+                if entry is not None]
+
+    def snapshot(self, source: Optional[RouteSource] = None) -> List[FibRow]:
+        return sorted((str(pfx), src.name, entry.next_hop or "", entry.metric)
+                      for (pfx, src), entry in self.offers.items()
+                      if source is None or src is source)
+
+    def route_count(self) -> int:
+        return len({pfx for pfx, _ in self.offers})
 
 
 # -- BGP forwarding-state installation ----------------------------------------

@@ -1,4 +1,4 @@
-"""ForwardingTrace.faulted is a sticky flag set at record() time."""
+"""ForwardingTrace.faulted and .max_depth are tracked at record() time."""
 
 from repro.net import Outcome
 from repro.net.forwarding import ForwardingTrace
@@ -29,3 +29,15 @@ def test_clean_trace_is_not_faulted():
     trace.record(net.node("h1"), "send")
     trace.record(net.node("r1a"), "forward")
     assert not trace.faulted
+
+
+def test_max_depth_tracked_by_record():
+    net = build_two_domain_network()
+    trace = ForwardingTrace()
+    assert trace.max_depth == 1
+    trace.record(net.node("h1"), "send")
+    trace.record(net.node("r1a"), "encap", depth=3)
+    trace.record(net.node("r1b"), "decap", depth=2)  # shallower: max stays
+    assert trace.max_depth == 3 == max(hop.depth for hop in trace.hops)
+    assert trace.to_dict()["max_depth"] == 3
+    assert "_max_depth" not in repr(trace)
