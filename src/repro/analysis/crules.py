@@ -11,8 +11,11 @@ would catch, at test time.
 * **C1** — a statement mutating link/liveness topology state (``.links``
   table writes, ``.up``/``.cost`` attribute writes) in a function from
   which no caller chain can reach a version bump.
-* **C2** — a FIB ``install``/``withdraw`` in a function from which no
-  caller chain can reach a version bump.
+* **C2** — a FIB ``install``/``withdraw``, or a call to one of the
+  acceptance-set and handler-state mutators
+  (:data:`WALK_STATE_MUTATORS` — the rest of what a stored flow-level
+  walk read), in a function from which no caller chain can reach a
+  version bump.
 
 "Reaches a bump" is computed on the pass-1 call graph: let ``B`` be the
 set of functions whose transitive callees include a direct call to one
@@ -53,6 +56,14 @@ TOPOLOGY_PACKAGES: FrozenSet[str] = frozenset({
 #: the call graph cannot prove a bump (e.g. builders whose result is
 #: only published after a bump).  Keep this list short and commented.
 AUDITED_MUTATORS: FrozenSet[str] = frozenset()
+
+#: Methods that change what a forwarding walk reads besides FIBs and
+#: liveness: a node's local-acceptance set, its per-version IPvN state,
+#: a host's IPvN address, the engine's vN handler.
+WALK_STATE_MUTATORS: FrozenSet[str] = frozenset({
+    "add_local_ipv4", "remove_local_ipv4", "set_vn_state", "clear_vn_state",
+    "assign_vn_address", "register_vn_handler",
+})
 
 #: Attribute names whose assignment changes topology reachability.
 _TOPOLOGY_ATTRS: FrozenSet[str] = frozenset({"up", "cost"})
@@ -159,22 +170,25 @@ class TopologyMutationRule(_TopologyCoherenceRule):
 
 
 class FibCoherenceRule(_TopologyCoherenceRule):
-    """C2: FIB installs/withdraws must sit under a version bump."""
+    """C2: FIB installs/withdraws and acceptance-set/handler-state
+    mutator calls must sit under a version bump."""
 
     rule_id = "C2"
-    title = "FIB updates reach a version bump"
+    title = "FIB and walk-state updates reach a version bump"
 
     def mutations(self, info: FunctionInfo) -> Iterator[Tuple[ast.AST, str]]:
         for node in _own_scope(info.node):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr in ("install", "withdraw")):
+            if not isinstance(func, ast.Attribute):
                 continue
-            receiver = _terminal_name(func.value)
-            if receiver.startswith("fib"):
-                yield node, f"FIB '.{func.attr}(...)' on '{receiver}'"
+            if func.attr in WALK_STATE_MUTATORS:
+                yield node, f"walk-state mutator '.{func.attr}(...)'"
+            elif func.attr in ("install", "withdraw"):
+                receiver = _terminal_name(func.value)
+                if receiver.startswith("fib"):
+                    yield node, f"FIB '.{func.attr}(...)' on '{receiver}'"
 
 
 C_RULES: Tuple[ProjectRule, ...] = (TopologyMutationRule(),

@@ -36,7 +36,7 @@ def _check_value(value: int, bits: int) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IPv4Address:
     """A 32-bit IPv4 address."""
 
@@ -72,7 +72,7 @@ class IPv4Address:
         return f"IPv4Address({str(self)!r})"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class VNAddress:
     """An IPvN (next-generation) address: a 64-bit value plus a version tag.
 

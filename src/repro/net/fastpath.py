@@ -1,38 +1,47 @@
 """Flow-level forwarding fast path: aggregate identical walks.
 
-At scale, the measured hot path is the per-packet hop-by-hop walk in
-:class:`~repro.net.forwarding.ForwardingEngine`: sweeps send many
-packets with *identical* header stacks between the same endpoints, and
-each one re-walks the same FIB lookups and re-emits the same spans.
+The hot path is the per-packet hop-by-hop walk in
+:class:`~repro.net.forwarding.ForwardingEngine`: traffic repeats
+*identical* header stacks from the same node — in the paper's own
+dataplane a host's IPvN packet inside IPv4 to the anycast address — and
+each repeat re-walks the same FIB lookups, decapsulations, vN handler
+decisions and tunnels.
 
-The fast path memoizes completed walks per **flow** — the pair
-``(start node, exact outermost IPv4 header)`` — and replays the cached
-:class:`~repro.net.forwarding.ForwardingTrace` for subsequent packets
-of the flow, recording a per-flow packet count instead of per-packet
-spans.  Replay is answer-preserving because a walk is a deterministic
-function of ``(start, header stack, network state, handler state)``:
+The fast path stores completed walks per **flow** — the pair
+``(start node, the whole header stack)`` — and replays the stored
+:class:`~repro.net.forwarding.ForwardingTrace` for later packets of the
+flow, counting packets per flow.  An observed replay still emits the
+``forward`` span and event of a walk (the engine does that), so a trace
+file does not show which packets were replayed.
 
-* only **pure IPv4** walks are cached (one header, no encapsulation or
-  decapsulation, no vN handler involvement), so the only mutable
-  inputs are FIBs, link/node liveness, and local-acceptance sets;
-* link/node liveness is covered by ``Network.topology_version`` — any
-  mismatch clears the cache (same scheme as
-  :class:`~repro.perf.cache.PathCache`);
-* FIB and acceptance-set changes are covered by an explicit state
-  epoch: :meth:`FlowFastPath.bump` is called by every route
-  installation (``Orchestrator.converge``/``install_routes``) and
-  vN-Bone rebuild;
+Replay is answer-preserving because a walk is a deterministic function
+of the start node, the exact header stack, and forwarding state: IPv4
+FIBs, vN FIBs, local-acceptance sets, per-router IPvN state, host IPvN
+addresses and group memberships, the registered vN handler, and
+link/node liveness.  Every change of that state drops every flow:
+
+* link/node liveness and attachment move ``Network.topology_version``
+  — a mismatch clears the table at the next lookup or store (same
+  scheme as :class:`~repro.perf.cache.PathCache`);
+* everything else calls :meth:`FlowFastPath.bump` where it changes:
+  route installation (``Orchestrator.converge``/``install_routes``),
+  ``VnDeployment.deploy``/``expand``/``undeploy``/``rebuild``,
+  ``AnycastScheme.add_member``/``remove_member``,
+  ``VnMulticastService.join``/``leave``/``rebuild`` and
+  ``ForwardingEngine.register_vn_handler``;
 * fault experiments bracket their epochs with :meth:`pause` /
   :meth:`resume` — while faults are being applied and measured, every
-  packet takes the slow path and nothing is cached, so transient
+  packet takes the slow path and nothing is stored, so transient
   (pre-reconvergence) behavior is never replayed;
-* only **delivered, fault-free** walks are cached, so ``strict=True``
+* only **delivered, fault-free** walks are stored, so ``strict=True``
   raise-on-failure semantics are preserved bit-for-bit.
 
-The header key includes TTL and protocol, so flows are exact-match; a
-cached trace is returned as a shared object and callers treat traces
-as read-only (the same contract :class:`~repro.perf.cache.PathCache`
-relies on for trees).
+Headers are frozen and compared field by field (TTL, protocol, the
+``dest_ipv4`` option and the multicast flag included), so flows are
+exact-match; a stored trace is returned as a shared object and callers
+treat traces as read-only (the same contract
+:class:`~repro.perf.cache.PathCache` relies on for trees).  A replay
+leaves the packet as sent — its headers are not decremented or popped.
 
 Per rule D4 the obs counters are registered behind ``obs.enabled``;
 plain integer stats are always live.
@@ -43,7 +52,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.net.errors import ForwardingError
-from repro.net.packet import IPv4Header, Packet
+from repro.net.packet import Header, Packet
 from repro.obs import get_obs
 
 if TYPE_CHECKING:  # import cycle: forwarding.py imports this module
@@ -56,12 +65,13 @@ def fastpath_enabled() -> bool:
     return True
 
 
-#: One flow: (start node, exact outer IPv4 header — frozen, hashable).
-FlowKey = Tuple[str, IPv4Header]
+#: One flow: (start node, the header stack innermost first — frozen
+#: headers, hashable).
+FlowKey = Tuple[str, Tuple[Header, ...]]
 
 
 class FlowFastPath:
-    """Memoizes delivered pure-IPv4 walks per flow, per quiescent state."""
+    """Stores delivered walks per flow while forwarding state holds."""
 
     def __init__(self, network: "Network") -> None:
         self.network = network
@@ -95,8 +105,8 @@ class FlowFastPath:
         self._paused -= 1
 
     def bump(self) -> None:
-        """Forwarding state changed (FIB install, vN-Bone rebuild):
-        drop every cached flow."""
+        """Forwarding state changed (a FIB, an acceptance set, vN state,
+        the vN handler): drop every stored flow."""
         self._invalidate()
 
     def _invalidate(self) -> None:
@@ -113,15 +123,10 @@ class FlowFastPath:
             self._invalidate()
 
     # -- the flow cache ----------------------------------------------------
-    def key_for(self, packet: Packet, start: str) -> Optional[FlowKey]:
-        """The packet's flow key, or ``None`` if it is not fast-pathable
-        (anything but a single plain IPv4 header)."""
-        if len(packet.headers) != 1:
-            return None
-        header = packet.headers[0]
-        if not isinstance(header, IPv4Header):
-            return None
-        return (start, header)
+    def key_for(self, packet: Packet, start: str) -> FlowKey:
+        """The packet's flow key: where it starts and every header it
+        carries."""
+        return (start, tuple(packet.headers))
 
     def lookup(self, key: FlowKey) -> Optional["ForwardingTrace"]:
         """The cached trace for *key*, counting the hit or miss."""
@@ -139,18 +144,15 @@ class FlowFastPath:
         return trace
 
     def store(self, key: FlowKey, trace: "ForwardingTrace") -> bool:
-        """Cache a completed slow-path walk if it is replay-safe.
+        """Store a completed slow-path walk if it is replay-safe.
 
-        Only delivered, fault-free, encapsulation-free walks qualify:
-        anything that touched a vN handler, hit injected-fault state,
-        or failed to deliver re-walks every time (and raise-on-failure
-        ``strict`` semantics stay exact).
+        Only delivered, fault-free walks qualify: anything that hit
+        injected-fault state or failed to deliver re-walks every time
+        (and raise-on-failure ``strict`` semantics stay exact).
         """
         if not self.active:
             return False
-        if (not trace.delivered or trace.faulted
-                or trace.encapsulations or trace.decapsulations
-                or trace.vn_hops):
+        if not trace.delivered or trace.faulted:
             return False
         self._check_version()
         self._traces[key] = trace

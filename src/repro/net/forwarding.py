@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.net.address import IPv4Address
 from repro.net.errors import (FaultDropError, ForwardingLoopError, NoRouteError,
@@ -34,7 +34,7 @@ from repro.net.fastpath import FlowFastPath
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.packet import IPv4Header, Packet, VNHeader
-from repro.obs import Observability, get_obs
+from repro.obs import Counter, Observability, get_obs
 
 DEFAULT_MAX_STEPS = 4096
 
@@ -110,9 +110,13 @@ VnDecision = Union[VnDeliver, VnForward, VnEgress, VnDrop, VnEncap, VnReplicate]
 VnHandler = Callable[[Node, Packet], VnDecision]
 
 
-@dataclass
+@dataclass(slots=True)
 class HopRecord:
-    """One step of the walk, for inspection and pretty traces."""
+    """One step of the walk, for inspection and pretty traces.
+
+    A view: :class:`ForwardingTrace` keeps a compact hop log and renders
+    these on read (:attr:`ForwardingTrace.hops`).
+    """
 
     node_id: str
     domain_id: int
@@ -154,12 +158,39 @@ class HopRecord:
                 "rendered": self.format()}
 
 
-@dataclass
+#: The one action recorded on injected-fault state (a crashed node, a
+#: down link still in a FIB).
+FAULT_ACTION = "fault-drop"
+
+#: How each action words its hop detail from the *subject* the walk had
+#: in hand when it recorded the hop; any other action's subject renders
+#: through ``str``.
+_DETAIL: Dict[str, Callable[[Any], str]] = {
+    # subject: the matched FibEntry
+    "ipv4-forward": lambda entry: (f"-> {entry.next_hop} "
+                                   f"({entry.prefix.sort_key()})"),
+    # subject: the header exposed by the pop
+    "decap": lambda header: f"now {header}",
+    "vn-decap": lambda header: f"now {header}",
+    # subject: the vN-Bone neighbor's node id
+    "vn-forward": lambda next_vn_hop: f"tunnel -> {next_vn_hop}",
+    # subject: the pushed IPvN header
+    "vn-encap": lambda header: f"tunnel {header}",
+    # subject: the IPv4 address exited towards
+    "vn-egress": lambda ipv4_dst: f"exit vN-Bone -> {ipv4_dst}",
+    # subject: the tuple of copy decisions
+    "vn-replicate": lambda copies: f"{len(copies)} copies",
+}
+
+#: Slots per hop in :attr:`ForwardingTrace._log`.
+_HOP_WIDTH = 5
+
+
+@dataclass(slots=True)
 class ForwardingTrace:
     """The full record of a packet's journey."""
 
     outcome: Outcome = Outcome.DROPPED
-    hops: List[HopRecord] = field(default_factory=list)
     delivered_to: Optional[str] = None
     physical_hops: int = 0
     vn_hops: int = 0
@@ -176,23 +207,40 @@ class ForwardingTrace:
     #: :attr:`Link.delay` over every physical link crossed.  One-way;
     #: probe RTTs double it under the symmetric-return assumption.
     latency: float = 0.0
-    #: Sticky flag set at :meth:`record` time so :attr:`faulted` never
-    #: has to rescan the hop list (it is read per trace by both
-    #: ``_observe_trace`` and ``to_dict``).
-    _fault_recorded: bool = field(default=False, repr=False)
-    #: Deepest ``depth`` passed to :meth:`record`, kept the same way:
-    #: a traced walk reads :attr:`max_depth` twice.
+    #: The hop log: ``node, action, subject, depth, latency`` per hop,
+    #: flat, holding only references the walk already had.  A stored
+    #: flow retains this and nothing per hop besides; :attr:`hops`
+    #: renders it.
+    _log: List[Any] = field(default_factory=list, init=False, repr=False)
+    #: Deepest ``depth`` passed to :meth:`record`: a traced walk reads
+    #: :attr:`max_depth` twice.
     _max_depth: int = field(default=1, repr=False)
 
-    def record(self, node: Node, action: str, detail: str = "", depth: int = 1,
-               faulted: bool = False) -> None:
-        self.hops.append(HopRecord(node_id=node.node_id, domain_id=node.domain_id,
-                                   action=action, detail=detail, depth=depth,
-                                   faulted=faulted, latency=self.latency))
-        if faulted:
-            self._fault_recorded = True
+    def record(self, node: Node, action: str, subject: object = None,
+               depth: int = 1) -> None:
+        """Log one hop.  *subject* is what the hop's detail is worded
+        from on read: by the action's rule in :data:`_DETAIL` if it has
+        one, through ``str`` otherwise."""
+        self._log += (node, action, subject, depth, self.latency)
         if depth > self._max_depth:
             self._max_depth = depth
+
+    @property
+    def hops(self) -> List[HopRecord]:
+        """The walk hop by hop, rendered from the log on every read (a
+        node's id and domain are read then too)."""
+        log = self._log
+        hops = []
+        for at in range(0, len(log), _HOP_WIDTH):
+            node, action, subject, depth, latency = log[at:at + _HOP_WIDTH]
+            if subject is None:
+                detail = ""
+            else:
+                render = _DETAIL.get(action)
+                detail = str(subject) if render is None else render(subject)
+            hops.append(HopRecord(node.node_id, node.domain_id, action, detail,
+                                  depth, action == FAULT_ACTION, latency))
+        return hops
 
     @property
     def delivered(self) -> bool:
@@ -201,22 +249,23 @@ class ForwardingTrace:
     @property
     def faulted(self) -> bool:
         """Whether the walk encountered injected-fault state anywhere."""
-        return self.outcome is Outcome.FAULT_DROPPED or self._fault_recorded
+        return (self.outcome is Outcome.FAULT_DROPPED
+                or FAULT_ACTION in self._log[1::_HOP_WIDTH])
 
     def node_path(self) -> List[str]:
         """Distinct consecutive node ids visited, in order."""
         path: List[str] = []
-        for hop in self.hops:
-            if not path or path[-1] != hop.node_id:
-                path.append(hop.node_id)
+        for node in self._log[::_HOP_WIDTH]:
+            if not path or path[-1] != node.node_id:
+                path.append(node.node_id)
         return path
 
     def domain_path(self) -> List[int]:
         """Distinct consecutive domains traversed, in order."""
         path: List[int] = []
-        for hop in self.hops:
-            if not path or path[-1] != hop.domain_id:
-                path.append(hop.domain_id)
+        for node in self._log[::_HOP_WIDTH]:
+            if not path or path[-1] != node.domain_id:
+                path.append(node.domain_id)
         return path
 
     def __str__(self) -> str:
@@ -312,17 +361,19 @@ class ForwardingEngine:
         #: Optional sim-clock callable so forwarding spans/events carry
         #: simulation time (the orchestrator wires its scheduler in).
         self.clock = clock
-        #: Flow-level fast path: replays delivered pure-IPv4 walks for
-        #: repeat packets of a flow while forwarding state is quiescent
-        #: (see :mod:`repro.net.fastpath` for the invalidation rules).
+        #: Flow-level fast path: replays delivered walks for repeat
+        #: packets of a flow while forwarding state is unchanged (see
+        #: :mod:`repro.net.fastpath` for the invalidation rules).
         self.fastpath = FlowFastPath(network)
-        self._outcome_counters: Dict[Outcome, object] = {
+        self._outcome_counters: Dict[Outcome, Counter] = {
             outcome: self.obs.counter(f"forwarding.outcome.{outcome.value}")
             for outcome in Outcome}
 
     def register_vn_handler(self, version: int, handler: VnHandler) -> None:
         """Install the forwarding logic for IPvN *version* routers."""
         self._vn_handlers[version] = handler
+        # Stored walks replay the old handler's decisions.
+        self.fastpath.bump()
 
     def vn_handler(self, version: int) -> Optional[VnHandler]:
         return self._vn_handlers.get(version)
@@ -331,41 +382,44 @@ class ForwardingEngine:
     def forward(self, packet: Packet, start: str, strict: bool = False) -> ForwardingTrace:
         """Run *packet* from node *start* until a terminal outcome.
 
-        With observability enabled, the walk runs inside a ``forward``
-        span: parented to the packet's carried context when present
+        When the flow fast path is active and this packet repeats a
+        stored flow (same start, identical header stack, unchanged
+        forwarding state), the stored trace is returned and the packet
+        is left as sent: no walk.  Any delivered, fault-free walk is
+        stored, encapsulated IPvN ones included; the fast path counts
+        packets per flow (:attr:`FlowFastPath.flow_counts`).
+
+        With observability enabled the packet gets a ``forward`` span —
+        parented to the packet's carried context when present
         (replicas, re-sends), otherwise to the innermost entered span
         (e.g. a fault-epoch workload), and stamped onto the packet for
-        downstream causality.  Disabled handles skip all of it behind
-        the usual one ``enabled`` check.
-
-        When the flow fast path is active and this packet repeats a
-        cached flow (same start, identical pure-IPv4 header, quiescent
-        forwarding state), the memoized trace is returned immediately:
-        no walk, no per-packet span — the fast path records a per-flow
-        packet count instead (:attr:`FlowFastPath.flow_counts`).
+        downstream causality — and a ``forward`` event, the same for a
+        replayed trace as for a walked one.  Disabled handles skip all
+        of it behind the usual one ``enabled`` check.
         """
-        key = self.fastpath.key_for(packet, start) if self.fastpath.active \
-            else None
-        if key is not None:
-            cached = self.fastpath.lookup(key)
+        fastpath = self.fastpath
+        key = fastpath.key_for(packet, start) if fastpath.active else None
+        cached = fastpath.lookup(key) if key is not None else None
+        if not self.obs.enabled:
             if cached is not None:
                 return cached
-        trace = ForwardingTrace()
-        if not self.obs.enabled:
+            trace = ForwardingTrace()
             self._walk(packet, self.network.node(start), trace, strict, None)
             if key is not None:
-                self.fastpath.store(key, trace)
+                fastpath.store(key, trace)
             return trace
         t = self.clock() if self.clock is not None else None
         span = self.obs.span("forward", t=t, parent=packet.span, start=start)
         if packet.span is None:
             packet.span = span.context
+        trace = ForwardingTrace() if cached is None else cached
         with span:
-            self._walk(packet, self.network.node(start), trace, strict, None)
+            if cached is None:
+                self._walk(packet, self.network.node(start), trace, strict, None)
             span.end(t=t, **self._span_fields(trace))
         self._observe_trace(trace, start)
-        if key is not None:
-            self.fastpath.store(key, trace)
+        if cached is None and key is not None:
+            fastpath.store(key, trace)
         return trace
 
     @staticmethod
@@ -461,7 +515,7 @@ class ForwardingEngine:
             if not node.up:
                 trace.outcome = Outcome.FAULT_DROPPED
                 trace.drop_reason = f"node {node.node_id} is down"
-                trace.record(node, "fault-drop", trace.drop_reason, faulted=True)
+                trace.record(node, FAULT_ACTION, trace.drop_reason)
                 if strict:
                     raise FaultDropError(trace.drop_reason)
                 return
@@ -514,16 +568,14 @@ class ForwardingEngine:
             trace.outcome = Outcome.FAULT_DROPPED
             trace.drop_reason = (
                 f"link {node.node_id}<->{entry.next_hop} is down")
-            trace.record(node, "fault-drop", trace.drop_reason, faulted=True)
+            trace.record(node, FAULT_ACTION, trace.drop_reason)
             if strict:
                 raise FaultDropError(trace.drop_reason)
             return None
         packet.replace_outer(outer.decremented())
         trace.physical_hops += 1
         trace.latency += link.delay
-        trace.record(node, "ipv4-forward",
-                     f"-> {entry.next_hop} ({entry.prefix.sort_key()})",
-                     depth=packet.depth)
+        trace.record(node, "ipv4-forward", entry, depth=packet.depth)
         return self.network.node(entry.next_hop)
 
     def _accept_locally(self, node: Node, packet: Packet,
@@ -531,7 +583,7 @@ class ForwardingEngine:
         if packet.depth > 1:
             packet.decapsulate()
             trace.decapsulations += 1
-            trace.record(node, "decap", f"now {packet.outer}", depth=packet.depth)
+            trace.record(node, "decap", packet.outer, depth=packet.depth)
             if isinstance(packet.outer, VNHeader) and node.is_router:
                 if trace.ingress_router is None:
                     trace.ingress_router = node.node_id
@@ -552,7 +604,7 @@ class ForwardingEngine:
             if host_addr == outer.dst or joined:
                 trace.outcome = Outcome.DELIVERED
                 trace.delivered_to = node.node_id
-                trace.record(node, "vn-deliver", str(outer.dst))
+                trace.record(node, "vn-deliver", outer.dst)
             else:
                 trace.outcome = Outcome.DROPPED
                 trace.drop_reason = (
@@ -573,12 +625,12 @@ class ForwardingEngine:
                 # register reaching the group core): unwrap and keep going.
                 packet.decapsulate()
                 trace.decapsulations += 1
-                trace.record(node, "vn-decap", f"now {packet.outer}",
+                trace.record(node, "vn-decap", packet.outer,
                              depth=packet.depth)
                 return node
             trace.outcome = Outcome.DELIVERED
             trace.delivered_to = node.node_id
-            trace.record(node, "vn-deliver", str(outer.dst))
+            trace.record(node, "vn-deliver", outer.dst)
             return None
         if isinstance(decision, VnDrop):
             trace.outcome = Outcome.DROPPED
@@ -600,14 +652,14 @@ class ForwardingEngine:
             packet.encapsulate(IPv4Header(src=node.ipv4, dst=neighbor.ipv4))
             trace.encapsulations += 1
             trace.vn_hops += 1
-            trace.record(node, "vn-forward", f"tunnel -> {decision.next_vn_hop}",
+            trace.record(node, "vn-forward", decision.next_vn_hop,
                          depth=packet.depth)
             return node  # IPv4 forwarding takes it from here
         if isinstance(decision, VnEncap):
             assert isinstance(decision.header, VNHeader)
             packet.encapsulate(decision.header)
             trace.encapsulations += 1
-            trace.record(node, "vn-encap", f"tunnel {decision.header}",
+            trace.record(node, "vn-encap", decision.header,
                          depth=packet.depth)
             return node
         if isinstance(decision, VnReplicate):
@@ -616,7 +668,7 @@ class ForwardingEngine:
         packet.encapsulate(IPv4Header(src=node.ipv4, dst=decision.ipv4_dst))
         trace.encapsulations += 1
         trace.egress_router = node.node_id
-        trace.record(node, "vn-egress", f"exit vN-Bone -> {decision.ipv4_dst}",
+        trace.record(node, "vn-egress", decision.ipv4_dst,
                      depth=packet.depth)
         return node
 
@@ -644,6 +696,6 @@ class ForwardingEngine:
                                             dst=copy_decision.ipv4_dst))
             fork_queue.append((copy, node))
         trace.outcome = Outcome.REPLICATED
-        trace.record(node, "vn-replicate",
-                     f"{len(decision.copies)} copies", depth=packet.depth)
+        trace.record(node, "vn-replicate", decision.copies,
+                     depth=packet.depth)
         return None

@@ -42,7 +42,7 @@ class RouteSource(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FibEntry:
     """One forwarding decision: send matching packets to *next_hop*.
 

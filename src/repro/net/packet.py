@@ -34,7 +34,7 @@ DEFAULT_TTL = 64
 _packet_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IPv4Header:
     """An IPv(N-1) header; the ubiquitously deployed generation."""
 
@@ -51,7 +51,7 @@ class IPv4Header:
         return f"IPv4[{self.src} -> {self.dst} ttl={self.ttl}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VNHeader:
     """A next-generation IPvN header.
 

@@ -81,7 +81,12 @@ class VnAddressPlan:
         otherwise.  Idempotent; existing assignments of the right kind
         are kept.
         """
-        host = self._require_host(host_id)
+        return self.host_address(self._require_host(host_id))
+
+    def host_address(self, host: Host) -> VNAddress:
+        """:meth:`ensure_host_address` for a caller that already holds
+        the host node."""
+        host_id = host.node_id
         domain = self.network.domains[host.domain_id]
         adopted = domain.deploys(self.version)
         current = self._assigned.get(host_id)

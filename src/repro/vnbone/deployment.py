@@ -136,8 +136,8 @@ class VnDeployment:
             self._make_member(router_id, asn)
         self.plan.relabel_domain(asn)
         self._dirty = True
-        # New members accept the anycast address immediately: cached
-        # flow-level walks to it are stale.
+        # The domain's hosts were relabeled after the members' own
+        # bumps: stored walks delivered to their old addresses are stale.
         self.orchestrator.engine.fastpath.bump()
         return chosen
 
@@ -314,9 +314,9 @@ class VnDeployment:
         if self._dirty:
             self.rebuild()
         src = self._require_host(src_host_id)
-        self._require_host(dst_host_id)
-        src_addr = self.plan.ensure_host_address(src_host_id)
-        dst_addr = self.plan.ensure_host_address(dst_host_id)
+        dst = self._require_host(dst_host_id)
+        src_addr = self.plan.host_address(src)
+        dst_addr = self.plan.host_address(dst)
         packet = vn_packet(src_addr, dst_addr, payload=payload, ttl=ttl)
         packet.encapsulate(IPv4Header(src=src.ipv4, dst=self.scheme.address))
         return self.orchestrator.forward(packet, src_host_id)

@@ -31,7 +31,7 @@ class VnAction(Enum):
     LOCAL = "local"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VnFibEntry:
     """One IPvN forwarding decision."""
 

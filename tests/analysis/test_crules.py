@@ -131,3 +131,30 @@ class TestFibCoherenceRule:
                 plugin.install("hooks")
         """})
         assert report.ok
+
+    def test_unbumped_walk_state_mutator_flagged(self):
+        report = project({"src/repro/anycast/join.py": """
+            def join(node, address, engine, handler):
+                node.add_local_ipv4(address)
+                engine.register_vn_handler(8, handler)
+        """})
+        assert rule_ids(report) == ["C2", "C2"]
+        assert "add_local_ipv4" in report.actionable[0].message
+        assert "register_vn_handler" in report.actionable[1].message
+
+    def test_fastpath_bump_covers_walk_state_mutators(self):
+        report = project({"src/repro/vnbone/adopt.py": """
+            def _make_member(node, state, host, address):
+                node.set_vn_state(8, state)
+                host.assign_vn_address(address)
+
+            def deploy(engine, node, state, host, address):
+                _make_member(node, state, host, address)
+                engine.fastpath.bump()
+
+            def undeploy(engine, node, address):
+                node.clear_vn_state(8)
+                node.remove_local_ipv4(address)
+                engine.fastpath.bump()
+        """})
+        assert report.ok

@@ -14,6 +14,10 @@ from repro.core.evolution import EvolvableInternet
 from repro.topogen import InternetSpec
 from repro.vnbone import EgressPolicy, adoption_rng
 
+#: Every fast-path replay and cache hit in this module is re-derived
+#: and compared (tests/oracles.py).
+pytestmark = pytest.mark.usefixtures("paranoid_caches")
+
 
 def build_internet(seed, igp_overrides=None):
     spec = InternetSpec(n_tier1=2, n_tier2=4, n_stub=6, hosts_per_stub=1,

@@ -1,20 +1,24 @@
 """Unit tests for the flow-level forwarding fast path.
 
-The engine-level contract: repeated identical pure-IPv4 sends within a
-quiescent topology version replay the cached trace; any forwarding
-state change (link/node liveness, explicit ``bump()``) or fault epoch
-(``pause()``/``resume()``) drops back to the slow path.
+The engine-level contract: repeated sends of an identical header stack
+from the same node, while forwarding state holds, replay the stored
+trace — plain IPv4 and encapsulated IPvN alike; any forwarding state
+change (link/node liveness, a ``bump()`` at the site that changed it)
+or fault epoch (``pause()``/``resume()``) drops back to the slow path.
 """
 
 import pytest
 
+from repro.anycast import DefaultRootedAnycast
 from repro.net import Domain, Network, Outcome, Prefix, ipv4, ipv4_packet
 from repro.net.address import VNAddress
 from repro.net.errors import ForwardingError
 from repro.net.fastpath import FlowFastPath
-from repro.net.forwarding import ForwardingEngine
+from repro.net.forwarding import ForwardingEngine, VnDeliver, VnDrop
 from repro.net.node import FibEntry, RouteSource
-from repro.net.packet import vn_packet
+from repro.net.packet import IPv4Header, Packet, VNHeader, vn_packet
+from repro.vnbone import VnDeployment
+from repro.vnbone.multicast import enable_multicast
 
 
 def line_network(n=3):
@@ -79,11 +83,76 @@ class TestFlowReplay:
         assert engine.fastpath.hits == 0
         assert len(engine.fastpath) == 0
 
-    def test_vn_packets_are_not_fast_pathable(self):
-        net = line_network()
-        engine = ForwardingEngine(net)
-        packet = vn_packet(VNAddress(1, version=8), VNAddress(2, version=8))
-        assert engine.fastpath.key_for(packet, "r0") is None
+
+@pytest.fixture
+def deployment(converged_hub):
+    """IPv8 in the hub AS only: ``hx`` and ``hz`` are self-addressed
+    hosts of non-adopting stubs, so a send between them is the paper's
+    headline path (encapsulate to A_N, cross the vN-Bone, egress)."""
+    scheme = DefaultRootedAnycast(converged_hub, "ipv8", default_asn=1)
+    deployment = VnDeployment(converged_hub, scheme, version=8)
+    deployment.deploy(1)
+    deployment.rebuild()
+    return deployment
+
+
+def _fastpath(deployment):
+    return deployment.orchestrator.engine.fastpath
+
+
+class TestVnFlows:
+    def test_repeated_vn_send_hits_and_replays_same_trace(self, deployment):
+        first = deployment.send("hx", "hz")
+        second = deployment.send("hx", "hz")
+        assert first.delivered_to == "hz"
+        assert first.encapsulations and first.decapsulations
+        assert first.egress_router is not None
+        assert second is first  # replayed, not re-walked
+        assert _fastpath(deployment).hits == 1
+        assert _fastpath(deployment).stats()["packets_aggregated"] == 2
+
+    def test_inner_ttl_option_and_flag_are_part_of_the_flow(self, deployment):
+        network = deployment.network
+        src, dst = network.node("hx"), network.node("hz")
+        outer = IPv4Header(src=src.ipv4, dst=deployment.scheme.address)
+        base = dict(src=deployment.plan.ensure_host_address("hx"),
+                    dst=deployment.plan.ensure_host_address("hz"))
+        inners = [VNHeader(**base),
+                  VNHeader(**base, ttl=32),
+                  VNHeader(**base, dest_ipv4=dst.ipv4),
+                  VNHeader(**base, mcast_downstream=True)]
+        engine = deployment.orchestrator.engine
+        for inner in inners:
+            trace = engine.forward(Packet(headers=[inner, outer]), "hx")
+            assert trace.delivered_to == "hz"
+        assert engine.fastpath.hits == 0
+        assert len(engine.fastpath) == len(inners)
+
+    def test_undelivered_vn_walks_are_never_stored(self, deployment):
+        for _ in range(2):
+            trace = deployment.send("hx", "hz", ttl=1)
+            assert trace.outcome is Outcome.TTL_EXPIRED
+            assert trace.decapsulations  # it died inside the vN-Bone
+        assert _fastpath(deployment).hits == 0
+        assert len(_fastpath(deployment)) == 0
+
+    def test_faulted_vn_walks_are_never_stored(self, deployment):
+        path = deployment.send("hx", "hz").node_path()
+        deployment.network.link_between(path[-2], path[-1]).fail()
+        for _ in range(2):
+            trace = deployment.send("hx", "hz")
+            assert trace.outcome is Outcome.FAULT_DROPPED and trace.faulted
+        assert _fastpath(deployment).hits == 0
+        assert len(_fastpath(deployment)) == 0
+
+    def test_vn_sends_while_paused_are_never_stored(self, deployment):
+        _fastpath(deployment).pause()
+        first = deployment.send("hx", "hz")
+        second = deployment.send("hx", "hz")
+        assert first.delivered and second is not first
+        assert first.to_dict() == second.to_dict()
+        assert _fastpath(deployment).stats()["hits"] == 0
+        assert len(_fastpath(deployment)) == 0
 
 
 class TestInvalidation:
@@ -113,6 +182,68 @@ class TestInvalidation:
         engine = ForwardingEngine(net)
         engine.fastpath.bump()
         assert engine.fastpath.invalidations == 0
+
+
+class TestInvalidationSites:
+    """State a stored walk read changes: the site that changes it bumps.
+    Each test fails with that site's ``bump()`` removed."""
+
+    def test_register_vn_handler(self):
+        net = line_network()
+        net.node("r0").set_vn_state(8, object())
+        engine = ForwardingEngine(net)
+        packet = vn_packet(VNAddress(1), VNAddress(2))
+        engine.register_vn_handler(8, lambda node, packet: VnDeliver())
+        assert engine.forward(packet.copy(), "r0").delivered_to == "r0"
+        engine.register_vn_handler(8, lambda node, packet: VnDrop("refused"))
+        assert engine.forward(packet.copy(), "r0").outcome is Outcome.DROPPED
+
+    def test_anycast_add_member(self, converged_hub):
+        scheme = DefaultRootedAnycast(converged_hub, "ipv8", default_asn=1)
+        scheme.add_member("w2")
+        converged_hub.reconverge()
+        path = scheme.probe("hx").node_path()
+        assert path[-2:] == ["w1", "w2"]
+        # w1 accepts A_N from here on, before any route is reinstalled.
+        scheme.add_member("w1")
+        assert scheme.resolve("hx") == "w1"
+
+    def test_anycast_remove_member(self, converged_hub):
+        scheme = DefaultRootedAnycast(converged_hub, "ipv8", default_asn=1)
+        scheme.add_member("w1")
+        scheme.add_member("w2")
+        converged_hub.reconverge()
+        assert scheme.resolve("hx") == "w1"
+        scheme.remove_member("w1")
+        assert scheme.resolve("hx") != "w1"
+
+    def test_multicast_leave(self, deployment):
+        service = enable_multicast(deployment)
+        group = service.create_group()
+        service.join(group, "hz")
+        engine = deployment.orchestrator.engine
+        arriving = vn_packet(deployment.plan.ensure_host_address("hx"), group)
+        assert engine.forward(arriving.copy(), "hz").delivered_to == "hz"
+        assert engine.forward(arriving.copy(), "hz").delivered_to == "hz"
+        assert engine.fastpath.hits == 1
+        service.leave(group, "hz")
+        assert engine.forward(arriving.copy(), "hz").outcome is Outcome.DROPPED
+
+    def test_multicast_join(self, deployment):
+        service = enable_multicast(deployment)
+        group = service.create_group()
+        deployment.send("hx", "hz")
+        assert len(_fastpath(deployment)) == 1
+        service.join(group, "hz")
+        assert len(_fastpath(deployment)) == 0
+
+    def test_multicast_rebuild(self, deployment):
+        service = enable_multicast(deployment)
+        deployment.send("hx", "hz")
+        assert len(_fastpath(deployment)) == 1
+        assert not deployment.needs_rebuild  # so its own bump is not run
+        service.rebuild()
+        assert len(_fastpath(deployment)) == 0
 
 
 class TestPauseResume:

@@ -12,9 +12,10 @@ against lives here, as test code:
   (prefix, router) at a time from the Loc-RIBs, which grouped and
   incremental installation must reproduce; :func:`checked_bgp_installs`
   asserts it after every ``install_routes``;
-* :func:`paranoid_caches` — a fixture under which every cache hit is
-  re-derived from scratch and compared, so a run that finishes has given
-  exactly the answers an uncached run would have;
+* :func:`paranoid_caches` — a fixture under which every cache hit, and
+  every flow the fast path replays, is re-derived from scratch and
+  compared, so a run that finishes has given exactly the answers an
+  uncached run would have;
 * :func:`slow_path_held` and :func:`per_message_bgp` — hold the levers
   ``src/`` selects from observable state (``FlowFastPath.pause()``, an
   active ``MessagePerturbation``) for a whole run, to compare it with a
@@ -33,6 +34,7 @@ import pytest
 from repro.bgp.egress import EgressCache
 from repro.bgp.protocol import BgpProtocol
 from repro.net.fastpath import FlowFastPath
+from repro.net.forwarding import ForwardingEngine, ForwardingTrace
 from repro.net.link import LinkScope
 from repro.net.network import Network
 from repro.net.address import Address, Prefix
@@ -282,11 +284,26 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
 
     Covers each memo in ``src/``: ``PathCache.tree``,
     ``EgressCache.links``, ``LinkStateRouting._spf``,
-    ``VnRouting.compute``, the ``LayeredVnRouting`` intra cache and
-    ``VnBoneTopology._refresh_caches``.  Returns the count of verified
-    hits per mechanism, so a test can show it was not vacuous.
+    ``VnRouting.compute``, the ``LayeredVnRouting`` intra cache,
+    ``VnBoneTopology._refresh_caches`` and the flow fast path (a copy
+    of every packet it answers is walked hop by hop).  Returns the
+    count of verified hits per mechanism, so a test can show it was not
+    vacuous.
     """
     verified: Counter = Counter()
+
+    forward = ForwardingEngine.forward
+
+    def paranoid_forward(self, packet, start, strict=False):
+        hits = self.fastpath.hits
+        sent = packet.copy()
+        replayed = forward(self, packet, start, strict)
+        if self.fastpath.hits != hits:
+            walked = ForwardingTrace()
+            self._walk(sent, self.network.node(start), walked, False, None)
+            assert walked.to_dict() == replayed.to_dict()
+            verified["fastpath"] += 1
+        return replayed
 
     tree = PathCache.tree
 
@@ -365,6 +382,7 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
             assert cached == _distances(self.network, member, True, asn)
             verified["vnbone_dists"] += 1
 
+    monkeypatch.setattr(ForwardingEngine, "forward", paranoid_forward)
     monkeypatch.setattr(PathCache, "tree", paranoid_tree)
     monkeypatch.setattr(EgressCache, "links", paranoid_links)
     monkeypatch.setattr(LinkStateRouting, "_spf", paranoid_spf)

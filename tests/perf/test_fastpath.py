@@ -7,12 +7,14 @@ walks hop by hop — and the canonical JSON payloads must be
 bit-identical.  A traced fault-epoch run additionally locks the
 ``repro.report/v1`` critical paths: fault epochs pause the fast path
 themselves, so the span trees the analyzer extracts phase timings from
-are the same event for event.
+are the same event for event.  A traced run of repeated flows locks the
+trace file itself: an observed replay emits what a walk emits.
 """
 
 import pytest
 
-from repro.obs import Observability, observing
+from repro.analyze import build_report
+from repro.obs import Observability, Tracer, observing, strip_wall_fields
 
 from tests.oracles import slow_path_held
 from tests.scenarios import (SCENARIO_IDS, SCENARIOS, deployed_internet,
@@ -50,6 +52,38 @@ def test_fault_epochs_always_take_the_slow_path():
     # play() pauses the fast path for the whole plan, so transient and
     # recovered measurements never replay a cached walk.
     assert leg.counter("perf.fastpath.hits") == 0
+
+
+def _traced_repeat_run(path):
+    """Three rounds of the same IPvN pairs and the same IPv4 sweep,
+    traced to *path*: the handle, for its counters."""
+    obs = Observability(tracer=Tracer(str(path), context={"seed": 7}))
+    with observing(obs):
+        internet, deployment = deployed_internet(seed=7)
+        hosts = internet.hosts()
+        pairs = [(src, dst) for src in hosts[:3] for dst in hosts[-3:]
+                 if src != dst]
+        for _ in range(3):
+            for src, dst in pairs:
+                assert deployment.send(src, dst).delivered_to == dst
+            internet.ipv4_reachability(sample=10, seed=7)
+    obs.close()
+    return obs
+
+
+def test_trace_file_identical_fastpath_serving_vs_held(tmp_path):
+    served, held = tmp_path / "served.jsonl", tmp_path / "held.jsonl"
+    on = _traced_repeat_run(served)
+    with slow_path_held():
+        off = _traced_repeat_run(held)
+    assert on.metrics_summary()["counters"]["perf.fastpath.hits"] > 0
+    assert off.metrics_summary()["counters"].get("perf.fastpath.hits", 0) == 0
+    # Byte for byte but for the wall_* timings of convergence events.
+    assert (strip_wall_fields(served.read_text().splitlines())
+            == strip_wall_fields(held.read_text().splitlines()))
+    forwarding = build_report(str(served))["forwarding"]
+    assert forwarding == build_report(str(held))["forwarding"]
+    assert forwarding["outcomes"]["delivered"] >= 3 * 6
 
 
 @pytest.mark.slow

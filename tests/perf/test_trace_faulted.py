@@ -1,4 +1,5 @@
-"""ForwardingTrace.faulted and .max_depth are tracked at record() time."""
+"""ForwardingTrace.faulted is derived from the ``fault-drop`` action (or the
+outcome); .max_depth is tracked at record() time."""
 
 from repro.net import Outcome
 from repro.net.forwarding import ForwardingTrace
@@ -11,7 +12,7 @@ def test_faulted_set_by_record_and_sticky():
     trace = ForwardingTrace()
     trace.record(net.node("h1"), "send")
     assert not trace.faulted
-    trace.record(net.node("r1a"), "forward", faulted=True)
+    trace.record(net.node("r1a"), "fault-drop", "link r1a<->r1b is down")
     assert trace.faulted
     trace.record(net.node("r1b"), "forward")  # later clean hop: still faulted
     assert trace.faulted

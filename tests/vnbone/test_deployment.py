@@ -7,6 +7,10 @@ from repro.net.errors import DeploymentError
 from repro.anycast import DefaultRootedAnycast, GlobalAnycast
 from repro.vnbone import EgressPolicy, VnDeployment, adoption_rng
 
+#: Every fast-path replay and cache hit in this module is re-derived
+#: and compared (tests/oracles.py).
+pytestmark = pytest.mark.usefixtures("paranoid_caches")
+
 
 @pytest.fixture
 def deployment(converged_hub):

@@ -9,6 +9,10 @@ from repro.vnbone.egress import (EGRESS_AS_HOP_COST, EgressPolicy, HostRegistry,
                                  external_owner_entries)
 from repro.vnbone.state import VnAction, vn_prefix_for_ipv4
 
+#: Every fast-path replay and cache hit in this module is re-derived
+#: and compared (tests/oracles.py).
+pytestmark = pytest.mark.usefixtures("paranoid_caches")
+
 
 class TestExternalOwnerEntries:
     def test_exit_immediately_advertises_nothing(self, converged_hub):

@@ -7,6 +7,10 @@ from repro.net.errors import DeploymentError, TopologyError
 from repro.topogen import InternetSpec
 from repro.vnbone.mobility import MobilityService
 
+#: Every fast-path replay and cache hit in this module is re-derived
+#: and compared (tests/oracles.py).
+pytestmark = pytest.mark.usefixtures("paranoid_caches")
+
 
 @pytest.fixture
 def setup():

@@ -11,6 +11,10 @@ from repro.vnbone import VnDeployment
 from repro.vnbone.multicast import (VN_MULTICAST_FLAG, enable_multicast,
                                     group_address, is_multicast)
 
+#: Every fast-path replay and cache hit in this module is re-derived
+#: and compared (tests/oracles.py).
+pytestmark = pytest.mark.usefixtures("paranoid_caches")
+
 
 class TestGroupAddresses:
     def test_group_address_is_multicast(self):
