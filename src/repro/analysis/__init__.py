@@ -19,9 +19,7 @@ Whole-program rules (``--project``: pass 1 builds a
   invalidation;
 * **P1/P2/P3** fleet safety — registered workload runners touch no
   module-level mutable state, capture no live resources in closures,
-  and leak no wall-clock values into unmarked artifact keys;
-* **S1/S2** schema drift — dict literals each artifact emitter builds
-  are statically diffed against the keys its paired validator checks.
+  and leak no wall-clock values into unmarked artifact keys.
 
 Typical use::
 
@@ -62,16 +60,13 @@ from repro.analysis.rules import (DEFAULT_RULES, RULES_BY_ID,
                                   HotPathGuardRule, OrderedIterationRule,
                                   ProjectRule, PublicApiRule, Rule,
                                   SeededRandomRule, WallClockRule)
-from repro.analysis.srules import (S_RULES, EmitterMissingKeyRule,
-                                   EmitterUnknownKeyRule)
 
 __all__ = ["ALLOW_ALL", "AnalysisError", "BASELINE_SCHEMA", "Baseline",
            "C_RULES", "ClosureCaptureRule", "DEFAULT_RULES",
-           "EmitterMissingKeyRule", "EmitterUnknownKeyRule",
            "FibCoherenceRule", "Finding", "HotPathGuardRule", "Linter",
            "LintReport", "ModuleStateRule", "OrderedIterationRule",
            "PROJECT_RULES", "PROJECT_RULES_BY_ID", "P_RULES", "ProjectIndex",
-           "ProjectRule", "PublicApiRule", "RULES_BY_ID", "Rule", "S_RULES",
+           "ProjectRule", "PublicApiRule", "RULES_BY_ID", "Rule",
            "SeededRandomRule", "Severity", "SourceFile",
            "TopologyMutationRule", "UNUSED_SUPPRESSION_ID",
            "WallClockArtifactRule", "WallClockRule", "collect_files",

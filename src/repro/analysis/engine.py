@@ -5,7 +5,7 @@ Public entry points:
 * :func:`lint_paths` — per-file rules over files/directories, returning
   a :class:`LintReport` (what the CLI and CI gate consume);
 * :func:`lint_project` — the two-pass whole-program analysis: per-file
-  rules plus the C/P/S project rules over a shared
+  rules plus the C/P project rules over a shared
   :class:`~repro.analysis.project.ProjectIndex`;
 * :func:`lint_source` / :func:`lint_project_sources` — in-memory
   variants for unit tests;
@@ -37,10 +37,9 @@ from repro.analysis.project import ProjectIndex
 from repro.analysis.prules import P_RULES
 from repro.analysis.rules import (DEFAULT_RULES, RULES_BY_ID, ProjectRule,
                                   Rule)
-from repro.analysis.srules import S_RULES
 
 #: Every whole-program rule, in family order — pass 2's default set.
-PROJECT_RULES: Tuple[ProjectRule, ...] = C_RULES + P_RULES + S_RULES
+PROJECT_RULES: Tuple[ProjectRule, ...] = C_RULES + P_RULES
 
 #: id -> project rule instance.
 PROJECT_RULES_BY_ID: Dict[str, ProjectRule] = {
@@ -167,7 +166,7 @@ class Linter:
         Per-file rule instances to run (default: ``DEFAULT_RULES``).
     project_rules:
         Whole-program rules for :meth:`lint_project` (default: the
-        C/P/S families in ``PROJECT_RULES``).
+        C/P families in ``PROJECT_RULES``).
     severity_overrides:
         Optional ``rule_id -> Severity`` remapping, e.g. demoting a
         rule to :attr:`Severity.WARNING` during a migration.
@@ -265,7 +264,7 @@ class Linter:
 
     def lint_project(self, paths: Iterable[str],
                      baseline: Optional[Baseline] = None) -> LintReport:
-        """Two-pass whole-program lint: per-file rules + C/P/S families."""
+        """Two-pass whole-program lint: per-file rules + C/P families."""
         report = LintReport()
         texts = self._read_files(paths, report)
         sources = self._parse_all(texts, report)
@@ -381,7 +380,7 @@ def lint_project(paths: Iterable[str],
                  jobs: int = 1,
                  baseline: Optional[Baseline] = None,
                  warn_unused_suppressions: bool = False) -> LintReport:
-    """Whole-program lint: per-file rules plus the C/P/S families."""
+    """Whole-program lint: per-file rules plus the C/P families."""
     file_rules, project_rules = _resolve_rules(rule_ids, project=True)
     return Linter(rules=file_rules, project_rules=project_rules, jobs=jobs,
                   warn_unused_suppressions=warn_unused_suppressions

@@ -3,11 +3,11 @@
 :class:`ProjectIndex` is built once per ``lint --project`` run from the
 same parsed :class:`~repro.analysis.findings.SourceFile` objects the
 per-file rules consume (one parse per file, shared everywhere).  It
-holds everything the C/P/S rule families (pass 2) need:
+holds everything the C/P rule families (pass 2) need:
 
-* the **module table** — imports, module-level constants, module-level
-  mutable containers, classes, and every function (nested ones
-  included) with its raw call sites;
+* the **module table** — imports, module-level mutable containers,
+  classes, and every function (nested ones included) with its raw call
+  sites;
 * the **call graph** — name-based and deliberately over-approximate:
   a ``self.x()`` call resolves through the class's base chain, a bare
   name through module scope and imports, and an ``obj.x()`` call to
@@ -16,12 +16,7 @@ holds everything the C/P/S rule families (pass 2) need:
 * **workload roots** — runners registered through
   :func:`repro.experiments.base.register`, in both the decorator form
   and the ``register(...)(factory(...))`` form (factory-returned nested
-  runners are resolved to the nested function);
-* **emitters and validators** keyed by schema version string — every
-  dict literal carrying a resolvable ``"schema"`` key, and every
-  function that compares a document's ``schema`` entry against a
-  schema constant, with the keys it requires/accepts extracted
-  structurally.
+  runners are resolved to the nested function).
 
 The index is pure data plus closure helpers; rules stay small.
 """
@@ -141,45 +136,6 @@ class ClassInfo:
 
 
 @dataclass
-class EmitterInfo:
-    """A dict literal that stamps a ``"schema"`` version tag."""
-
-    module: str
-    path: str
-    schema: str
-    node: ast.Dict
-    function: Optional[str]
-    keys: Set[str] = field(default_factory=set)
-    #: ``True`` when the literal has ``**spread`` or computed keys, in
-    #: which case the key set is a lower bound and S-rules stand down.
-    dynamic: bool = False
-
-
-@dataclass
-class ValidatorInfo:
-    """A function that structurally validates one (or more) schemas."""
-
-    module: str
-    path: str
-    function: str
-    node: ast.AST
-    schemas: Tuple[str, ...]
-    #: Keys the validator unconditionally dereferences — an emitter for
-    #: the schema that omits one of these is a drift bug.
-    required: Set[str] = field(default_factory=set)
-    #: Keys referenced with defaults / None-guards / in branches.
-    optional: Set[str] = field(default_factory=set)
-    #: Keys known only through helper calls or call-site strings.
-    known: Set[str] = field(default_factory=set)
-    #: ``True`` when the validator iterates ``doc.items()``/``keys()``
-    #: — an open schema, so unknown emitter keys are fine.
-    open_schema: bool = False
-
-    def all_known(self) -> Set[str]:
-        return self.required | self.optional | self.known
-
-
-@dataclass
 class ModuleInfo:
     """Everything indexed about one source module."""
 
@@ -190,8 +146,6 @@ class ModuleInfo:
     #: maps ``c -> ("a.b", None)``; ``from m import f as g`` maps
     #: ``g -> ("m", "f")``.
     imports: Dict[str, Tuple[str, Optional[str]]] = field(default_factory=dict)
-    #: Module-level simple assignments, for constant resolution.
-    const_nodes: Dict[str, ast.expr] = field(default_factory=dict)
     #: Module-level names bound to mutable containers -> lineno.
     mutable_globals: Dict[str, int] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
@@ -217,9 +171,6 @@ class ProjectIndex:
         self.calls_in: Dict[str, Set[str]] = {}
         #: Registered workload-runner function keys.
         self.workload_roots: Set[str] = set()
-        #: schema tag -> emitters / validators.
-        self.emitters: Dict[str, List[EmitterInfo]] = {}
-        self.validators: Dict[str, List[ValidatorInfo]] = {}
         #: (module, name) of module mutables mutated in place anywhere.
         self.mutated_globals: Set[Tuple[str, str]] = set()
 
@@ -241,88 +192,15 @@ class ProjectIndex:
         _ModuleIndexer(self, info).run()
 
     def _link(self) -> None:
-        """Resolve calls, roots, emitters, and validators (needs every
-        module indexed first)."""
+        """Resolve calls and workload roots (needs every module indexed
+        first)."""
         for info in self.functions.values():
             self.functions_by_name.setdefault(info.name, []).append(info.key)
         for keys in self.functions_by_name.values():
             keys.sort()
         self._resolve_calls()
         self._find_workload_roots()
-        self._find_emitters()
-        self._find_validators()
         self._find_mutated_globals()
-
-    # -- constant resolution ------------------------------------------------
-    def resolve_const(self, module: str, expr: Optional[ast.expr],
-                      depth: int = 0) -> object:
-        """Best-effort constant value of *expr* in *module*'s scope.
-
-        Follows module-level assignments and imports up to a small
-        depth; returns ``None`` when the value cannot be determined
-        statically.  Containers resolve element-wise with unresolvable
-        elements dropped (enough for schema-tag tuples).
-        """
-        if expr is None or depth > 6:
-            return None
-        if isinstance(expr, ast.Constant):
-            return expr.value
-        mod = self.modules.get(module)
-        if mod is None:
-            return None
-        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            values = [self.resolve_const(module, element, depth + 1)
-                      for element in expr.elts]
-            return tuple(v for v in values if v is not None)
-        if isinstance(expr, ast.Name):
-            if expr.id in mod.const_nodes:
-                return self.resolve_const(module, mod.const_nodes[expr.id],
-                                          depth + 1)
-            target = mod.imports.get(expr.id)
-            if target is not None and target[1] is not None:
-                other = self.modules.get(target[0])
-                if other is not None and target[1] in other.const_nodes:
-                    return self.resolve_const(
-                        other.name, other.const_nodes[target[1]], depth + 1)
-            return None
-        if isinstance(expr, ast.Attribute) and isinstance(expr.value,
-                                                          ast.Name):
-            target = mod.imports.get(expr.value.id)
-            if target is not None and target[1] is None:
-                other = self.modules.get(target[0])
-                if other is not None and expr.attr in other.const_nodes:
-                    return self.resolve_const(
-                        other.name, other.const_nodes[expr.attr], depth + 1)
-        return None
-
-    def resolve_field_table(self, module: str,
-                            name: str) -> Optional[List[str]]:
-        """First elements of a module-level tuple-of-tuples table.
-
-        Resolves the ``_FIELDS = (("name", types, nullable), ...)``
-        idiom the hand-rolled validators use; the non-constant columns
-        (type objects) are ignored.
-        """
-        mod = self.modules.get(module)
-        if mod is None:
-            return None
-        node = mod.const_nodes.get(name)
-        if node is None:
-            target = mod.imports.get(name)
-            if target is not None and target[1] is not None:
-                other = self.modules.get(target[0])
-                if other is not None:
-                    return self.resolve_field_table(other.name, target[1])
-            return None
-        if not isinstance(node, (ast.Tuple, ast.List)):
-            return None
-        fields: List[str] = []
-        for element in node.elts:
-            if (isinstance(element, (ast.Tuple, ast.List)) and element.elts
-                    and isinstance(element.elts[0], ast.Constant)
-                    and isinstance(element.elts[0].value, str)):
-                fields.append(element.elts[0].value)
-        return fields or None
 
     # -- call graph ---------------------------------------------------------
     def _resolve_calls(self) -> None:
@@ -523,20 +401,6 @@ class ProjectIndex:
         """Function keys reachable from any registered workload runner."""
         return self.callee_closure(self.workload_roots)
 
-    # -- emitters -----------------------------------------------------------
-    def _find_emitters(self) -> None:
-        for mod in self.modules.values():
-            _EmitterScanner(self, mod).run()
-
-    def _find_validators(self) -> None:
-        for mod in self.modules.values():
-            for info in mod.functions.values():
-                validator = _extract_validator(self, mod, info)
-                if validator is None:
-                    continue
-                for schema in validator.schemas:
-                    self.validators.setdefault(schema, []).append(validator)
-
     # -- mutated module globals --------------------------------------------
     def _find_mutated_globals(self) -> None:
         """Record module-level mutables mutated *in place* anywhere.
@@ -618,7 +482,7 @@ class _ModuleIndexer:
                             parent=None)
         self._index_escapes(tree)
 
-    # -- imports and constants ---------------------------------------------
+    # -- imports and module level ------------------------------------------
     def _index_imports(self, tree: ast.Module) -> None:
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -661,12 +525,10 @@ class _ModuleIndexer:
                 continue
             else:
                 continue
-            for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                self.mod.const_nodes[target.id] = value
-                if _is_mutable_value(value):
-                    self.mod.mutable_globals[target.id] = stmt.lineno
+            if _is_mutable_value(value):
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        self.mod.mutable_globals[target.id] = stmt.lineno
             for call in ast.walk(value):
                 if isinstance(call, ast.Call):
                     self.mod.module_calls.append(call)
@@ -847,527 +709,3 @@ def _is_mutable_value(value: Optional[ast.expr]) -> bool:
     if isinstance(value, ast.Call):
         return _terminal_name(value.func) in _MUTABLE_FACTORIES
     return False
-
-
-# ---------------------------------------------------------------------------
-# emitter extraction
-# ---------------------------------------------------------------------------
-
-
-class _EmitterScanner:
-    """Find schema-stamped dict literals and their augmented keys."""
-
-    def __init__(self, index: ProjectIndex, mod: ModuleInfo) -> None:
-        self.index = index
-        self.mod = mod
-
-    def run(self) -> None:
-        for info in self.mod.functions.values():
-            for node in self._own_nodes(info.node):
-                if isinstance(node, ast.Dict):
-                    self._check_dict(node, info)
-
-    def _own_nodes(self, func_node: ast.AST) -> Iterable[ast.AST]:
-        stack: List[ast.AST] = list(
-            ast.iter_child_nodes(func_node))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _FUNCTION_NODES):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_dict(self, node: ast.Dict, info: FunctionInfo) -> None:
-        schema: Optional[str] = None
-        keys: Set[str] = set()
-        dynamic = False
-        for key_node, value_node in zip(node.keys, node.values):
-            if key_node is None:  # ** spread
-                dynamic = True
-                continue
-            if not (isinstance(key_node, ast.Constant)
-                    and isinstance(key_node.value, str)):
-                dynamic = True
-                continue
-            keys.add(key_node.value)
-            if key_node.value == "schema":
-                resolved = self.index.resolve_const(self.mod.name, value_node)
-                if isinstance(resolved, str):
-                    schema = resolved
-        if schema is None:
-            return
-        emitter = EmitterInfo(module=self.mod.name, path=self.mod.path,
-                              schema=schema, node=node, function=info.key,
-                              keys=keys, dynamic=dynamic)
-        self._augment(emitter, node, info)
-        self.index.emitters.setdefault(schema, []).append(emitter)
-
-    def _augment(self, emitter: EmitterInfo, node: ast.Dict,
-                 info: FunctionInfo) -> None:
-        """Fold ``doc["k"] = ...`` augmentations on the literal's name."""
-        bound: Optional[str] = None
-        for candidate in self._own_nodes(info.node):
-            if (isinstance(candidate, ast.Assign)
-                    and candidate.value is node
-                    and len(candidate.targets) == 1
-                    and isinstance(candidate.targets[0], ast.Name)):
-                bound = candidate.targets[0].id
-            elif (isinstance(candidate, ast.AnnAssign)
-                    and candidate.value is node
-                    and isinstance(candidate.target, ast.Name)):
-                bound = candidate.target.id
-        if bound is None:
-            return
-        for candidate in self._own_nodes(info.node):
-            if isinstance(candidate, ast.Assign):
-                for target in candidate.targets:
-                    key = _const_subscript_key(target, bound)
-                    if key is not None:
-                        emitter.keys.add(key)
-            elif isinstance(candidate, ast.Call):
-                func = candidate.func
-                if (isinstance(func, ast.Attribute)
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id == bound
-                        and func.attr == "setdefault"
-                        and candidate.args
-                        and isinstance(candidate.args[0], ast.Constant)
-                        and isinstance(candidate.args[0].value, str)):
-                    emitter.keys.add(candidate.args[0].value)
-
-
-def _const_subscript_key(target: ast.expr, bound: str) -> Optional[str]:
-    if (isinstance(target, ast.Subscript)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == bound
-            and isinstance(target.slice, ast.Constant)
-            and isinstance(target.slice.value, str)):
-        return target.slice.value
-    return None
-
-
-# ---------------------------------------------------------------------------
-# validator extraction
-# ---------------------------------------------------------------------------
-
-
-def _extract_validator(index: ProjectIndex, mod: ModuleInfo,
-                       info: FunctionInfo) -> Optional[ValidatorInfo]:
-    """Recognize a structural validator and extract its key sets.
-
-    A validator is a function that compares a document's ``schema``
-    entry (``doc.get("schema")`` / ``doc["schema"]``, possibly through
-    a local name) against one or more schema version strings.  Key
-    references on the document variable are then classified:
-
-    * ``doc["k"]`` / ``"k" in doc`` / bare ``doc.get("k")`` at the
-      function's unconditional level -> **required**;
-    * ``doc.get("k", default)``, accesses inside ``if`` branches, and
-      gets whose result is ``is None``-guarded -> **optional**;
-    * keys only seen through same-module helper calls (or string
-      literals passed alongside the doc) -> **known**;
-    * field tables (``for name, ... in _FIELDS:`` + ``doc[name]``)
-      resolve to **required** keys.
-    """
-    finder = _SchemaCompareFinder(index, mod)
-    finder.visit_function(info.node)
-    if finder.doc_var is None or not finder.schemas:
-        return None
-    validator = ValidatorInfo(module=mod.name, path=mod.path,
-                              function=info.key, node=info.node,
-                              schemas=tuple(sorted(set(finder.schemas))))
-    collector = _DocKeyCollector(index, mod, info, finder.doc_var, validator)
-    collector.run()
-    return validator
-
-
-class _SchemaCompareFinder:
-    """Locate the schema comparison that marks a validator.
-
-    A validator may compare several variables against schema tags (the
-    fleet validator also checks its *embedded* matrix document), so the
-    matches are grouped per variable and the function's own parameter
-    wins — a validator validates what it was handed.
-    """
-
-    def __init__(self, index: ProjectIndex, mod: ModuleInfo) -> None:
-        self.index = index
-        self.mod = mod
-        self.doc_var: Optional[str] = None
-        self.schemas: List[str] = []
-        #: local name -> doc var it was read from (``s = doc.get("schema")``).
-        self._schema_locals: Dict[str, str] = {}
-        #: (first lineno, var) -> schema strings compared against it.
-        self._matches: List[Tuple[int, str, List[str]]] = []
-
-    def visit_function(self, node: ast.AST) -> None:
-        for child in ast.walk(node):
-            if isinstance(child, (ast.Assign, ast.AnnAssign)):
-                self._note_assignment(child)
-        for child in ast.walk(node):
-            if isinstance(child, ast.Compare):
-                self._check_compare(child)
-        self._choose(node)
-
-    def _choose(self, node: ast.AST) -> None:
-        if not self._matches:
-            return
-        self._matches.sort(key=lambda match: match[0])
-        params: List[str] = []
-        args = getattr(node, "args", None)
-        if args is not None:
-            params = [arg.arg for arg in
-                      (list(args.posonlyargs) + list(args.args)
-                       + list(args.kwonlyargs))]
-        chosen = self._matches[0][1]
-        for _, var, _ in self._matches:
-            if var in params:
-                chosen = var
-                break
-        self.doc_var = chosen
-        for _, var, values in self._matches:
-            if var == chosen:
-                self.schemas.extend(values)
-
-    def _note_assignment(self, stmt: ast.AST) -> None:
-        value = getattr(stmt, "value", None)
-        doc = _schema_access_receiver(value)
-        if doc is None:
-            return
-        targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                   else [stmt.target])  # type: ignore[attr-defined]
-        for target in targets:
-            if isinstance(target, ast.Name):
-                self._schema_locals[target.id] = doc
-
-    def _check_compare(self, node: ast.Compare) -> None:
-        operands = [node.left] + list(node.comparators)
-        doc: Optional[str] = None
-        values: List[str] = []
-        for operand in operands:
-            receiver = _schema_access_receiver(operand)
-            if receiver is not None:
-                doc = receiver
-                continue
-            if (isinstance(operand, ast.Name)
-                    and operand.id in self._schema_locals):
-                doc = self._schema_locals[operand.id]
-                continue
-            resolved = self.index.resolve_const(self.mod.name, operand)
-            if isinstance(resolved, str):
-                values.append(resolved)
-            elif isinstance(resolved, tuple):
-                values.extend(v for v in resolved if isinstance(v, str))
-        if doc is not None and values:
-            self._matches.append((getattr(node, "lineno", 0), doc, values))
-
-
-def _schema_access_receiver(node: Optional[ast.AST]) -> Optional[str]:
-    """``doc`` for ``doc.get("schema"[, d])`` / ``doc["schema"]``."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        if (isinstance(func, ast.Attribute) and func.attr == "get"
-                and isinstance(func.value, ast.Name) and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value == "schema"):
-            return func.value.id
-    if (isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and isinstance(node.slice, ast.Constant)
-            and node.slice.value == "schema"):
-        return node.value.id
-    return None
-
-
-class _DocKeyCollector:
-    """Classify every key reference on the validator's doc variable."""
-
-    def __init__(self, index: ProjectIndex, mod: ModuleInfo,
-                 info: FunctionInfo, doc_var: str,
-                 validator: ValidatorInfo) -> None:
-        self.index = index
-        self.mod = mod
-        self.info = info
-        self.doc_var = doc_var
-        self.validator = validator
-        #: local names bound from single-arg gets: name -> key.
-        self._get_locals: Dict[str, str] = {}
-        #: keys provisionally required via bare gets.
-        self._bare_gets: Dict[str, bool] = {}
-
-    def run(self) -> None:
-        body = getattr(self.info.node, "body", [])
-        for stmt in body:
-            self._walk(stmt, conditional=False)
-        self._demote_none_guarded()
-        for key, conditional in self._bare_gets.items():
-            target = (self.validator.optional if conditional
-                      else self.validator.required)
-            target.add(key)
-
-    def _walk(self, node: ast.AST, conditional: bool) -> None:
-        if isinstance(node, _FUNCTION_NODES):
-            return
-        if isinstance(node, ast.If):
-            self._scan_expr(node.test, conditional)
-            for stmt in node.body:
-                self._walk(stmt, True)
-            for stmt in node.orelse:
-                self._walk(stmt, True)
-            return
-        if isinstance(node, (ast.For, ast.While, ast.With, ast.Try)):
-            for field_name, value in ast.iter_fields(node):
-                children = value if isinstance(value, list) else [value]
-                for child in children:
-                    if isinstance(child, ast.AST):
-                        self._walk(child, conditional
-                                   or isinstance(node, ast.While))
-            return
-        self._scan_expr(node, conditional)
-
-    def _scan_expr(self, node: ast.AST, conditional: bool) -> None:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Call):
-                self._scan_call(child, conditional)
-            elif isinstance(child, ast.Subscript):
-                self._scan_subscript(child, conditional)
-            elif isinstance(child, ast.Compare):
-                self._scan_membership(child, conditional)
-        self._note_get_locals(node)
-
-    def _scan_call(self, node: ast.Call, conditional: bool) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value,
-                                                          ast.Name):
-            if func.value.id == self.doc_var:
-                if func.attr in ("items", "keys", "values"):
-                    self.validator.open_schema = True
-                elif func.attr == "get" and node.args:
-                    self._scan_get(node, conditional)
-                return
-        # Helper call carrying the doc: union the helper's keys as known.
-        doc_position: Optional[int] = None
-        for position, argument in enumerate(node.args):
-            if isinstance(argument, ast.Name) and argument.id == self.doc_var:
-                doc_position = position
-            elif (isinstance(argument, ast.Constant)
-                    and isinstance(argument.value, str)):
-                if any(isinstance(a, ast.Name) and a.id == self.doc_var
-                       for a in node.args):
-                    self.validator.known.add(argument.value)
-        if doc_position is not None:
-            self._merge_helper(node, doc_position)
-
-    def _scan_get(self, node: ast.Call, conditional: bool) -> None:
-        first = node.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            key = first.value
-            if len(node.args) >= 2 or node.keywords:
-                self.validator.optional.add(key)
-                # alias idiom: doc.get("a", doc.get("b")) -> b optional too
-                for extra in node.args[1:]:
-                    nested = self._nested_get_key(extra)
-                    if nested is not None:
-                        self.validator.optional.add(nested)
-            else:
-                previous = self._bare_gets.get(key, True)
-                self._bare_gets[key] = previous and conditional
-        elif isinstance(first, ast.Name):
-            # doc[name]-style table access via a loop variable.
-            self._scan_table_access(first.id)
-
-    def _nested_get_key(self, node: ast.expr) -> Optional[str]:
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == self.doc_var
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)):
-            return node.args[0].value
-        return None
-
-    def _scan_subscript(self, node: ast.Subscript, conditional: bool) -> None:
-        if not (isinstance(node.value, ast.Name)
-                and node.value.id == self.doc_var):
-            return
-        if (isinstance(node.slice, ast.Constant)
-                and isinstance(node.slice.value, str)):
-            target = (self.validator.optional if conditional
-                      else self.validator.required)
-            target.add(node.slice.value)
-        elif isinstance(node.slice, ast.Name):
-            self._scan_table_access(node.slice.id)
-
-    def _scan_membership(self, node: ast.Compare, conditional: bool) -> None:
-        if len(node.ops) != 1 or not isinstance(node.ops[0],
-                                                (ast.In, ast.NotIn)):
-            return
-        if not (isinstance(node.comparators[0], ast.Name)
-                and node.comparators[0].id == self.doc_var):
-            return
-        left = node.left
-        if isinstance(left, ast.Constant) and isinstance(left.value, str):
-            self.validator.required.add(left.value)
-        elif isinstance(left, ast.Name):
-            self._scan_table_access(left.id)
-
-    def _scan_table_access(self, loop_name: str) -> None:
-        """``for name, ... in _FIELDS: ... doc[name]`` -> required keys."""
-        for child in ast.walk(self.info.node):
-            if not isinstance(child, ast.For):
-                continue
-            first_target: Optional[str] = None
-            if isinstance(child.target, ast.Name):
-                first_target = child.target.id
-            elif (isinstance(child.target, ast.Tuple) and child.target.elts
-                    and isinstance(child.target.elts[0], ast.Name)):
-                first_target = child.target.elts[0].id
-            if first_target != loop_name:
-                continue
-            table_name = _terminal_name(child.iter)
-            if not table_name:
-                continue
-            fields = self.index.resolve_field_table(self.mod.name, table_name)
-            if fields:
-                self.validator.required.update(fields)
-
-    def _note_get_locals(self, node: ast.AST) -> None:
-        for child in ast.walk(node):
-            if not isinstance(child, (ast.Assign, ast.AnnAssign)):
-                continue
-            value = getattr(child, "value", None)
-            if not (isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Attribute)
-                    and value.func.attr == "get"
-                    and isinstance(value.func.value, ast.Name)
-                    and value.func.value.id == self.doc_var
-                    and value.args
-                    and isinstance(value.args[0], ast.Constant)
-                    and isinstance(value.args[0].value, str)
-                    and len(value.args) == 1 and not value.keywords):
-                continue
-            targets = (child.targets if isinstance(child, ast.Assign)
-                       else [child.target])
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    self._get_locals[target.id] = value.args[0].value
-
-    def _demote_none_guarded(self) -> None:
-        """A bare get whose result is None-tested is an optional key."""
-        for child in ast.walk(self.info.node):
-            if not isinstance(child, ast.Compare):
-                continue
-            if not any(isinstance(op, (ast.Is, ast.IsNot))
-                       for op in child.ops):
-                continue
-            operands = [child.left] + list(child.comparators)
-            has_none = any(isinstance(operand, ast.Constant)
-                           and operand.value is None
-                           for operand in operands)
-            if not has_none:
-                continue
-            keys: Set[str] = set()
-            for operand in operands:
-                if isinstance(operand, ast.Name):
-                    local_key = self._get_locals.get(operand.id)
-                    if local_key is not None:
-                        keys.add(local_key)
-                else:
-                    # Inline form: ``doc.get("k") is not None``.
-                    direct = self._bare_get_key(operand)
-                    if direct is not None:
-                        keys.add(direct)
-            for key in keys:
-                if key in self._bare_gets:
-                    self._bare_gets.pop(key)
-                    self.validator.optional.add(key)
-
-    def _bare_get_key(self, node: ast.AST) -> Optional[str]:
-        """The key of a one-arg ``doc.get("k")`` call, else ``None``."""
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == self.doc_var
-                and len(node.args) == 1 and not node.keywords
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)):
-            return node.args[0].value
-        return None
-
-    def _merge_helper(self, call: ast.Call, doc_position: int) -> None:
-        helper = self._resolve_helper(call.func)
-        if helper is None:
-            return
-        args = getattr(helper.node, "args", None)
-        if args is None:
-            return
-        params = [arg.arg for arg in
-                  (list(args.posonlyargs) + list(args.args))]
-        offset = 1 if params and params[0] in ("self", "cls") else 0
-        position = doc_position + offset
-        if position >= len(params):
-            return
-        param = params[position]
-        for key in _literal_key_refs(helper.node, param):
-            self.validator.known.add(key)
-
-    def _resolve_helper(self, func: ast.expr) -> Optional[FunctionInfo]:
-        if isinstance(func, ast.Name):
-            key = f"{self.mod.name}:{func.id}"
-            found = self.index.functions.get(key)
-            if found is not None:
-                return found
-            target = self.mod.imports.get(func.id)
-            if target is not None and target[1] is not None:
-                return self.index.functions.get(f"{target[0]}:{target[1]}")
-            return None
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in ("self", "cls")
-                and self.info.class_name is not None):
-            return_key = self.index._resolve_self_call(  # noqa: SLF001
-                self.mod, self.info.class_name, func.attr)
-            if return_key is not None:
-                return self.index.functions.get(return_key)
-        return None
-
-
-def _literal_key_refs(node: ast.AST, var: str) -> Set[str]:
-    """Every literal key referenced on *var* inside *node* (any depth)."""
-    keys: Set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            if (isinstance(func, ast.Attribute) and func.attr == "get"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == var and child.args
-                    and isinstance(child.args[0], ast.Constant)
-                    and isinstance(child.args[0].value, str)):
-                keys.add(child.args[0].value)
-                for extra in child.args[1:]:
-                    if (isinstance(extra, ast.Call)
-                            and isinstance(extra.func, ast.Attribute)
-                            and extra.func.attr == "get"
-                            and isinstance(extra.func.value, ast.Name)
-                            and extra.func.value.id == var
-                            and extra.args
-                            and isinstance(extra.args[0], ast.Constant)
-                            and isinstance(extra.args[0].value, str)):
-                        keys.add(extra.args[0].value)
-        elif isinstance(child, ast.Subscript):
-            if (isinstance(child.value, ast.Name) and child.value.id == var
-                    and isinstance(child.slice, ast.Constant)
-                    and isinstance(child.slice.value, str)):
-                keys.add(child.slice.value)
-        elif isinstance(child, ast.Compare):
-            if (len(child.ops) == 1
-                    and isinstance(child.ops[0], (ast.In, ast.NotIn))
-                    and isinstance(child.comparators[0], ast.Name)
-                    and child.comparators[0].id == var
-                    and isinstance(child.left, ast.Constant)
-                    and isinstance(child.left.value, str)):
-                keys.add(child.left.value)
-    return keys

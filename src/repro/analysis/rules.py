@@ -634,9 +634,8 @@ class ProjectRule:
     """One named check over the whole-program :class:`ProjectIndex`.
 
     Unlike :class:`Rule`, a project rule sees every module at once —
-    call graphs, registration sites, emitter/validator pairs.  The
-    C/P/S families live in :mod:`repro.analysis.crules` /
-    :mod:`~repro.analysis.prules` / :mod:`~repro.analysis.srules`.
+    call graphs and registration sites.  The C/P families live in
+    :mod:`repro.analysis.crules` / :mod:`~repro.analysis.prules`.
     """
 
     rule_id: str = ""

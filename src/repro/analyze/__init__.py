@@ -36,8 +36,8 @@ from repro.analyze.catchment import (CATCHMENT_SCHEMA, build_catchment,
 from repro.analyze.reader import (SpanForest, SpanNode, build_span_forest,
                                   iter_trace_events)
 from repro.analyze.render import render_report
-from repro.analyze.report import REPORT_SCHEMA, build_report
-from repro.analyze.schema import validate_report_dict
+from repro.analyze.report import (REPORT_SCHEMA, build_report,
+                                  validate_report_dict)
 
 __all__ = ["CATCHMENT_SCHEMA", "REPORT_SCHEMA", "SpanForest", "SpanNode",
            "build_catchment", "build_report", "build_span_forest",

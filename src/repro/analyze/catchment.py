@@ -46,6 +46,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
 
 from repro.analyze.reader import Event, as_float, as_str, iter_trace_events
 from repro.obs.tracer import RUN_START
+from repro.schema import validate
 
 #: Schema tag stamped into every catchment document.
 CATCHMENT_SCHEMA = "repro.catchment/v1"
@@ -287,94 +288,12 @@ def catchment_from_trace(events: Union[str, "os.PathLike[str]",
 
 # -- validation ---------------------------------------------------------------
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_summary(doc: Mapping[str, object], key: str, keys: Sequence[str],
-                   errors: List[str]) -> None:
-    value = doc.get(key)
-    if not isinstance(value, Mapping):
-        errors.append(f"{key}: missing or non-object")
-        return
-    for name in keys:
-        if not _is_number(value.get(name)):
-            errors.append(f"{key}: missing or non-numeric {name!r}")
-
-
-def _check_epoch_entry(entry: object, where: str, errors: List[str]) -> None:
-    if not isinstance(entry, Mapping):
-        errors.append(f"{where}: not an object")
-        return
-    if not _is_number(entry.get("epoch")):
-        errors.append(f"{where}: missing or non-numeric 'epoch'")
-    for key in ("t_start", "t_end", "convergence_time"):
-        value = entry.get(key)
-        if value is not None and not _is_number(value):
-            errors.append(f"{where}: {key!r} is neither a number nor null")
-    for key in ("probes", "delivered"):
-        if not _is_number(entry.get(key)):
-            errors.append(f"{where}: missing or non-numeric {key!r}")
-    boundaries = entry.get("boundaries")
-    if not isinstance(boundaries, Sequence) or isinstance(boundaries, str):
-        errors.append(f"{where}: 'boundaries' is not a list")
-    catchment = entry.get("catchment")
-    if not isinstance(catchment, Mapping):
-        errors.append(f"{where}: missing or non-object 'catchment'")
-    else:
-        for vantage, row in catchment.items():
-            if not isinstance(row, Mapping):
-                errors.append(f"{where}.catchment.{vantage}: not an object")
-    shifts = entry.get("shifts")
-    if not isinstance(shifts, Sequence) or isinstance(shifts, str):
-        errors.append(f"{where}: 'shifts' is not a list")
-
-
-def validate_catchment_dict(doc: Mapping[str, object]) -> List[str]:
+def validate_catchment_dict(doc: object) -> List[str]:
     """Validate a parsed catchment document; returns problems."""
-    errors: List[str] = []
-    schema = doc.get("schema")
-    if schema != CATCHMENT_SCHEMA:
-        errors.append(f"schema: expected {CATCHMENT_SCHEMA!r}, got {schema!r}")
-    run = doc.get("run")
-    if not isinstance(run, Mapping) or not isinstance(run.get("context"),
-                                                      Mapping):
-        errors.append("run: missing or non-object 'context'")
-    probes = doc.get("probes")
-    if not isinstance(probes, Mapping):
-        errors.append("probes: missing or non-object")
-    else:
-        for key in ("count", "delivered", "lost"):
-            if not _is_number(probes.get(key)):
-                errors.append(f"probes: missing or non-numeric {key!r}")
-        for key in ("vantages", "targets"):
-            value = probes.get(key)
-            if not isinstance(value, Sequence) or isinstance(value, str):
-                errors.append(f"probes: {key!r} is not a list")
-    epochs = doc.get("epochs")
-    if not isinstance(epochs, Sequence) or isinstance(epochs, str) \
-            or not epochs:
+    errors = validate(CATCHMENT_SCHEMA, doc)
+    if isinstance(doc, dict) and doc.get("epochs") == []:
+        # Epoch 0, the pre-fault baseline, exists even with no samples.
         errors.append("epochs: expected non-empty list")
-    else:
-        for n, entry in enumerate(epochs):
-            _check_epoch_entry(entry, f"epochs[{n}]", errors)
-    shifts = doc.get("shifts")
-    if not isinstance(shifts, Mapping) or not _is_number(shifts.get("count")):
-        errors.append("shifts: missing or non-numeric 'count'")
-    flaps = doc.get("flaps")
-    if not isinstance(flaps, Mapping):
-        errors.append("flaps: missing or non-object")
-    else:
-        if not _is_number(flaps.get("count")):
-            errors.append("flaps: missing or non-numeric 'count'")
-        events = flaps.get("events")
-        if not isinstance(events, Sequence) or isinstance(events, str):
-            errors.append("flaps: 'events' is not a list")
-    _check_summary(doc, "rtt", ("count", "min", "max", "mean", "stddev"),
-                   errors)
-    _check_summary(doc, "rtt_inflation",
-                   ("count", "min", "max", "mean", "p50", "p90", "p99"),
-                   errors)
     return errors
 
 

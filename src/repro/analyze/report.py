@@ -56,6 +56,7 @@ from repro.analyze.reader import (Event, SpanForest, SpanNode, as_float,
                                   iter_trace_events)
 from repro.obs.spans import SPAN_END, SPAN_START
 from repro.obs.tracer import RUN_END, RUN_START
+from repro.schema import validate
 
 #: Schema tag stamped into every report document.
 REPORT_SCHEMA = "repro.report/v1"
@@ -407,5 +408,13 @@ def build_report(events: Union[str, "os.PathLike[str]", Iterable[Event]],
     return doc
 
 
+def validate_report_dict(doc: object) -> List[str]:
+    """Validate a parsed report document; returns problems (empty == OK).
+
+    The CLI's ``report --check`` and the CI report-smoke job gate on it.
+    """
+    return validate(REPORT_SCHEMA, doc)
+
+
 __all__ = ["BLACKHOLE_OUTCOMES", "LOOP_OUTCOMES", "REPORT_SCHEMA",
-           "build_report"]
+           "build_report", "validate_report_dict"]

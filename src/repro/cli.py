@@ -27,8 +27,8 @@ Runs the library's headline experiments from the shell:
   (:mod:`repro.analysis`) over the source tree: per-file seeded-RNG,
   wall-clock, iteration-order, obs-guard, and public-API rules
   (D1–D5), plus — with ``--project`` — the whole-program
-  cache-coherence, fleet-safety, and schema-drift families
-  (C1/C2, P1–P3, S1/S2) with baseline and SARIF support;
+  cache-coherence and fleet-safety families (C1/C2, P1–P3) with
+  baseline and SARIF support;
 * ``fleet`` — fan a declarative ``repro.matrix/v1`` workload matrix
   (:mod:`repro.fleet`) across worker processes and merge the per-cell
   artifacts into one deterministic ``repro.fleet/v1`` report: the same
@@ -522,9 +522,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Run the determinism & invariant linter (the CI correctness gate).
 
     ``--project`` adds the whole-program pass: a project index (import
-    graph, call graph, workload roots, emitter/validator pairs) feeds
-    the C (cache coherence), P (fleet safety), and S (schema drift)
-    rule families on top of D1–D5.  ``--baseline`` absorbs committed
+    graph, call graph, workload roots) feeds the C (cache coherence)
+    and P (fleet safety) rule families on top of D1–D5.  ``--baseline`` absorbs committed
     findings so only new ones gate; ``--update-baseline`` rewrites the
     file from the current run.
 
@@ -753,13 +752,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="run the determinism & invariant linter "
-                     "(D1-D5; --project adds C/P/S)")
+                     "(D1-D5; --project adds C/P)")
     p_lint.add_argument("paths", nargs="*", metavar="PATH",
                         help="files or directories to lint (default: src)")
     p_lint.add_argument("--project", action="store_true",
                         help="build the whole-program index and run the "
-                             "C (cache coherence), P (fleet safety), and "
-                             "S (schema drift) rule families too")
+                             "C (cache coherence) and P (fleet safety) "
+                             "rule families too")
     p_lint.add_argument("--json", action="store_true",
                         help="emit the repro.analysis/v2 JSON report")
     p_lint.add_argument("--sarif", metavar="FILE",

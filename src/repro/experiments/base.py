@@ -14,9 +14,9 @@ enumerable and validatable through one surface::
         result = run(spec.workload_id)
 
 The same surface drives the shell (``python -m repro experiment F1``),
-the benchmark suite (`benchmarks/`), and the multiprocess sweep engine
-(:mod:`repro.fleet`), which fans a parameter matrix over these specs
-across worker processes.
+the shape tests (``tests/experiments``), and the multiprocess sweep
+engine (:mod:`repro.fleet`), which fans a parameter matrix over these
+specs across worker processes.
 
 Runners have exactly one signature shape: keyword-accessible ``seed``
 and ``params`` (each may carry a runner-chosen default).  The zero-arg
@@ -44,6 +44,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
 from repro.net.errors import ReproError, WorkloadError
 from repro.obs import Observability, observing
 from repro.obs.serialize import json_safe
+from repro.schema import validate
 
 #: Schema tag stamped into :meth:`ExperimentResult.to_dict` documents.
 EXPERIMENT_SCHEMA = "repro.experiment/v1"
@@ -132,54 +133,14 @@ class ExperimentResult:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-#: ``(field, required type or types, nullable)`` rows of the
-#: ``repro.experiment/v1`` document, checked by
-#: :func:`validate_experiment_dict`.
-_EXPERIMENT_FIELDS: Tuple[Tuple[str, Tuple[type, ...], bool], ...] = (
-    ("experiment_id", (str,), False),
-    ("title", (str,), False),
-    ("header", (str,), False),
-    ("rows", (list,), False),
-    ("footer", (str,), False),
-    ("seed", (int,), True),
-    ("params", (dict,), False),
-    ("metrics", (dict,), False),
-    ("trace_path", (str,), True),
-)
-
-
 def validate_experiment_dict(doc: object) -> List[str]:
     """Validate a ``repro.experiment/v1`` document; returns error strings.
 
-    The fleet merge step runs every per-cell artifact through this
-    before folding it into the cross-scenario report.
+    The fleet merge step runs every per-cell artifact through the same
+    table (:data:`repro.schema.SCHEMAS`) before folding it into the
+    cross-scenario report.
     """
-    if not isinstance(doc, dict):
-        return [f"document: expected object, got {type(doc).__name__}"]
-    errors: List[str] = []
-    schema = doc.get("schema")
-    if schema != EXPERIMENT_SCHEMA:
-        errors.append(f"schema: expected {EXPERIMENT_SCHEMA!r}, "
-                      f"got {schema!r}")
-    for name, types, nullable in _EXPERIMENT_FIELDS:
-        if name not in doc:
-            errors.append(f"{name}: missing")
-            continue
-        value = doc[name]
-        if value is None:
-            if not nullable:
-                errors.append(f"{name}: may not be null")
-            continue
-        if not isinstance(value, types) or (bool not in types
-                                            and isinstance(value, bool)):
-            errors.append(f"{name}: expected {types[0].__name__}, "
-                          f"got {type(value).__name__}")
-    rows = doc.get("rows")
-    if isinstance(rows, list) and not all(isinstance(r, str) for r in rows):
-        errors.append("rows: expected array of strings")
-    if "data" not in doc:
-        errors.append("data: missing")
-    return errors
+    return validate(EXPERIMENT_SCHEMA, doc)
 
 
 _Runner = Callable[..., ExperimentResult]

@@ -33,12 +33,12 @@ import multiprocessing
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.experiments.base import (format_error, run,
-                                    validate_experiment_dict)
-from repro.fleet.spec import MATRIX_SCHEMA, FleetCell, FleetMatrix
+from repro.experiments.base import format_error, run
+from repro.fleet.spec import FleetCell, FleetMatrix
 from repro.net.errors import FleetError
 from repro.obs import Observability
 from repro.obs.tracer import WALL_PREFIX, Tracer
+from repro.schema import CELL, validate
 
 #: Schema tag of the merged cross-scenario report.
 FLEET_SCHEMA = "repro.fleet/v1"
@@ -148,15 +148,20 @@ def _cache_path(cache_dir: str, spec_hash: str, cell: FleetCell) -> Path:
 
 def _load_cached(cache_dir: str, spec_hash: str,
                  cell: FleetCell) -> Optional[Dict[str, object]]:
-    """The cached record for *cell*, or ``None`` (missing/corrupt)."""
+    """The cached record for *cell*, or ``None``.
+
+    A file that is missing, unreadable, not a well-formed record of
+    this very cell, or that says neither how the cell succeeded nor how
+    it failed is a miss: the cell runs again and the file is rewritten.
+    """
     path = _cache_path(cache_dir, spec_hash, cell)
     try:
         with path.open(encoding="utf-8") as handle:
             record = json.load(handle)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # bad JSON and bad UTF-8 are ValueErrors
         return None
-    if (not isinstance(record, dict) or record.get("name") != cell.name
-            or record.get("seed") != cell.seed):
+    if (validate(CELL, record) or _cell_problems(record)
+            or record["name"] != cell.name or record["seed"] != cell.seed):
         return None
     return record
 
@@ -269,76 +274,45 @@ def _merge(matrix: FleetMatrix, spec_hash: str,
 
 # -- validation and serialization -----------------------------------------------
 
-_CELL_FIELDS: Tuple[Tuple[str, Tuple[type, ...], bool], ...] = (
-    ("index", (int,), False),
-    ("name", (str,), False),
-    ("workload_id", (str,), False),
-    ("seed", (int,), False),
-    ("params", (dict,), False),
-    ("repeat", (int,), False),
-    ("ok", (bool,), False),
-    ("error", (str,), True),
-)
+def _cell_problems(record: Dict[str, object]) -> List[str]:
+    """What the table cannot say about one cell record: a successful
+    cell carries its artifact, a failed one its error string."""
+    if record.get("ok"):
+        if record.get("artifact") is None:
+            return ["ok cell has no artifact"]
+    elif not isinstance(record.get("error"), str):
+        return ["failed cell has no error string"]
+    return []
 
 
 def validate_fleet_dict(doc: object) -> List[str]:
     """Validate a ``repro.fleet/v1`` document; returns error strings.
 
-    Checks the envelope (schema tag, embedded matrix, totals
-    consistency) and every cell record, including running each
-    successful cell's artifact through
-    :func:`~repro.experiments.base.validate_experiment_dict`.
+    The shape — envelope, embedded matrix, every cell record and each
+    successful cell's ``repro.experiment/v1`` artifact — is checked
+    against :data:`repro.schema.SCHEMAS`; on top of that, cells must be
+    in ``index`` order, carry an artifact or an error string as their
+    ``ok`` says, and add up to ``totals``.
     """
+    errors = validate(FLEET_SCHEMA, doc)
     if not isinstance(doc, dict):
-        return [f"document: expected object, got {type(doc).__name__}"]
-    errors: List[str] = []
-    if doc.get("schema") != FLEET_SCHEMA:
-        errors.append(f"schema: expected {FLEET_SCHEMA!r}, "
-                      f"got {doc.get('schema')!r}")
-    matrix = doc.get("matrix")
-    if not isinstance(matrix, dict) or matrix.get("schema") != MATRIX_SCHEMA:
-        errors.append(f"matrix: expected embedded {MATRIX_SCHEMA!r} object")
-    if not isinstance(doc.get("spec_hash"), str):
-        errors.append("spec_hash: expected string")
+        return errors
     cells = doc.get("cells")
     if not isinstance(cells, list):
-        errors.append("cells: expected array")
         cells = []
     ok = 0
     for position, record in enumerate(cells):
-        label = f"cells[{position}]"
         if not isinstance(record, dict):
-            errors.append(f"{label}: expected object")
             continue
-        for name, types, nullable in _CELL_FIELDS:
-            value = record.get(name)
-            if value is None:
-                if not nullable:
-                    errors.append(f"{label}.{name}: missing or null")
-                continue
-            if not isinstance(value, types) or (bool not in types
-                                                and isinstance(value, bool)):
-                errors.append(f"{label}.{name}: expected "
-                              f"{types[0].__name__}, "
-                              f"got {type(value).__name__}")
+        label = f"cells[{position}]"
         if record.get("index") != position:
             errors.append(f"{label}.index: {record.get('index')!r} is out "
                           f"of order (expected {position})")
-        if record.get("ok"):
-            ok += 1
-            artifact = record.get("artifact")
-            if artifact is None:
-                errors.append(f"{label}: ok cell has no artifact")
-            else:
-                errors.extend(f"{label}.artifact: {problem}"
-                              for problem in
-                              validate_experiment_dict(artifact))
-        elif not isinstance(record.get("error"), str):
-            errors.append(f"{label}: failed cell has no error string")
+        errors.extend(f"{label}: {problem}"
+                      for problem in _cell_problems(record))
+        ok += bool(record.get("ok"))
     totals = doc.get("totals")
-    if not isinstance(totals, dict):
-        errors.append("totals: expected object")
-    else:
+    if isinstance(totals, dict):
         expected = {"cells": len(cells), "ok": ok, "failed": len(cells) - ok}
         for name, value in expected.items():
             if totals.get(name) != value:

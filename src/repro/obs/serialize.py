@@ -3,7 +3,7 @@
 Every ``to_dict()`` in the library (``ExperimentResult``,
 ``ReachabilityReport``, ``FaultEpochReport``, ``MulticastTrace``, trace
 events, ...) routes its values through :func:`json_safe` so that the
-CLI, the benchmarks, and the JSONL tracer all serialize the same way:
+CLI, the fleet, and the JSONL tracer all serialize the same way:
 
 * mappings keep their keys (coerced to ``str``), values recurse;
 * lists/tuples become lists; sets become *sorted* lists (stable output);

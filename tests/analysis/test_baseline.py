@@ -8,91 +8,76 @@ import pytest
 from repro.analysis import (AnalysisError, Baseline, finding_key,
                             lint_project_sources)
 
-BAD_EMITTER = {
-    "src/repro/report/emit.py": textwrap.dedent("""
-        SCHEMA = "repro.test/v1"
+NETWORK = "src/repro/net/core.py"
 
-        def emit(payload):
-            return {"schema": SCHEMA}
-    """),
-    "src/repro/report/check.py": textwrap.dedent("""
-        SCHEMA = "repro.test/v1"
 
-        def validate(doc):
-            errors = []
-            if doc.get("schema") != SCHEMA:
-                errors.append("schema")
-            if "alpha" not in doc:
-                errors.append("alpha")
-            return errors
-    """),
-}
+def network_source(*methods):
+    return "class Network:\n" + "".join(
+        textwrap.indent(textwrap.dedent(method), "    ")
+        for method in methods)
+
+
+DROP_LINK = """
+    def drop_link(self, key):
+        del self.links[key]
+"""
+
+#: One C1 finding: a link-table write no caller chain bumps.
+UNBUMPED = {NETWORK: network_source(DROP_LINK)}
 
 
 def lint(files, baseline=None):
-    return lint_project_sources(files, rule_ids=["S1", "S2"],
+    return lint_project_sources(files, rule_ids=["C1", "C2"],
                                 baseline=baseline)
 
 
 class TestBaselineRoundTrip:
     def test_known_findings_absorbed(self):
-        first = lint(BAD_EMITTER)
+        first = lint(UNBUMPED)
         assert not first.ok
         baseline = Baseline.from_findings(first.findings)
-        second = lint(BAD_EMITTER, baseline=baseline)
+        second = lint(UNBUMPED, baseline=baseline)
         assert second.ok
         assert len(second.baselined) == 1
         assert second.actionable == []
         assert second.stale_baseline == []
 
     def test_new_finding_stays_actionable(self):
-        baseline = Baseline.from_findings(lint(BAD_EMITTER).findings)
-        files = dict(BAD_EMITTER)
-        files["src/repro/report/emit.py"] = textwrap.dedent("""
-            SCHEMA = "repro.test/v1"
-
-            def emit(payload):
-                return {"schema": SCHEMA, "extra": 1}
-        """)
+        baseline = Baseline.from_findings(lint(UNBUMPED).findings)
+        files = {NETWORK: network_source(DROP_LINK, """
+            def reroute(self, fib, prefix):
+                fib.withdraw(prefix)
+        """)}
         report = lint(files, baseline=baseline)
         assert not report.ok
-        assert [f.rule_id for f in report.actionable] == ["S2"]
+        assert [f.rule_id for f in report.actionable] == ["C2"]
 
     def test_fixed_finding_reported_stale(self):
-        baseline = Baseline.from_findings(lint(BAD_EMITTER).findings)
-        files = dict(BAD_EMITTER)
-        files["src/repro/report/emit.py"] = textwrap.dedent("""
-            SCHEMA = "repro.test/v1"
-
-            def emit(payload):
-                return {"schema": SCHEMA, "alpha": payload}
-        """)
+        baseline = Baseline.from_findings(lint(UNBUMPED).findings)
+        files = {NETWORK: network_source("""
+            def drop_link(self, key):
+                del self.links[key]
+                self._bump_topology_version()
+        """)}
         report = lint(files, baseline=baseline)
         assert report.ok
         assert len(report.stale_baseline) == 1
-        assert "S1" in report.stale_baseline[0]
+        assert "C1" in report.stale_baseline[0]
 
     def test_key_is_line_drift_proof(self):
-        baseline = Baseline.from_findings(lint(BAD_EMITTER).findings)
-        files = dict(BAD_EMITTER)
-        files["src/repro/report/emit.py"] = (
-            "# a new leading comment\n# another\n"
-            + BAD_EMITTER["src/repro/report/emit.py"])
+        baseline = Baseline.from_findings(lint(UNBUMPED).findings)
+        files = {NETWORK: "# a new leading comment\n# another\n"
+                 + UNBUMPED[NETWORK]}
         report = lint(files, baseline=baseline)
         assert report.ok
         assert len(report.baselined) == 1
 
     def test_count_budget_marks_only_that_many(self):
-        files = dict(BAD_EMITTER)
-        files["src/repro/report/emit.py"] = textwrap.dedent("""
-            SCHEMA = "repro.test/v1"
-
-            def emit(payload):
-                return {"schema": SCHEMA}
-
-            def emit_copy(payload):
-                return {"schema": SCHEMA}
-        """)
+        files = {NETWORK: network_source("""
+            def drop_link(self, key, twin):
+                del self.links[key]
+                del self.links[twin]
+        """)}
         two = lint(files)
         assert len(two.findings) == 2
         key = finding_key(two.findings[0])
@@ -102,13 +87,10 @@ class TestBaselineRoundTrip:
         assert len(report.actionable) == 1
 
     def test_suppressed_findings_not_written(self):
-        files = dict(BAD_EMITTER)
-        files["src/repro/report/emit.py"] = textwrap.dedent("""
-            SCHEMA = "repro.test/v1"
-
-            def emit(payload):  # repro: allow[S1]
-                return {"schema": SCHEMA}
-        """)
+        files = {NETWORK: network_source("""
+            def drop_link(self, key):  # repro: allow[C1]
+                del self.links[key]
+        """)}
         report = lint(files)
         assert report.ok
         baseline = Baseline.from_findings(report.findings)
@@ -117,7 +99,7 @@ class TestBaselineRoundTrip:
 
 class TestBaselineFile:
     def test_save_and_load(self, tmp_path):
-        baseline = Baseline.from_findings(lint(BAD_EMITTER).findings)
+        baseline = Baseline.from_findings(lint(UNBUMPED).findings)
         path = tmp_path / "baseline.json"
         baseline.save(str(path))
         loaded = Baseline.from_file(str(path))

@@ -192,7 +192,7 @@ class TestReporters:
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"D1", "C1", "P1", "S1"} <= rule_ids
+        assert {"D1", "C1", "P1"} <= rule_ids
         results = run["results"]
         assert len(results) == 2
         plain = [r for r in results if "suppressions" not in r]

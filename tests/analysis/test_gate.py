@@ -13,7 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import Baseline, lint_paths, lint_project
+from repro.analysis import (Baseline, lint_paths, lint_project,
+                            render_rule_list)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -63,7 +64,7 @@ class TestSourceTreeIsClean:
 
 
 class TestProjectGate:
-    """The whole-program (C/P/S) analysis over src must also be clean."""
+    """The whole-program (C/P) analysis over src must also be clean."""
 
     def test_lint_project_programmatic(self):
         baseline = Baseline.from_file(str(BASELINE))
@@ -96,3 +97,8 @@ class TestProjectGate:
             capture_output=True, text=True, env=env, cwd=str(REPO_ROOT))
         assert proc.returncode == 2
         assert "--project" in proc.stderr
+
+    def test_list_rules_names_the_d_c_and_p_families_only(self):
+        families = {line.split()[0][0]
+                    for line in render_rule_list().splitlines()}
+        assert families == {"D", "C", "P"}

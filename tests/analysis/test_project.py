@@ -1,4 +1,4 @@
-"""Pass-1 tests: the ProjectIndex (imports, call graph, roots, pairs)."""
+"""Pass-1 tests: the ProjectIndex (imports, call graph, roots)."""
 
 import textwrap
 
@@ -161,80 +161,3 @@ class TestWorkloadRoots:
                 return {}
         """})
         assert index.workload_roots == set()
-
-
-class TestEmittersAndValidators:
-    FILES = {
-        "src/repro/report/emit.py": """
-            SCHEMA = "repro.test/v1"
-
-            def emit(payload):
-                return {"schema": SCHEMA, "alpha": payload}
-        """,
-        "src/repro/report/check.py": """
-            SCHEMA = "repro.test/v1"
-
-            def validate(doc):
-                errors = []
-                if doc.get("schema") != SCHEMA:
-                    errors.append("schema")
-                if "alpha" not in doc:
-                    errors.append("alpha")
-                if doc.get("gamma") is not None:
-                    errors.append("gamma")
-                return errors
-        """,
-    }
-
-    def test_emitter_keys_and_schema(self):
-        index = index_of(self.FILES)
-        emitters = index.emitters["repro.test/v1"]
-        assert len(emitters) == 1
-        assert emitters[0].keys == {"schema", "alpha"}
-        assert not emitters[0].dynamic
-
-    def test_validator_required_and_optional(self):
-        index = index_of(self.FILES)
-        validators = index.validators["repro.test/v1"]
-        assert len(validators) == 1
-        assert validators[0].required == {"schema", "alpha"}
-        assert "gamma" in validators[0].all_known()
-        assert "gamma" not in validators[0].required
-
-    def test_embedded_subdocument_check_does_not_hijack_schema(self):
-        """A validator checking a nested doc's schema validates its
-        own parameter's schema, not the nested one (fleet/matrix)."""
-        index = index_of({"src/repro/report/check.py": """
-            SCHEMA = "repro.outer/v1"
-            INNER_SCHEMA = "repro.inner/v1"
-
-            def validate(doc):
-                if doc.get("schema") != SCHEMA:
-                    return ["schema"]
-                inner = doc.get("inner")
-                if inner.get("schema") != INNER_SCHEMA:
-                    return ["inner schema"]
-                if "alpha" not in doc:
-                    return ["alpha"]
-                return []
-        """})
-        outer = index.validators["repro.outer/v1"]
-        assert len(outer) == 1
-        assert {"schema", "inner", "alpha"} <= outer[0].required
-        assert "repro.inner/v1" not in index.validators
-
-
-class TestResolveConst:
-    def test_follows_imports(self):
-        index = index_of({
-            "src/repro/report/tags.py": """
-                SCHEMA = "repro.test/v1"
-            """,
-            "src/repro/report/emit.py": """
-                from repro.report.tags import SCHEMA
-
-                def emit(x):
-                    return {"schema": SCHEMA, "x": x}
-            """,
-        })
-        assert "repro.test/v1" in index.emitters

@@ -1,4 +1,4 @@
-"""Suppression scoping across the C/P/S families, plus W1 staleness."""
+"""Suppression scoping across the C/P families, plus W1 staleness."""
 
 import textwrap
 
@@ -57,25 +57,14 @@ class TestProjectRuleSuppression:
         assert [f.rule_id for f in report.actionable] == ["P3"]
         assert [f.rule_id for f in report.suppressed] == ["P1"]
 
-    def test_def_line_allow_s1(self):
-        report = project({
-            "src/repro/report/emit.py": """
-                SCHEMA = "repro.test/v1"
-
-                def emit(payload):  # repro: allow[S1]
-                    return {"schema": SCHEMA}
-            """,
-            "src/repro/report/check.py": """
-                SCHEMA = "repro.test/v1"
-
-                def validate(doc):
-                    if "alpha" not in doc:
-                        return ["alpha"]
-                    return [] if doc.get("schema") == SCHEMA else ["schema"]
-            """,
-        }, rules=["S1"])
+    def test_def_line_allow_c2(self):
+        report = project({"src/repro/net/core.py": """
+            def reroute(fib, old, new):  # repro: allow[C2]
+                fib.withdraw(old)
+                fib.install(new)
+        """}, rules=["C2"])
         assert report.ok
-        assert len(report.suppressed) == 1
+        assert len(report.suppressed) == 2
 
     def test_suppressed_never_enters_baseline(self):
         files = {"src/repro/net/core.py": """

@@ -1,5 +1,5 @@
-"""Tests for the experiment registry (fast paths only; heavy experiments
-are exercised by the benchmark suite)."""
+"""Tests for the experiment registry (fast paths only; every experiment's
+claimed shape is asserted in ``tests/experiments``)."""
 
 import pytest
 

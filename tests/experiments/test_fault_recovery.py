@@ -3,20 +3,18 @@
 Kills the IPvN anycast member nearest to a probe host on a mid-size
 internetwork, lets the routing system reconverge, and measures what the
 paper claims needs no dedicated machinery: delivery shifts to the
-next-nearest *live* member, then shifts back on recovery.  Emits one
-JSON document with reconvergence times, transient-loss counters, and
-the member serving the probe at each stage.
-
-Runnable standalone: ``PYTHONPATH=src python benchmarks/bench_fault_recovery.py``.
+next-nearest *live* member, then shifts back on recovery.
+:func:`run_fault_recovery` is the scenario (one JSON-safe document with
+reconvergence times, transient-loss counters, and the member serving
+the probe at each stage); :func:`check_failover` is the claim.
 """
 
 import json
 
 from repro.core.evolution import EvolvableInternet
 from repro.core.metrics import ReachabilityReport
+from repro.experiments.common import experiment_spec
 from repro.faults import FaultInjector, FaultPlan
-
-from _common import bench_spec, emit_table
 
 CRASH_AT = 10.0
 RECOVER_AT = 120.0
@@ -24,7 +22,7 @@ SAMPLE = 20
 
 
 def run_fault_recovery(seed: int = 0):
-    spec = bench_spec(seed=seed)
+    spec = experiment_spec(seed=seed)
     internet = EvolvableInternet.generate(spec, seed=seed)
     # Global routes: each adopting domain originates the anycast prefix,
     # so the prefix stays BGP-reachable when any single member dies —
@@ -129,27 +127,7 @@ def check_failover(result):
     assert result["recovery"]["recovered_delivery_ratio"] == 1.0
 
 
-def test_fault_recovery(benchmark, request):
-    result = benchmark.pedantic(run_fault_recovery, rounds=1, iterations=1)
+def test_fault_recovery():
+    result = run_fault_recovery()
     check_failover(result)
-    emit_table(
-        request, "Anycast failover under member crash (Section 3.2)",
-        f"{'stage':<22} {'member':<10} {'reconv':>7} {'losses':>7} {'delivery':>9}",
-        [
-            f"{'baseline':<22} {result['victim']:<10} {'-':>7} {'-':>7} {'-':>9}",
-            f"{'crash ' + result['victim']:<22} {result['failover_member']:<10} "
-            f"{result['crash']['reconvergence_time']:>7.1f} "
-            f"{result['crash']['transient_losses']:>7d} "
-            f"{result['crash']['recovered_delivery_ratio']:>9.1%}",
-            f"{'recover ' + result['victim']:<22} {result['member_after_recovery']:<10} "
-            f"{result['recovery']['reconvergence_time']:>7.1f} "
-            f"{result['recovery']['transient_losses']:>7d} "
-            f"{result['recovery']['recovered_delivery_ratio']:>9.1%}",
-        ],
-        footer=f"JSON: {json.dumps(result, sort_keys=True)}")
-
-
-if __name__ == "__main__":
-    outcome = run_fault_recovery()
-    check_failover(outcome)
-    print(json.dumps(outcome, indent=2, sort_keys=True))
+    json.dumps(result)  # the document is JSON-safe

@@ -39,5 +39,6 @@ if PROBE_ID not in _REGISTRY:
              tags=("test",))(_probe)
 
 if CRASH_ID not in _REGISTRY:
+    # Unconstrained params, so it can share a matrix's axes with the probe.
     register(CRASH_ID, "always-crashing workload (fleet tests)",
-             params={}, tags=("test",))(_crash)
+             params=None, tags=("test",))(_crash)

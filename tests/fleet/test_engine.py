@@ -120,6 +120,34 @@ class TestCache:
         again = run_fleet(matrix, workers=1, cache_dir=cache)
         assert fleet_to_json(cold) == fleet_to_json(again)
 
+    @pytest.mark.parametrize("damage", [
+        lambda record: b"\xff\xfe not utf-8",
+        lambda record: "[]",
+        # Truncated to the two fields the loader used to look at.
+        lambda record: json.dumps({"name": record["name"],
+                                   "seed": record["seed"]}),
+        lambda record: json.dumps({**record, "workload_id": 7}),
+        lambda record: json.dumps({**record, "ok": "yes"}),
+        lambda record: json.dumps({**record, "artifact": None}),
+        lambda record: json.dumps({**record, "artifact": {"rows": 3}}),
+        lambda record: json.dumps({**record, "ok": False}),
+    ], ids=["bad-utf8", "not-an-object", "truncated",
+            "wrong-type", "ok-not-bool", "ok-without-artifact",
+            "malformed-artifact", "failed-without-error"])
+    def test_malformed_cache_records_are_recomputed(self, tmp_path, damage):
+        matrix = probe_matrix(repeats=1)
+        cache = str(tmp_path / "cache")
+        cold = run_fleet(matrix, workers=1, cache_dir=cache)
+        victim = (tmp_path / "cache" / matrix.spec_hash()
+                  / "cell-0000.json")
+        intact = victim.read_bytes()
+        damaged = damage(json.loads(intact))
+        victim.write_bytes(damaged if isinstance(damaged, bytes)
+                           else damaged.encode())
+        again = run_fleet(matrix, workers=1, cache_dir=cache)
+        assert fleet_to_json(cold) == fleet_to_json(again)
+        assert victim.read_bytes() == intact  # rewritten, not left behind
+
     def test_editing_the_matrix_misses_the_cache(self, tmp_path):
         cache = str(tmp_path / "cache")
         run_fleet(probe_matrix(), workers=1, cache_dir=cache)
@@ -152,7 +180,7 @@ class TestDocument:
                    for e in validate_fleet_dict(reordered))
         broken = json.loads(fleet_to_json(doc))
         del broken["cells"][0]["artifact"]["seed"]
-        assert any("artifact: seed" in e for e in validate_fleet_dict(broken))
+        assert any("artifact.seed" in e for e in validate_fleet_dict(broken))
 
 
 class TestCli:
