@@ -20,8 +20,8 @@ import statistics
 
 from repro.core.orchestrator import Orchestrator
 from repro.anycast import DefaultRootedAnycast, GiaAnycast, GlobalAnycast
+from repro.experiments.common import sources_for_probes
 from repro.topogen import InternetSpec, generate_internet
-from repro.trace import sources_for_probes
 
 
 def build(seed=5):

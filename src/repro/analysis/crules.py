@@ -43,7 +43,7 @@ _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: topology-keyed cache.
 BUMP_NAMES: FrozenSet[str] = frozenset({
     "_bump_topology_version", "_on_state_change", "bump", "pause",
-    "invalidate", "_invalidate", "invalidate_caches",
+    "_invalidate",
 })
 
 #: Packages (second path component under ``repro``) whose state feeds

@@ -243,8 +243,7 @@ class WallClockRule(Rule):
                 yield self.finding(
                     source, node,
                     "wall-clock read used outside an assignment to a "
-                    "'wall_'-prefixed name; bind it first (or time spans "
-                    "with obs.probe)")
+                    "'wall_'-prefixed name; bind it first")
 
 
 # ---------------------------------------------------------------------------

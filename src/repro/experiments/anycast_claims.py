@@ -7,9 +7,9 @@ import statistics
 from typing import Dict, Optional
 
 from repro.anycast import DefaultRootedAnycast, GiaAnycast, GlobalAnycast
-from repro.trace import sources_for_probes
 from repro.experiments.base import ExperimentResult, register
-from repro.experiments.common import converged_internet, experiment_spec
+from repro.experiments.common import (converged_internet, experiment_spec,
+                                      sources_for_probes)
 
 E5_GROUP_COUNTS = [1, 2, 4, 8, 16]
 E6_FRACTIONS = [0.1, 0.25, 0.5, 0.75, 1.0]

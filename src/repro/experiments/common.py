@@ -1,8 +1,12 @@
-"""Shared topology builders for the experiment suite."""
+"""Shared topology builders and samplers for the experiment suite."""
 
 from __future__ import annotations
 
+import random
+from typing import List
+
 from repro.core.orchestrator import Orchestrator
+from repro.net.network import Network
 from repro.topogen import InternetSpec, generate_internet
 
 
@@ -21,3 +25,23 @@ def experiment_spec(seed: int = 0, **overrides) -> InternetSpec:
                   seed=seed)
     params.update(overrides)
     return InternetSpec(**params)
+
+
+def sources_for_probes(network: Network, per_domain: int = 1,
+                       seed: int = 0) -> List[str]:
+    """One-or-more probe sources per domain (hosts preferred, else routers).
+
+    Used by anycast proximity sweeps that want geographic coverage
+    rather than traffic realism.
+    """
+    rng = random.Random(seed)
+    sources: List[str] = []
+    for asn in sorted(network.domains):
+        domain = network.domains[asn]
+        candidates = sorted(domain.hosts) or sorted(domain.routers)
+        if not candidates:
+            continue
+        picked = candidates if len(candidates) <= per_domain else rng.sample(
+            candidates, per_domain)
+        sources.extend(sorted(picked))
+    return sources

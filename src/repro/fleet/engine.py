@@ -74,7 +74,7 @@ def _strip_wall_metrics(
 
     The repo-wide convention names every wall-clock-derived field with
     a ``wall_`` segment (``scheduler.drain_wall_ms``,
-    ``probe.spf_wall_ms``); everything else — event counts, convergence
+    ``igp.converge_wall_ms``); everything else — event counts, convergence
     epochs, queue depths — is seed-deterministic and safe to merge
     byte-stably.  The snapshot is nested one level (``counters`` /
     ``gauges`` / ``histograms`` families), so the filter applies to the

@@ -8,10 +8,10 @@ links and live nodes — deliberately separate from
 :meth:`repro.net.network.Network.shortest_path` and its
 :class:`~repro.perf.cache.PathCache`, which weigh ``Link.cost``.
 
-Trees are memoized per source and invalidated wholesale whenever
+Trees are memoized per source in a
+:class:`~repro.perf.cache.TopologyMemo`, so they are dropped whenever
 ``Network.topology_version`` changes (link/node state flips during
-fault epochs), mirroring the cache-coherence rule the path cache
-follows.
+fault epochs).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import heapq
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.net.network import Network
-from repro.obs import get_obs
+from repro.perf.cache import TopologyMemo
 
 
 def delay_tree(network: Network, src: str) -> Dict[str, float]:
@@ -50,7 +50,7 @@ def delay_tree(network: Network, src: str) -> Dict[str, float]:
     return dist
 
 
-class DelayOracle:
+class DelayOracle(TopologyMemo[str, Dict[str, float]]):
     """Memoized :func:`delay_tree` lookups, topology-version coherent.
 
     Construct one per scenario (no module-level instances — the memo is
@@ -59,27 +59,17 @@ class DelayOracle:
     """
 
     def __init__(self, network: Network) -> None:
-        self.network = network
-        self._trees: Dict[str, Dict[str, float]] = {}
-        self._version = network.topology_version
-        self.obs = get_obs()
+        super().__init__(network, self._run,
+                         {"hits": "perf.probe.delay_tree_hits",
+                          "misses": "perf.probe.delay_tree_misses"})
+
+    def _run(self, src: str) -> Dict[str, float]:
+        if self.obs.enabled:
+            self.obs.counter("measure.delay_spf_runs").inc()
+        return delay_tree(self.network, src)
 
     def tree(self, src: str) -> Dict[str, float]:
-        version = self.network.topology_version
-        if version != self._version:
-            self._trees.clear()
-            self._version = version
-        cached = self._trees.get(src)
-        if cached is not None:
-            if self.obs.enabled:
-                self.obs.counter("perf.probe.delay_tree_hits").inc()
-            return cached
-        if self.obs.enabled:
-            self.obs.counter("perf.probe.delay_tree_misses").inc()
-            self.obs.counter("measure.delay_spf_runs").inc()
-        tree = delay_tree(self.network, src)
-        self._trees[src] = tree
-        return tree
+        return self.get(src)
 
     def delay(self, src: str, dst: str) -> Optional[float]:
         """One-way best delay from *src* to *dst*; None if unreachable."""

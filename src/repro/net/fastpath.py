@@ -10,9 +10,9 @@ decisions and tunnels.
 The fast path stores completed walks per **flow** — the pair
 ``(start node, the whole header stack)`` — and replays the stored
 :class:`~repro.net.forwarding.ForwardingTrace` for later packets of the
-flow, counting packets per flow.  An observed replay still emits the
-``forward`` span and event of a walk (the engine does that), so a trace
-file does not show which packets were replayed.
+flow, counting the packets it answers.  An observed replay still emits
+the ``forward`` span and event of a walk (the engine does that), so a
+trace file does not show which packets were replayed.
 
 Replay is answer-preserving because a walk is a deterministic function
 of the start node, the exact header stack, and forwarding state: IPv4
@@ -79,7 +79,8 @@ class FlowFastPath:
         self._version = network.topology_version
         self._paused = 0
         self._traces: Dict[FlowKey, "ForwardingTrace"] = {}
-        self.flow_counts: Dict[FlowKey, int] = {}
+        #: Packets answered from the table since it was last dropped.
+        self._replays = 0
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -112,7 +113,7 @@ class FlowFastPath:
     def _invalidate(self) -> None:
         if self._traces:
             self._traces.clear()
-            self.flow_counts.clear()
+            self._replays = 0
             self.invalidations += 1
             if self.obs.enabled:
                 self.obs.counter("perf.fastpath.invalidations").inc()
@@ -138,7 +139,7 @@ class FlowFastPath:
                 self.obs.counter("perf.fastpath.misses").inc()
             return None
         self.hits += 1
-        self.flow_counts[key] = self.flow_counts.get(key, 0) + 1
+        self._replays += 1
         if self.obs.enabled:
             self.obs.counter("perf.fastpath.hits").inc()
         return trace
@@ -156,7 +157,6 @@ class FlowFastPath:
             return False
         self._check_version()
         self._traces[key] = trace
-        self.flow_counts.setdefault(key, 1)
         return True
 
     def __len__(self) -> int:
@@ -167,4 +167,4 @@ class FlowFastPath:
         return {"hits": self.hits, "misses": self.misses,
                 "invalidations": self.invalidations,
                 "flows": len(self._traces),
-                "packets_aggregated": sum(self.flow_counts.values())}
+                "packets_aggregated": len(self._traces) + self._replays}

@@ -386,8 +386,7 @@ class ForwardingEngine:
         stored flow (same start, identical header stack, unchanged
         forwarding state), the stored trace is returned and the packet
         is left as sent: no walk.  Any delivered, fault-free walk is
-        stored, encapsulated IPvN ones included; the fast path counts
-        packets per flow (:attr:`FlowFastPath.flow_counts`).
+        stored, encapsulated IPvN ones included.
 
         With observability enabled the packet gets a ``forward`` span —
         parented to the packet's carried context when present

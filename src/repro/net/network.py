@@ -9,7 +9,8 @@ stretch.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.domain import Domain, Relationship
@@ -21,6 +22,32 @@ from repro.perf.cache import PathCache
 
 #: The default route hosts point at their access router.
 DEFAULT_ROUTE = Prefix(IPv4Address(0), 0)
+
+
+def first_hop_spf(source: str,
+                  adjacency: Mapping[str, Sequence[Tuple[str, float]]]
+                  ) -> Dict[str, Tuple[float, Optional[str]]]:
+    """Dijkstra for a control plane: node -> (distance, first hop from
+    *source*), in settling order; the source's first hop is ``None``.
+
+    *adjacency* maps a node to its ``(neighbor, cost)`` edges, sorted.
+    Heap entries are ``(distance, node, first hop)``, so among
+    equal-cost shortest paths a node keeps the smallest first-hop id —
+    the tie-break every link-state FIB and vN FIB inherits.  (The
+    predecessor-tree search below keeps the first-found predecessor
+    instead, which is why the two stay separate.)
+    """
+    settled: Dict[str, Tuple[float, Optional[str]]] = {}
+    heap: List[Tuple[float, str, Optional[str]]] = [(0.0, source, None)]
+    while heap:
+        d, u, first = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = (d, first)
+        for v, cost in adjacency.get(u, ()):
+            if v not in settled:
+                heapq.heappush(heap, (d + cost, v, v if first is None else first))
+    return settled
 
 
 class Network:

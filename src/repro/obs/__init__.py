@@ -1,13 +1,12 @@
 """repro.obs: the library's observability layer.
 
-Three primitives behind one handle (:class:`Observability`):
+Two primitives behind one handle (:class:`Observability`):
 
 * a :class:`~repro.obs.registry.Registry` of named counters, gauges,
   and histograms (process-local aggregation, JSON-safe snapshots);
 * a :class:`~repro.obs.tracer.Tracer` emitting structured JSONL events
-  with per-run context (seed, topology, scenario);
-* :meth:`Observability.probe` timing spans with negligible overhead
-  when observability is disabled.
+  with per-run context (seed, topology, scenario), causally linked by
+  :meth:`Observability.span`.
 
 Instrumented subsystems (the event scheduler, the forwarding engine,
 both IGPs, BGP, the vN-Bone, the fault injector) bind the *active*
@@ -31,7 +30,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
-from repro.obs.probe import NULL_PROBE, NullProbe, Probe
 from repro.obs.registry import Counter, Gauge, Histogram, Registry
 from repro.obs.sampler import METRIC_SAMPLE, MetricSampler
 from repro.obs.serialize import json_safe
@@ -133,13 +131,6 @@ class Observability:
         :class:`~repro.net.simulator.EventScheduler`."""
         return MetricSampler(self, interval)
 
-    # -- timing spans --------------------------------------------------------
-    def probe(self, name: str, **fields: object):
-        """A wall-clock timing span; the shared no-op when disabled."""
-        if not self.enabled:
-            return NULL_PROBE
-        return Probe(self, name, fields)
-
 
 #: The permanently disabled default handle.
 NULL_OBS = Observability.disabled()
@@ -170,8 +161,8 @@ def observing(obs: Optional[Observability]) -> Iterator[Observability]:
 
 
 __all__ = ["AbstractSpan", "Counter", "Gauge", "Histogram", "METRIC_SAMPLE",
-           "MetricSampler", "NULL_OBS", "NULL_PROBE", "NULL_SPAN", "NullProbe",
-           "NullSpan", "Observability", "Probe", "Registry", "RUN_END",
+           "MetricSampler", "NULL_OBS", "NULL_SPAN", "NullSpan",
+           "Observability", "Registry", "RUN_END",
            "RUN_START", "SPAN_END", "SPAN_START", "Span", "SpanContext",
            "SpanTracker", "TRACE_SCHEMA", "Tracer", "WALL_PREFIX", "get_obs",
            "json_safe", "observing", "strip_wall_fields",

@@ -30,9 +30,8 @@ Three carriers move a span context across asynchrony:
   captures the current context and ``step()`` re-activates it around
   the callback, so control-plane message cascades parent correctly.
 
-The disabled path is a shared no-op (:data:`NULL_SPAN`), mirroring
-:data:`~repro.obs.probe.NULL_PROBE`: span plumbing costs one
-``enabled`` check when observability is off.
+The disabled path is a shared no-op (:data:`NULL_SPAN`): span plumbing
+costs one ``enabled`` check when observability is off.
 """
 
 from __future__ import annotations

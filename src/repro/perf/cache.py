@@ -1,24 +1,23 @@
-"""Topology-versioned caching for ground-truth path computation.
+"""Topology-versioned memoization: one freshness rule, and the path cache.
 
-Every layer of the simulator ultimately asks the :class:`~repro.net.network.Network`
-for shortest paths: metrics stretch per delivered probe, the anycast
-service per resolution, redirection baselines, resilience experiments,
-and the vN-Bone topology builder.  Recomputing Dijkstra from scratch on
-every call is the single largest source of redundant work at
-production scale (see ``docs/performance.md``).
+:class:`~repro.net.network.Network` maintains a monotonic
+``topology_version`` bumped by every mutation that can change a path —
+``add_link``, ``move_host``, node crash/recovery, and any link
+``fail()``/``restore()`` (including fault-injector flips, which toggle
+:class:`~repro.net.link.Link` objects directly).  :class:`TopologyMemo`
+is the one place that turns the counter into a cache rule: *a memoized
+answer is valid while the version holds*; any change drops the whole
+table, lazily, on the next access.  :class:`PathCache` (here),
+:class:`~repro.bgp.egress.EgressCache` and
+:class:`~repro.measure.oracle.DelayOracle` are that memo plus what they
+compute.
 
-The scheme is deliberately simple and *provably* answer-preserving:
-
-* :class:`~repro.net.network.Network` maintains a monotonic
-  ``topology_version`` bumped by every mutation that can change a
-  shortest path — ``add_link``, ``move_host``, node crash/recovery, and
-  any link ``fail()``/``restore()`` (including fault-injector flips,
-  which toggle :class:`~repro.net.link.Link` objects directly).
-* :class:`PathCache` memoizes full ``shortest_path_tree`` results per
-  ``(src, intra_domain_only, domain)`` key and answers
-  ``shortest_path(src, dst)`` by walking the cached tree's predecessor
-  pointers.  Any version change invalidates the whole cache lazily on
-  the next access.
+Every layer of the simulator ultimately asks the network for shortest
+paths (stretch per delivered probe, anycast resolution, redirection
+baselines, resilience experiments, the vN-Bone topology builder).
+:class:`PathCache` memoizes full ``shortest_path_tree`` results per
+``(src, intra_domain_only, domain)`` key and answers
+``shortest_path(src, dst)`` by walking the tree's predecessor pointers.
 
 Bit-identical answers: an early-exit Dijkstra towards one destination
 and the full ``shortest_path_tree`` both pop ``(distance, node)`` heap
@@ -29,15 +28,12 @@ the tree yields exactly the path the early-exit search returns.
 ``tests/oracles.py::early_exit_dijkstra`` is that search, and
 ``tests/perf/test_path_cache.py`` compares the two over random graphs
 with equal-cost ties and fail/restore/add_link sequences.
-
-Per rule D4 the hit/miss/invalidation counters are registered behind
-``obs.enabled``; the cache also keeps plain integer stats that are
-always live, so tests need no observability handle.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Generic, Hashable, List,
+                    Mapping, Optional, Tuple, TypeVar)
 
 from repro.obs import get_obs
 
@@ -50,64 +46,85 @@ def caching_enabled() -> bool:
     return True
 
 
+K = TypeVar("K", bound=Hashable)
+V = TypeVar("V")
+
+
+class TopologyMemo(Generic[K, V]):
+    """``compute(key)``, memoized while ``network.topology_version`` holds.
+
+    Callers treat returned values as read-only (they are shared between
+    hits).  ``hits``/``misses``/``invalidations`` are plain integers, so
+    they are observable without an active
+    :class:`~repro.obs.Observability`; *counters* names the obs counter
+    (if any) that mirrors each of the three.
+    """
+
+    def __init__(self, network: "Network", compute: Callable[[K], V],
+                 counters: Mapping[str, str]) -> None:
+        self.network = network
+        self.compute = compute
+        self.obs = get_obs()
+        self._counters = counters
+        self._version = network.topology_version
+        self._table: Dict[K, V] = {}
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
+
+    def _count(self, event: str) -> None:
+        if self.obs.enabled and event in self._counters:
+            self.obs.counter(self._counters[event]).inc()
+
+    def get(self, key: K) -> V:
+        """The memoized ``compute(key)`` for the current topology."""
+        version = self.network.topology_version
+        if version != self._version:
+            self._version = version
+            if self._table:
+                self._table.clear()
+                self.invalidations += 1
+                self._count("invalidations")
+        if key in self._table:
+            self.hits += 1
+            self._count("hits")
+            return self._table[key]
+        self.misses += 1
+        self._count("misses")
+        value = self._table[key] = self.compute(key)
+        return value
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def stats(self) -> Dict[str, int]:
+        """Plain-int snapshot (works without an observability handle)."""
+        return {"hits": self.hits, "misses": self.misses,
+                "invalidations": self.invalidations,
+                "entries": len(self._table)}
+
+
 #: One cache key: (source node, intra-domain-only flag, domain filter).
 TreeKey = Tuple[str, bool, Optional[int]]
 #: One memoized tree: node -> (distance, predecessor).
 Tree = Dict[str, Tuple[float, Optional[str]]]
 
 
-class PathCache:
-    """Memoizes :meth:`Network.shortest_path_tree` per topology version.
-
-    The cache holds whole Dijkstra trees; callers treat returned trees
-    as read-only (all in-repo consumers do).  ``hits``/``misses``/
-    ``invalidations`` are plain integers so they are observable without
-    an active :class:`~repro.obs.Observability`; the equivalent
-    ``perf.path_cache.*`` counters feed the bench harness.
-    """
+class PathCache(TopologyMemo[TreeKey, Tree]):
+    """Memoizes :meth:`Network.shortest_path_tree`; the equivalent
+    ``perf.path_cache.*`` counters feed the bench harness."""
 
     def __init__(self, network: "Network") -> None:
-        self.network = network
-        self.obs = get_obs()
-        self._version = network.topology_version
-        self._trees: Dict[TreeKey, Tree] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
+        super().__init__(
+            network,
+            lambda key: network._compute_shortest_path_tree(*key),  # noqa: SLF001 - cache owns the raw computation
+            {event: f"perf.path_cache.{event}"
+             for event in ("hits", "misses", "invalidations")})
 
-    # -- invalidation -----------------------------------------------------
-    def _check_version(self) -> None:
-        version = self.network.topology_version
-        if version != self._version:
-            if self._trees:
-                self._trees.clear()
-                self.invalidations += 1
-                if self.obs.enabled:
-                    self.obs.counter("perf.path_cache.invalidations").inc()
-            self._version = version
-
-    def __len__(self) -> int:
-        return len(self._trees)
-
-    # -- queries ----------------------------------------------------------
     def tree(self, src: str, intra_domain_only: bool = False,
              domain: Optional[int] = None) -> Tree:
         """The memoized shortest-path tree rooted at *src*."""
-        self._check_version()
-        key = (src, intra_domain_only, domain)
-        cached = self._trees.get(key)
-        if cached is not None:
-            self.hits += 1
-            if self.obs.enabled:
-                self.obs.counter("perf.path_cache.hits").inc()
-            return cached
-        self.misses += 1
-        if self.obs.enabled:
-            self.obs.counter("perf.path_cache.misses").inc()
-        tree = self.network._compute_shortest_path_tree(  # noqa: SLF001 - cache owns the raw computation
-            src, intra_domain_only, domain)
-        self._trees[key] = tree
-        return tree
+        return self.get((src, intra_domain_only, domain))
 
     def shortest_path(self, src: str, dst: str, intra_domain_only: bool = False
                       ) -> Optional[Tuple[float, List[str]]]:
@@ -127,9 +144,3 @@ class PathCache:
             node = pred
         path.reverse()
         return entry[0], path
-
-    def stats(self) -> Dict[str, int]:
-        """Plain-int snapshot (works without an observability handle)."""
-        return {"hits": self.hits, "misses": self.misses,
-                "invalidations": self.invalidations,
-                "entries": len(self._trees)}

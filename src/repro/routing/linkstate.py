@@ -17,7 +17,6 @@ simple intra-domain vN-Bone construction rule possible.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -25,7 +24,7 @@ from repro.net.address import IPv4Address, Prefix
 from repro.net.domain import Domain
 from repro.net.errors import RoutingError
 from repro.net.link import Link
-from repro.net.network import Network
+from repro.net.network import Network, first_hop_spf
 from repro.net.node import FibEntry, RouteSource
 from repro.net.simulator import EventScheduler
 from repro.routing.igp import ANYCAST_STUB_COST, IgpProtocol
@@ -192,21 +191,7 @@ class LinkStateRouting(IgpProtocol):
                 adjacency.setdefault(origin, []).append((neighbor_id, cost))
         for edges in adjacency.values():
             edges.sort()  # once per SPF, not once per heap pop
-        dist: Dict[str, Tuple[float, Optional[str]]] = {router_id: (0.0, None)}
-        heap: List[Tuple[float, str, Optional[str]]] = [(0.0, router_id, None)]
-        settled: Set[str] = set()
-        while heap:
-            d, u, first = heapq.heappop(heap)
-            if u in settled:
-                continue
-            settled.add(u)
-            dist[u] = (d, first)
-            for v, cost in adjacency.get(u, ()):
-                if v in settled:
-                    continue
-                hop = v if first is None else first
-                heapq.heappush(heap, (d + cost, v, hop))
-        result = {node: info for node, info in dist.items() if node in settled}
+        result = first_hop_spf(router_id, adjacency)
         self._spf_cache[router_id] = (generation, result)
         return result
 

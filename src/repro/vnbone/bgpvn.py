@@ -29,12 +29,12 @@ Select the mode with ``VnDeployment(..., routing_mode="layered")``.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.address import Prefix
 from repro.net.errors import ConvergenceError, RoutingError
+from repro.net.network import first_hop_spf
 from repro.obs import get_obs
 from repro.vnbone.routing import (AdjacencySignature, OwnerEntry,
                                   adjacency_signature)
@@ -137,24 +137,10 @@ class LayeredVnRouting:
         for source in sorted(members):
             if self.obs.enabled:
                 self.obs.counter("perf.dijkstra_runs").inc()
-            dist: Dict[str, float] = {source: 0.0}
-            first: Dict[str, str] = {}
-            heap: List[Tuple[float, str, Optional[str]]] = [(0.0, source, None)]
-            settled: Set[str] = set()
-            while heap:
-                d, u, hop = heapq.heappop(heap)
-                if u in settled:
-                    continue
-                settled.add(u)
-                dist[u] = d
-                if hop is not None:
-                    first[u] = hop
-                for v, cost in sorted_adjacency.get(u, ()):
-                    if v in settled:
-                        continue
-                    heapq.heappush(heap, (d + cost, v, v if hop is None else hop))
-            dists[source] = {n: dist[n] for n in sorted(settled)}
-            hops[source] = first
+            tree = first_hop_spf(source, sorted_adjacency)
+            dists[source] = {n: tree[n][0] for n in sorted(tree)}
+            hops[source] = {n: hop for n, (_, hop) in tree.items()
+                            if hop is not None}
         return dists, hops
 
     # -- the full computation ---------------------------------------------------------

@@ -260,11 +260,12 @@ class VnDeployment:
                 address = self.plan.ensure_host_address(host_id)
                 host = self.network.node(host_id)
                 assert isinstance(host, Host)
-                owner = self._nearest_member(host.access_router, asn, members)
-                if owner is None:
+                nearest = self.topology.nearest_member(host.access_router,
+                                                       members)
+                if nearest is None:
                     continue
                 entries.append(OwnerEntry(
-                    prefix=self._host_prefix(address), owner=owner,
+                    prefix=self._host_prefix(address), owner=nearest[1],
                     action=VnAction.EGRESS, egress_ipv4=host.ipv4,
                     origin="host"))
         # External (non-adopting) destination domains.
@@ -288,19 +289,6 @@ class VnDeployment:
         from repro.net.address import Prefix
 
         return Prefix.host(address)
-
-    def _nearest_member(self, target_id: str, asn: int,
-                        members: Set[str]) -> Optional[str]:
-        if target_id in members:
-            return target_id
-        best = None
-        for member in sorted(members):
-            cost = self.topology.member_distance(member, target_id, asn)
-            if cost is None:
-                continue
-            if best is None or (cost, member) < best:
-                best = (cost, member)
-        return best[1] if best else None
 
     # -- host data path --------------------------------------------------------------------
     def send(self, src_host_id: str, dst_host_id: str, payload: object = None,

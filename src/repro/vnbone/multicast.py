@@ -151,16 +151,10 @@ class VnMulticastService:
         members_by_domain = self.deployment.members_by_domain()
         local_members = members_by_domain.get(host.domain_id)
         if local_members:
-            best = None
-            for member in sorted(local_members):
-                cost = self.deployment.topology.member_distance(
-                    member, host.access_router, host.domain_id)
-                if cost is None:
-                    continue
-                if best is None or (cost, member) < best:
-                    best = (cost, member)
-            if best is not None:
-                return best[1]
+            nearest = self.deployment.topology.nearest_member(
+                host.access_router, local_members)
+            if nearest is not None:
+                return nearest[1]
         # No member in the host's domain: its anycast-nearest member.
         return self.deployment.scheme.resolve(host.access_router)
 

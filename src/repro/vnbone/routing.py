@@ -27,14 +27,13 @@ an IPv(N-1) destination, exit the vN-Bone and forward directly.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.forwarding import (VnDecision, VnDeliver, VnDrop, VnEgress,
                                   VnForward, VnHandler)
-from repro.net.network import Network
+from repro.net.network import Network, first_hop_spf
 from repro.net.node import Node
 from repro.net.packet import Packet, VNHeader
 from repro.obs import get_obs
@@ -76,31 +75,6 @@ class VnRouting:
         #: Tunnel-graph signature the current SPF results were built from.
         self._signature: Optional[AdjacencySignature] = None
 
-    # -- SPF over the tunnel graph ------------------------------------------------
-    def _spf(self, source: str,
-             adjacency: Dict[str, List[Tuple[str, float]]]) -> None:
-        if self.obs.enabled:
-            self.obs.counter("perf.dijkstra_runs").inc()
-        dist: Dict[str, float] = {source: 0.0}
-        first: Dict[str, str] = {}
-        heap: List[Tuple[float, str, Optional[str]]] = [(0.0, source, None)]
-        settled: Set[str] = set()
-        while heap:
-            d, u, hop = heapq.heappop(heap)
-            if u in settled:
-                continue
-            settled.add(u)
-            dist[u] = d
-            if hop is not None:
-                first[u] = hop
-            for v, cost in adjacency.get(u, ()):
-                if v in settled:
-                    continue
-                next_hop = v if hop is None else hop
-                heapq.heappush(heap, (d + cost, v, next_hop))
-        self._dist[source] = {n: dist[n] for n in sorted(settled)}
-        self._first_hop[source] = first
-
     def compute(self, states: Dict[str, VnRouterState],
                 owner_entries: List[OwnerEntry]) -> None:
         """Run SPF for every member and install all IPvN FIBs.
@@ -130,7 +104,12 @@ class VnRouting:
             self._dist.clear()
             self._first_hop.clear()
             for member in sorted(states):
-                self._spf(member, sorted_adjacency)
+                if self.obs.enabled:
+                    self.obs.counter("perf.dijkstra_runs").inc()
+                tree = first_hop_spf(member, sorted_adjacency)
+                self._dist[member] = {n: tree[n][0] for n in sorted(tree)}
+                self._first_hop[member] = {
+                    n: hop for n, (_, hop) in tree.items() if hop is not None}
             self._signature = signature
         by_prefix: Dict[Prefix, List[OwnerEntry]] = {}
         for entry in owner_entries:

@@ -28,11 +28,13 @@ increasingly congruent with the physical topology;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Callable, Collection, Dict, Iterable, List, Optional, Set,
+                    Tuple)
 
 from repro.net.errors import DeploymentError
 from repro.net.link import LinkScope
 from repro.net.network import Network
+from repro.perf.cache import Tree
 from repro.core.orchestrator import Orchestrator
 
 
@@ -88,53 +90,39 @@ class VnBoneTopology:
         self.version = version
         self.k_neighbors = k_neighbors
         self.anchor_asn = anchor_asn
-        self._global_dist_cache: Dict[str, Dict[str, float]] = {}
-        self._intra_dist_cache: Dict[str, Dict[str, float]] = {}
-        #: Topology version the dist caches were computed against.
-        self._cache_version = self.network.topology_version
 
     # -- distance helpers -----------------------------------------------------
-    def _intra_dists(self, member: str, asn: int) -> Dict[str, float]:
-        cached = self._intra_dist_cache.get(member)
-        if cached is None:
-            tree = self.network.shortest_path_tree(member, intra_domain_only=True,
-                                                   domain=asn)
-            cached = {node: info[0] for node, info in tree.items()}
-            self._intra_dist_cache[member] = cached
-        return cached
-
-    def _global_dists(self, member: str) -> Dict[str, float]:
-        cached = self._global_dist_cache.get(member)
-        if cached is None:
-            tree = self.network.shortest_path_tree(member)
-            cached = {node: info[0] for node, info in tree.items()}
-            self._global_dist_cache[member] = cached
-        return cached
-
-    def invalidate_caches(self) -> None:
-        """Unconditionally drop the memoized distance maps."""
-        self._global_dist_cache.clear()
-        self._intra_dist_cache.clear()
-        self._cache_version = self.network.topology_version
-
-    def _refresh_caches(self) -> None:
-        """Drop the distance maps only if the topology actually changed
-        since they were computed (the version-aware variant used by
-        :meth:`build`)."""
-        if self._cache_version != self.network.topology_version:
-            self.invalidate_caches()
+    def _intra_tree(self, member: str, asn: int) -> Tree:
+        """*member*'s shortest-path tree inside its AS, from the
+        network's :class:`~repro.perf.cache.PathCache`."""
+        return self.network.shortest_path_tree(member, intra_domain_only=True,
+                                               domain=asn)
 
     def member_distance(self, member: str, target_id: str,
                         asn: int) -> Optional[float]:
         """Intra-domain IGP distance from a member to any node of its AS."""
-        return self._intra_dists(member, asn).get(target_id)
+        entry = self._intra_tree(member, asn).get(target_id)
+        return None if entry is None else entry[0]
+
+    def nearest_member(self, target_id: str, members: Collection[str]
+                       ) -> Optional[Tuple[float, str]]:
+        """``(cost, member)`` of the member closest to *target_id* by
+        intra-domain distance in the target's AS — the target itself if
+        it is a member, ties to the smallest id — or ``None`` when no
+        member reaches it."""
+        if target_id in members:
+            return 0.0, target_id
+        asn = self.network.node(target_id).domain_id
+        reach = ((self.member_distance(member, target_id, asn), member)
+                 for member in members)
+        return min((near for near in reach if near[0] is not None),
+                   default=None)
 
     # -- construction ------------------------------------------------------------
     def build(self, members_by_domain: Dict[int, Set[str]],
               join_order: Dict[str, int]) -> List[VnTunnel]:
         """Construct all tunnels.  ``join_order`` records deployment order
         (used by the anycast-bootstrap paths)."""
-        self._refresh_caches()
         tunnels: List[VnTunnel] = []
         for asn in sorted(members_by_domain):
             tunnels.extend(self._build_intra(asn, members_by_domain[asn], join_order))
@@ -167,14 +155,14 @@ class VnBoneTopology:
         """Every member picks its k closest members (LSDB knowledge)."""
         tunnels: List[VnTunnel] = []
         for member in members:
-            dists = self._intra_dists(member, asn)
+            tree = self._intra_tree(member, asn)
             candidates = sorted(
-                ((dists[other], other) for other in members
-                 if other != member and other in dists))
+                ((tree[other][0], other) for other in members
+                 if other != member and other in tree))
             for cost, other in candidates[:self.k_neighbors]:
                 tunnels.append(VnTunnel(a=member, b=other, cost=cost, kind="intra"))
         tunnels.extend(self._repair_partitions(members, tunnels,
-                                               lambda m: self._intra_dists(m, asn),
+                                               lambda m: self._intra_tree(m, asn),
                                                kind="repair"))
         return tunnels
 
@@ -193,15 +181,16 @@ class VnBoneTopology:
             earlier = by_join[:index]
             if not earlier:
                 continue
-            dists = self._intra_dists(member, asn)
-            candidates = sorted((dists[e], e) for e in earlier if e in dists)
+            tree = self._intra_tree(member, asn)
+            candidates = sorted((tree[e][0], e) for e in earlier if e in tree)
             for cost, other in candidates[:self.k_neighbors]:
                 tunnels.append(VnTunnel(a=member, b=other, cost=cost,
                                         kind="bootstrap-intra"))
         return tunnels
 
     def _repair_partitions(self, members: List[str], tunnels: List[VnTunnel],
-                           dists_of, kind: str) -> List[VnTunnel]:
+                           tree_of: Callable[[str], Tree], kind: str
+                           ) -> List[VnTunnel]:
         """Connect disconnected member components via closest pairs."""
         repairs: List[VnTunnel] = []
         uf = _UnionFind(members)
@@ -217,12 +206,11 @@ class VnBoneTopology:
                 if component is main:
                     continue
                 for member in sorted(component):
-                    dists = dists_of(member)
+                    tree = tree_of(member)
                     for target in sorted(main):
-                        cost = dists.get(target)
-                        if cost is None:
+                        if target not in tree:
                             continue
-                        key = (cost, member, target)
+                        key = (tree[target][0], member, target)
                         if best is None or key < best:
                             best = key
             if best is None:
@@ -246,12 +234,13 @@ class VnBoneTopology:
             asn_b = self.network.node(link.b).domain_id
             if asn_a not in adopting or asn_b not in adopting:
                 continue
-            member_a, cost_a = self._nearest_member(link.a, members_by_domain[asn_a])
-            member_b, cost_b = self._nearest_member(link.b, members_by_domain[asn_b])
-            if member_a is None or member_b is None:
+            near_a = self.nearest_member(link.a, members_by_domain[asn_a])
+            near_b = self.nearest_member(link.b, members_by_domain[asn_b])
+            if near_a is None or near_b is None:
                 continue
-            tunnels.append(VnTunnel(a=member_a, b=member_b,
-                                    cost=cost_a + link.cost + cost_b, kind="inter"))
+            tunnels.append(VnTunnel(a=near_a[1], b=near_b[1],
+                                    cost=near_a[0] + link.cost + near_b[0],
+                                    kind="inter"))
             connected_domains.update((asn_a, asn_b))
         # Anycast bootstrap for adopting domains with no adopting neighbor.
         domain_join = {asn: min(join_order.get(m, 0) for m in members)
@@ -264,29 +253,13 @@ class VnBoneTopology:
             if not earlier_members:
                 continue
             joiner = min(members_by_domain[asn])
-            dists = self._global_dists(joiner)
-            candidates = sorted((dists[m], m) for m in earlier_members if m in dists)
+            tree = self.network.shortest_path_tree(joiner)
+            candidates = sorted((tree[m][0], m) for m in earlier_members if m in tree)
             if candidates:
                 cost, target = candidates[0]
                 tunnels.append(VnTunnel(a=joiner, b=target, cost=cost,
                                         kind="bootstrap-inter"))
         return tunnels
-
-    def _nearest_member(self, border_id: str, members: Set[str]
-                        ) -> Tuple[Optional[str], float]:
-        if border_id in members:
-            return border_id, 0.0
-        asn = self.network.node(border_id).domain_id
-        best: Optional[Tuple[float, str]] = None
-        for member in sorted(members):
-            cost = self._intra_dists(member, asn).get(border_id)
-            if cost is None:
-                continue
-            if best is None or (cost, member) < best:
-                best = (cost, member)
-        if best is None:
-            return None, 0.0
-        return best[1], best[0]
 
     # -- anchor (default provider) connectivity ---------------------------------------------
     def _ensure_anchor_connectivity(self, members_by_domain: Dict[int, Set[str]],
@@ -316,12 +289,11 @@ class VnBoneTopology:
             best: Optional[Tuple[float, str, str]] = None
             for component in others:
                 for member in sorted(component):
-                    dists = self._global_dists(member)
+                    tree = self.network.shortest_path_tree(member)
                     for target in sorted(anchor_component):
-                        cost = dists.get(target)
-                        if cost is None:
+                        if target not in tree:
                             continue
-                        key = (cost, member, target)
+                        key = (tree[target][0], member, target)
                         if best is None or key < best:
                             best = key
             if best is None:

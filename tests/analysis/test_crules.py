@@ -1,8 +1,11 @@
 """C-rule tests: topology/FIB mutations must reach a version bump."""
 
+import ast
 import textwrap
+from pathlib import Path
 
 from repro.analysis import lint_project_sources
+from repro.analysis.crules import BUMP_NAMES, WALK_STATE_MUTATORS
 
 
 def project(files, rules=("C1", "C2")):
@@ -158,3 +161,20 @@ class TestFibCoherenceRule:
                 engine.fastpath.bump()
         """})
         assert report.ok
+
+
+def test_every_allow_listed_name_is_defined_in_src():
+    """A name in ``BUMP_NAMES`` or ``WALK_STATE_MUTATORS`` that resolves
+    to nothing silently widens what C1/C2 accept (or flags nothing): each
+    must be a ``def`` or a class-level field somewhere under ``src/repro``."""
+    defined = set()
+    for path in (Path(__file__).parents[2] / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                defined.update(stmt.target.id for stmt in node.body
+                               if isinstance(stmt, ast.AnnAssign)
+                               and isinstance(stmt.target, ast.Name))
+    assert BUMP_NAMES | WALK_STATE_MUTATORS <= defined, \
+        sorted((BUMP_NAMES | WALK_STATE_MUTATORS) - defined)

@@ -164,8 +164,9 @@ class TestSeededMeasurementPlane:
         # Every cache hit of this run is re-derived and compared, so it
         # answers as an uncached run would.
         rederived = run("rtt_catchment", seed=19).data["catchment"]
-        assert paranoid_caches["path_cache"] > 0
-        assert paranoid_caches["linkstate_spf"] > 0
+        for mechanism in ("PathCache", "EgressCache", "DelayOracle",
+                          "linkstate_spf"):
+            assert paranoid_caches[mechanism] > 0, mechanism
         assert (json.dumps(rederived, sort_keys=True)
                 == json.dumps(plain_catchment, sort_keys=True))
 

@@ -62,8 +62,12 @@ class TestFlowReplay:
         engine = ForwardingEngine(net)
         for _ in range(3):
             engine.forward(_packet(net), "r0")
-        key = engine.fastpath.key_for(_packet(net), "r0")
-        assert engine.fastpath.flow_counts[key] == 3
+        engine.forward(_packet(net), "r1")  # same header, other start
+        stats = engine.fastpath.stats()
+        assert (stats["flows"], stats["hits"]) == (2, 2)
+        assert stats["packets_aggregated"] == 4
+        engine.fastpath.bump()
+        assert engine.fastpath.stats()["packets_aggregated"] == 0
 
     def test_different_ttl_is_a_different_flow(self):
         net = line_network()

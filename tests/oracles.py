@@ -5,6 +5,8 @@ against lives here, as test code:
 
 * :func:`early_exit_dijkstra` — the per-destination search
   :class:`~repro.perf.cache.PathCache` answers from a memoized tree;
+* :func:`bellman_ford_first_hops` — distances and the smallest-first-hop
+  tie-break ``first_hop_spf`` gives every IGP and vN FIB;
 * :class:`FibOracle` — a FIB that keeps only the live offers and
   recomputes ``min((admin_distance, metric))`` on every read, which
   :class:`~repro.net.node.Fib`'s stored winners must equal;
@@ -31,7 +33,6 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import pytest
 
-from repro.bgp.egress import EgressCache
 from repro.bgp.protocol import BgpProtocol
 from repro.net.fastpath import FlowFastPath
 from repro.net.forwarding import ForwardingEngine, ForwardingTrace
@@ -41,11 +42,10 @@ from repro.net.address import Address, Prefix
 from repro.net.node import FibEntry, RouteSource
 from repro.net.simulator import EventScheduler, MessagePerturbation
 from repro.obs import NULL_OBS
-from repro.perf.cache import PathCache
+from repro.perf.cache import TopologyMemo
 from repro.routing.linkstate import LinkStateRouting
 from repro.vnbone.bgpvn import LayeredVnRouting
 from repro.vnbone.routing import VnRouting
-from repro.vnbone.topology import VnBoneTopology
 
 #: One ``Fib.snapshot()`` row: (prefix, source, next hop, metric).
 FibRow = Tuple[str, str, str, float]
@@ -79,6 +79,28 @@ def early_exit_dijkstra(network: Network, src: str, dst: str,
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
     return None
+
+
+def bellman_ford_first_hops(source: str, edges: List[Tuple[str, str, float]]
+                            ) -> Dict[str, Tuple[float, Optional[str]]]:
+    """What ``first_hop_spf`` must return over undirected *edges*:
+    Bellman–Ford distances, and per node the smallest first hop over
+    its shortest-path predecessors ``u`` — ``u``'s own first hop, or the
+    node itself when ``u`` is the source.  No heap, no settling order."""
+    arcs = edges + [(b, a, cost) for a, b, cost in edges]
+    dist: Dict[str, float] = {source: 0.0}
+    for _ in range(len(arcs) + 1):
+        for a, b, cost in arcs:
+            if a in dist and dist[a] + cost < dist.get(b, float("inf")):
+                dist[b] = dist[a] + cost
+    first: Dict[str, Optional[str]] = {source: None}
+    for node in sorted(dist, key=lambda n: dist[n]):  # predecessors first
+        if node != source:
+            first[node] = min(node if a == source else first[a]
+                              for a, b, cost in arcs
+                              if b == node and a in dist
+                              and dist[a] + cost == dist[node])
+    return {node: (dist[node], first[node]) for node in dist}
 
 
 # -- admin-distance arbitration -------------------------------------------------
@@ -270,25 +292,17 @@ def _quiet(obj: object) -> Iterator[None]:
         obj.obs = obs  # type: ignore[attr-defined]
 
 
-def _distances(network: Network, src: str, intra_domain_only: bool = False,
-               domain: Optional[int] = None) -> Dict[str, float]:
-    with _quiet(network):
-        tree = network._compute_shortest_path_tree(src, intra_domain_only,
-                                                   domain)
-    return {node: info[0] for node, info in tree.items()}
-
-
 @pytest.fixture
 def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
     """Re-derive on every cache hit and assert the cache said the same.
 
-    Covers each memo in ``src/``: ``PathCache.tree``,
-    ``EgressCache.links``, ``LinkStateRouting._spf``,
-    ``VnRouting.compute``, the ``LayeredVnRouting`` intra cache,
-    ``VnBoneTopology._refresh_caches`` and the flow fast path (a copy
-    of every packet it answers is walked hop by hop).  Returns the
-    count of verified hits per mechanism, so a test can show it was not
-    vacuous.
+    Covers each memo in ``src/``: ``TopologyMemo.get`` (one patch for
+    the path cache, the egress cache and the delay oracle, counted
+    under the memo's class name), ``LinkStateRouting._spf``,
+    ``VnRouting.compute``, the ``LayeredVnRouting`` intra cache and the
+    flow fast path (a copy of every packet it answers is walked hop by
+    hop).  Returns the count of verified hits per mechanism, so a test
+    can show it was not vacuous.
     """
     verified: Counter = Counter()
 
@@ -305,26 +319,15 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
             verified["fastpath"] += 1
         return replayed
 
-    tree = PathCache.tree
+    get = TopologyMemo.get
 
-    def paranoid_tree(self, src, intra_domain_only=False, domain=None):
+    def paranoid_get(self, key):
         hits = self.hits
-        cached = tree(self, src, intra_domain_only, domain)
+        cached = get(self, key)
         if self.hits != hits:
-            with _quiet(self.network):
-                assert cached == self.network._compute_shortest_path_tree(
-                    src, intra_domain_only, domain)
-            verified["path_cache"] += 1
-        return cached
-
-    links = EgressCache.links
-
-    def paranoid_links(self, asn, next_hop_asn):
-        hits = self.hits
-        cached = links(self, asn, next_hop_asn)
-        if self.hits != hits:
-            assert cached == self._compute(asn, next_hop_asn)
-            verified["egress_cache"] += 1
+            with _quiet(self), _quiet(self.network):
+                assert cached == self.compute(key)
+            verified[type(self).__name__] += 1
         return cached
 
     spf = LinkStateRouting._spf
@@ -370,23 +373,9 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
             assert (self._intra_dist, self._intra_hop) == (dist, hops)
             verified["layered_intra"] += len(hits)
 
-    refresh = VnBoneTopology._refresh_caches
-
-    def paranoid_refresh(self):
-        refresh(self)
-        for member, cached in self._global_dist_cache.items():
-            assert cached == _distances(self.network, member)
-            verified["vnbone_dists"] += 1
-        for member, cached in self._intra_dist_cache.items():
-            asn = self.network.node(member).domain_id
-            assert cached == _distances(self.network, member, True, asn)
-            verified["vnbone_dists"] += 1
-
     monkeypatch.setattr(ForwardingEngine, "forward", paranoid_forward)
-    monkeypatch.setattr(PathCache, "tree", paranoid_tree)
-    monkeypatch.setattr(EgressCache, "links", paranoid_links)
+    monkeypatch.setattr(TopologyMemo, "get", paranoid_get)
     monkeypatch.setattr(LinkStateRouting, "_spf", paranoid_spf)
     monkeypatch.setattr(VnRouting, "compute", paranoid_vn_compute)
     monkeypatch.setattr(LayeredVnRouting, "compute", paranoid_layered_compute)
-    monkeypatch.setattr(VnBoneTopology, "_refresh_caches", paranoid_refresh)
     return verified

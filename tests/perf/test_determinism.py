@@ -1,9 +1,9 @@
 """Cached == re-derived: no cache may ever change an answer.
 
 Every scenario runs under ``paranoid_caches`` (``tests/oracles.py``):
-each cache hit — path cache, egress cache, LSDB-generation SPF cache,
-vN-Bone signature and distance caches — is re-derived from scratch on
-the spot and compared.  A run that finishes has therefore given
+each cache hit — path cache, egress cache, delay trees,
+LSDB-generation SPF cache, vN-Bone signature caches — is re-derived
+from scratch on the spot and compared.  A run that finishes has therefore given
 exactly the answers an uncached run gives; its payload must also equal
 the plain run's, which shows the checking itself perturbs nothing.
 """
@@ -28,11 +28,11 @@ def test_cached_leg_matches_uncached_leg(name, scenario, plain_payloads,
     leg = run_leg(scenario, seed=7)
     assert leg.payload == plain_payloads[name]
     # Not vacuous: every hit the run's own counters saw was re-derived.
-    assert paranoid_caches["path_cache"] == \
+    assert paranoid_caches["PathCache"] == \
         leg.counter("perf.path_cache.hits")
     assert paranoid_caches["linkstate_spf"] == \
         leg.counter("igp.ls.spf_cache_hits") > 0
-    assert paranoid_caches["egress_cache"] == \
+    assert paranoid_caches["EgressCache"] == \
         leg.counter("perf.bgp.egress_cache.hits") > 0
     assert paranoid_caches["vn_routing"] == \
         leg.counter("vnbone.spf_cache_hits")
@@ -43,7 +43,7 @@ def test_fault_epoch_exercises_cache_invalidation(paranoid_caches):
     # Crash + recovery moved the topology version, so the path cache
     # must have been flushed at least twice while still being used.
     assert leg.counter("perf.path_cache.invalidations") >= 2
-    assert paranoid_caches["path_cache"] == \
+    assert paranoid_caches["PathCache"] == \
         leg.counter("perf.path_cache.hits") > 0
 
 

@@ -164,3 +164,42 @@ class TestCongruence:
         t.build({1: {"a0"}}, {"a0": 1})
         assert t.member_distance("a0", "a3", 1) == 3.0
         assert t.member_distance("a0", "b0", 1) is None
+
+
+class TestDistancesFollowTheTopology:
+    """Distances come from the network's path cache, so they are never
+    older than ``topology_version`` — with no ``build()`` in between."""
+
+    MEMBERS = {"a0", "a3", "a4"}
+
+    def _assert_current(self, t, net):
+        for member in self.MEMBERS:
+            for target in ("a1", "a2", "a5"):
+                truth = net.shortest_path(member, target,
+                                          intra_domain_only=True)
+                assert t.member_distance(member, target, 1) == \
+                    (truth[0] if truth else None)
+        for target in ("a1", "a2", "a5"):
+            assert t.nearest_member(target, self.MEMBERS) == min(
+                (net.shortest_path(m, target, intra_domain_only=True)[0], m)
+                for m in self.MEMBERS)
+
+    def test_link_fail_and_restore_move_member_distance(self, orch):
+        net = orch.network
+        t = topo(orch)
+        t.build({1: self.MEMBERS}, {"a0": 1, "a3": 2, "a4": 3})
+        assert t.member_distance("a0", "a1", 1) == 1.0
+        assert t.nearest_member("a1", self.MEMBERS) == (1.0, "a0")
+        link = net.link_between("a0", "a1")
+        link.fail()  # a0 now reaches a1 the long way round the ring
+        assert t.member_distance("a0", "a1", 1) == 5.0
+        assert t.nearest_member("a1", self.MEMBERS) == (2.0, "a3")
+        self._assert_current(t, net)
+        link.restore()
+        assert t.member_distance("a0", "a1", 1) == 1.0
+        self._assert_current(t, net)
+
+    def test_nearest_member_of_a_member_is_itself_else_none(self, orch):
+        t = topo(orch)
+        assert t.nearest_member("a3", self.MEMBERS) == (0.0, "a3")
+        assert t.nearest_member("b1", self.MEMBERS) is None  # other AS
