@@ -23,7 +23,9 @@ O(P×R×B) FIB lookups become O(R×B×A) for A next-hop ASes.  When the
 topology version is unchanged since a domain's last install, only
 *dirty* prefixes (Loc-RIB deltas tracked by :meth:`BgpSpeaker.decide`)
 are withdrawn and reinstalled instead of rebuilding every FIB from
-scratch.  Update propagation coalesces all updates one speaker sends
+scratch — except on a router whose IGP rows were rewritten since
+(``Fib.igp_generation``), which is rebuilt alone.  Update propagation
+coalesces all updates one speaker sends
 one neighbor at one tick into a single MRAI-style batch event
 (per-prefix send order preserved); whenever a
 :class:`~repro.net.simulator.MessagePerturbation` is active it sends
@@ -154,6 +156,9 @@ class BgpProtocol:
         #: topology_version at each speaker's last install — the gate
         #: between full rebuilds and incremental dirty-set reinstalls.
         self._install_state: Dict[int, int] = {}
+        #: ``Fib.igp_generation`` of each router at the last rebuild of
+        #: its BGP rows — the per-router half of the same gate.
+        self._igp_seen: Dict[str, int] = {}
         #: FIB lookups performed by forwarding-state installation.
         #: Plain int, always live (the perf.bgp.install_fib_lookups
         #: counter mirrors it under an enabled observability handle).
@@ -461,29 +466,48 @@ class BgpProtocol:
     def _install_domain(self, asn: int) -> None:
         """Reinstall one domain's BGP routes, grouped by next-hop AS.
 
-        With the topology version unchanged since the domain's last
-        install, egress maps and the IGP routes the hot-potato scan
-        reads cannot have moved, so every non-dirty prefix's installed
-        entry is still what a rebuild would produce: only
-        ``speaker.dirty`` is withdrawn and reinstalled.  Otherwise the
-        whole Loc-RIB is, after ``withdraw_all``.
+        A router's BGP rows are a function of the Loc-RIB, the egress
+        maps (which move only with the topology version) and the IGP
+        rows its hot-potato scan reads.  With the topology version
+        unchanged since the domain's last install, a router whose IGP
+        rows were not rewritten since keeps every non-dirty prefix's
+        entry: only ``speaker.dirty`` is withdrawn and reinstalled
+        there.  Every other router gets the whole Loc-RIB, after
+        ``withdraw_all``.
         """
         speaker = self.speakers[asn]
         version = self.network.topology_version
-        incremental = self._install_state.get(asn) == version
-        if incremental and not speaker.dirty:
-            return
         routers = self._domain_routers(asn)
-        if incremental:
+        seen = self._igp_seen
+        if self._install_state.get(asn) == version:
+            rebuild = [router for router in routers if
+                       seen.get(router.node_id) != router.fib4.igp_generation]
+            patch = [router for router in routers if
+                     seen.get(router.node_id) == router.fib4.igp_generation]
+        else:
+            rebuild, patch = routers, []
+        if rebuild:
+            for router in rebuild:
+                router.fib4.withdraw_all(RouteSource.BGP)
+                seen[router.node_id] = router.fib4.igp_generation
+            self._install_prefixes(
+                asn, rebuild, sorted(speaker.loc_rib, key=Prefix.sort_key))
+        if patch and speaker.dirty:
             prefixes = sorted(speaker.dirty, key=Prefix.sort_key)
-            for router in routers:
+            for router in patch:
                 fib = router.fib4
                 for prefix in prefixes:
                     fib.withdraw(prefix, RouteSource.BGP)
-        else:
-            prefixes = sorted(speaker.loc_rib, key=Prefix.sort_key)
-            for router in routers:
-                router.fib4.withdraw_all(RouteSource.BGP)
+            self._install_prefixes(asn, patch, prefixes)
+            if self.obs.enabled:
+                self.obs.counter("perf.bgp.incremental_installs").inc()
+        self._install_state[asn] = version
+        speaker.dirty.clear()
+
+    def _install_prefixes(self, asn: int, routers: List[Router],
+                          prefixes: List[Prefix]) -> None:
+        """Install *asn*'s Loc-RIB routes for *prefixes* (sorted) on *routers*."""
+        speaker = self.speakers[asn]
         # Group lists inherit the sorted prefix order.
         groups: Dict[int, List[Prefix]] = {}
         for prefix in prefixes:
@@ -496,10 +520,6 @@ class BgpProtocol:
         for next_hop_asn in sorted(groups):
             self._install_group(asn, routers, next_hop_asn,
                                 groups[next_hop_asn], memo)
-        self._install_state[asn] = version
-        speaker.dirty.clear()
-        if incremental and self.obs.enabled:
-            self.obs.counter("perf.bgp.incremental_installs").inc()
 
     def _domain_routers(self, asn: int) -> List[Router]:
         domain = self.network.domains[asn]

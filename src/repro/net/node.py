@@ -87,6 +87,10 @@ class Fib:
 
     def __init__(self, bits: int = IPV4_BITS) -> None:
         self._table: PrefixTable[_Route] = PrefixTable(bits)
+        #: Bumped by the IGP each time it rewrites this table's IGP
+        #: rows.  BGP's hot-potato rows are derived from them, so they
+        #: are valid only while this (and the topology version) holds.
+        self.igp_generation = 0
 
     def __len__(self) -> int:
         return len(self._table)

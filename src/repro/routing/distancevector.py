@@ -22,7 +22,7 @@ single update per router.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.domain import Domain
@@ -94,6 +94,7 @@ class DistanceVectorRouting(IgpProtocol):
                                      next_hop=route.next_hop)
                 changed = True
         if changed:
+            self._route_gen[router_id] += 1
             self._schedule_update(router_id)
 
     # -- update exchange -----------------------------------------------------------
@@ -179,6 +180,7 @@ class DistanceVectorRouting(IgpProtocol):
                 table[pfx] = DvRoute(prefix=pfx, metric=candidate, next_hop=sender)
                 changed = True
         if changed:
+            self._route_gen[router_id] += 1
             self._schedule_update(router_id)
         if lost_routes:
             # A poison took a route away; ask other neighbors whether
@@ -193,6 +195,7 @@ class DistanceVectorRouting(IgpProtocol):
 
     def _bootstrap(self, router_id: str) -> None:
         self._tables[router_id].update(self._local_routes(router_id))
+        self._route_gen[router_id] += 1
         self._schedule_update(router_id)
 
     def refresh(self) -> None:
@@ -216,16 +219,13 @@ class DistanceVectorRouting(IgpProtocol):
         self._solicit(router_id)
 
     # -- route installation ---------------------------------------------------------
-    def install_routes(self) -> None:
-        for router_id in sorted(self.domain.routers):
-            node = self.network.node(router_id)
-            node.fib4.withdraw_all(RouteSource.IGP)
-            for pfx, route in self._tables[router_id].items():
-                if route.next_hop is None or not route.reachable:
-                    continue
-                node.fib4.install(FibEntry(prefix=pfx, next_hop=route.next_hop,
-                                           source=RouteSource.IGP,
-                                           metric=route.metric))
+    def _routes(self, router_id: str) -> Iterator[FibEntry]:
+        """A pure function of *router_id*'s table."""
+        for pfx, route in self._tables[router_id].items():
+            if route.next_hop is None or not route.reachable:
+                continue
+            yield FibEntry(prefix=pfx, next_hop=route.next_hop,
+                           source=RouteSource.IGP, metric=route.metric)
 
     # -- inspection -------------------------------------------------------------------
     def table(self, router_id: str) -> Dict[Prefix, Tuple[float, Optional[str]]]:

@@ -17,20 +17,26 @@ The paper's anycast story needs two things from the IGP (Section 3.2):
 Both concrete IGPs are message driven over the shared event scheduler,
 so experiment E11 can count protocol messages with and without the
 anycast extensions.
+
+Installation costs what changed: each protocol bumps a per-router
+*route generation* wherever the state that router's routes derive from
+is written (its LSDB under link-state, its table under
+distance-vector), and :meth:`IgpProtocol.install_routes` rewrites only
+the routers whose generation moved since their last install.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.domain import Domain
 from repro.net.errors import RoutingError
 from repro.net.link import Link
 from repro.net.network import Network
-from repro.net.node import Node
+from repro.net.node import FibEntry, Node, RouteSource
 from repro.net.simulator import EventScheduler, MessageStats
 from repro.obs import AbstractSpan, get_obs
 
@@ -60,6 +66,18 @@ class IgpProtocol(abc.ABC):
         self.obs = get_obs()
         #: router_id -> {anycast address -> stub cost} advertisements.
         self._anycast_adverts: Dict[str, Dict[IPv4Address, float]] = {}
+        #: Bumped whenever ``_anycast_adverts`` changes.
+        self._advert_gen = 0
+        #: Per-router route generation: the protocol bumps it wherever
+        #: the state :meth:`_routes` reads for that router is written,
+        #: so an unchanged generation proves the routes are unchanged.
+        self._route_gen: Dict[str, int] = {rid: 0 for rid in domain.routers}
+        #: Route generation each router's FIB was last written at.
+        self._installed_gen: Dict[str, int] = {}
+        #: What the install and refresh gates did (see :meth:`gate_stats`).
+        self.routers_written = 0
+        self.routers_skipped = 0
+        self.refreshes_skipped = 0
         self._started = False
         #: Per-router hold-down: routers with a pending reaction timer.
         self._holddown_pending: Set[str] = set()
@@ -80,8 +98,40 @@ class IgpProtocol(abc.ABC):
         """Re-originate advertisements after topology or anycast changes."""
 
     @abc.abstractmethod
+    def _routes(self, router_id: str) -> Iterable[FibEntry]:
+        """*router_id*'s IGP routes, from the state ``_route_gen`` guards."""
+
     def install_routes(self) -> None:
-        """Compute routes from converged protocol state and install FIBs."""
+        """Install converged protocol state into the domain's FIBs.
+
+        A router is rewritten (every IGP row withdrawn, :meth:`_routes`
+        installed) only when its route generation moved since its last
+        install; the FIB itself is the record of what was installed.
+        """
+        written = 0
+        for router_id in sorted(self.domain.routers):
+            generation = self._route_gen[router_id]
+            if self._installed_gen.get(router_id) == generation:
+                continue
+            fib = self.network.node(router_id).fib4
+            fib.withdraw_all(RouteSource.IGP)
+            for entry in self._routes(router_id):
+                fib.install(entry)
+            fib.igp_generation += 1
+            self._installed_gen[router_id] = generation
+            written += 1
+        skipped = len(self.domain.routers) - written
+        self.routers_written += written
+        self.routers_skipped += skipped
+        if self.obs.enabled:
+            self.obs.counter("igp.install.routers_written").inc(written)
+            self.obs.counter("igp.install.routers_skipped").inc(skipped)
+
+    def gate_stats(self) -> Dict[str, int]:
+        """Plain-int totals of what the install and refresh gates did."""
+        return {"routers_written": self.routers_written,
+                "routers_skipped": self.routers_skipped,
+                "refreshes_skipped": self.refreshes_skipped}
 
     def converge(self, max_events: int = 2_000_000) -> int:
         """Drain protocol messages, then install routes.  Returns events run."""
@@ -150,14 +200,18 @@ class IgpProtocol(abc.ABC):
         """Have *router_id* advertise a stub route to an anycast address."""
         self._require_member(router_id)
         self._anycast_adverts.setdefault(router_id, {})[address] = cost
+        self._advert_gen += 1
         if self._started:
             self.refresh()
 
     def withdraw_anycast(self, router_id: str, address: IPv4Address) -> None:
         adverts = self._anycast_adverts.get(router_id, {})
-        adverts.pop(address, None)
+        if address not in adverts:
+            return  # never advertised: nothing to tell the domain
+        del adverts[address]
         if not adverts:
-            self._anycast_adverts.pop(router_id, None)
+            del self._anycast_adverts[router_id]
+        self._advert_gen += 1
         if self._started:
             self.refresh()
 

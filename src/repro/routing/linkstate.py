@@ -18,7 +18,7 @@ simple intra-domain vN-Bone construction rule possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.domain import Domain
@@ -56,11 +56,10 @@ class LinkStateRouting(IgpProtocol):
         #: Per-router link-state database: viewpoint -> origin -> LSA.
         self._lsdb: Dict[str, Dict[str, Lsa]] = {rid: {} for rid in domain.routers}
         self._seq: Dict[str, int] = {rid: 0 for rid in domain.routers}
-        #: Per-viewpoint LSDB generation: bumped on every stored LSA, so
-        #: an unchanged generation proves the SPF input is unchanged.
-        self._lsdb_gen: Dict[str, int] = {rid: 0 for rid in domain.routers}
-        #: viewpoint -> (generation, SPF result); see :meth:`_spf`.
-        self._spf_cache: Dict[str, Tuple[int, Dict[str, Tuple[float, Optional[str]]]]] = {}
+        #: (topology version, advertisement generation) at which a full
+        #: :meth:`refresh` scan last found nothing to re-originate; while
+        #: both hold, no router's fresh LSA can differ from its stored one.
+        self._settled_at: Optional[Tuple[int, int]] = None
 
     # -- origination and flooding ---------------------------------------------
     def _build_lsa(self, router_id: str) -> Lsa:
@@ -80,9 +79,9 @@ class LinkStateRouting(IgpProtocol):
         self._flood(router_id, lsa, exclude=None)
 
     def _store_lsa(self, viewpoint: str, lsa: Lsa) -> None:
-        """Store *lsa* in *viewpoint*'s LSDB, bumping its generation."""
+        """Store *lsa* in *viewpoint*'s LSDB, bumping its route generation."""
         self._lsdb[viewpoint][lsa.origin] = lsa
-        self._lsdb_gen[viewpoint] = self._lsdb_gen.get(viewpoint, 0) + 1
+        self._route_gen[viewpoint] += 1
 
     def _flood(self, from_router: str, lsa: Lsa, exclude: Optional[str]) -> None:
         obs_enabled = self.obs.enabled
@@ -114,15 +113,33 @@ class LinkStateRouting(IgpProtocol):
             self.scheduler.schedule(0.0, lambda r=router_id: self._originate(r))
 
     def refresh(self) -> None:
-        """Re-originate LSAs whose content changed (triggered updates)."""
+        """Re-originate LSAs whose content changed (triggered updates).
+
+        An LSA's content is a function of the topology and the domain's
+        anycast advertisements, and a router's stored LSA only ever
+        becomes its fresh one.  So once a full scan has scheduled
+        nothing, the next scan cannot either until one of the two
+        moves, and is skipped; a scan that did schedule an origination
+        proves nothing (it has yet to run) and the next call scans
+        again.
+        """
         if not self._started:
             self.start()
             return
+        state = (self.network.topology_version, self._advert_gen)
+        if self._settled_at == state:
+            self.refreshes_skipped += 1
+            if self.obs.enabled:
+                self.obs.counter("igp.refresh.skipped").inc()
+            return
+        settled = True
         for router_id in sorted(self.domain.routers):
             fresh = self._build_lsa(router_id)
             stored = self._lsdb[router_id].get(router_id)
             if stored is None or stored.content_key() != fresh.content_key():
                 self.scheduler.schedule(0.0, lambda r=router_id: self._originate(r))
+                settled = False
+        self._settled_at = state if settled else None
 
     # -- failure detection ------------------------------------------------------
     def on_link_change(self, link: Link) -> None:
@@ -164,18 +181,7 @@ class LinkStateRouting(IgpProtocol):
 
         An edge is used only if both endpoints advertise it
         (bidirectionality check, as in OSPF).
-
-        Results are memoized against the viewpoint's LSDB generation:
-        until that router's database actually changes, repeated calls
-        (``install_routes``, ``igp_distance``) reuse the same tree.
-        Callers treat the returned mapping as read-only.
         """
-        generation = self._lsdb_gen.get(router_id, 0)
-        cached = self._spf_cache.get(router_id)
-        if cached is not None and cached[0] == generation:
-            if self.obs.enabled:
-                self.obs.counter("igp.ls.spf_cache_hits").inc()
-            return cached[1]
         if self.obs.enabled:
             self.obs.counter("igp.ls.spf_runs").inc()
             self.obs.counter("perf.dijkstra_runs").inc()
@@ -191,40 +197,35 @@ class LinkStateRouting(IgpProtocol):
                 adjacency.setdefault(origin, []).append((neighbor_id, cost))
         for edges in adjacency.values():
             edges.sort()  # once per SPF, not once per heap pop
-        result = first_hop_spf(router_id, adjacency)
-        self._spf_cache[router_id] = (generation, result)
-        return result
+        return first_hop_spf(router_id, adjacency)
 
-    def install_routes(self) -> None:
-        for router_id in sorted(self.domain.routers):
-            node = self.network.node(router_id)
-            node.fib4.withdraw_all(RouteSource.IGP)
-            lsdb = self._lsdb[router_id]
-            spf = self._spf(router_id)
-            # Unicast prefixes of every reachable router.
-            for origin, lsa in lsdb.items():
-                if origin == router_id or origin not in spf:
-                    continue
-                dist, first_hop = spf[origin]
-                if first_hop is None:
-                    continue
-                for pfx in lsa.prefixes:
-                    node.fib4.install(FibEntry(prefix=pfx, next_hop=first_hop,
-                                               source=RouteSource.IGP, metric=dist))
-            # Anycast: route to the closest advertising member.
-            for address in self._visible_anycast_addresses(lsdb):
-                best = self._closest_member(router_id, address, lsdb, spf)
-                if best is None:
-                    continue
-                member, total_cost = best
-                if member == router_id:
-                    continue  # local member: accepts_ipv4 handles delivery
-                _, first_hop = spf[member]
-                if first_hop is None:
-                    continue
-                node.fib4.install(FibEntry(prefix=Prefix.host(address),
-                                           next_hop=first_hop,
-                                           source=RouteSource.IGP, metric=total_cost))
+    def _routes(self, router_id: str) -> Iterator[FibEntry]:
+        """A pure function of *router_id*'s LSDB."""
+        lsdb = self._lsdb[router_id]
+        spf = self._spf(router_id)
+        # Unicast prefixes of every reachable router.
+        for origin, lsa in lsdb.items():
+            if origin == router_id or origin not in spf:
+                continue
+            dist, first_hop = spf[origin]
+            if first_hop is None:
+                continue
+            for pfx in lsa.prefixes:
+                yield FibEntry(prefix=pfx, next_hop=first_hop,
+                               source=RouteSource.IGP, metric=dist)
+        # Anycast: route to the closest advertising member.
+        for address in self._visible_anycast_addresses(lsdb):
+            best = self._closest_member(router_id, address, lsdb, spf)
+            if best is None:
+                continue
+            member, total_cost = best
+            if member == router_id:
+                continue  # local member: accepts_ipv4 handles delivery
+            _, first_hop = spf[member]
+            if first_hop is None:
+                continue
+            yield FibEntry(prefix=Prefix.host(address), next_hop=first_hop,
+                           source=RouteSource.IGP, metric=total_cost)
 
     @staticmethod
     def _visible_anycast_addresses(lsdb: Dict[str, Lsa]) -> Set[IPv4Address]:

@@ -29,6 +29,7 @@ import random
 import time
 from typing import Dict, List, Optional, Set
 
+from repro.net.address import Prefix
 from repro.net.errors import DeploymentError
 from repro.net.forwarding import ForwardingTrace
 from repro.net.node import Host
@@ -222,7 +223,7 @@ class VnDeployment:
                     != self.network.node(tunnel.b).domain_id):
                 state_a.is_vn_border = True
                 state_b.is_vn_border = True
-        entries = self._owner_entries(members_by_domain)
+        entries = self._owner_entries(members_by_domain, live)
         if self.routing_mode == "layered":
             self.routing.compute(self.states, entries, self.tunnels)
         else:
@@ -243,34 +244,35 @@ class VnDeployment:
                       domains=len(members_by_domain),
                       tunnels=len(self.tunnels), wall_ms=wall_ms)
 
-    def _owner_entries(self, members_by_domain: Dict[int, Set[str]]
-                       ) -> List[OwnerEntry]:
+    def _owner_entries(self, members_by_domain: Dict[int, Set[str]],
+                       live: Set[str]) -> List[OwnerEntry]:
+        """Every prefix advertised into vN-Bone routing by the *live*
+        members (*members_by_domain* is the same set, by AS)."""
         entries: List[OwnerEntry] = []
-        live = self.live_members()
+        members = sorted(live)
         # Members' own IPvN addresses.
-        for router_id in sorted(live):
+        for router_id in members:
             state = self.states[router_id]
             entries.append(OwnerEntry(
-                prefix=self._host_prefix(state.vn_address), owner=router_id,
+                prefix=Prefix.host(state.vn_address), owner=router_id,
                 action=VnAction.LOCAL, origin="intra"))
         # Native host addresses, owned by the member nearest the host.
         for asn in sorted(members_by_domain):
-            members = members_by_domain[asn]
+            domain_members = members_by_domain[asn]
             for host_id in sorted(self.network.domains[asn].hosts):
                 address = self.plan.ensure_host_address(host_id)
                 host = self.network.node(host_id)
                 assert isinstance(host, Host)
                 nearest = self.topology.nearest_member(host.access_router,
-                                                       members)
+                                                       domain_members)
                 if nearest is None:
                     continue
                 entries.append(OwnerEntry(
-                    prefix=self._host_prefix(address), owner=nearest[1],
+                    prefix=Prefix.host(address), owner=nearest[1],
                     action=VnAction.EGRESS, egress_ipv4=host.ipv4,
                     origin="host"))
         # External (non-adopting) destination domains.
         adopting = set(members_by_domain)
-        members = sorted(live)
         if self.egress_policy is EgressPolicy.PROXY:
             entries.extend(self.proxy.owner_entries(members, adopting))
         else:
@@ -283,12 +285,6 @@ class VnDeployment:
         entries.extend(self.host_registry.owner_entries(
             self.network, live))
         return entries
-
-    @staticmethod
-    def _host_prefix(address):
-        from repro.net.address import Prefix
-
-        return Prefix.host(address)
 
     # -- host data path --------------------------------------------------------------------
     def send(self, src_host_id: str, dst_host_id: str, payload: object = None,

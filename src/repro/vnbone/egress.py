@@ -31,7 +31,7 @@ possible, then prefer the nearest such exit".
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.net.address import Prefix
 from repro.net.network import Network
@@ -66,38 +66,47 @@ def external_owner_entries(network: Network, bgp: BgpProtocol, version: int,
     """
     if policy in (EgressPolicy.EXIT_IMMEDIATELY, EgressPolicy.HOST_ADVERTISED):
         return []
-    member_list = sorted(set(members))
-    entries: List[OwnerEntry] = []
-    origin = "egress-select" if policy is EgressPolicy.BGP_INFORMED else "proxy"
-    for asn in sorted(network.domains):
-        if asn in adopting_asns:
-            continue  # natively routed; not an external destination
-        domain_prefix = network.domains[asn].prefix
-        vn_prefix = vn_prefix_for_ipv4(domain_prefix, version=version)
-        for member in member_list:
-            member_asn = network.node(member).domain_id
-            hops = _as_path_hops(bgp, member_asn, domain_prefix)
-            if hops is None:
-                continue  # this member's domain cannot reach the destination
+    # An AS-path length belongs to the member's AS, and BGP carries few
+    # of the destinations: each adopting speaker's Loc-RIB is walked
+    # once and what it reaches is shared by that AS's members.
+    members_by_asn: Dict[int, List[str]] = {}
+    for member in sorted(set(members)):
+        members_by_asn.setdefault(network.node(member).domain_id,
+                                  []).append(member)
+    external = {domain.prefix: asn for asn, domain in network.domains.items()
+                if asn not in adopting_asns}
+    #: destination AS -> advertising member -> advertised cost
+    costs: Dict[int, Dict[str, float]] = {}
+    for member_asn, asn_members in members_by_asn.items():
+        for prefix, hops in _as_path_hops(bgp, member_asn):
+            asn = external.get(prefix)
+            if asn is None:
+                continue  # adopting (natively routed), or not a domain block
             if policy is EgressPolicy.PROXY and hops > proxy_threshold:
                 continue
-            entries.append(OwnerEntry(prefix=vn_prefix, owner=member,
-                                      action=VnAction.EGRESS, egress_ipv4=None,
-                                      advertised_cost=hops * EGRESS_AS_HOP_COST,
-                                      origin=origin))
+            costs.setdefault(asn, {}).update(
+                dict.fromkeys(asn_members, hops * EGRESS_AS_HOP_COST))
+    origin = "egress-select" if policy is EgressPolicy.BGP_INFORMED else "proxy"
+    entries: List[OwnerEntry] = []
+    for asn in sorted(costs):
+        vn_prefix = vn_prefix_for_ipv4(network.domains[asn].prefix,
+                                       version=version)
+        entries.extend(
+            OwnerEntry(prefix=vn_prefix, owner=member, action=VnAction.EGRESS,
+                       egress_ipv4=None, advertised_cost=cost, origin=origin)
+            for member, cost in sorted(costs[asn].items()))
     return entries
 
 
-def _as_path_hops(bgp: BgpProtocol, from_asn: int,
-                  prefix: Prefix) -> Optional[int]:
-    """IPv(N-1) AS-path length from *from_asn* to *prefix* (0 if local)."""
-    domain = bgp.network.domains[from_asn]
-    if domain.prefix == prefix:
-        return 0
-    route = bgp.speaker(from_asn).best_route(prefix)
-    if route is None:
-        return None
-    return route.path_length
+def _as_path_hops(bgp: BgpProtocol,
+                  from_asn: int) -> Iterator[Tuple[Prefix, int]]:
+    """``(prefix, IPv(N-1) AS-path length)`` for every prefix *from_asn*
+    has a route to; its own block is 0 hops away."""
+    own = bgp.network.domains[from_asn].prefix
+    yield own, 0
+    for prefix, route in bgp.speaker(from_asn).loc_rib.items():
+        if prefix != own:
+            yield prefix, route.path_length
 
 
 class HostRegistry:

@@ -114,37 +114,45 @@ class VnRouting:
         by_prefix: Dict[Prefix, List[OwnerEntry]] = {}
         for entry in owner_entries:
             by_prefix.setdefault(entry.prefix, []).append(entry)
+        # Ordered once: every member selects over the same view.
+        ordered = [(prefix, sorted(by_prefix[prefix], key=lambda e: e.owner))
+                   for prefix in sorted(by_prefix, key=str)]
         for member in sorted(states):
-            self._install_member(member, states[member], by_prefix)
+            self._install_member(member, states[member], ordered)
 
     def _install_member(self, member: str, state: VnRouterState,
-                        by_prefix: Dict[Prefix, List[OwnerEntry]]) -> None:
+                        ordered: List[Tuple[Prefix, List[OwnerEntry]]]
+                        ) -> None:
+        """Install, per prefix, the owner minimizing (vN-Bone distance +
+        advertised cost, owner).  *ordered* lists each prefix's entries
+        by owner, so a later entry wins only when strictly cheaper."""
         state.fib.clear()
+        install = state.fib.install
         dist = self._dist.get(member, {})
         first_hop = self._first_hop.get(member, {})
-        for prefix in sorted(by_prefix, key=str):
-            best: Optional[Tuple[float, str, OwnerEntry]] = None
-            for entry in sorted(by_prefix[prefix], key=lambda e: e.owner):
+        for prefix, candidates in ordered:
+            best: Optional[OwnerEntry] = None
+            best_total = 0.0
+            for entry in candidates:
                 if entry.owner == member:
                     total = entry.advertised_cost
-                elif entry.owner in dist:
-                    total = dist[entry.owner] + entry.advertised_cost
                 else:
-                    continue  # owner unreachable over the vN-Bone
-                key = (total, entry.owner, entry)
-                if best is None or key[:2] < best[:2]:
-                    best = key
+                    reach = dist.get(entry.owner)
+                    if reach is None:
+                        continue  # owner unreachable over the vN-Bone
+                    total = reach + entry.advertised_cost
+                if best is None or total < best_total:
+                    best, best_total = entry, total
             if best is None:
                 continue
-            total, owner, entry = best
-            if owner == member:
-                state.fib.install(VnFibEntry(prefix=prefix, action=entry.action,
-                                             egress_ipv4=entry.egress_ipv4,
-                                             metric=total, origin=entry.origin))
+            if best.owner == member:
+                install(VnFibEntry(prefix=prefix, action=best.action,
+                                   egress_ipv4=best.egress_ipv4,
+                                   metric=best_total, origin=best.origin))
             else:
-                state.fib.install(VnFibEntry(prefix=prefix, action=VnAction.FORWARD,
-                                             next_hop=first_hop[owner],
-                                             metric=total, origin=entry.origin))
+                install(VnFibEntry(prefix=prefix, action=VnAction.FORWARD,
+                                   next_hop=first_hop[best.owner],
+                                   metric=best_total, origin=best.origin))
 
     # -- inspection ---------------------------------------------------------------------
     def distance(self, a: str, b: str) -> Optional[float]:

@@ -165,7 +165,7 @@ class TestSeededMeasurementPlane:
         # answers as an uncached run would.
         rederived = run("rtt_catchment", seed=19).data["catchment"]
         for mechanism in ("PathCache", "EgressCache", "DelayOracle",
-                          "linkstate_spf"):
+                          "igp_install"):
             assert paranoid_caches[mechanism] > 0, mechanism
         assert (json.dumps(rederived, sort_keys=True)
                 == json.dumps(plain_catchment, sort_keys=True))

@@ -14,10 +14,23 @@ against lives here, as test code:
   (prefix, router) at a time from the Loc-RIBs, which grouped and
   incremental installation must reproduce; :func:`checked_bgp_installs`
   asserts it after every ``install_routes``;
-* :func:`paranoid_caches` — a fixture under which every cache hit, and
-  every flow the fast path replays, is re-derived from scratch and
-  compared, so a run that finishes has given exactly the answers an
-  uncached run would have;
+* :func:`reference_igp_rows` — one router's IGP rows derived from
+  protocol state alone (its LSDB through Bellman–Ford, or its
+  distance-vector table), which the generation-gated install must
+  leave in every FIB; :func:`checked_igp_installs` asserts it after
+  every ``IgpProtocol.install_routes``, and :func:`refresh_gate_open`
+  makes every ``LinkStateRouting.refresh`` scan, as it did before the
+  gate;
+* :func:`reference_vn_fibs` — the vN FIBs computed the way they were
+  before selection shared its work: the AS-path length looked up once
+  per (destination, member), prefixes and owners re-sorted for every
+  member; :func:`checked_vn_rebuilds` asserts it after every
+  ``VnDeployment.rebuild``;
+* :func:`paranoid_caches` — a fixture under which every cache hit,
+  every flow the fast path replays, and every router and ``refresh()``
+  the IGP gates skip is re-derived from scratch and compared, so a run
+  that finishes has given exactly the answers an uncached, ungated run
+  would have;
 * :func:`slow_path_held` and :func:`per_message_bgp` — hold the levers
   ``src/`` selects from observable state (``FlowFastPath.pause()``, an
   active ``MessagePerturbation``) for a whole run, to compare it with a
@@ -29,7 +42,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 import pytest
 
@@ -39,13 +53,19 @@ from repro.net.forwarding import ForwardingEngine, ForwardingTrace
 from repro.net.link import LinkScope
 from repro.net.network import Network
 from repro.net.address import Address, Prefix
-from repro.net.node import FibEntry, RouteSource
+from repro.net.node import Fib, FibEntry, RouteSource
 from repro.net.simulator import EventScheduler, MessagePerturbation
 from repro.obs import NULL_OBS
 from repro.perf.cache import TopologyMemo
+from repro.routing.distancevector import DistanceVectorRouting
+from repro.routing.igp import IgpProtocol
 from repro.routing.linkstate import LinkStateRouting
 from repro.vnbone.bgpvn import LayeredVnRouting
-from repro.vnbone.routing import VnRouting
+from repro.vnbone.deployment import VnDeployment
+from repro.vnbone.egress import EGRESS_AS_HOP_COST, EgressPolicy
+from repro.vnbone.routing import OwnerEntry, VnRouting
+from repro.vnbone.state import (VnAction, VnFib, VnFibEntry,
+                                vn_prefix_for_ipv4)
 
 #: One ``Fib.snapshot()`` row: (prefix, source, next hop, metric).
 FibRow = Tuple[str, str, str, float]
@@ -227,12 +247,9 @@ def checked_bgp_installs() -> Iterator[List[SeedFib]]:
     convergence, every fault epoch, every incremental reinstall.
     Yields the list the per-install oracle results are appended to.
 
-    Only live routers are compared.  A crashed router's IGP view
+    Every router is compared, up or down: a crashed router's IGP view
     empties at the first ``refresh()`` after the crash, which moves no
-    topology version, so the incremental branch leaves it the BGP rows
-    of its last rebuild until the next version change; while down it
-    neither forwards nor accepts packets, so those rows cannot be
-    observed.
+    topology version, and its BGP rows must follow.
     """
     install_routes = BgpProtocol.install_routes
     checked: List[SeedFib] = []
@@ -241,13 +258,239 @@ def checked_bgp_installs() -> Iterator[List[SeedFib]]:
         install_routes(self)
         expected = seed_bgp_fib(self.network, self)
         installed = installed_bgp_rows(self.network)
-        for node_id, node in self.network.nodes.items():
-            if node.up:
-                assert installed[node_id] == expected.rows[node_id], node_id
+        for node_id in self.network.nodes:
+            assert installed[node_id] == expected.rows[node_id], node_id
         checked.append(expected)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BgpProtocol, "install_routes", install_and_check)
+        yield checked
+
+
+# -- IGP forwarding-state installation ----------------------------------------
+def _igp_rows(entries: Iterable[FibEntry]) -> List[FibRow]:
+    """``Fib.snapshot(RouteSource.IGP)`` of an empty FIB after *entries*
+    were installed into it in order."""
+    fib = Fib()
+    for entry in entries:
+        fib.install(entry)
+    return fib.snapshot(RouteSource.IGP)
+
+
+def reference_igp_rows(igp: IgpProtocol, router_id: str) -> List[FibRow]:
+    """*router_id*'s IGP rows from protocol state alone, whatever was
+    installed before: under distance-vector its table's reachable
+    learned routes; under link-state its LSDB's two-way adjacencies
+    through :func:`bellman_ford_first_hops`, every reachable origin's
+    prefixes, and per anycast address the closest advertising member."""
+    if isinstance(igp, DistanceVectorRouting):
+        return _igp_rows(
+            FibEntry(prefix=pfx, next_hop=route.next_hop,
+                     source=RouteSource.IGP, metric=route.metric)
+            for pfx, route in igp._tables[router_id].items()
+            if route.next_hop is not None and route.reachable)
+    assert isinstance(igp, LinkStateRouting)
+    lsdb = igp._lsdb[router_id]
+    edges = [(origin, neighbor, cost)
+             for origin, lsa in lsdb.items()
+             for neighbor, cost in lsa.neighbors
+             if origin < neighbor and neighbor in lsdb
+             and any(back == origin for back, _ in lsdb[neighbor].neighbors)]
+    spf = bellman_ford_first_hops(router_id, edges)
+    entries: List[FibEntry] = []
+    for origin, lsa in lsdb.items():
+        if origin != router_id and origin in spf:
+            dist, first_hop = spf[origin]
+            entries.extend(FibEntry(prefix=pfx, next_hop=first_hop,
+                                    source=RouteSource.IGP, metric=dist)
+                           for pfx in lsa.prefixes)
+    for address in {addr for lsa in lsdb.values() for addr, _ in lsa.anycast}:
+        closest = min(((spf[origin][0] + cost, origin)
+                       for origin, lsa in lsdb.items() if origin in spf
+                       for addr, cost in lsa.anycast if addr == address),
+                      default=None)  # None: every advertiser is cut off
+        if closest is not None and closest[1] != router_id:
+            total, member = closest
+            entries.append(FibEntry(prefix=Prefix.host(address),
+                                    next_hop=spf[member][1],
+                                    source=RouteSource.IGP, metric=total))
+    return _igp_rows(entries)
+
+
+@contextmanager
+def checked_igp_installs() -> Iterator[Counter]:
+    """Assert :func:`reference_igp_rows` equality on every router of the
+    domain after every ``IgpProtocol.install_routes`` inside the block —
+    written or skipped, up or down.  Yields the running counts of
+    installs and routers checked."""
+    install_routes = IgpProtocol.install_routes
+    checked: Counter = Counter()
+
+    def install_and_check(self: IgpProtocol) -> None:
+        install_routes(self)
+        for router_id in self.domain.routers:
+            fib = self.network.node(router_id).fib4
+            assert (fib.snapshot(RouteSource.IGP)
+                    == reference_igp_rows(self, router_id)), router_id
+        checked["installs"] += 1
+        checked["routers"] += len(self.domain.routers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IgpProtocol, "install_routes", install_and_check)
+        yield checked
+
+
+@contextmanager
+def refresh_gate_open() -> Iterator[None]:
+    """Every ``LinkStateRouting.refresh`` in the block scans every
+    router's LSA: what a skipped call proved is forgotten first."""
+    refresh = LinkStateRouting.refresh
+
+    def scan_always(self: LinkStateRouting) -> None:
+        self._settled_at = None
+        refresh(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinkStateRouting, "refresh", scan_always)
+        yield
+
+
+# -- vN-Bone routes -----------------------------------------------------------
+def _reference_external_entries(deployment: VnDeployment, members: List[str],
+                                adopting: Set[int]) -> List[OwnerEntry]:
+    """``external_owner_entries`` asking BGP once per (destination,
+    member)."""
+    policy = deployment.egress_policy
+    if policy in (EgressPolicy.EXIT_IMMEDIATELY, EgressPolicy.HOST_ADVERTISED):
+        return []
+    network, bgp = deployment.network, deployment.orchestrator.bgp
+    entries: List[OwnerEntry] = []
+    origin = "egress-select" if policy is EgressPolicy.BGP_INFORMED else "proxy"
+    for asn in sorted(network.domains):
+        if asn in adopting:
+            continue
+        domain_prefix = network.domains[asn].prefix
+        vn_prefix = vn_prefix_for_ipv4(domain_prefix,
+                                       version=deployment.version)
+        for member in members:
+            member_asn = network.node(member).domain_id
+            if network.domains[member_asn].prefix == domain_prefix:
+                hops: Optional[int] = 0
+            else:
+                route = bgp.speaker(member_asn).best_route(domain_prefix)
+                hops = None if route is None else route.path_length
+            if hops is None:
+                continue
+            if (policy is EgressPolicy.PROXY
+                    and hops > deployment.proxy.threshold):
+                continue
+            entries.append(OwnerEntry(prefix=vn_prefix, owner=member,
+                                      action=VnAction.EGRESS, egress_ipv4=None,
+                                      advertised_cost=hops * EGRESS_AS_HOP_COST,
+                                      origin=origin))
+    return entries
+
+
+def _reference_owner_entries(deployment: VnDeployment) -> List[OwnerEntry]:
+    """``VnDeployment._owner_entries`` from the deployment's state now."""
+    network = deployment.network
+    live = deployment.live_members()
+    members_by_domain = {asn: members & live for asn, members
+                         in deployment.members_by_domain().items()
+                         if members & live}
+    entries = [OwnerEntry(prefix=Prefix.host(deployment.states[m].vn_address),
+                          owner=m, action=VnAction.LOCAL, origin="intra")
+               for m in sorted(live)]
+    for asn in sorted(members_by_domain):
+        for host_id in sorted(network.domains[asn].hosts):
+            host = network.node(host_id)
+            nearest = deployment.topology.nearest_member(
+                host.access_router, members_by_domain[asn])
+            if nearest is not None:
+                entries.append(OwnerEntry(
+                    prefix=Prefix.host(deployment.plan.host_address(host)),
+                    owner=nearest[1], action=VnAction.EGRESS,
+                    egress_ipv4=host.ipv4, origin="host"))
+    entries.extend(_reference_external_entries(
+        deployment, sorted(live), set(members_by_domain)))
+    entries.extend(deployment.host_registry.owner_entries(network, live))
+    return entries
+
+
+def reference_vn_fibs(deployment: VnDeployment
+                      ) -> Dict[str, List[VnFibEntry]]:
+    """Every member's vN FIB entries, selected member by member: each
+    re-sorts the prefixes by ``str`` and each prefix's owners, and keeps
+    the first minimum of ``(distance + advertised cost, owner)``.
+    Distances and first hops are the deployment's own SPF sweep."""
+    routing = deployment.routing
+    by_prefix: Dict[Prefix, List[OwnerEntry]] = {}
+    for entry in _reference_owner_entries(deployment):
+        by_prefix.setdefault(entry.prefix, []).append(entry)
+    fibs: Dict[str, List[VnFibEntry]] = {}
+    for member in deployment.states:
+        fib = VnFib()
+        dist = routing._dist.get(member, {})
+        first_hop = routing._first_hop.get(member, {})
+        for prefix in sorted(by_prefix, key=str):
+            best: Optional[Tuple[float, str, OwnerEntry]] = None
+            for entry in sorted(by_prefix[prefix], key=lambda e: e.owner):
+                if entry.owner == member:
+                    total = entry.advertised_cost
+                elif entry.owner in dist:
+                    total = dist[entry.owner] + entry.advertised_cost
+                else:
+                    continue
+                if best is None or (total, entry.owner) < best[:2]:
+                    best = (total, entry.owner, entry)
+            if best is None:
+                continue
+            total, owner, entry = best
+            if owner == member:
+                fib.install(VnFibEntry(prefix=prefix, action=entry.action,
+                                       egress_ipv4=entry.egress_ipv4,
+                                       metric=total, origin=entry.origin))
+            else:
+                fib.install(VnFibEntry(prefix=prefix, action=VnAction.FORWARD,
+                                       next_hop=first_hop[owner],
+                                       metric=total, origin=entry.origin))
+        fibs[member] = fib.entries()
+    return fibs
+
+
+def forwarding_state(network: Network, deployment: VnDeployment
+                     ) -> Tuple[Dict[str, List[FibRow]],
+                                Dict[str, List[VnFibEntry]]]:
+    """Every node's ``Fib.snapshot()`` and every member's vN FIB entries:
+    the bytes an undone fault, or a rebuild with nothing to do, must
+    leave as they were."""
+    return ({node_id: node.fib4.snapshot()
+             for node_id, node in network.nodes.items()},
+            {member: state.fib.entries()
+             for member, state in deployment.states.items()})
+
+
+@contextmanager
+def checked_vn_rebuilds() -> Iterator[Counter]:
+    """Assert :func:`reference_vn_fibs` equality for every member after
+    every flat-routed ``VnDeployment.rebuild`` inside the block
+    (``LayeredVnRouting`` installs by another rule and is passed over).
+    Yields the running counts of rebuilds and members checked."""
+    rebuild = VnDeployment.rebuild
+    checked: Counter = Counter()
+
+    def rebuild_and_check(self: VnDeployment) -> None:
+        rebuild(self)
+        if not isinstance(self.routing, VnRouting):
+            return
+        expected = reference_vn_fibs(self)
+        for member, state in self.states.items():
+            assert state.fib.entries() == expected[member], member
+        checked["rebuilds"] += 1
+        checked["members"] += len(self.states)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(VnDeployment, "rebuild", rebuild_and_check)
         yield checked
 
 
@@ -298,11 +541,15 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
 
     Covers each memo in ``src/``: ``TopologyMemo.get`` (one patch for
     the path cache, the egress cache and the delay oracle, counted
-    under the memo's class name), ``LinkStateRouting._spf``,
-    ``VnRouting.compute``, the ``LayeredVnRouting`` intra cache and the
-    flow fast path (a copy of every packet it answers is walked hop by
-    hop).  Returns the count of verified hits per mechanism, so a test
-    can show it was not vacuous.
+    under the memo's class name), the IGP install gate (every router
+    ``install_routes`` skips is re-derived and compared with its FIB:
+    ``igp_install``) and refresh gate (every skipped
+    ``LinkStateRouting.refresh`` is re-scanned and must find no
+    differing LSA: ``igp_refresh``), ``VnRouting.compute``, the
+    ``LayeredVnRouting`` intra cache and the flow fast path (a copy of
+    every packet it answers is walked hop by hop).  Returns the count
+    of verified hits per mechanism, so a test can show it was not
+    vacuous.
     """
     verified: Counter = Counter()
 
@@ -330,18 +577,31 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
             verified[type(self).__name__] += 1
         return cached
 
-    spf = LinkStateRouting._spf
+    igp_install = IgpProtocol.install_routes
 
-    def paranoid_spf(self, router_id):
-        before = self._spf_cache.get(router_id)
-        result = spf(self, router_id)
-        if before is not None and result is before[1]:
-            del self._spf_cache[router_id]
+    def paranoid_igp_install(self):
+        skipped = [router_id for router_id in self.domain.routers
+                   if self._installed_gen.get(router_id)
+                   == self._route_gen[router_id]]
+        igp_install(self)
+        for router_id in skipped:
             with _quiet(self):
-                assert result == spf(self, router_id)
-            self._spf_cache[router_id] = before
-            verified["linkstate_spf"] += 1
-        return result
+                derived = _igp_rows(self._routes(router_id))
+            fib = self.network.node(router_id).fib4
+            assert fib.snapshot(RouteSource.IGP) == derived, router_id
+        verified["igp_install"] += len(skipped)
+
+    igp_refresh = LinkStateRouting.refresh
+
+    def paranoid_igp_refresh(self):
+        skipped = self.refreshes_skipped
+        igp_refresh(self)
+        if self.refreshes_skipped != skipped:
+            for router_id in self.domain.routers:
+                stored = self._lsdb[router_id][router_id]
+                fresh = self._build_lsa(router_id)
+                assert stored.content_key() == fresh.content_key(), router_id
+            verified["igp_refresh"] += 1
 
     vn_compute = VnRouting.compute
 
@@ -375,7 +635,8 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
 
     monkeypatch.setattr(ForwardingEngine, "forward", paranoid_forward)
     monkeypatch.setattr(TopologyMemo, "get", paranoid_get)
-    monkeypatch.setattr(LinkStateRouting, "_spf", paranoid_spf)
+    monkeypatch.setattr(IgpProtocol, "install_routes", paranoid_igp_install)
+    monkeypatch.setattr(LinkStateRouting, "refresh", paranoid_igp_refresh)
     monkeypatch.setattr(VnRouting, "compute", paranoid_vn_compute)
     monkeypatch.setattr(LayeredVnRouting, "compute", paranoid_layered_compute)
     return verified

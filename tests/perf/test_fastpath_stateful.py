@@ -9,6 +9,13 @@ IPvN and IPv4 sends.  It runs under ``paranoid_caches``
 path answers and asserts the replayed trace equals the walked one — so
 a site that changes forwarding state without dropping the stored flows
 fails the run at the first stale replay.
+
+The same churn holds the reconvergence gates: two stub domains run
+distance-vector, and under ``checked_igp_installs`` and
+``checked_vn_rebuilds`` every IGP install and every vN-Bone rebuild of
+the run is compared with its from-scratch reference, so a site that
+writes protocol state without bumping the router's route generation
+fails at the next install.
 """
 
 from hypothesis import settings
@@ -18,9 +25,12 @@ from hypothesis.stateful import (RuleBasedStateMachine, precondition, rule,
 
 from repro.core.evolution import EvolvableInternet
 from repro.net.packet import ipv4_packet
-from repro.topogen import InternetSpec
+from repro.topogen import InternetSpec, generate_internet
 from repro.vnbone.mobility import MobilityService
 from repro.vnbone.multicast import enable_multicast
+
+from tests.oracles import (checked_igp_installs, checked_vn_rebuilds,
+                           forwarding_state)
 
 SEED = 23
 
@@ -32,7 +42,12 @@ class FastPathChurn(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         spec = InternetSpec(n_tier1=2, n_tier2=2, n_stub=4, seed=SEED)
-        self.internet = EvolvableInternet.generate(spec, seed=SEED)
+        generated = generate_internet(spec)
+        # Two-router stubs: no loop for distance-vector to count around.
+        self.internet = EvolvableInternet(
+            generated.network, seed=SEED, generated=generated,
+            igp_overrides={asn: "distancevector"
+                           for asn in generated.stubs[:2]})
         self.network = self.internet.network
         self.orch = self.internet.orchestrator
         self.anchor = self.internet.tier1_asns()[0]
@@ -106,8 +121,13 @@ class FastPathChurn(RuleBasedStateMachine):
             self.deployment.undeploy(asn)
 
     @rule()
-    def rebuild(self):
+    def rebuild_twice(self):
+        """The second rebuild finds nothing to do (every domain quiet:
+        this is where the refresh gate closes) and changes nothing."""
         self.deployment.rebuild()
+        before = forwarding_state(self.network, self.deployment)
+        self.deployment.rebuild()
+        assert forwarding_state(self.network, self.deployment) == before
 
     # -- liveness, with no fault epoch pausing the fast path ---------------
     @rule(index=st.integers(0, 63))
@@ -160,10 +180,14 @@ class FastPathChurn(RuleBasedStateMachine):
 
 
 def test_every_replay_equals_a_fresh_walk_under_churn(paranoid_caches):
-    run_state_machine_as_test(
-        FastPathChurn,
-        settings=settings(max_examples=40, stateful_step_count=30,
-                          deadline=None))
-    # A divergent replay asserts inside the run; this shows the run
-    # replayed at all.
+    with checked_igp_installs() as igp, checked_vn_rebuilds() as vn:
+        run_state_machine_as_test(
+            FastPathChurn,
+            settings=settings(max_examples=40, stateful_step_count=30,
+                              deadline=None))
+    # A divergent replay (install, rebuild) asserts inside the run; this
+    # shows the run replayed (installed, rebuilt, skipped) at all.
     assert paranoid_caches["fastpath"] > 0
+    assert paranoid_caches["igp_install"] > 0
+    assert paranoid_caches["igp_refresh"] > 0
+    assert igp["routers"] > 0 and vn["members"] > 0

@@ -1,10 +1,10 @@
-"""SPF caches: reuse across queries, precise invalidation.
+"""SPF reuse: the IGP install gate and the vN-Bone signature caches.
 
-``LinkStateRouting`` memoises each router's SPF result against its LSDB
-generation counter.  A converged domain must answer ``igp_distance``
-queries without re-running Dijkstra, and an event inside one domain
-must not disturb the cached state of another ("exactly the affected
-entries").
+``IgpProtocol.install_routes`` runs SPF for, and rewrites, only the
+routers whose route generation (under link-state: the LSDB generation)
+moved since their last install.  A converged domain must reinstall
+without running Dijkstra, and an event inside one domain must not
+dirty a router of another ("exactly the affected entries").
 """
 
 import pytest
@@ -32,25 +32,31 @@ def counters(obs):
     return dict(obs.metrics_summary()["counters"])
 
 
-def test_repeated_queries_hit_the_spf_cache():
+def test_repeated_installs_run_no_spf():
     net, orch, obs = converged()
-    igp1 = orch.igp(1)
     before = counters(obs)
-    d1 = igp1.igp_distance("r1a", "r1b")
-    d2 = igp1.igp_distance("r1a", "r1b")
+    written = {asn: igp.routers_written for asn, igp in orch.igps.items()}
+    fibs = {node_id: node.fib4.snapshot() for node_id, node in net.nodes.items()}
+    orch.install_routes()
     after = counters(obs)
-    assert d1 == d2 == 1.0
-    # install_routes already ran SPF for every router; queries reuse it.
+    # Convergence already installed every router; nothing moved since.
     assert after["igp.ls.spf_runs"] == before["igp.ls.spf_runs"]
-    assert after.get("igp.ls.spf_cache_hits", 0) >= \
-        before.get("igp.ls.spf_cache_hits", 0) + 2
+    assert {asn: igp.routers_written
+            for asn, igp in orch.igps.items()} == written
+    assert (after["igp.install.routers_skipped"]
+            == before.get("igp.install.routers_skipped", 0)
+            + sum(len(d.routers) for d in net.domains.values()))
+    assert {node_id: node.fib4.snapshot()
+            for node_id, node in net.nodes.items()} == fibs
 
 
 def test_link_event_invalidates_only_the_affected_domain():
     net, orch, obs = converged()
     igp1, igp2 = orch.igp(1), orch.igp(2)
-    gens1_before = dict(igp1._lsdb_gen)
-    gens2_before = dict(igp2._lsdb_gen)
+    gens1_before = dict(igp1._route_gen)
+    gens2_before = dict(igp2._route_gen)
+    written1, written2 = igp1.routers_written, igp2.routers_written
+    before = counters(obs)
 
     link = net.link_between("r1a", "r1b")
     link.fail()
@@ -58,16 +64,15 @@ def test_link_event_invalidates_only_the_affected_domain():
     orch.reconverge()
 
     # The event re-originated LSAs inside AS1 ...
-    assert igp1._lsdb_gen != gens1_before
-    # ... but AS2's LSDBs — and therefore its SPF cache keys — did not move.
-    assert igp2._lsdb_gen == gens2_before
-
-    before = counters(obs)
-    assert igp2.igp_distance("r2a", "r2b") == 1.0
+    assert igp1._route_gen != gens1_before
+    assert igp1.routers_written > written1
+    # ... but AS2's LSDBs — and therefore its install gate — did not move.
+    assert igp2._route_gen == gens2_before
+    assert igp2.routers_written == written2
     after = counters(obs)
-    assert after["igp.ls.spf_runs"] == before["igp.ls.spf_runs"]
-    assert after.get("igp.ls.spf_cache_hits", 0) > \
-        before.get("igp.ls.spf_cache_hits", 0)
+    assert (after["igp.ls.spf_runs"] - before["igp.ls.spf_runs"]
+            == igp1.routers_written - written1)
+    assert igp2.igp_distance("r2a", "r2b") == 1.0
 
 
 def test_recomputed_distances_reflect_the_new_topology():
