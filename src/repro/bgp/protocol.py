@@ -19,13 +19,16 @@ A router's hot-potato egress decision depends only on the route's
 next-hop AS, never on the prefix, so Loc-RIB prefixes are grouped by
 ``learned_from`` and the per-router IGP scan runs once per (router,
 next-hop AS) group before bulk-installing every prefix in the group:
-O(P×R×B) FIB lookups become O(R×B×A) for A next-hop ASes.  When the
-topology version is unchanged since a domain's last install, only
-*dirty* prefixes (Loc-RIB deltas tracked by :meth:`BgpSpeaker.decide`)
-are withdrawn and reinstalled instead of rebuilding every FIB from
-scratch — except on a router whose IGP rows were rewritten since
-(``Fib.igp_generation``), which is rebuilt alone.  Update propagation
-coalesces all updates one speaker sends
+O(P×R×B) FIB lookups become O(R×B×A) for A next-hop ASes.  While a
+domain's own egress map (its live links to each session peer) is the
+one its rows were derived from, only *dirty* prefixes (Loc-RIB deltas
+tracked by :meth:`BgpSpeaker.decide`) are withdrawn and reinstalled
+instead of rebuilding every FIB from scratch — except on a router
+whose IGP rows were rewritten since (``Fib.igp_generation``), which is
+rebuilt alone.  Update propagation runs over *sessions*: a speaker
+evaluates export policy only for the neighbors that have a speaker
+(a default-routed stub fringe costs nothing), builds the prepended
+route once per export, and coalesces all updates it sends
 one neighbor at one tick into a single MRAI-style batch event
 (per-prefix send order preserved); whenever a
 :class:`~repro.net.simulator.MessagePerturbation` is active it sends
@@ -38,7 +41,8 @@ never cover border-router loopbacks (other domains' address blocks are
 disjoint), so install order cannot feed back into the hot-potato
 lookups.  ``tests/oracles.py::seed_bgp_fib`` recomputes the BGP rows
 one (prefix, router) at a time; ``tests/bgp`` holds every install to
-it.
+it, and ``tests/oracles.py::reference_export`` is the per-neighbor
+export loop every ``_export`` is compared with.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from repro.net.network import Network
 from repro.net.node import FibEntry, RouteSource, Router
 from repro.net.simulator import EventScheduler, MessageStats
 from repro.obs import get_obs
-from repro.bgp.egress import EgressCache
+from repro.bgp.egress import EgressCache, EgressLinks
 from repro.bgp.policy import BgpPolicy
 from repro.bgp.routes import (LOCAL_PREF_ORIGINATED, BgpRoute, BgpUpdate,
                               RouteScope)
@@ -62,6 +66,10 @@ SESSION_DELAY = 1.0
 
 #: One MRAI batch key: (sender ASN, receiver ASN, send tick).
 BatchKey = Tuple[int, int, float]
+
+#: What one domain's BGP rows read of the topology: per session peer,
+#: the (local border, remote border) pairs of the live links to it.
+EgressMap = List[Tuple[int, EgressLinks]]
 
 
 class BgpSpeaker:
@@ -137,9 +145,10 @@ class BgpProtocol:
         self._c_withdrawals = self.obs.counter("bgp.withdrawals")
         self._c_install_lookups = self.obs.counter(
             "perf.bgp.install_fib_lookups")
+        self._c_policy_checks = self.obs.counter("bgp.export.policy_checks")
         # Default-routed domains (scale-tier stubs) do not speak BGP:
-        # they get no speaker, originate nothing, and — because _send
-        # drops updates to unknown speakers — receive nothing.  Their
+        # they get no speaker, originate nothing, and — because exports
+        # go to session peers only — receive nothing.  Their
         # reachability rides on static routes (repro.topogen.scale).
         self.speakers: Dict[int, BgpSpeaker] = {
             asn: BgpSpeaker(domain) for asn, domain in network.domains.items()
@@ -153,9 +162,10 @@ class BgpProtocol:
         self.egress_cache = EgressCache(network)
         #: MRAI-style per-(session, tick) update coalescing.
         self._pending_batches: Dict[BatchKey, List[BgpUpdate]] = {}
-        #: topology_version at each speaker's last install — the gate
-        #: between full rebuilds and incremental dirty-set reinstalls.
-        self._install_state: Dict[int, int] = {}
+        #: The egress map each domain's rows were last derived from —
+        #: the gate between full rebuilds and incremental dirty-set
+        #: reinstalls.
+        self._install_state: Dict[int, EgressMap] = {}
         #: ``Fib.igp_generation`` of each router at the last rebuild of
         #: its BGP rows — the per-router half of the same gate.
         self._igp_seen: Dict[str, int] = {}
@@ -163,6 +173,11 @@ class BgpProtocol:
         #: Plain int, always live (the perf.bgp.install_fib_lookups
         #: counter mirrors it under an enabled observability handle).
         self.install_fib_lookups = 0
+        #: What export and the install gate did (see :meth:`gate_stats`).
+        self.export_policy_checks = 0
+        self.domains_rebuilt = 0
+        self.routers_rebuilt = 0
+        self.routers_patched = 0
 
     def speaker(self, asn: int) -> BgpSpeaker:
         try:
@@ -180,6 +195,20 @@ class BgpProtocol:
         speaker = BgpSpeaker(domain)
         self.speakers[domain.asn] = speaker
         return speaker
+
+    def _session_peers(self, domain: Domain) -> List[int]:
+        """The neighbors of *domain* that have a speaker, by ASN: whom
+        it exports to and whose links its forwarding state reads.
+        Computed at the call, so a speaker or a relationship added
+        later needs no invalidation."""
+        return sorted(self.speakers.keys() & domain.neighbor_asns())
+
+    def gate_stats(self) -> Dict[str, int]:
+        """Plain-int totals of what export and the install gate did."""
+        return {"export_policy_checks": self.export_policy_checks,
+                "domains_rebuilt": self.domains_rebuilt,
+                "routers_rebuilt": self.routers_rebuilt,
+                "routers_patched": self.routers_patched}
 
     # -- origination ------------------------------------------------------------
     def originate(self, asn: int, prefix: Prefix,
@@ -207,28 +236,36 @@ class BgpProtocol:
 
     # -- propagation ----------------------------------------------------------------
     def _export(self, speaker: BgpSpeaker, prefix: Prefix, route: BgpRoute) -> None:
-        for neighbor_asn in sorted(speaker.domain.neighbor_asns()):
-            if self.policy.should_export(speaker.domain, route, neighbor_asn):
-                # Originated routes already carry our ASN; learned routes
-                # get it prepended on the way out (standard AS-path build).
-                exported = route if route.originated else route.prepended(speaker.asn)
-                update = BgpUpdate(sender_asn=speaker.asn, prefix=prefix,
-                                   route=exported)
-            else:
+        peers = self._session_peers(speaker.domain)
+        self.export_policy_checks += len(peers)
+        if self.obs.enabled:
+            self._c_policy_checks.inc(len(peers))
+        # One withdrawal and one announcement serve every peer; the
+        # announcement (the prepended route) is built on first use.
+        withdrawal = BgpUpdate(sender_asn=speaker.asn, prefix=prefix, route=None)
+        announcement: Optional[BgpUpdate] = None
+        for peer_asn in peers:
+            if not self.policy.should_export(speaker.domain, route, peer_asn):
                 # If policy stops exporting a route we may have exported
                 # before (e.g. best changed from customer- to peer-learned),
                 # the neighbor must hear a withdrawal.
-                update = BgpUpdate(sender_asn=speaker.asn, prefix=prefix, route=None)
-            self._send(neighbor_asn, update)
+                self._send(peer_asn, withdrawal)
+                continue
+            if announcement is None:
+                # Originated routes already carry our ASN; learned routes
+                # get it prepended on the way out (standard AS-path build).
+                exported = route if route.originated else route.prepended(speaker.asn)
+                announcement = BgpUpdate(sender_asn=speaker.asn, prefix=prefix,
+                                         route=exported)
+            self._send(peer_asn, announcement)
 
     def _export_withdrawal(self, speaker: BgpSpeaker, prefix: Prefix) -> None:
-        for neighbor_asn in sorted(speaker.domain.neighbor_asns()):
-            self._send(neighbor_asn, BgpUpdate(sender_asn=speaker.asn,
-                                               prefix=prefix, route=None))
+        withdrawal = BgpUpdate(sender_asn=speaker.asn, prefix=prefix, route=None)
+        for peer_asn in self._session_peers(speaker.domain):
+            self._send(peer_asn, withdrawal)
 
     def _send(self, to_asn: int, update: BgpUpdate) -> None:
-        if to_asn not in self.speakers:
-            return
+        """Queue *update* for session peer *to_asn*."""
         if update.sender_asn in self._down_speakers:
             return  # crashed speakers fall silent
         self.stats.record_send()
@@ -387,10 +424,7 @@ class BgpProtocol:
         """
         flushed_pairs = 0
         for asn in sorted(self.speakers):
-            domain = self.network.domains[asn]
-            for neighbor_asn in sorted(domain.neighbor_asns()):
-                if neighbor_asn not in self.speakers:
-                    continue
+            for neighbor_asn in self._session_peers(self.network.domains[asn]):
                 alive = (bool(self._egress_links(asn, neighbor_asn))
                          and asn not in self._down_speakers
                          and neighbor_asn not in self._down_speakers)
@@ -441,7 +475,7 @@ class BgpProtocol:
             self._export(speaker, prefix, speaker.loc_rib[prefix])
 
     # -- forwarding-state installation --------------------------------------------------
-    def _egress_links(self, asn: int, next_hop_asn: int) -> List[Tuple[str, str]]:
+    def _egress_links(self, asn: int, next_hop_asn: int) -> EgressLinks:
         """(local border, remote border) pairs over live links to
         *next_hop_asn* — memoized per topology version."""
         return self.egress_cache.links(asn, next_hop_asn)
@@ -449,8 +483,8 @@ class BgpProtocol:
     def install_routes(self) -> None:
         """Install converged BGP state into every router's FIB.
 
-        A domain is rebuilt in full only when the topology version
-        moved since its last install; otherwise just its dirty Loc-RIB
+        A domain is rebuilt in full only when its own egress map moved
+        since its last install; otherwise just its dirty Loc-RIB
         deltas are reinstalled.  The caller
         (:meth:`~repro.core.orchestrator.Orchestrator.install_routes`)
         bumps the forwarding fast path afterwards.
@@ -466,32 +500,43 @@ class BgpProtocol:
     def _install_domain(self, asn: int) -> None:
         """Reinstall one domain's BGP routes, grouped by next-hop AS.
 
-        A router's BGP rows are a function of the Loc-RIB, the egress
-        maps (which move only with the topology version) and the IGP
-        rows its hot-potato scan reads.  With the topology version
-        unchanged since the domain's last install, a router whose IGP
+        A router's BGP rows are a function of the Loc-RIB, the domain's
+        egress map (its live links to each session peer) and the IGP
+        rows its hot-potato scan reads.  While the egress map is the
+        one the domain's rows were derived from, a router whose IGP
         rows were not rewritten since keeps every non-dirty prefix's
         entry: only ``speaker.dirty`` is withdrawn and reinstalled
         there.  Every other router gets the whole Loc-RIB, after
-        ``withdraw_all``.
+        ``withdraw_all``.  The price of asking the domain instead of
+        the world is one memoized egress read per session peer per
+        pass.
         """
         speaker = self.speakers[asn]
-        version = self.network.topology_version
+        egress_map: EgressMap = [
+            (peer_asn, self._egress_links(asn, peer_asn))
+            for peer_asn in self._session_peers(speaker.domain)]
         routers = self._domain_routers(asn)
         seen = self._igp_seen
-        if self._install_state.get(asn) == version:
+        if self._install_state.get(asn) == egress_map:
             rebuild = [router for router in routers if
                        seen.get(router.node_id) != router.fib4.igp_generation]
             patch = [router for router in routers if
                      seen.get(router.node_id) == router.fib4.igp_generation]
         else:
             rebuild, patch = routers, []
+            self._install_state[asn] = egress_map
+            self.domains_rebuilt += 1
+            if self.obs.enabled:
+                self.obs.counter("bgp.install.domains_rebuilt").inc()
         if rebuild:
             for router in rebuild:
                 router.fib4.withdraw_all(RouteSource.BGP)
                 seen[router.node_id] = router.fib4.igp_generation
             self._install_prefixes(
                 asn, rebuild, sorted(speaker.loc_rib, key=Prefix.sort_key))
+            self.routers_rebuilt += len(rebuild)
+            if self.obs.enabled:
+                self.obs.counter("bgp.install.routers_rebuilt").inc(len(rebuild))
         if patch and speaker.dirty:
             prefixes = sorted(speaker.dirty, key=Prefix.sort_key)
             for router in patch:
@@ -499,9 +544,10 @@ class BgpProtocol:
                 for prefix in prefixes:
                     fib.withdraw(prefix, RouteSource.BGP)
             self._install_prefixes(asn, patch, prefixes)
+            self.routers_patched += len(patch)
             if self.obs.enabled:
                 self.obs.counter("perf.bgp.incremental_installs").inc()
-        self._install_state[asn] = version
+                self.obs.counter("bgp.install.routers_patched").inc(len(patch))
         speaker.dirty.clear()
 
     def _install_prefixes(self, asn: int, routers: List[Router],

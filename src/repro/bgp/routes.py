@@ -17,7 +17,7 @@ the paper's two inter-domain anycast deployment options:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -78,7 +78,9 @@ class BgpRoute:
 
     def prepended(self, asn: int) -> "BgpRoute":
         """The route as exported by *asn* (ASN prepended to the path)."""
-        return replace(self, as_path=(asn,) + self.as_path)
+        return BgpRoute(prefix=self.prefix, as_path=(asn,) + self.as_path,
+                        local_pref=self.local_pref, scope=self.scope,
+                        learned_from=self.learned_from)
 
     def selection_key(self) -> Tuple[int, int, int, int]:
         """Sort key: smaller is better (standard BGP decision process).

@@ -89,7 +89,7 @@ class Fib:
         self._table: PrefixTable[_Route] = PrefixTable(bits)
         #: Bumped by the IGP each time it rewrites this table's IGP
         #: rows.  BGP's hot-potato rows are derived from them, so they
-        #: are valid only while this (and the topology version) holds.
+        #: are valid only while this (and the domain's egress map) holds.
         self.igp_generation = 0
 
     def __len__(self) -> int:

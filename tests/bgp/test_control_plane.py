@@ -2,15 +2,17 @@
 
 Covers the egress-link cache (:mod:`repro.bgp.egress`), Adj-RIB-In
 pruning (no empty per-prefix dicts survive a withdrawal or session
-flush), dirty-prefix tracking, and MRAI-style update batching with its
-per-message fallback.  The end-to-end equivalence with the per-prefix
-oracle lives in ``test_install_equivalence``.
+flush), dirty-prefix tracking, MRAI-style update batching with its
+per-message fallback, and the export/install gate counts.  The
+end-to-end equivalence with the per-prefix oracle lives in
+``test_install_equivalence``.
 """
 
 from repro.bgp.egress import EgressCache, grouped_install_enabled
 from repro.bgp.routes import RouteScope
 from repro.core.orchestrator import Orchestrator
 from repro.net import Prefix, ipv4
+from repro.obs import Observability, observing
 from tests.conftest import build_hub_network
 from tests.oracles import per_message_bgp
 
@@ -195,3 +197,26 @@ class TestMraiBatching:
         assert any(batched_queued)
         assert not any(per_message_queued)
         assert per_message == batched
+
+
+class TestGateStats:
+    def test_obs_counters_mirror_the_plain_ints(self):
+        obs = Observability()
+        with observing(obs):
+            orch = Orchestrator(build_hub_network())
+            orch.converge()
+            orch.bgp.originate(2, Prefix.host(ipv4("240.0.0.9")),
+                               scope=RouteScope.ANYCAST_GLOBAL)
+            orch.reconverge()
+        stats = orch.bgp.gate_stats()
+        assert stats["routers_patched"] > 0 and stats["domains_rebuilt"] == 4
+        assert stats == {
+            "export_policy_checks": obs.counter("bgp.export.policy_checks").value,
+            **{key: obs.counter(f"bgp.install.{key}").value
+               for key in ("domains_rebuilt", "routers_rebuilt",
+                           "routers_patched")}}
+
+    def test_plain_ints_count_without_an_observer(self, converged_hub):
+        stats = converged_hub.bgp.gate_stats()
+        assert stats["export_policy_checks"] == converged_hub.bgp.stats.sent > 0
+        assert stats["routers_rebuilt"] == 8 and stats["routers_patched"] == 0

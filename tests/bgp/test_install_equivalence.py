@@ -199,7 +199,7 @@ class TestFaultReconvergence:
 
 class TestIncrementalReinstall:
     def test_incremental_matches_seed_reference(self):
-        """A BGP-only change (no topology version bump) takes the
+        """A BGP-only change (no egress map moved) takes the
         incremental dirty-set branch; the result must equal the
         per-prefix recomputation."""
         pfx = Prefix.host(ipv4("240.0.0.9"))
@@ -239,7 +239,7 @@ class TestIncrementalReinstall:
         bgp = orch.bgp
         lookups_before = bgp.install_fib_lookups
         before = fib_snapshots(orch.network)
-        bgp.install_routes()  # nothing dirty, same topology version
+        bgp.install_routes()  # nothing dirty, same egress maps
         assert bgp.install_fib_lookups == lookups_before
         assert fib_snapshots(orch.network) == before
 

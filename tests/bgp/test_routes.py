@@ -1,5 +1,7 @@
 """Unit tests for BGP route objects and selection keys."""
 
+import dataclasses
+
 import pytest
 
 from repro.net.address import Prefix
@@ -32,6 +34,22 @@ class TestBgpRoute:
     def test_prepended(self):
         r = route([2, 5]).prepended(9)
         assert r.as_path == (9, 2, 5)
+
+    def test_prepended_keeps_every_other_field(self):
+        """``prepended`` names the fields by hand: one added to
+        ``BgpRoute`` later must fail here, not vanish on export."""
+        original = route([2, 5], pref=LOCAL_PREF_PEER, learned_from=2,
+                         scope=RouteScope.ANYCAST_BILATERAL)
+        defaults = BgpRoute(prefix=PFX, as_path=(2, 5))
+        exported = original.prepended(9)
+        for field in dataclasses.fields(BgpRoute):
+            if field.name == "as_path":
+                continue
+            if field.name != "prefix":  # a value prepended could not guess
+                assert getattr(original, field.name) != getattr(defaults,
+                                                                field.name)
+            assert getattr(exported, field.name) == getattr(original,
+                                                            field.name)
 
     def test_contains_asn(self):
         assert route([2, 5]).contains_asn(5)

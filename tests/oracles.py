@@ -14,6 +14,11 @@ against lives here, as test code:
   (prefix, router) at a time from the Loc-RIBs, which grouped and
   incremental installation must reproduce; :func:`checked_bgp_installs`
   asserts it after every ``install_routes``;
+* :func:`reference_export` — export over every AS-level neighbour, one
+  policy decision and one prepended route per neighbour, keeping the
+  updates whose receiver has a speaker, which per-session export must
+  send pair for pair; :func:`checked_bgp_exports` asserts it for every
+  ``_export`` and ``_export_withdrawal``;
 * :func:`reference_igp_rows` — one router's IGP rows derived from
   protocol state alone (its LSDB through Bellman–Ford, or its
   distance-vector table), which the generation-gated install must
@@ -39,6 +44,7 @@ against lives here, as test code:
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 from collections import Counter
 from contextlib import contextmanager
@@ -47,7 +53,8 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
 
 import pytest
 
-from repro.bgp.protocol import BgpProtocol
+from repro.bgp.protocol import BgpProtocol, BgpSpeaker
+from repro.bgp.routes import BgpRoute, BgpUpdate
 from repro.net.fastpath import FlowFastPath
 from repro.net.forwarding import ForwardingEngine, ForwardingTrace
 from repro.net.link import LinkScope
@@ -249,7 +256,7 @@ def checked_bgp_installs() -> Iterator[List[SeedFib]]:
 
     Every router is compared, up or down: a crashed router's IGP view
     empties at the first ``refresh()`` after the crash, which moves no
-    topology version, and its BGP rows must follow.
+    egress map, and its BGP rows must follow.
     """
     install_routes = BgpProtocol.install_routes
     checked: List[SeedFib] = []
@@ -264,6 +271,66 @@ def checked_bgp_installs() -> Iterator[List[SeedFib]]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BgpProtocol, "install_routes", install_and_check)
+        yield checked
+
+
+# -- BGP export ---------------------------------------------------------------
+def reference_export(bgp: BgpProtocol, speaker: BgpSpeaker, prefix: Prefix,
+                     route: Optional[BgpRoute]
+                     ) -> List[Tuple[int, BgpUpdate]]:
+    """What exporting *route* (``None``: a withdrawal) must hand to
+    ``_send``, in order: the loop over **every** AS-level neighbour —
+    export policy and a freshly prepended route per neighbour — keeping
+    the ``(to_asn, update)`` pairs whose receiver has a speaker."""
+    sends: List[Tuple[int, BgpUpdate]] = []
+    for neighbor_asn in sorted(speaker.domain.neighbor_asns()):
+        exported = None
+        if route is not None and bgp.policy.should_export(
+                speaker.domain, route, neighbor_asn):
+            exported = route if route.originated else dataclasses.replace(
+                route, as_path=(speaker.asn,) + route.as_path)
+        if neighbor_asn in bgp.speakers:
+            sends.append((neighbor_asn, BgpUpdate(
+                sender_asn=speaker.asn, prefix=prefix, route=exported)))
+    return sends
+
+
+@contextmanager
+def checked_bgp_exports() -> Iterator[Counter]:
+    """Assert :func:`reference_export` equality — the same
+    ``(to_asn, update)`` pairs handed to ``_send`` in the same order —
+    for every ``BgpProtocol._export`` and ``_export_withdrawal`` inside
+    the block.  Yields the running counts of exports checked and
+    updates compared."""
+    export = BgpProtocol._export
+    export_withdrawal = BgpProtocol._export_withdrawal
+    send = BgpProtocol._send
+    checked: Counter = Counter()
+    sends: List[Tuple[int, BgpUpdate]] = []
+
+    def spy_send(self: BgpProtocol, to_asn: int, update: BgpUpdate) -> None:
+        sends.append((to_asn, update))
+        send(self, to_asn, update)
+
+    def export_and_check(self: BgpProtocol, speaker: BgpSpeaker,
+                         prefix: Prefix,
+                         route: Optional[BgpRoute] = None) -> None:
+        """Stands in for ``_export`` and, without *route*, for
+        ``_export_withdrawal``."""
+        expected = reference_export(self, speaker, prefix, route)
+        sends.clear()
+        if route is None:
+            export_withdrawal(self, speaker, prefix)
+        else:
+            export(self, speaker, prefix, route)
+        assert sends == expected, (speaker.asn, str(prefix))
+        checked["exports"] += 1
+        checked["updates"] += len(expected)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BgpProtocol, "_send", spy_send)
+        patch.setattr(BgpProtocol, "_export", export_and_check)
+        patch.setattr(BgpProtocol, "_export_withdrawal", export_and_check)
         yield checked
 
 

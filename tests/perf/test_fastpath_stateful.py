@@ -11,11 +11,16 @@ a site that changes forwarding state without dropping the stored flows
 fails the run at the first stale replay.
 
 The same churn holds the reconvergence gates: two stub domains run
-distance-vector, and under ``checked_igp_installs`` and
-``checked_vn_rebuilds`` every IGP install and every vN-Bone rebuild of
-the run is compared with its from-scratch reference, so a site that
-writes protocol state without bumping the router's route generation
-fails at the next install.
+distance-vector, and under ``checked_igp_installs``,
+``checked_bgp_installs`` and ``checked_vn_rebuilds`` every IGP install,
+every BGP install and every vN-Bone rebuild of the run is compared with
+its from-scratch reference, so a site that writes protocol state
+without bumping the router's route generation fails at the next
+install.  (Every session of this world rides one link, so no egress map
+moves here without a session flush marking the lost routes dirty: a BGP
+gate that patches where it should rebuild is caught by the
+parallel-link and border-crash tests of
+``tests/routing/test_install_gate.py``, not here.)
 """
 
 from hypothesis import settings
@@ -29,8 +34,8 @@ from repro.topogen import InternetSpec, generate_internet
 from repro.vnbone.mobility import MobilityService
 from repro.vnbone.multicast import enable_multicast
 
-from tests.oracles import (checked_igp_installs, checked_vn_rebuilds,
-                           forwarding_state)
+from tests.oracles import (checked_bgp_installs, checked_igp_installs,
+                           checked_vn_rebuilds, forwarding_state)
 
 SEED = 23
 
@@ -180,7 +185,8 @@ class FastPathChurn(RuleBasedStateMachine):
 
 
 def test_every_replay_equals_a_fresh_walk_under_churn(paranoid_caches):
-    with checked_igp_installs() as igp, checked_vn_rebuilds() as vn:
+    with checked_igp_installs() as igp, checked_bgp_installs() as bgp, \
+            checked_vn_rebuilds() as vn:
         run_state_machine_as_test(
             FastPathChurn,
             settings=settings(max_examples=40, stateful_step_count=30,
@@ -191,3 +197,4 @@ def test_every_replay_equals_a_fresh_walk_under_churn(paranoid_caches):
     assert paranoid_caches["igp_install"] > 0
     assert paranoid_caches["igp_refresh"] > 0
     assert igp["routers"] > 0 and vn["members"] > 0
+    assert len(bgp) > 0

@@ -2,32 +2,41 @@
 
 ``IgpProtocol.install_routes`` rewrites only routers whose route
 generation moved, ``LinkStateRouting.refresh`` skips a scan it can prove
-would schedule nothing, ``BgpProtocol`` re-derives a router's rows when
-its IGP rows were rewritten, and the vN-Bone asks BGP once per adopting
+would schedule nothing, ``BgpProtocol`` rebuilds a domain when its own
+egress map moved and re-derives a router's rows when its IGP rows were
+rewritten, and the vN-Bone asks BGP once per adopting
 AS and orders prefixes once per rebuild.  Every one of them is compared
 here with its reference in ``tests/oracles.py`` after *every* install
-and rebuild of a churn scenario over link-state and distance-vector
+and rebuild (and every BGP export) of a churn scenario over link-state
+and distance-vector
 domains mixed, and with two properties no oracle states: the refresh
 gate sends no message fewer or more, and a fault undone returns every
-FIB to its bytes.
+FIB to its bytes.  The last section shows which domains each kind of
+change makes BGP rebuild.
 """
 
+import itertools
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.evolution import EvolvableInternet
+from repro.core.orchestrator import Orchestrator
 from repro.faults import FaultInjector, FaultPlan
+from repro.net import Domain, Network, Prefix, Relationship
 from repro.net.address import IPv4Address
 from repro.net.link import LinkScope
+from repro.net.node import Fib, RouteSource
 from repro.routing.linkstate import LinkStateRouting
 from repro.topogen.hierarchy import InternetSpec, generate_internet
 from repro.topogen.scale import ScaleSpec, generate_scale_internet
 from repro.vnbone.egress import EgressPolicy
 from repro.vnbone.mobility import MobilityService
 
-from tests.oracles import (checked_bgp_installs, checked_igp_installs,
-                           checked_vn_rebuilds, forwarding_state,
+from tests.oracles import (checked_bgp_exports, checked_bgp_installs,
+                           checked_igp_installs, checked_vn_rebuilds,
+                           forwarding_state, installed_bgp_rows,
                            refresh_gate_open)
 
 SEED = 11
@@ -122,7 +131,7 @@ def churn(internet, egress_policy=EgressPolicy.BGP_INFORMED, seed=SEED):
                          ids=lambda policy: policy.value)
 def test_every_install_and_rebuild_equals_its_reference(egress_policy):
     with checked_igp_installs() as igp, checked_bgp_installs() as bgp, \
-            checked_vn_rebuilds() as vn:
+            checked_bgp_exports() as exports, checked_vn_rebuilds() as vn:
         internet = mixed_internet()
         kinds = {type(p).__name__ for p in internet.orchestrator.igps.values()}
         assert kinds == {"LinkStateRouting", "DistanceVectorRouting"}
@@ -135,6 +144,8 @@ def test_every_install_and_rebuild_equals_its_reference(egress_policy):
             > sum(s["routers_written"] for s in stats) > 0)
     assert sum(s["refreshes_skipped"] for s in stats) > 0
     assert len(bgp) > 10
+    assert exports["exports"] > 0
+    assert exports["updates"] == internet.orchestrator.bgp.stats.sent
     assert vn["rebuilds"] > 10 and vn["members"] > 0
     assert deployment.members()
 
@@ -205,17 +216,19 @@ def test_fail_then_restore_returns_every_fib_to_its_bytes(scale_world):
     network, orch = internet.network, internet.orchestrator
     baseline = forwarding_state(network, deployment)
     moved = 0
-    for key in sorted(network.links):
-        link = network.links[key]
-        link.fail()
-        orch.notify_link_change(link)
-        deployment.rebuild()
-        moved += forwarding_state(network, deployment) != baseline
-        link.restore()
-        orch.notify_link_change(link)
-        deployment.rebuild()
-        assert forwarding_state(network, deployment) == baseline, key
+    with checked_bgp_installs() as installs:
+        for key in sorted(network.links):
+            link = network.links[key]
+            link.fail()
+            orch.notify_link_change(link)
+            deployment.rebuild()
+            moved += forwarding_state(network, deployment) != baseline
+            link.restore()
+            orch.notify_link_change(link)
+            deployment.rebuild()
+            assert forwarding_state(network, deployment) == baseline, key
     assert moved > len(network.links) // 2
+    assert len(installs) >= 2 * len(network.links)
 
 
 def test_crash_then_recover_returns_every_fib_to_its_bytes(scale_world):
@@ -234,6 +247,169 @@ def test_crash_then_recover_returns_every_fib_to_its_bytes(scale_world):
     orch.notify_node_change(victim)
     deployment.rebuild()
     assert forwarding_state(network, deployment) == baseline
+
+
+# -- BGP rebuilds the domains whose egress map moved -------------------------------
+def gate_world():
+    """Three speakers, converged; every AS is a full mesh inside::
+
+        AS1: a1 a2 a3     a1 === b1 and a3 === b3: two parallel links (peers)
+        AS2: b1 b2 b3     b2 === c1: AS3 is AS2's customer
+        AS3: c1 c2
+
+    ``a2`` and ``c2`` have no inter-domain link."""
+    net = Network()
+    for asn, name, size in ((1, "a", 3), (2, "b", 3), (3, "c", 2)):
+        net.add_domain(Domain(asn=asn, name=name.upper(),
+                              prefix=Prefix.parse(f"10.{asn}.0.0/16")))
+        routers = [f"{name}{index}" for index in range(1, size + 1)]
+        for router_id in routers:
+            net.add_router(router_id, asn, is_border=True)
+        for a, b in itertools.combinations(routers, 2):
+            net.add_link(a, b)
+    net.connect_domains(1, 2, "a1", "b1", Relationship.PEER)
+    net.connect_domains(1, 2, "a3", "b3", Relationship.PEER)
+    net.connect_domains(3, 2, "c1", "b2", Relationship.PROVIDER)
+    orch = Orchestrator(net, seed=SEED)
+    orch.converge()
+    return orch
+
+
+@contextmanager
+def rebuilt_domains(orch):
+    """The ASNs with a router whose ``withdraw_all(RouteSource.BGP)``
+    ran inside the block: rebuilt whole, or re-derived router by
+    router (``domains_rebuilt`` tells the two apart)."""
+    withdraw_all = Fib.withdraw_all
+    asn_of = {id(node.fib4): node.domain_id
+              for node in orch.network.nodes.values()}
+    rebuilt = set()
+
+    def spy(self, source):
+        if source is RouteSource.BGP:
+            rebuilt.add(asn_of[id(self)])
+        return withdraw_all(self, source)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fib, "withdraw_all", spy)
+        yield rebuilt
+
+
+def flip(orch, a, b):
+    link = orch.network.link_between(a, b)
+    if link.up:
+        link.fail()
+    else:
+        link.restore()
+    orch.notify_link_change(link)
+    orch.reconverge()
+
+
+def crash(orch, node_id):
+    failed = orch.network.crash_node(node_id)
+    for link in failed:
+        orch.notify_link_change(link)
+    orch.notify_node_change(node_id)
+    orch.reconverge()
+    return failed
+
+
+def recover(orch, node_id, failed):
+    for link in orch.network.recover_node(node_id, failed):
+        orch.notify_link_change(link)
+    orch.notify_node_change(node_id)
+    orch.reconverge()
+
+
+def domains_rebuilt(orch):
+    return orch.bgp.gate_stats()["domains_rebuilt"]
+
+
+def test_an_intra_domain_flip_rebuilds_no_domain():
+    with checked_bgp_installs() as installs:
+        orch = gate_world()
+        assert domains_rebuilt(orch) == 3
+        baseline = installed_bgp_rows(orch.network)
+        with rebuilt_domains(orch) as rebuilt:
+            flip(orch, "a1", "a2")
+            flip(orch, "a1", "a2")
+    assert len(installs) == 3
+    assert domains_rebuilt(orch) == 3
+    # AS1's routers were re-derived one by one (their IGP rows were
+    # rewritten); no router outside AS1 was touched.
+    assert rebuilt == {1}
+    assert installed_bgp_rows(orch.network) == baseline
+
+
+def test_an_inter_domain_flip_rebuilds_its_two_endpoint_domains():
+    with checked_bgp_installs():
+        orch = gate_world()
+        baseline = installed_bgp_rows(orch.network)
+        with rebuilt_domains(orch) as rebuilt:
+            flip(orch, "b2", "c1")
+            assert domains_rebuilt(orch) == 3 + 2
+            # AS1 lost its route to AS3: a Loc-RIB delta, patched in.
+            assert installed_bgp_rows(orch.network)["a2"] != baseline["a2"]
+            flip(orch, "b2", "c1")
+    assert rebuilt == {2, 3}
+    assert domains_rebuilt(orch) == 3 + 4
+    assert installed_bgp_rows(orch.network) == baseline
+
+
+def test_one_of_two_parallel_links_rebuilds_both_domains():
+    """The peer set does not move, no session goes down, no message is
+    sent, no IGP row changes — only a link pair, and ``a3``'s rows with
+    it."""
+    with checked_bgp_installs():
+        orch = gate_world()
+        bgp, domain = orch.bgp, orch.network.domains[1]
+        baseline = installed_bgp_rows(orch.network)
+        assert ("10.2.0.0/16", "BGP", "b3", 0.0) in baseline["a3"]
+        sent = bgp.stats.sent
+        with rebuilt_domains(orch) as rebuilt:
+            flip(orch, "a3", "b3")
+            assert bgp._session_peers(domain) == [2]
+            assert bgp.stats.sent == sent
+            assert (("10.2.0.0/16", "BGP", "a1", 1.0)
+                    in installed_bgp_rows(orch.network)["a3"])
+            assert domains_rebuilt(orch) == 3 + 2
+            flip(orch, "a3", "b3")
+    assert rebuilt == {1, 2}
+    assert installed_bgp_rows(orch.network) == baseline
+
+
+def test_a_border_crash_shrinks_the_egress_map_an_inner_crash_does_not():
+    with checked_bgp_installs():
+        orch = gate_world()
+        baseline = installed_bgp_rows(orch.network)
+        with rebuilt_domains(orch) as rebuilt:
+            failed = crash(orch, "a2")
+            # Its rows follow its emptied IGP view (``igp_generation``).
+            assert installed_bgp_rows(orch.network)["a2"] == []
+            recover(orch, "a2", failed)
+        assert rebuilt == {1}
+        assert domains_rebuilt(orch) == 3
+        assert installed_bgp_rows(orch.network) == baseline
+        with rebuilt_domains(orch) as rebuilt:
+            failed = crash(orch, "c1")  # c2 keeps AS3's speaker up
+            assert domains_rebuilt(orch) == 3 + 2
+            recover(orch, "c1", failed)
+        assert rebuilt == {2, 3}
+        assert installed_bgp_rows(orch.network) == baseline
+
+
+def test_connect_domains_mid_run_grows_the_egress_map():
+    with checked_bgp_installs():
+        orch = gate_world()
+        with rebuilt_domains(orch) as rebuilt:
+            orch.network.connect_domains(1, 3, "a2", "c2", Relationship.PEER)
+            orch.bgp.reannounce(1)
+            orch.bgp.reannounce(3)
+            orch.reconverge()
+    assert rebuilt == {1, 3}
+    assert domains_rebuilt(orch) == 3 + 2
+    assert (("10.1.0.0/16", "BGP", "a2", 0.0)
+            in installed_bgp_rows(orch.network)["c2"])
 
 
 # -- small fixes ---------------------------------------------------------------------
