@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from repro.net.address import Prefix
+from repro.net.errors import ParameterError
 
 #: Local-preference values implementing Gao-Rexford economics: routes
 #: through customers are the most preferred (they pay us), then peers,
@@ -59,7 +60,7 @@ class BgpRoute:
 
     def __post_init__(self) -> None:
         if not self.as_path:
-            raise ValueError("AS path cannot be empty")
+            raise ParameterError("AS path cannot be empty")
 
     @property
     def origin_asn(self) -> int:

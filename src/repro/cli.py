@@ -24,11 +24,10 @@ Runs the library's headline experiments from the shell:
   fault-attributed shifts vs. flaps, RTT inflation against the delay
   oracle, and probe-observed convergence time;
 * ``lint`` — run the determinism & invariant linter
-  (:mod:`repro.analysis`) over the source tree: per-file seeded-RNG,
+  (:mod:`repro.lint`) over the source tree: the seeded-RNG,
   wall-clock, iteration-order, obs-guard, and public-API rules
-  (D1–D5), plus — with ``--project`` — the whole-program
-  cache-coherence and fleet-safety families (C1/C2, P1–P3) with
-  baseline and SARIF support;
+  (D1–D5), the whole-program fleet-safety family (P1–P3), and the
+  unused-suppression check (W1), in one pass;
 * ``fleet`` — fan a declarative ``repro.matrix/v1`` workload matrix
   (:mod:`repro.fleet`) across worker processes and merge the per-cell
   artifacts into one deterministic ``repro.fleet/v1`` report: the same
@@ -521,56 +520,22 @@ def cmd_probes(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the determinism & invariant linter (the CI correctness gate).
 
-    ``--project`` adds the whole-program pass: a project index (import
-    graph, call graph, workload roots) feeds the C (cache coherence)
-    and P (fleet safety) rule families on top of D1–D5.  ``--baseline`` absorbs committed
-    findings so only new ones gate; ``--update-baseline`` rewrites the
-    file from the current run.
-
-    Exit status 0 means every checked file parsed and no actionable
-    error-severity finding remains; 1 means findings (or parse
-    errors); 2 means the invocation itself was bad (unknown rule,
-    missing path, unreadable baseline).
+    Exit status 0 means every checked file parsed and no unsuppressed
+    finding remains; 1 means findings (or parse errors); 2 means the
+    invocation itself was bad (unknown rule, missing path).
     """
-    from repro.analysis import (AnalysisError, Baseline, lint_paths,
-                                lint_project, render_human, render_json,
-                                render_rule_list, render_sarif)
+    from repro.lint import (LintError, lint_paths, render_human,
+                            render_json, render_rule_list)
 
     if args.list_rules:
         print(render_rule_list())
         return 0
     try:
-        baseline = None
-        if args.baseline and not args.update_baseline:
-            baseline = Baseline.from_file(args.baseline)
-        common = dict(rule_ids=args.rule, jobs=args.jobs,
-                      warn_unused_suppressions=args.warn_unused_suppressions)
-        if args.project:
-            report = lint_project(args.paths or ["src"], baseline=baseline,
-                                  **common)
-        else:
-            report = lint_paths(args.paths or ["src"], **common)
-    except AnalysisError as exc:
+        report = lint_paths(args.paths or ["src"], rule_ids=args.rule)
+    except LintError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        if not args.baseline:
-            print("lint: --update-baseline needs --baseline FILE",
-                  file=sys.stderr)
-            return 2
-        Baseline.from_findings(report.findings).save(args.baseline)
-        print(f"lint: wrote baseline with "
-              f"{len(report.unsuppressed)} finding(s) to {args.baseline}",
-              file=sys.stderr)
-        return 0
-    if args.sarif:
-        with open(args.sarif, "w", encoding="utf-8") as handle:
-            handle.write(render_sarif(report))
-            handle.write("\n")
-    if args.json:
-        print(render_json(report))
-    else:
-        print(render_human(report, show_suppressed=args.show_suppressed))
+    print(render_json(report) if args.json else render_human(report))
     return 0 if report.ok else 1
 
 
@@ -752,32 +717,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="run the determinism & invariant linter "
-                     "(D1-D5; --project adds C/P)")
+                     "(D1-D5, P1-P3, W1)")
     p_lint.add_argument("paths", nargs="*", metavar="PATH",
                         help="files or directories to lint (default: src)")
-    p_lint.add_argument("--project", action="store_true",
-                        help="build the whole-program index and run the "
-                             "C (cache coherence) and P (fleet safety) "
-                             "rule families too")
     p_lint.add_argument("--json", action="store_true",
-                        help="emit the repro.analysis/v2 JSON report")
-    p_lint.add_argument("--sarif", metavar="FILE",
-                        help="also write a SARIF 2.1.0 report here")
+                        help="emit the repro.lint/v1 JSON report")
     p_lint.add_argument("--rule", action="append", metavar="ID",
-                        help="run only this rule (repeatable, e.g. D1 or C1)")
-    p_lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parse files across N processes (default 1)")
-    p_lint.add_argument("--baseline", metavar="FILE",
-                        help="absorb findings recorded in this baseline "
-                             "file; only new findings gate")
-    p_lint.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline FILE from this run's "
-                             "findings instead of reporting")
-    p_lint.add_argument("--warn-unused-suppressions", action="store_true",
-                        help="warn (W1) on allow[...] pragmas that "
-                             "suppressed nothing")
-    p_lint.add_argument("--show-suppressed", action="store_true",
-                        help="also print suppressed findings")
+                        help="run only this rule (repeatable, e.g. D1 or P1)")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="list rule ids and descriptions")
     p_lint.set_defaults(func=cmd_lint)

@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.net.errors import ParameterError
+
 
 @dataclass
 class IspAgent:
@@ -96,7 +98,7 @@ class AdoptionModel:
                  defense_threshold: float = 0.6,
                  seeding_prob: float = 0.002, seed: int = 0) -> None:
         if n_isps < 1:
-            raise ValueError("need at least one ISP")
+            raise ParameterError("need at least one ISP")
         self.universal_access = universal_access
         self.demand_rate = demand_rate
         self.revenue_coeff = revenue_coeff

@@ -1,4 +1,4 @@
-"""Finding and severity types plus suppression-comment parsing.
+"""The finding type plus suppression-comment parsing.
 
 A :class:`Finding` is one rule violation at one source location.  The
 suppression syntax is a trailing comment::
@@ -16,25 +16,17 @@ hold the invariant (e.g. a metric-flush method only invoked under an
 from __future__ import annotations
 
 import ast
-import enum
 import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 from repro.net.errors import ReproError
 
 
-class AnalysisError(ReproError):
+class LintError(ReproError):
     """The lint engine was misconfigured (unknown rule, bad path...)."""
-
-
-class Severity(enum.Enum):
-    """How bad a finding is; errors gate CI, warnings inform."""
-
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
@@ -45,29 +37,20 @@ class Finding:
     line: int
     col: int
     rule_id: str
-    severity: Severity
     message: str
     suppressed: bool = False
-    #: ``True`` when a committed baseline entry absorbs this finding.
-    baselined: bool = False
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule_id)
 
     def to_dict(self) -> Dict[str, object]:
         return {"path": self.path, "line": self.line, "col": self.col,
-                "rule": self.rule_id, "severity": self.severity.value,
-                "message": self.message, "suppressed": self.suppressed,
-                "baselined": self.baselined}
+                "rule": self.rule_id, "message": self.message,
+                "suppressed": self.suppressed}
 
     def format(self) -> str:
-        flag = ""
-        if self.suppressed:
-            flag = " (suppressed)"
-        elif self.baselined:
-            flag = " (baselined)"
         return (f"{self.path}:{self.line}:{self.col}: "
-                f"{self.rule_id} [{self.severity.value}] {self.message}{flag}")
+                f"{self.rule_id} {self.message}")
 
 
 #: Pragma shapes: ``allow[D1]``, ``allow[D1, D3]``, ``allow[*]``, each
@@ -145,7 +128,7 @@ class SourceFile:
         """Is *rule_id* suppressed at *line* (same line or the one above)?
 
         A hit also records which pragma satisfied it, so the engine's
-        ``--warn-unused-suppressions`` pass can flag the stale ones.
+        W1 pass can flag the ones that suppressed nothing.
         """
         hit = False
         for candidate in (line, line - 1):

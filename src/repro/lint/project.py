@@ -1,9 +1,9 @@
-"""Pass 1 of the whole-program analyzer: the project index.
+"""The project index the whole-program rules read.
 
-:class:`ProjectIndex` is built once per ``lint --project`` run from the
-same parsed :class:`~repro.analysis.findings.SourceFile` objects the
-per-file rules consume (one parse per file, shared everywhere).  It
-holds everything the C/P rule families (pass 2) need:
+:class:`ProjectIndex` is built once per lint run from the same parsed
+:class:`~repro.lint.findings.SourceFile` objects the per-file rules
+consume (one parse per file, shared everywhere).  It holds everything
+the P rule family needs:
 
 * the **module table** — imports, module-level mutable containers,
   classes, and every function (nested ones included) with its raw call
@@ -26,10 +26,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
-from repro.analysis.findings import SourceFile
+from repro.lint.findings import SourceFile
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -73,6 +73,7 @@ def module_name_for_path(path: str) -> str:
 
 
 def _terminal_name(node: ast.expr) -> str:
+    """The rightmost identifier of a Name/Attribute chain ('' otherwise)."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -117,22 +118,13 @@ class FunctionInfo:
     #: Function names returned by ``return <name>`` statements.
     returned_names: Set[str] = field(default_factory=set)
 
-    @property
-    def lineno(self) -> int:
-        return getattr(self.node, "lineno", 1)
-
 
 @dataclass
 class ClassInfo:
-    """One class: its methods, attribute table, and base-name chain."""
+    """One class: its methods and base-name chain."""
 
-    key: str
-    module: str
-    name: str
-    node: ast.ClassDef
     bases: List[str] = field(default_factory=list)
     methods: Dict[str, str] = field(default_factory=dict)
-    attrs: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -157,18 +149,16 @@ class ModuleInfo:
 
 
 class ProjectIndex:
-    """The whole-program index (pass 1)."""
+    """The whole-program index."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.by_path: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
-        self.classes: Dict[str, ClassInfo] = {}
         #: function name -> keys of every project function with it.
         self.functions_by_name: Dict[str, List[str]] = {}
-        #: Resolved call graph and its reverse.
+        #: Resolved call graph: caller key -> callee keys.
         self.calls_out: Dict[str, Set[str]] = {}
-        self.calls_in: Dict[str, Set[str]] = {}
         #: Registered workload-runner function keys.
         self.workload_roots: Set[str] = set()
         #: (module, name) of module mutables mutated in place anywhere.
@@ -177,7 +167,7 @@ class ProjectIndex:
     # -- construction -------------------------------------------------------
     @classmethod
     def build(cls, sources: Mapping[str, SourceFile]) -> "ProjectIndex":
-        """Index *sources* (path -> parsed file, shared with pass 2)."""
+        """Index *sources* (path -> parsed file, shared with the rules)."""
         index = cls()
         for path in sorted(sources):
             index._index_module(path, sources[path])
@@ -204,19 +194,11 @@ class ProjectIndex:
 
     # -- call graph ---------------------------------------------------------
     def _resolve_calls(self) -> None:
-        for key in self.functions:
-            self.calls_out.setdefault(key, set())
-            self.calls_in.setdefault(key, set())
         for info in self.functions.values():
-            out = self.calls_out[info.key]
-            for nested in info.nested:
-                out.add(nested)
+            out = self.calls_out[info.key] = set(info.nested)
             for call in info.calls:
-                for target in self._resolve_call(info, call):
-                    out.add(target)
+                out.update(self._resolve_call(info, call))
             out.discard(info.key)
-            for target in out:
-                self.calls_in.setdefault(target, set()).add(info.key)
 
     def _resolve_call(self, caller: FunctionInfo,
                       call: CallSite) -> Iterable[str]:
@@ -312,15 +294,6 @@ class ProjectIndex:
     # -- closures -----------------------------------------------------------
     def callee_closure(self, roots: Iterable[str]) -> Set[str]:
         """*roots* plus everything transitively called from them."""
-        return self._closure(roots, self.calls_out)
-
-    def caller_closure(self, roots: Iterable[str]) -> Set[str]:
-        """*roots* plus everything that transitively calls them."""
-        return self._closure(roots, self.calls_in)
-
-    @staticmethod
-    def _closure(roots: Iterable[str],
-                 edges: Mapping[str, Set[str]]) -> Set[str]:
         seen: Set[str] = set()
         stack = list(roots)
         while stack:
@@ -328,19 +301,8 @@ class ProjectIndex:
             if key in seen:
                 continue
             seen.add(key)
-            stack.extend(edges.get(key, ()))
+            stack.extend(self.calls_out.get(key, ()))
         return seen
-
-    def functions_calling(self, names: FrozenSet[str]) -> Set[str]:
-        """Keys of functions containing a direct call to any of *names*
-        (terminal-name match, so ``self._on_state_change()`` counts)."""
-        found: Set[str] = set()
-        for info in self.functions.values():
-            for call in info.calls:
-                if call.name in names:
-                    found.add(info.key)
-                    break
-        return found
 
     # -- workload roots -----------------------------------------------------
     def _find_workload_roots(self) -> None:
@@ -547,28 +509,14 @@ class _ModuleIndexer:
 
     def _index_class(self, node: ast.ClassDef, qual_prefix: str) -> None:
         qual = f"{qual_prefix}{node.name}"
-        cls = ClassInfo(key=f"{self.mod.name}:{qual}", module=self.mod.name,
-                        name=node.name, node=node,
-                        bases=[_terminal_name(base) for base in node.bases
+        cls = ClassInfo(bases=[_terminal_name(base) for base in node.bases
                                if _terminal_name(base)])
         self.mod.classes[node.name] = cls
-        self.index.classes[cls.key] = cls
         for stmt in node.body:
             if isinstance(stmt, _FUNCTION_NODES):
                 info = self._index_function(stmt, node.name, f"{qual}.",
                                             parent=None)
                 cls.methods[stmt.name] = info.key
-                for sub in ast.walk(stmt):
-                    if (isinstance(sub, (ast.Assign, ast.AnnAssign))
-                            and _self_attr_targets(sub)):
-                        cls.attrs.update(_self_attr_targets(sub))
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
-                                                                ast.Name):
-                cls.attrs.add(stmt.target.id)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        cls.attrs.add(target.id)
 
     def _index_function(self, node: ast.AST, class_name: Optional[str],
                         qual_prefix: str,
@@ -685,21 +633,6 @@ def _flat_names(target: ast.expr) -> Set[str]:
         elif isinstance(node, ast.Starred):
             stack.append(node.value)
     return names
-
-
-def _self_attr_targets(stmt: ast.AST) -> Set[str]:
-    attrs: Set[str] = set()
-    targets: List[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, ast.AnnAssign):
-        targets = [stmt.target]
-    for target in targets:
-        if (isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"):
-            attrs.add(target.attr)
-    return attrs
 
 
 def _is_mutable_value(value: Optional[ast.expr]) -> bool:

@@ -4,7 +4,7 @@ The PR-8 fleet contract is that a merged ``repro.fleet/v1`` report is
 byte-identical at any ``--workers`` count.  That holds only if every
 registered ``runner(seed=, params=)`` is *process-pure*: no shared
 module state, no captured live resources, no wall-clock values leaking
-into artifacts.  These rules walk the pass-1 call graph from every
+into artifacts.  These rules walk the project call graph from every
 registration site and flag the three hazard classes on any reachable
 function:
 
@@ -20,7 +20,7 @@ function:
   (which keys on that substring) cannot strip it before merging.
 
 The reachability set deliberately over-approximates (see
-:mod:`repro.analysis.project`): an edge that cannot happen costs a
+:mod:`repro.lint.project`): an edge that cannot happen costs a
 reviewed suppression, an edge we miss costs a flaky fleet merge.
 """
 
@@ -29,13 +29,12 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.findings import Finding
-from repro.analysis.project import (MUTATING_METHODS, RESOURCE_FACTORIES,
-                                    FunctionInfo, ModuleInfo, ProjectIndex,
-                                    global_mutable_target)
-from repro.analysis.rules import ProjectRule, _is_wall_call, _terminal_name
-
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+from repro.lint.findings import Finding
+from repro.lint.project import (_FUNCTION_NODES, MUTATING_METHODS,
+                                RESOURCE_FACTORIES, FunctionInfo, ModuleInfo,
+                                ProjectIndex, _terminal_name,
+                                global_mutable_target)
+from repro.lint.rules import ProjectRule, _is_wall_call
 
 #: Substring marker the fleet's wall-metric stripper keys on.
 WALL_MARKER = "wall_"

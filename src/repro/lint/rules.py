@@ -11,8 +11,9 @@ encode the conventions PR 1 and PR 2 established informally:
   ``dict.keys()`` views without ``sorted(...)``.
 * **D4** — metric/trace updates in hot paths sit behind an
   ``obs.enabled`` guard (or a local alias of it).
-* **D5** — public API functions use typed exceptions, not ``assert``,
-  for input validation, and never take mutable default arguments.
+* **D5** — the library raises typed ``repro.net.errors`` exceptions,
+  not ``assert`` or a bare builtin, and never takes mutable default
+  arguments.
 
 Rules yield findings with suppression already resolved (via
 :meth:`Rule.finding`); the engine filters and aggregates them.
@@ -22,15 +23,11 @@ from __future__ import annotations
 
 import ast
 from pathlib import PurePosixPath
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.findings import Finding, Severity, SourceFile
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.analysis.project import ProjectIndex
-
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+from repro.lint.findings import Finding, SourceFile
+from repro.lint.project import (_FUNCTION_NODES, ProjectIndex,
+                                _terminal_name, module_name_for_path)
 
 
 def _posix_parts(path: str) -> Set[str]:
@@ -62,21 +59,11 @@ def _all_scopes(tree: ast.Module) -> Iterator[ast.AST]:
             yield node
 
 
-def _terminal_name(node: ast.expr) -> str:
-    """The rightmost identifier of a Name/Attribute chain ('' otherwise)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return ""
-
-
 class Rule:
     """One named check over a parsed module."""
 
     rule_id: str = ""
     title: str = ""
-    default_severity: Severity = Severity.ERROR
 
     def applies_to(self, path: str) -> bool:
         """Whether this rule runs on *path* at all (path-based scoping)."""
@@ -90,8 +77,7 @@ class Rule:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         return Finding(path=source.path, line=line, col=col,
-                       rule_id=self.rule_id, severity=self.default_severity,
-                       message=message,
+                       rule_id=self.rule_id, message=message,
                        suppressed=source.is_allowed(self.rule_id, line))
 
 
@@ -548,14 +534,27 @@ class HotPathGuardRule(Rule):
 # ---------------------------------------------------------------------------
 
 
+#: Builtin exceptions a caller cannot tell from a programming error.
+_UNTYPED_ERRORS = frozenset({"ValueError", "TypeError", "KeyError",
+                             "RuntimeError", "Exception"})
+
+#: Leaf modules that cannot import :mod:`repro.net.errors` without a
+#: cycle through ``repro.net.__init__`` (``obs``, ``schema``), or whose
+#: ``KeyError`` is the mapping protocol (``lpm``).
+_UNTYPED_RAISE_EXEMPT = ("repro.obs", "repro.schema", "repro.net.lpm")
+
+
 class PublicApiRule(Rule):
-    """D5: no mutable defaults; no bare ``assert`` in public functions.
+    """D5: no mutable defaults; no bare ``assert`` in public functions;
+    no ``raise <builtin exception>(...)``.
 
     ``assert`` vanishes under ``python -O``, so input validation in a
     public entry point must raise a typed exception from
-    :mod:`repro.net.errors`.  Genuine internal invariants (unreachable
-    states the type system cannot express) stay as asserts behind a
-    ``# repro: allow[D5]`` suppression.
+    :mod:`repro.net.errors` — which is also what lets a caller catch
+    library failures without masking programming errors.  Genuine
+    internal invariants (unreachable states the type system cannot
+    express) stay as asserts behind a ``# repro: allow[D5]``
+    suppression.
     """
 
     rule_id = "D5"
@@ -567,6 +566,25 @@ class PublicApiRule(Rule):
     def check(self, source: SourceFile) -> Iterator[Finding]:
         yield from self._check_defaults(source)
         yield from self._check_asserts(source)
+        yield from self._check_raises(source)
+
+    def _check_raises(self, source: SourceFile) -> Iterator[Finding]:
+        module = module_name_for_path(source.path)
+        if any(module == leaf or module.startswith(leaf + ".")
+               for leaf in _UNTYPED_RAISE_EXEMPT):
+            return
+        for node in ast.walk(source.tree):
+            if not (isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)
+                    and node.exc.func.id in _UNTYPED_ERRORS):
+                continue
+            yield self.finding(
+                source, node,
+                f"raise {node.exc.func.id}(...) is indistinguishable from "
+                "a programming error; raise a typed exception from "
+                "repro.net.errors (derive ValueError too where callers "
+                "catch it, as AddressError does)")
 
     def _check_defaults(self, source: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(source.tree):
@@ -625,7 +643,7 @@ class PublicApiRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# whole-program rules (pass 2 over the project index)
+# whole-program rules (checked against the project index)
 # ---------------------------------------------------------------------------
 
 
@@ -633,33 +651,28 @@ class ProjectRule:
     """One named check over the whole-program :class:`ProjectIndex`.
 
     Unlike :class:`Rule`, a project rule sees every module at once —
-    call graphs and registration sites.  The C/P families live in
-    :mod:`repro.analysis.crules` / :mod:`~repro.analysis.prules`.
+    call graphs and registration sites.  The P family lives in
+    :mod:`repro.lint.prules`.
     """
 
     rule_id: str = ""
     title: str = ""
-    default_severity: Severity = Severity.ERROR
 
-    def check(self, index: "ProjectIndex") -> Iterator[Finding]:
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(self, index: "ProjectIndex", path: str, node: ast.AST,
+    def finding(self, index: ProjectIndex, path: str, node: ast.AST,
                 message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         source = index.by_path[path].source
         return Finding(path=path, line=line, col=col,
-                       rule_id=self.rule_id, severity=self.default_severity,
-                       message=message,
+                       rule_id=self.rule_id, message=message,
                        suppressed=source.is_allowed(self.rule_id, line))
 
 
-#: Every rule, in id order — the engine's default rule set.
-DEFAULT_RULES: Tuple[Rule, ...] = (
+#: The per-file rules, in id order.
+D_RULES: Tuple[Rule, ...] = (
     SeededRandomRule(), WallClockRule(), OrderedIterationRule(),
     HotPathGuardRule(), PublicApiRule(),
 )
-
-#: id -> rule instance, for --rule filtering and docs.
-RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in DEFAULT_RULES}

@@ -15,6 +15,10 @@ class AddressError(ReproError, ValueError):
     """An address or prefix was malformed or out of range."""
 
 
+class ParameterError(ReproError, ValueError):
+    """A constructor or call argument is outside its allowed range."""
+
+
 class TopologyError(ReproError):
     """The network topology is inconsistent (unknown node, duplicate link...)."""
 

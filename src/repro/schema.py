@@ -136,6 +136,15 @@ SCHEMAS: Dict[str, Dict[str, object]] = {
                           "mean": NUMBER, "p50": NUMBER, "p90": NUMBER,
                           "p99": NUMBER},
     },
+    "repro.lint/v1": {
+        "schema": STRING, "ok": BOOL, "files_checked": INT,
+        "counts": {"total": INT, "unsuppressed": INT, "suppressed": INT,
+                   "by_rule": _COUNTS},
+        "findings": [{"path": STRING, "line": INT, "col": INT,
+                      "rule": STRING, "message": STRING,
+                      "suppressed": BOOL}],
+        "parse_errors": [{"path": STRING, "error": STRING}],
+    },
 }
 
 

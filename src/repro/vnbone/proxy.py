@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set
 
+from repro.net.errors import ParameterError
 from repro.net.network import Network
 from repro.bgp.protocol import BgpProtocol
 from repro.vnbone.egress import EgressPolicy, external_owner_entries
@@ -30,7 +31,7 @@ class ProxyAdvertiser:
     def __init__(self, network: Network, bgp: BgpProtocol, version: int,
                  threshold: int = 1) -> None:
         if threshold < 0:
-            raise ValueError("proxy threshold must be non-negative")
+            raise ParameterError("proxy threshold must be non-negative")
         self.network = network
         self.bgp = bgp
         self.version = version

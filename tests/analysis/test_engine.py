@@ -1,26 +1,18 @@
-"""Engine, suppression, and reporter tests for repro.analysis."""
+"""Engine, suppression, and reporter tests for repro.lint."""
 
 import json
 import textwrap
 
 import pytest
 
-from repro.analysis import (AnalysisError, Finding, Linter, Severity,
-                            collect_files, lint_paths, lint_source,
-                            parse_allow_comments, render_human, render_json,
-                            render_sarif)
+from repro.lint import (Finding, LintError, collect_files, lint_paths,
+                        lint_sources, parse_allow_comments, render_human,
+                        render_json)
 
 
 def lint(code, path="src/repro/_inline.py", rules=None):
-    return lint_source(textwrap.dedent(code), path=path, rule_ids=rules)
-
-
-D1_VIOLATION = """
-import random
-
-def pick(items):
-    return random.choice(items)
-"""
+    return lint_sources({path: textwrap.dedent(code)},
+                        rule_ids=rules).findings
 
 
 class TestSuppressions:
@@ -97,14 +89,8 @@ class TestLinterConfig:
         assert {f.rule_id for f in findings} == {"D5"}
 
     def test_unknown_rule_raises(self):
-        with pytest.raises(AnalysisError, match="unknown rule"):
-            lint_source("x = 1\n", rule_ids=["D9"])
-
-    def test_severity_override(self):
-        linter = Linter(severity_overrides={"D1": Severity.WARNING})
-        findings = linter.lint_text(D1_VIOLATION, "src/repro/_inline.py")
-        assert findings
-        assert all(f.severity is Severity.WARNING for f in findings)
+        with pytest.raises(LintError, match="unknown rule"):
+            lint("x = 1\n", rules=["D9"])
 
     def test_findings_sorted(self):
         findings = lint("""
@@ -136,7 +122,7 @@ class TestLintPaths:
         assert "syntax error" in report.parse_errors[0][1]
 
     def test_missing_path_raises(self):
-        with pytest.raises(AnalysisError, match="no such file"):
+        with pytest.raises(LintError, match="no such file"):
             lint_paths(["/nonexistent/elsewhere"])
 
     def test_collect_files_sorted_and_deduped(self, tmp_path):
@@ -157,23 +143,16 @@ class TestReporters:
         return lint_paths([str(tmp_path)])
 
     def test_json_schema(self, tmp_path):
+        # The shape itself is held by tests/test_schema.py against
+        # repro.schema.SCHEMAS; this pins the values of one small run.
         payload = json.loads(render_json(self._report(tmp_path)))
-        assert payload["schema"] == "repro.analysis/v2"
+        assert payload["schema"] == "repro.lint/v1"
         assert payload["ok"] is False
         assert payload["files_checked"] == 1
-        assert payload["counts"]["total"] == 2
-        assert payload["counts"]["actionable"] == 1
-        assert payload["counts"]["unsuppressed"] == 1
-        assert payload["counts"]["suppressed"] == 1
-        assert payload["counts"]["baselined"] == 0
-        assert payload["counts"]["by_rule"] == {"D1": 1}
+        assert payload["counts"] == {"total": 2, "unsuppressed": 1,
+                                     "suppressed": 1, "by_rule": {"D1": 1}}
         assert payload["parse_errors"] == []
-        assert payload["stale_baseline"] == []
-        finding = payload["findings"][0]
-        assert set(finding) == {"path", "line", "col", "rule", "severity",
-                                "message", "suppressed", "baselined"}
-        assert finding["rule"] == "D1"
-        assert finding["severity"] == "error"
+        assert [f["suppressed"] for f in payload["findings"]] == [False, True]
 
     def test_human_reporter_lists_findings_and_summary(self, tmp_path):
         text = render_human(self._report(tmp_path))
@@ -182,44 +161,6 @@ class TestReporters:
         assert "suppressed" in text
 
     def test_human_reporter_clean_run(self):
-        report = lint_paths(["src/repro/analysis"])
+        report = lint_paths(["src/repro/lint"])
         text = render_human(report)
         assert "clean" in text
-
-    def test_sarif_shape_and_suppressions(self, tmp_path):
-        doc = json.loads(render_sarif(self._report(tmp_path)))
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"D1", "C1", "P1"} <= rule_ids
-        results = run["results"]
-        assert len(results) == 2
-        plain = [r for r in results if "suppressions" not in r]
-        suppressed = [r for r in results if "suppressions" in r]
-        assert len(plain) == 1 and len(suppressed) == 1
-        assert suppressed[0]["suppressions"] == [{"kind": "inSource"}]
-        location = plain[0]["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("mod.py")
-        assert location["region"]["startLine"] >= 1
-
-
-class TestParallelParsing:
-    def _tree(self, tmp_path):
-        target = tmp_path / "src" / "repro" / "routing"
-        target.mkdir(parents=True)
-        for index in range(8):
-            body = "import random\nx = random.random()\n" if index % 2 \
-                else "x = 1\n"
-            (target / f"mod{index}.py").write_text(body)
-        (target / "broken.py").write_text("def f(:\n")
-        return str(tmp_path)
-
-    def test_jobs_identical_to_serial(self, tmp_path):
-        root = self._tree(tmp_path)
-        serial = lint_paths([root])
-        parallel = lint_paths([root], jobs=4)
-        assert [f.to_dict() for f in parallel.findings] == \
-            [f.to_dict() for f in serial.findings]
-        assert parallel.parse_errors == serial.parse_errors
-        assert parallel.files_checked == serial.files_checked

@@ -1,8 +1,8 @@
-"""Pass-1 tests: the ProjectIndex (imports, call graph, roots)."""
+"""The ProjectIndex: imports, call graph, workload roots."""
 
 import textwrap
 
-from repro.analysis import ProjectIndex, SourceFile, module_name_for_path
+from repro.lint import ProjectIndex, SourceFile, module_name_for_path
 
 
 def index_of(files):
@@ -65,7 +65,7 @@ class TestCallGraph:
         assert "repro.net.a:shared" in \
             index.calls_out["repro.net.b:caller"]
 
-    def test_caller_closure_is_transitive(self):
+    def test_callee_closure_is_transitive(self):
         index = index_of({"src/repro/net/a.py": """
             def leaf():
                 return 1
@@ -76,9 +76,8 @@ class TestCallGraph:
             def top():
                 return mid()
         """})
-        closure = index.caller_closure({"repro.net.a:leaf"})
-        assert {"repro.net.a:leaf", "repro.net.a:mid",
-                "repro.net.a:top"} <= closure
+        assert index.callee_closure({"repro.net.a:top"}) == {
+            "repro.net.a:leaf", "repro.net.a:mid", "repro.net.a:top"}
 
     def test_attr_call_does_not_link_module_level_functions(self):
         """``obj.run()`` must not alias every plain function named run.

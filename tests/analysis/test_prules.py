@@ -2,18 +2,18 @@
 
 import textwrap
 
-from repro.analysis import lint_project_sources
+from repro.lint import lint_sources
 
 REGISTER = "from repro.experiments.base import register\n"
 
 
 def project(files, rules=("P1", "P2", "P3")):
     texts = {path: textwrap.dedent(text) for path, text in files.items()}
-    return lint_project_sources(texts, rule_ids=list(rules))
+    return lint_sources(texts, rule_ids=list(rules))
 
 
 def rule_ids(report):
-    return [f.rule_id for f in report.actionable]
+    return [f.rule_id for f in report.unsuppressed]
 
 
 class TestModuleStateRule:
@@ -29,7 +29,7 @@ class TestModuleStateRule:
                 return {"result": 1}
         """})
         assert rule_ids(report) == ["P1"]
-        assert "_CACHE" in report.actionable[0].message
+        assert "_CACHE" in report.unsuppressed[0].message
 
     def test_global_rebind_flagged(self):
         report = project({"src/repro/experiments/demo.py": """
@@ -59,8 +59,8 @@ class TestModuleStateRule:
                 return {"seen": seed in _CACHE}
         """})
         assert "P1" in rule_ids(report)
-        reads = [f for f in report.actionable if "reads" in f.message]
-        assert reads, [f.message for f in report.actionable]
+        reads = [f for f in report.unsuppressed if "reads" in f.message]
+        assert reads, [f.message for f in report.unsuppressed]
 
     def test_mutation_off_runner_path_not_flagged(self):
         report = project({"src/repro/experiments/demo.py": """
@@ -86,7 +86,30 @@ class TestModuleStateRule:
                 return {"result": 1}
         """})
         assert rule_ids(report) == ["P1"]
-        assert "remember" in report.actionable[0].message
+        assert "remember" in report.unsuppressed[0].message
+        # audit mutant: a list appended in experiments.common
+        # .converged_internet, two calls and one module below the runner
+        report = project({
+            "src/repro/experiments/common.py": """
+                _BUILT = []
+
+                def converged_internet(spec):
+                    _BUILT.append(spec.seed)
+                    return spec
+            """,
+            "src/repro/experiments/demo.py": """
+                from repro.experiments.base import register
+                from repro.experiments.common import converged_internet
+
+                def _build(seed):
+                    return converged_internet(seed)
+
+                @register("demo")
+                def runner(seed, params):
+                    return {"result": _build(seed)}
+            """})
+        assert rule_ids(report) == ["P1"]
+        assert "converged_internet" in report.unsuppressed[0].message
 
     def test_pure_runner_clean(self):
         report = project({"src/repro/experiments/demo.py": """
@@ -116,7 +139,7 @@ class TestClosureCaptureRule:
                 return {"data": reader()}
         """})
         assert rule_ids(report) == ["P2"]
-        assert "handle" in report.actionable[0].message
+        assert "handle" in report.unsuppressed[0].message
 
     def test_lambda_over_with_bound_resource_flagged(self):
         report = project({"src/repro/experiments/demo.py": """
@@ -157,7 +180,7 @@ class TestWallClockArtifactRule:
                 return {"elapsed": time.time()}
         """})
         assert rule_ids(report) == ["P3"]
-        assert "elapsed" in report.actionable[0].message
+        assert "elapsed" in report.unsuppressed[0].message
 
     def test_wall_marked_key_clean(self):
         report = project({"src/repro/experiments/demo.py": """

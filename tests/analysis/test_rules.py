@@ -1,17 +1,22 @@
 """Per-rule positive and negative fixtures for the D1–D5 linter rules.
 
 Every test lints a small in-memory module through
-:func:`repro.analysis.lint_source`, pinning each rule's detection and
+:func:`repro.lint.lint_sources`, pinning each rule's detection and
 its non-detection (code following the convention must stay clean).
+The default path places the module inside the library tree so the
+path-scoped rules apply; D3 needs a routing-critical package.  Cases
+marked *audit mutant* are the shapes of the single-site mutants of
+``docs/static-analysis.md``: lint flags each, no tier-1 test does.
 """
 
 import textwrap
 
-from repro.analysis import lint_source
+from repro.lint import lint_sources
 
 
 def lint(code, path="src/repro/_inline.py", rules=None):
-    return lint_source(textwrap.dedent(code), path=path, rule_ids=rules)
+    return lint_sources({path: textwrap.dedent(code)},
+                        rule_ids=rules).findings
 
 
 def unsuppressed(code, path="src/repro/_inline.py", rules=None):
@@ -38,6 +43,16 @@ class TestD1SeededRandom:
         """, rules=["D1"])
         assert len(findings) == 1
         assert "unseeded" in findings[0].message
+        # audit mutant: experiments.igp_claims builds its domain unseeded
+        findings = unsuppressed("""
+            import random
+
+            def _build_domain(seed):
+                net = Network()
+                random_domain(net, 1, 12, extra_edges=8, rng=random.Random())
+                return net
+        """, rules=["D1"])
+        assert len(findings) == 1
 
     def test_seeded_random_clean(self):
         assert not unsuppressed("""
@@ -94,6 +109,20 @@ class TestD2WallClock:
         """, rules=["D2"])
         assert len(findings) == 1
         assert "'start'" in findings[0].message
+        # audit mutant: a second read beside Orchestrator.converge's
+        # guarded one, into a name the wall stripper does not know
+        findings = unsuppressed("""
+            import time
+
+            def converge(self):
+                observed = self.obs.enabled
+                if observed:
+                    wall_t0 = time.perf_counter()
+                started = time.perf_counter()
+                return started
+        """, rules=["D2"])
+        assert len(findings) == 1
+        assert "'started'" in findings[0].message
 
     def test_wall_prefixed_assignment_clean(self):
         assert not unsuppressed("""
@@ -182,6 +211,19 @@ class TestD3OrderedIteration:
                 return [n for n in nodes]
         """, path=self.PATH, rules=["D3"])
         assert len(findings) == 1
+        # audit mutant: LayeredVnRouting._intra_spf loses its sorted()
+        findings = unsuppressed("""
+            from typing import Dict, Set
+
+            class LayeredVnRouting:
+                def _intra_spf(self, members: Set[str], adjacency):
+                    dists: Dict[str, float] = {}
+                    for source in members:
+                        dists[source] = 0.0
+                    return dists
+        """, path="src/repro/vnbone/_inline.py", rules=["D3"])
+        assert len(findings) == 1
+        assert "'members'" in findings[0].message
 
     def test_chained_assignment_inferred(self):
         findings = unsuppressed("""
@@ -249,6 +291,15 @@ class TestD4HotPathGuards:
         """, rules=["D4"])
         assert len(findings) == 1
         assert ".inc(" in findings[0].message
+        # audit mutant: BgpProtocol._export's cached counter alias loses
+        # its guard; the plain-int stat beside it is not a metric
+        findings = unsuppressed("""
+            def _export(self, speaker, prefix, route):
+                peers = self._session_peers(speaker.domain)
+                self.export_policy_checks += len(peers)
+                self._c_policy_checks.inc(len(peers))
+        """, path="src/repro/bgp/_inline.py", rules=["D4"])
+        assert len(findings) == 1
 
     def test_guarded_update_clean(self):
         assert not unsuppressed("""
@@ -349,6 +400,37 @@ class TestD5PublicApi:
             class Deployment:
                 def _check(self, fraction):
                     assert fraction > 0
+        """, rules=["D5"])
+
+    def test_builtin_raise_flagged(self):
+        # audit mutant: BgpProtocol.add_speaker's default-routed refusal
+        # raising ValueError
+        for name in ("ValueError", "TypeError", "KeyError", "RuntimeError",
+                     "Exception"):
+            findings = unsuppressed(f"""
+                def add_speaker(self, domain):
+                    if domain.default_routed:
+                        raise {name}(f"AS{{domain.asn}} is default-routed")
+            """, path="src/repro/bgp/_inline.py", rules=["D5"])
+            assert len(findings) == 1
+            assert f"raise {name}" in findings[0].message
+
+    def test_builtin_raise_exempt_in_leaf_modules_and_tests(self):
+        code = """
+            def lookup(self, key):
+                raise KeyError(key)
+        """
+        for path in ("src/repro/obs/tracer.py", "src/repro/schema.py",
+                     "src/repro/net/lpm.py", "tests/net/test_lpm.py"):
+            assert not lint(code, path=path, rules=["D5"])
+        assert lint(code, path="src/repro/net/node.py", rules=["D5"])
+
+    def test_self_check_and_exit_raises_clean(self):
+        assert not unsuppressed("""
+            def run(rows):
+                if not rows:
+                    raise AssertionError("runner produced no rows")
+                raise SystemExit(0)
         """, rules=["D5"])
 
     def test_typed_exception_clean(self):

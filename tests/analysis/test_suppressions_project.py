@@ -1,29 +1,34 @@
-"""Suppression scoping across the C/P families, plus W1 staleness."""
+"""Suppression scoping for the whole-program rules, plus W1 (a pragma
+that suppressed nothing is itself a gating finding)."""
 
 import textwrap
 
-from repro.analysis import (UNUSED_SUPPRESSION_ID, Baseline, Severity,
-                            lint_paths, lint_project_sources)
+from repro.lint import UNUSED_SUPPRESSION_ID, lint_sources
 
 
-def project(files, rules=None, **kw):
+def project(files, rules=None):
     texts = {path: textwrap.dedent(text) for path, text in files.items()}
-    return lint_project_sources(texts, rule_ids=rules, **kw)
+    return lint_sources(texts, rule_ids=rules)
+
+
+def unused(report):
+    return [f for f in report.findings if f.rule_id == UNUSED_SUPPRESSION_ID]
 
 
 class TestProjectRuleSuppression:
-    def test_line_level_allow_c1(self):
-        report = project({"src/repro/net/core.py": """
-            class Network:
-                def __init__(self):
-                    self.links = {}
+    def test_line_level_allow_p1(self):
+        report = project({"src/repro/experiments/demo.py": """
+            from repro.experiments.base import register
 
-                def drop_link(self, key):
-                    del self.links[key]  # repro: allow[C1]
-        """}, rules=["C1"])
+            _CACHE = {}
+
+            @register("demo")
+            def runner(seed, params):
+                _CACHE[seed] = params  # repro: allow[P1]
+                return {"result": 1}
+        """})
         assert report.ok
-        assert len(report.suppressed) == 1
-        assert report.suppressed[0].rule_id == "C1"
+        assert [f.rule_id for f in report.suppressed] == ["P1"]
 
     def test_def_line_allow_covers_whole_runner(self):
         report = project({"src/repro/experiments/demo.py": """
@@ -52,77 +57,41 @@ class TestProjectRuleSuppression:
             def runner(seed, params):  # repro: allow[P1]
                 _CACHE[seed] = params
                 return {"elapsed": time.time()}
-        """}, rules=["P1", "P3"])
+        """}, rules=["P1", "P3", "D2"])
         assert not report.ok
-        assert [f.rule_id for f in report.actionable] == ["P3"]
+        assert sorted(f.rule_id for f in report.unsuppressed) == ["D2", "P3"]
         assert [f.rule_id for f in report.suppressed] == ["P1"]
-
-    def test_def_line_allow_c2(self):
-        report = project({"src/repro/net/core.py": """
-            def reroute(fib, old, new):  # repro: allow[C2]
-                fib.withdraw(old)
-                fib.install(new)
-        """}, rules=["C2"])
-        assert report.ok
-        assert len(report.suppressed) == 2
-
-    def test_suppressed_never_enters_baseline(self):
-        files = {"src/repro/net/core.py": """
-            class Network:
-                def __init__(self):
-                    self.links = {}
-
-                def drop_link(self, key):
-                    del self.links[key]  # repro: allow[C1]
-        """}
-        report = project(files, rules=["C1"])
-        assert Baseline.from_findings(report.findings).entries == {}
-
-    def test_baseline_and_suppression_do_not_overlap(self):
-        files = {"src/repro/net/core.py": """
-            class Network:
-                def __init__(self):
-                    self.links = {}
-
-                def drop_link(self, key):
-                    del self.links[key]  # repro: allow[C1]
-
-                def drop_other(self, key):
-                    del self.links[key]
-        """}
-        first = project(files, rules=["C1"])
-        baseline = Baseline.from_findings(first.findings)
-        report = project(files, rules=["C1"], baseline=baseline)
-        assert report.ok
-        assert len(report.suppressed) == 1
-        assert len(report.baselined) == 1
-        assert not report.suppressed[0].baselined
 
 
 class TestUnusedSuppressionWarnings:
-    def test_stale_pragma_warned(self):
+    def test_unused_pragma_gates(self):
         report = project({"src/repro/net/core.py": """
             def helper(x):
-                return x + 1  # repro: allow[C1]
-        """}, warn_unused_suppressions=True)
-        warnings = [f for f in report.findings
-                    if f.rule_id == UNUSED_SUPPRESSION_ID]
-        assert len(warnings) == 1
-        assert "C1" in warnings[0].message
-        assert warnings[0].severity is Severity.WARNING
-        assert report.ok  # warnings inform, they do not gate
+                return x + 1  # repro: allow[P1]
+        """})
+        assert [f.line for f in unused(report)] == [3]
+        assert "allow[P1]" in unused(report)[0].message
+        assert not report.ok
+        assert report.counts_by_rule() == {UNUSED_SUPPRESSION_ID: 1}
+        # ... and so is one naming a rule that no longer exists.
+        report = project({"src/repro/net/core.py": """
+            def drop_link(self, key):
+                del self.links[key]  # repro: allow[C1]
+        """})
+        assert len(unused(report)) == 1
 
     def test_used_pragma_not_warned(self):
-        report = project({"src/repro/net/core.py": """
-            class Network:
-                def __init__(self):
-                    self.links = {}
+        report = project({"src/repro/experiments/demo.py": """
+            from repro.experiments.base import register
 
-                def drop_link(self, key):
-                    del self.links[key]  # repro: allow[C1]
-        """}, warn_unused_suppressions=True)
-        assert not any(f.rule_id == UNUSED_SUPPRESSION_ID
-                       for f in report.findings)
+            _CACHE = {}
+
+            @register("demo")
+            def runner(seed, params):
+                _CACHE[seed] = params  # repro: allow[P1]
+                return {"result": 1}
+        """})
+        assert not unused(report)
 
     def test_scope_pragma_used_deep_in_function_not_warned(self):
         report = project({"src/repro/experiments/demo.py": """
@@ -135,32 +104,25 @@ class TestUnusedSuppressionWarnings:
                 if params:
                     _CACHE[seed] = params
                 return {"result": 1}
-        """}, warn_unused_suppressions=True)
-        assert not any(f.rule_id == UNUSED_SUPPRESSION_ID
-                       for f in report.findings)
+        """})
+        assert not unused(report)
 
     def test_unused_star_pragma_warned(self):
         report = project({"src/repro/net/core.py": """
             def helper(x):
                 return x + 1  # repro: allow[*]
-        """}, warn_unused_suppressions=True)
-        warnings = [f for f in report.findings
-                    if f.rule_id == UNUSED_SUPPRESSION_ID]
-        assert len(warnings) == 1
-
-    def test_project_only_pragma_not_judged_in_per_file_run(self, tmp_path):
-        target = tmp_path / "src" / "repro" / "net"
-        target.mkdir(parents=True)
-        (target / "mod.py").write_text(
-            "def helper(x):\n    return x + 1  # repro: allow[C1]\n")
-        report = lint_paths([str(tmp_path)], warn_unused_suppressions=True)
-        assert not any(f.rule_id == UNUSED_SUPPRESSION_ID
-                       for f in report.findings)
-
-    def test_off_by_default(self):
-        report = project({"src/repro/net/core.py": """
-            def helper(x):
-                return x + 1  # repro: allow[C1]
         """})
-        assert not any(f.rule_id == UNUSED_SUPPRESSION_ID
-                       for f in report.findings)
+        assert len(unused(report)) == 1
+
+    def test_rule_filter_narrows_w1(self):
+        files = {"src/repro/net/core.py": """
+            import random
+
+            def helper(x=[]):  # repro: allow[D5]
+                return x + 1  # repro: allow[D1, *]
+        """}
+        # D5's pragma is used, D1's is not; D1 was not run, so only a
+        # full run can call its pragma (or the star) unused.
+        assert not unused(project(files, rules=["D5"]))
+        assert len(unused(project(files, rules=["D1"]))) == 1
+        assert len(unused(project(files))) == 2

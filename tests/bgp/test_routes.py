@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.net.address import Prefix
+from repro.net.errors import ReproError
 from repro.bgp.routes import (LOCAL_PREF_CUSTOMER, LOCAL_PREF_PEER,
                               LOCAL_PREF_PROVIDER, BgpRoute, BgpUpdate,
                               RouteScope)
@@ -19,8 +20,9 @@ def route(path, pref=100, learned_from=None, scope=RouteScope.NORMAL):
 
 class TestBgpRoute:
     def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             BgpRoute(prefix=PFX, as_path=())
+        assert isinstance(raised.value, ReproError)
 
     def test_origin_and_length(self):
         r = route([3, 2, 5])

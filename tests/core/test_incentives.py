@@ -4,12 +4,14 @@ import pytest
 
 from repro.core.incentives import (AdoptionModel, AdoptionTrajectory,
                                    compare_access_models)
+from repro.net.errors import ReproError
 
 
 class TestModelBasics:
     def test_needs_isps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             AdoptionModel(n_isps=0)
+        assert isinstance(raised.value, ReproError)
 
     def test_market_shares_sum_to_one(self):
         model = AdoptionModel(n_isps=10, seed=1)

@@ -202,6 +202,31 @@ class TestInvalidationSites:
         engine.register_vn_handler(8, lambda node, packet: VnDrop("refused"))
         assert engine.forward(packet.copy(), "r0").outcome is Outcome.DROPPED
 
+    def test_orchestrator_converge(self, converged_hub):
+        net, engine = converged_hub.network, converged_hub.engine
+        packet = ipv4_packet(net.node("hx").ipv4, net.node("hz").ipv4)
+        assert engine.forward(packet.copy(), "hx").delivered_to == "hz"
+        # Z stops originating its block; nothing bumps until the FIBs
+        # are reinstalled by a second full convergence.
+        converged_hub.bgp.withdraw(4, net.domains[4].prefix)
+        converged_hub.converge()
+        assert engine.forward(packet.copy(), "hx").outcome is Outcome.NO_ROUTE
+
+    def test_deploy_relabels_hosts(self, deployment):
+        # x1 already serves A_N on its own, so deploy()'s add_member is
+        # a no-op and deploy's own bump is the only one.
+        deployment.scheme.add_member("x1")
+        deployment.orchestrator.reconverge()
+        network, engine = deployment.network, deployment.orchestrator.engine
+        outer = IPv4Header(src=network.node("hz").ipv4,
+                           dst=deployment.scheme.address)
+        inner = VNHeader(src=deployment.plan.ensure_host_address("hz"),
+                         dst=deployment.plan.ensure_host_address("hx"))
+        arriving = Packet(headers=[inner, outer])
+        assert engine.forward(arriving.copy(), "hz").delivered_to == "hx"
+        deployment.deploy(2, router_ids={"x1"})  # hx gets a native address
+        assert engine.forward(arriving.copy(), "hz").outcome is Outcome.DROPPED
+
     def test_anycast_add_member(self, converged_hub):
         scheme = DefaultRootedAnycast(converged_hub, "ipv8", default_asn=1)
         scheme.add_member("w2")

@@ -50,6 +50,15 @@ def test_crash_and_recover_bump_version():
     assert mid > before
     net.recover_node("r1a")
     assert net.topology_version > mid
+    # Liveness alone moves it: with every link already down (adjacency
+    # lost first) or left down, no link hook fires for the node.
+    net.fail_router("r1a")
+    before = net.topology_version
+    net.crash_node("r1a")
+    mid = net.topology_version
+    assert mid > before
+    net.recover_node("r1a", links=[])
+    assert net.topology_version > mid
 
 
 def test_fail_router_bumps_version():

@@ -1,13 +1,13 @@
 """The schema table against the documents the emitters really build.
 
-This is the drift check: for each of the four versioned artifacts one
+This is the drift check: for each of the five versioned artifacts one
 document is built through the public API, rich enough to fill every
 list, map and nullable of its shape, and compared path by path with
 :data:`repro.schema.SCHEMAS` — in both directions and at every depth.
 A key an emitter adds without declaring it, and a key the table
 declares that no emitter writes any more, both fail here.
 
-The second half feeds the four ``validate_*_dict`` functions arbitrary
+The second half feeds the five ``validate_*_dict`` functions arbitrary
 JSON: they answer with a list of problems, never with an exception.
 """
 
@@ -23,6 +23,7 @@ from repro.analyze import (build_catchment, build_report,
                            validate_report_dict)
 from repro.experiments import run, validate_experiment_dict
 from repro.fleet import FleetMatrix, run_fleet, validate_fleet_dict
+from repro.lint import lint_sources
 from repro.obs import Observability, Tracer
 from repro.schema import ANY, SCHEMAS, MapOf, Nullable, Opt, validate
 
@@ -84,9 +85,22 @@ def catchment_docs():
     return [in_memory, catchment_from_trace(events), flapping]
 
 
+def lint_doc():
+    """A finding, a suppressed one and a file that does not parse."""
+    return lint_sources({
+        "src/repro/mod.py": "import random\nx = random.random()\n"
+                            "y = random.random()  # repro: allow[D1]\n",
+        "src/repro/broken.py": "def f(:\n"}).to_dict()
+
+
+def validate_lint_dict(doc):
+    return validate("repro.lint/v1", doc)
+
+
 VALIDATORS = {
     "repro.experiment/v1": validate_experiment_dict,
     "repro.fleet/v1": validate_fleet_dict,
+    "repro.lint/v1": validate_lint_dict,
     "repro.report/v1": validate_report_dict,
     "repro.catchment/v1": validate_catchment_dict,
 }
@@ -100,6 +114,7 @@ def built(tmp_path_factory):
                               params={"pairs": 12})
     return {"repro.experiment/v1": [failover.to_dict()],
             "repro.fleet/v1": [fleet_doc(str(tmp_path_factory.mktemp("t")))],
+            "repro.lint/v1": [lint_doc()],
             "repro.report/v1": [report_doc(events)],
             "repro.catchment/v1": catchment_docs()}
 

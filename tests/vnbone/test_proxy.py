@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.errors import ReproError
 from repro.vnbone.proxy import ProxyAdvertiser
 
 
@@ -12,9 +13,10 @@ def advertiser(orch, threshold=1):
 
 class TestProxyAdvertiser:
     def test_negative_threshold_rejected(self, converged_hub):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             ProxyAdvertiser(converged_hub.network, converged_hub.bgp, 8,
                             threshold=-1)
+        assert isinstance(raised.value, ReproError)
 
     def test_adjacent_member_proxies(self, converged_hub):
         proxy = advertiser(converged_hub, threshold=1)
