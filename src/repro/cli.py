@@ -1,28 +1,22 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Runs the library's headline experiments from the shell:
+A thin shell over the library and the one workload registry
+(:mod:`repro.experiments`); a scenario is defined there, not here:
 
 * ``topology`` — generate (or load) an internetwork and describe it;
 * ``trace`` — deploy IPvN in selected ISPs and trace one packet;
 * ``reachability`` — measure universal access over sampled host pairs;
-* ``adoption`` — run the Section 2.1 adoption-dynamics comparison;
-* ``faults`` — crash the nearest anycast member under a live IPvN
-  deployment and report the failover as JSON;
-* ``obs`` — run an experiment under the observability layer: structured
-  JSONL trace plus a metrics summary (scheduler event counts, SPF
-  recomputations, per-outcome forwarding counters, ...);
+* ``experiment`` — run registered workloads (figures, claims, the
+  ``anycast_failover`` and ``rtt_catchment`` scenarios) and print tables;
+* ``obs`` — run one registered workload under the observability layer:
+  structured JSONL trace plus a metrics summary (scheduler event counts,
+  SPF recomputations, per-outcome forwarding counters, ...);
 * ``report`` — analyze a JSONL trace offline (:mod:`repro.analyze`):
   per-epoch critical paths, forwarding distributions, blackhole/loop
   detection, and the convergence timeline, as human tables or a
   schema-validated ``repro.report/v1`` document; ``--catchment``
   instead builds the anycast catchment observatory document
   (``repro.catchment/v1``) from the trace's ``probe.rtt`` events;
-* ``probes`` — run a deterministic RTT probe plan
-  (:mod:`repro.measure`) against an anycast deployment through a
-  crash/recover fault plan and fold the probe series into a
-  ``repro.catchment/v1`` document: per-epoch catchment maps,
-  fault-attributed shifts vs. flaps, RTT inflation against the delay
-  oracle, and probe-observed convergence time;
 * ``lint`` — run the determinism & invariant linter
   (:mod:`repro.lint`) over the source tree: the seeded-RNG,
   wall-clock, iteration-order, obs-guard, and public-API rules
@@ -46,7 +40,6 @@ import sys
 from typing import List, Optional
 
 from repro.core.evolution import EvolvableInternet
-from repro.core.incentives import compare_access_models
 from repro.net.serialize import load_network, save_network
 from repro.topogen import InternetSpec
 
@@ -162,75 +155,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
-    """Anycast failover under fault injection, reported as JSON.
-
-    Deploys IPvN, resolves the member nearest to a probe host, crashes
-    it with a :class:`~repro.faults.FaultPlan`, and reports transient
-    loss, reconvergence time, and where delivery shifted.
-    """
-    import json
-
-    from repro.faults import FaultInjector, FaultPlan
-
-    internet = _build_internet(args)
-    deployment = _deploy(internet, args)
-    scheme = deployment.scheme
-    hosts = internet.hosts()
-    probe = args.probe or hosts[0]
-    victim = scheme.resolve(probe)
-    if victim is None:
-        print(json.dumps({"error": f"no anycast member reachable from {probe}"}))
-        return 1
-    plan = (FaultPlan()
-            .crash_node(victim, at=args.crash_at)
-            .recover_node(victim, at=args.recover_at))
-    injector = FaultInjector(internet.orchestrator, plan,
-                             deployments=[deployment])
-    reports = injector.play(
-        workload=lambda: internet.reachability(args.version,
-                                               sample=args.sample))
-    failover = scheme.resolve(probe)
-    result = {
-        "probe": probe,
-        "victim": victim,
-        "failover_member": reports and _failover_member(scheme, deployment,
-                                                        probe, victim),
-        "member_after_recovery": failover,
-        "live_members": sorted(deployment.live_members()),
-        "epochs": [report.to_dict() for report in reports],
-        "faults_applied": [str(record) for record in injector.records],
-    }
-    print(json.dumps(result, indent=2))
-    healed = failover == victim
-    recovered_ok = all(report.recovered_delivery_ratio == 1.0
-                       for report in reports)
-    return 0 if healed and recovered_ok else 1
-
-
-def _failover_member(scheme, deployment, probe: str, victim: str):
-    """Who served *probe* while *victim* was down (re-resolved live)."""
-    # The play() loop already recovered the victim; replaying the crash
-    # here would double-fault.  Instead report the oracle next-nearest
-    # at recovery time minus the victim, which the failover tests pin
-    # to the actual resolution.
-    best = None
-    for member in sorted(deployment.live_members()):
-        if member == victim:
-            continue
-        result = scheme.network.shortest_path(probe, member)
-        if result is None:
-            continue
-        cost, _ = result
-        if best is None or cost < best[1]:
-            best = (member, cost)
-    return best[0] if best else None
-
-
 #: Counters the self-check requires after a traced anycast_failover run.
 _SELF_CHECK_COUNTERS = ("scheduler.events_scheduled", "scheduler.events_fired",
                         "igp.ls.spf_runs", "forwarding.outcome.delivered",
                         "faults.applied", "vnbone.rebuilds")
+
+#: Span kinds the self-check requires in the same run's trace.
+_SELF_CHECK_SPANS = ("experiment", "fault.epoch", "fault.apply",
+                     "fault.workload", "fault.reconverge", "igp.holddown",
+                     "vnbone.rebuild", "orchestrator.reconverge", "forward")
 
 
 def _parse_params(pairs) -> dict:
@@ -266,11 +199,8 @@ def cmd_obs(args: argparse.Namespace) -> int:
         return 0
     if args.self_check:
         return _obs_self_check(args)
-    if args.span_check:
-        return _obs_span_check(args)
     if not args.id:
-        print("obs: give an experiment id, --list, --self-check, or "
-              "--span-check")
+        print("obs: give an experiment id, --list, or --self-check")
         return 2
     params = _parse_params(args.param)
     tracer = None
@@ -292,90 +222,53 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _obs_self_check(args: argparse.Namespace) -> int:
-    """Smoke-test the observability pipeline end to end (CI hook)."""
+    """Smoke-test the observability pipeline end to end (CI hook).
+
+    Traces the acceptance scenario once, then checks the trace schema,
+    the span causality invariants (every ``span.end`` has a matching
+    ``span.start``, parents precede children, no orphan ``parent_id``),
+    and that every expected counter moved and span kind appeared.
+    """
     import json
     import os
     import tempfile
+    from collections import Counter
 
     from repro.experiments import run
-    from repro.obs import Observability, Tracer, validate_spans, validate_trace
+    from repro.obs import (Observability, SPAN_START, Tracer,
+                           validate_span_events, validate_trace_lines)
 
-    handle, path = tempfile.mkstemp(prefix="repro-obs-", suffix=".jsonl")
-    os.close(handle)
-    try:
+    with tempfile.TemporaryDirectory(prefix="repro-obs-") as scratch:
+        path = os.path.join(scratch, "trace.jsonl")
         obs = Observability(tracer=Tracer(path, context={
             "experiment": "anycast_failover", "seed": args.seed,
             "self_check": True}))
         result = run("anycast_failover", seed=args.seed, obs=obs)
         obs.close()
-        errors = list(validate_trace(path))
-        errors.extend(validate_spans(path))
-        counters = result.metrics.get("counters", {})
-        for name in _SELF_CHECK_COUNTERS:
-            if not counters.get(name):
-                errors.append(f"expected counter {name!r} to be nonzero")
-        status = {"ok": not errors, "trace_events": sum(
-            1 for _ in open(path, encoding="utf-8")),
-            "counters_checked": list(_SELF_CHECK_COUNTERS)}
-        if errors:
-            status["errors"] = errors[:10]
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0 if not errors else 1
-    finally:
-        os.unlink(path)
-
-
-#: Span kinds the span-check requires in a traced anycast_failover run.
-_SPAN_CHECK_NAMES = ("experiment", "fault.epoch", "fault.apply",
-                     "fault.workload", "fault.reconverge", "igp.holddown",
-                     "vnbone.rebuild", "orchestrator.reconverge", "forward")
-
-
-def _obs_span_check(args: argparse.Namespace) -> int:
-    """Validate the causal-span layer over a seeded run (CI hook).
-
-    Runs the acceptance scenario under a traced handle, then checks the
-    span causality invariants (every ``span.end`` has a matching
-    ``span.start``, parents precede children, no orphan ``parent_id``)
-    and that every expected span kind actually appeared.
-    """
-    import json
-    import os
-    import tempfile
-
-    from repro.experiments import run
-    from repro.obs import (Observability, SPAN_START, Tracer, validate_spans,
-                           validate_trace)
-    from repro.analyze import iter_trace_events
-
-    handle, path = tempfile.mkstemp(prefix="repro-spans-", suffix=".jsonl")
-    os.close(handle)
-    try:
-        obs = Observability(tracer=Tracer(path, context={
-            "experiment": "anycast_failover", "seed": args.seed,
-            "span_check": True}))
-        run("anycast_failover", seed=args.seed, obs=obs)
-        obs.close()
-        errors = list(validate_trace(path))
-        errors.extend(validate_spans(path))
-        counts: dict = {}
-        for event in iter_trace_events(path):
-            if event.get("kind") == SPAN_START:
-                name = event.get("name")
-                if isinstance(name, str):
-                    counts[name] = counts.get(name, 0) + 1
-        for name in _SPAN_CHECK_NAMES:
-            if not counts.get(name):
-                errors.append(f"expected span kind {name!r} in the trace")
-        status = {"ok": not errors,
-                  "spans": sum(counts.values()),
-                  "span_kinds": dict(sorted(counts.items()))}
-        if errors:
-            status["errors"] = errors[:10]
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0 if not errors else 1
-    finally:
-        os.unlink(path)
+        with open(path, encoding="utf-8") as trace:
+            lines = trace.readlines()
+    errors = validate_trace_lines(lines)
+    span_kinds: Counter = Counter()
+    if not errors:  # schema-valid: every line is one JSON object
+        events = [json.loads(line) for line in lines]
+        errors.extend(validate_span_events(events))
+        span_kinds.update(
+            event["name"] for event in events
+            if event["kind"] == SPAN_START
+            and isinstance(event.get("name"), str))
+        errors.extend(f"expected span kind {name!r} in the trace"
+                      for name in _SELF_CHECK_SPANS if not span_kinds[name])
+    counters = result.metrics.get("counters", {})
+    errors.extend(f"expected counter {name!r} to be nonzero"
+                  for name in _SELF_CHECK_COUNTERS if not counters.get(name))
+    status = {"ok": not errors, "trace_events": len(lines),
+              "counters_checked": list(_SELF_CHECK_COUNTERS),
+              "spans": sum(span_kinds.values()),
+              "span_kinds": dict(sorted(span_kinds.items()))}
+    if errors:
+        status["errors"] = errors[:10]
+    print(json.dumps(status, indent=2, sort_keys=True))
+    return 0 if not errors else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -421,100 +314,6 @@ def cmd_report(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_probes(args: argparse.Namespace) -> int:
-    """Run a deterministic RTT probe plan over an anycast deployment.
-
-    Deploys IPvN, arms a :class:`~repro.measure.ProbeEngine` across the
-    first ``--vantages`` hosts, plays a crash/recover fault plan
-    against the member serving the most vantages, and folds the probe
-    series into a ``repro.catchment/v1`` document
-    (``docs/measurement.md``).  ``--check`` validates the trace schema,
-    the span invariants, the catchment document, and — when tracing —
-    that the trace-derived document matches the in-memory probe series
-    exactly; the CI probe-smoke job gates on it plus byte-identical
-    ``--out`` files across same-seed runs.
-    """
-    import json
-
-    from repro.analyze import (build_catchment, catchment_from_trace,
-                               render_catchment, validate_catchment_dict)
-    from repro.experiments.measurement_claims import _serving_victim
-    from repro.faults import FaultInjector, FaultPlan
-    from repro.measure import ProbeEngine, ProbePlan, ProbeTarget
-    from repro.obs import (Observability, Tracer, observing, validate_spans,
-                           validate_trace)
-
-    # The context lands both in the trace header and in the catchment
-    # document; it must stay path- and wall-clock-free so same-seed
-    # catchment files compare byte-identical.
-    context = {"command": "probes", "seed": args.seed,
-               "version": args.version, "scheme": args.scheme,
-               "vantages": args.vantages, "rounds": args.rounds,
-               "interval": args.interval, "start": args.start,
-               "crash_at": args.crash_at, "recover_at": args.recover_at}
-    obs = None
-    if args.trace:
-        obs = Observability(tracer=Tracer(args.trace, context=context))
-    with observing(obs):
-        internet = _build_internet(args)
-        deployment = _deploy(internet, args)
-        hosts = internet.hosts()
-        vantages = tuple(hosts[:max(1, args.vantages)])
-        plan = ProbePlan(
-            vantages=vantages,
-            targets=(ProbeTarget(name="anycast",
-                                 dst=deployment.scheme.address,
-                                 kind="anycast"),),
-            interval=args.interval, start=args.start, rounds=args.rounds)
-        engine = ProbeEngine(internet.orchestrator.scheduler,
-                             internet.orchestrator.engine, internet.network,
-                             plan, replicas=deployment.live_members)
-        victim = _serving_victim(internet, deployment, vantages,
-                                 sorted(deployment.members())[0])
-        fault_plan = (FaultPlan()
-                      .crash_node(victim, at=args.crash_at)
-                      .recover_node(victim, at=args.recover_at))
-        injector = FaultInjector(internet.orchestrator, fault_plan,
-                                 deployments=[deployment])
-        engine.arm()
-        injector.play()  # the probes are the workload
-        engine.finish()
-    if obs is not None:
-        obs.close()
-
-    errors: List[str] = []
-    doc = build_catchment(
-        [sample.to_dict() for sample in engine.samples],
-        [{"t": record.time, "description": record.description}
-         for record in injector.records],
-        context=context)
-    errors.extend(validate_catchment_dict(doc))
-    if args.trace and args.check:
-        errors.extend(validate_trace(args.trace))
-        errors.extend(validate_spans(args.trace))
-        from_trace = catchment_from_trace(args.trace)
-        if (json.dumps(from_trace, sort_keys=True)
-                != json.dumps(doc, sort_keys=True)):
-            errors.append("trace-derived catchment diverged from the "
-                          "in-memory probe series")
-    payload = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.write("\n")
-    if args.json:
-        print(payload)
-    else:
-        print(f"victim: {victim}")
-        print(render_catchment(doc))
-    for problem in errors[:20]:
-        print(f"probes: {problem}", file=sys.stderr)
-    if len(errors) > 20:
-        print(f"probes: ... {len(errors) - 20} more problems",
-              file=sys.stderr)
-    return 1 if errors else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -580,17 +379,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0 if status["ok"] else 1
 
 
-def cmd_adoption(args: argparse.Namespace) -> int:
-    print(f"{'seed':>5} {'UA share':>9} {'walled share':>13}")
-    for seed in range(args.seeds):
-        result = compare_access_models(n_isps=args.isps, rounds=args.rounds,
-                                       seed=seed)
-        ua = result["universal_access"].final_share()
-        wg = result["walled_garden"].final_share()
-        print(f"{seed:>5} {ua:>9.0%} {wg:>13.0%}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -629,26 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list available experiments")
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_adopt = sub.add_parser("adoption",
-                             help="run the adoption-dynamics comparison")
-    p_adopt.add_argument("--seeds", type=int, default=5)
-    p_adopt.add_argument("--isps", type=int, default=30)
-    p_adopt.add_argument("--rounds", type=int, default=80)
-    p_adopt.set_defaults(func=cmd_adoption)
-
-    p_faults = sub.add_parser(
-        "faults", help="crash the nearest anycast member; report failover")
-    _add_topology_options(p_faults)
-    _add_deploy_options(p_faults)
-    p_faults.add_argument("--probe", help="probe host id (default: first host)")
-    p_faults.add_argument("--crash-at", type=float, default=10.0,
-                          help="crash time, relative to scenario start")
-    p_faults.add_argument("--recover-at", type=float, default=100.0,
-                          help="recovery time, relative to scenario start")
-    p_faults.add_argument("--sample", type=int, default=20,
-                          help="host pairs per reachability probe")
-    p_faults.set_defaults(func=cmd_faults)
-
     p_obs = sub.add_parser(
         "obs", help="run an experiment under the observability layer")
     p_obs.add_argument("id", nargs="?", metavar="ID",
@@ -663,9 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list available experiments")
     p_obs.add_argument("--self-check", action="store_true",
                        help="smoke-test the observability pipeline (CI)")
-    p_obs.add_argument("--span-check", action="store_true",
-                       help="validate causal-span invariants over a "
-                            "seeded run (CI)")
     p_obs.set_defaults(func=cmd_obs)
 
     p_report = sub.add_parser(
@@ -682,38 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "catchment document from the trace's "
                                "probe.rtt events instead")
     p_report.set_defaults(func=cmd_report)
-
-    p_probes = sub.add_parser(
-        "probes", help="run a deterministic RTT probe plan through a "
-                       "fault plan (repro.catchment/v1)")
-    _add_topology_options(p_probes)
-    _add_deploy_options(p_probes)
-    p_probes.add_argument("--vantages", type=int, default=4,
-                          help="probing hosts (the first N hosts)")
-    p_probes.add_argument("--rounds", type=int, default=24,
-                          help="probe rounds")
-    p_probes.add_argument("--interval", type=float, default=5.0,
-                          help="sim time between rounds")
-    p_probes.add_argument("--start", type=float, default=0.0,
-                          help="sim-time offset of round 0")
-    p_probes.add_argument("--crash-at", type=float, default=10.0,
-                          help="victim crash time, relative to scenario "
-                               "start")
-    p_probes.add_argument("--recover-at", type=float, default=80.0,
-                          help="victim recovery time, relative to "
-                               "scenario start")
-    p_probes.add_argument("--trace", metavar="FILE",
-                          help="write the structured JSONL trace here")
-    p_probes.add_argument("--out", metavar="FILE",
-                          help="write the catchment JSON document here")
-    p_probes.add_argument("--json", action="store_true",
-                          help="print the catchment JSON instead of the "
-                               "human rendering")
-    p_probes.add_argument("--check", action="store_true",
-                          help="validate trace, spans, the catchment "
-                               "document, and trace/in-memory identity "
-                               "(exit 1 on any problem)")
-    p_probes.set_defaults(func=cmd_probes)
 
     p_lint = sub.add_parser(
         "lint", help="run the determinism & invariant linter "

@@ -15,10 +15,10 @@ and validate workloads through this one surface.
 """
 
 from repro.experiments.base import (EXPERIMENT_SCHEMA, ExperimentResult,
-                                    Param, RunOutcome, WorkloadSpec,
+                                    Param, WorkloadSpec,
                                     all_specs, available, describe,
                                     format_error, get_spec, register, run,
-                                    run_many, validate_experiment_dict)
+                                    validate_experiment_dict)
 
 # Importing the modules registers their experiments.
 from repro.experiments import figures  # noqa: F401  (F1-F4)
@@ -32,7 +32,7 @@ from repro.experiments import service_claims  # noqa: F401  (E12a/b, E16)
 from repro.experiments import resilience_claims  # noqa: F401  (E17)
 from repro.experiments import measurement_claims  # noqa: F401  (rtt_catchment)
 
-__all__ = ["EXPERIMENT_SCHEMA", "ExperimentResult", "Param", "RunOutcome",
+__all__ = ["EXPERIMENT_SCHEMA", "ExperimentResult", "Param",
            "WorkloadSpec", "all_specs", "available", "describe",
-           "format_error", "get_spec", "register", "run", "run_many",
+           "format_error", "get_spec", "register", "run",
            "validate_experiment_dict"]

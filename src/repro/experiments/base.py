@@ -330,52 +330,6 @@ def run(experiment_id: str, *, seed: Optional[int] = None,
     return result
 
 
-@dataclass
-class RunOutcome:
-    """One :func:`run_many` entry: the result, or the isolated failure.
-
-    Exactly one of ``result``/``error`` is set.  ``error`` is the
-    deterministic ``"TypeName: message"`` rendering of the exception, so
-    cross-run reports built from outcomes stay byte-comparable.
-    """
-
-    experiment_id: str
-    result: Optional[ExperimentResult] = None
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"experiment_id": self.experiment_id,
-                "ok": self.ok,
-                "result": self.result.to_dict() if self.result else None,
-                "error": self.error}
-
-
 def format_error(exc: BaseException) -> str:
-    """The deterministic error rendering shared by run_many and fleet."""
+    """The deterministic error rendering of a failed fleet cell."""
     return f"{type(exc).__name__}: {exc}"
-
-
-def run_many(experiment_ids: Iterable[str], *, seed: Optional[int] = None,
-             params: Optional[Dict[str, object]] = None,
-             obs: Optional[Observability] = None) -> List[RunOutcome]:
-    """Run several experiments, isolating per-id failures.
-
-    One crashing experiment no longer aborts the batch: its
-    :class:`RunOutcome` carries the error string and the remaining ids
-    still run.  The fleet merge step relies on the same contract.
-    """
-    outcomes: List[RunOutcome] = []
-    for experiment_id in experiment_ids:
-        try:
-            result = run(experiment_id, seed=seed, params=params, obs=obs)
-        except ReproError as exc:
-            outcomes.append(RunOutcome(experiment_id=experiment_id,
-                                       error=format_error(exc)))
-        else:
-            outcomes.append(RunOutcome(experiment_id=experiment_id,
-                                       result=result))
-    return outcomes

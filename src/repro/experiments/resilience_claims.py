@@ -76,13 +76,12 @@ def _safe_members(internet, deployment):
                           - {member})
         if len(siblings) < 2:
             continue
-        failed = network.fail_router(member)
+        failed = network.crash_node(member)
         connected = all(
             network.shortest_path(siblings[0], other,
                                   intra_domain_only=True) is not None
             for other in siblings[1:])
-        for link in failed:
-            link.restore()
+        network.recover_node(member, links=failed)
         if connected:
             safe.add(member)
     return safe
@@ -130,9 +129,9 @@ def run_resilience(seed: int = 53,
         })
 
     measure("baseline")
-    internet.network.fail_router(first_member)
+    failed = internet.network.crash_node(first_member)
     measure(f"member {first_member} fails", victim_down=first_member)
-    internet.network.restore_router(first_member)
+    internet.network.recover_node(first_member, links=failed)
     measure(f"member {first_member} restored")
     # A plain (non-member) transit router in a multihomed position.
     link = _redundant_tier1_link(internet)

@@ -315,36 +315,13 @@ class Network:
         return host
 
     # -- failure injection -----------------------------------------------------
-    def fail_router(self, router_id: str) -> List[Link]:
-        """Take a router down by failing all of its links.
-
-        Models a whole-router failure the way the control planes can
-        observe it: adjacencies vanish, so IGPs time the router's
-        routes out, BGP resyncs sessions that lost their last link, and
-        anycast stops steering packets to the dead member (it becomes
-        unreachable).  Returns the links failed, for later restoration.
-        """
-        node = self.node(router_id)
-        failed = []
-        for link in node.links:
-            if link.up:
-                link.fail()
-                failed.append(link)
-        return failed
-
-    def restore_router(self, router_id: str) -> None:
-        """Bring a failed router's links back up."""
-        node = self.node(router_id)
-        for link in node.links:
-            link.restore()
-
     def crash_node(self, node_id: str) -> List[Link]:
         """Crash a node outright: mark it down and fail its live links.
 
-        Unlike :meth:`fail_router` (which only models the adjacency
-        loss), a crashed node also stops forwarding and accepting
-        packets, and in-flight control-plane messages addressed to it
-        are lost.  Returns the links failed, for exact restoration.
+        The control planes observe the adjacency loss; the node itself
+        also stops forwarding and accepting packets, and in-flight
+        control-plane messages addressed to it are lost.  Returns the
+        links failed, for exact restoration.
         """
         node = self.node(node_id)
         node.up = False

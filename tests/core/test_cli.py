@@ -60,20 +60,51 @@ class TestReachability:
 
 class TestFaults:
     def test_crash_and_failover_json(self, capsys):
-        code = main(["faults", "--sample", "10"])
+        code = main(["obs", "anycast_failover", "--param", "pairs=10"])
         out = capsys.readouterr().out
         assert code == 0
-        data = json.loads(out)
+        data = json.loads(out)["data"]
         assert data["victim"] is not None
-        assert data["member_after_recovery"] == data["victim"]
-        assert data["faults_applied"] and len(data["epochs"]) == 2
+        assert data["final"]["attempted"] == 10
+        assert len(data["epochs"]) == 2
         for epoch in data["epochs"]:
+            assert epoch["events"]
             assert epoch["recovered"]["delivery_ratio"] == 1.0
 
 
 class TestAdoption:
     def test_table(self, capsys):
-        assert main(["adoption", "--seeds", "2", "--rounds", "40"]) == 0
+        assert main(["experiment", "E8"]) == 0
         out = capsys.readouterr().out
         assert "UA share" in out
         assert out.strip().count("\n") >= 2
+
+
+class TestProbeRecipe:
+    """The probe-smoke recipe: trace the registered ``rtt_catchment``
+    workload, rebuild its catchment document offline from the trace."""
+
+    def test_same_seed_catchments_are_byte_identical(self, tmp_path, capsys):
+        documents = []
+        for name in ("a", "b"):
+            trace = str(tmp_path / f"probes-{name}.jsonl")
+            assert main(["obs", "rtt_catchment", "--param",
+                         "serving_victim=true", "--trace", trace]) == 0
+            capsys.readouterr()
+            assert main(["report", trace, "--catchment", "--check",
+                         "--json"]) == 0
+            documents.append(capsys.readouterr().out)
+        assert documents[0] == documents[1]
+        doc = json.loads(documents[0])
+        assert doc["probes"]["count"] > 0
+        assert len(doc["epochs"]) == 3, "crash + recover must make 3 epochs"
+        assert doc["flaps"]["count"] == 0, "catchment flapped off-boundary"
+
+
+class TestRemovedSurface:
+    def test_argparse_rejects_the_old_doors(self):
+        for argv in (["faults"], ["probes"], ["adoption"],
+                     ["obs", "--span-check"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv

@@ -4,8 +4,7 @@ claimed shape is asserted in ``tests/experiments``)."""
 import pytest
 
 from repro.net.errors import ReproError
-from repro.experiments import (ExperimentResult, available, describe, run,
-                               run_many)
+from repro.experiments import ExperimentResult, available, describe, run
 from repro.experiments.base import register
 
 ALL_IDS = ["E10", "E11", "E12a", "E12b", "E13a", "E13b", "E14", "E15",
@@ -48,18 +47,6 @@ class TestResults:
         assert result.header in table
         assert all(row in table for row in result.rows)
         assert result.footer in table
-
-    def test_run_many(self):
-        outcomes = run_many(["F1", "F2"])
-        assert [o.experiment_id for o in outcomes] == ["F1", "F2"]
-        assert all(o.ok for o in outcomes)
-        assert [o.result.experiment_id for o in outcomes] == ["F1", "F2"]
-
-    def test_run_many_isolates_unknown_ids(self):
-        outcomes = run_many(["F1", "F99"])
-        assert outcomes[0].ok
-        assert not outcomes[1].ok
-        assert "unknown experiment" in outcomes[1].error
 
     def test_e8_runs(self):
         result = run("E8")

@@ -30,7 +30,7 @@ class TestAnycastMemberFailure:
         host = internet.hosts()[0]
         first = scheme.resolve(host)
         assert first is not None
-        internet.network.fail_router(first)
+        internet.network.crash_node(first)
         deployment.rebuild()
         second = scheme.resolve(host)
         assert second is not None
@@ -39,7 +39,7 @@ class TestAnycastMemberFailure:
     def test_reachability_survives_one_member_failure(self, internet):
         deployment = deploy_ipv8(internet)
         victim = sorted(deployment.members())[0]
-        internet.network.fail_router(victim)
+        internet.network.crash_node(victim)
         deployment.rebuild()
         report = internet.reachability(8, sample=20)
         assert report.delivery_ratio == 1.0, report.failures
@@ -48,9 +48,9 @@ class TestAnycastMemberFailure:
         deployment = deploy_ipv8(internet)
         host = internet.hosts()[0]
         victim = deployment.scheme.resolve(host)
-        internet.network.fail_router(victim)
+        internet.network.crash_node(victim)
         deployment.rebuild()
-        internet.network.restore_router(victim)
+        internet.network.recover_node(victim)
         deployment.rebuild()
         assert deployment.scheme.resolve(host) == victim
 
@@ -59,7 +59,7 @@ class TestVnBoneFailure:
     def test_tunnels_avoid_dead_members(self, internet):
         deployment = deploy_ipv8(internet)
         victim = sorted(deployment.members())[0]
-        internet.network.fail_router(victim)
+        internet.network.crash_node(victim)
         deployment.rebuild()
         for tunnel in deployment.tunnels:
             assert victim not in (tunnel.a, tunnel.b)
@@ -69,7 +69,7 @@ class TestVnBoneFailure:
         members = sorted(deployment.members())
         victim = members[0]
         survivor = members[-1]
-        internet.network.fail_router(victim)
+        internet.network.crash_node(victim)
         deployment.rebuild()
         assert victim not in deployment.routing.reachable_members(survivor)
 

@@ -1,16 +1,16 @@
 """The workload-spec API: registration contracts, param schemas, obs
-binding, the ``repro.experiment/v1`` document, and per-id isolation."""
+binding, and the ``repro.experiment/v1`` document."""
 
 import json
 
 import pytest
 
-from repro.experiments import ExperimentResult, run, run_many
-from repro.experiments.base import (EXPERIMENT_SCHEMA, Param, RunOutcome,
+from repro.experiments import ExperimentResult, run
+from repro.experiments.base import (EXPERIMENT_SCHEMA, Param,
                                     WorkloadSpec, _REGISTRY, all_specs,
                                     format_error, get_spec, register,
                                     validate_experiment_dict)
-from repro.net.errors import ReproError, WorkloadError
+from repro.net.errors import WorkloadError
 from repro.obs import NULL_OBS, Observability, Tracer, get_obs
 
 
@@ -197,29 +197,6 @@ class TestResultSerialization:
 
 
 class TestRunMany:
-    def test_failures_are_isolated_per_id(self, scratch_registry):
-        def boom(seed=0, params=None):
-            raise ReproError("kaboom")
-
-        scratch_registry("tmp_boom", "always fails", boom)
-        scratch_registry("tmp_fine", "succeeds",
-                         lambda seed=0, params=None: make_result())
-        outcomes = run_many(["tmp_fine", "tmp_boom", "nonexistent"])
-        assert [o.experiment_id for o in outcomes] == [
-            "tmp_fine", "tmp_boom", "nonexistent"]
-        assert [o.ok for o in outcomes] == [True, False, False]
-        assert outcomes[1].error == "ReproError: kaboom"
-        assert "unknown experiment" in outcomes[2].error
-
-    def test_outcome_to_dict(self):
-        outcome = RunOutcome(experiment_id="x", result=make_result())
-        doc = outcome.to_dict()
-        assert doc["ok"] is True
-        assert doc["result"]["schema"] == EXPERIMENT_SCHEMA
-        failed = RunOutcome(experiment_id="y", error="ValueError: no")
-        assert failed.to_dict() == {"experiment_id": "y", "ok": False,
-                                    "result": None, "error": "ValueError: no"}
-
     def test_format_error_is_deterministic(self):
         assert format_error(ValueError("bad")) == "ValueError: bad"
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _SELF_CHECK_COUNTERS, _SELF_CHECK_SPANS, main
 
 
 @pytest.mark.slow
@@ -42,6 +42,11 @@ class TestObsCommand:
         status = json.loads(capsys.readouterr().out)
         assert status["ok"] is True
         assert status["trace_events"] > 0
+        assert status["counters_checked"] == list(_SELF_CHECK_COUNTERS)
+        assert status["spans"] == sum(status["span_kinds"].values())
+        assert all(status["span_kinds"].get(name, 0) > 0
+                   for name in _SELF_CHECK_SPANS)
+        assert "errors" not in status
 
 
 class TestObsCommandFastPaths:

@@ -52,21 +52,14 @@ def test_crash_and_recover_bump_version():
     assert net.topology_version > mid
     # Liveness alone moves it: with every link already down (adjacency
     # lost first) or left down, no link hook fires for the node.
-    net.fail_router("r1a")
+    for link in net.node("r1a").links:
+        link.fail()
     before = net.topology_version
     net.crash_node("r1a")
     mid = net.topology_version
     assert mid > before
     net.recover_node("r1a", links=[])
     assert net.topology_version > mid
-
-
-def test_fail_router_bumps_version():
-    net = build_two_domain_network()
-    before = net.topology_version
-    failed = net.fail_router("r1b")
-    assert failed  # the border router had live links
-    assert net.topology_version > before
 
 
 def test_move_host_bumps_version():

@@ -47,3 +47,27 @@ def test_the_scan_sees_paths_and_skips_schema_tags():
     found = _DOTTED.findall("repro.perf.PathCache repro.trace/v3 "
                             "src/repro/schema.py repro.obs")
     assert found == ["repro.perf.PathCache", "repro.obs"]
+
+
+def test_cli_listings_name_the_parsers_subcommands():
+    """The hand-written listings cannot drift from the parser."""
+    import argparse
+
+    from repro import cli
+
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    registered = set(subparsers.choices)
+    api = (ROOT / "docs" / "api.md").read_text(encoding="utf-8")
+    cli_block = api.split("## CLI\n", 1)[1].split("```")[1]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listings = {
+        "cli.py docstring": re.findall(r"^\* ``(\w+)`` —", cli.__doc__, re.M),
+        "docs/api.md CLI block": re.findall(r"^python -m repro (\w+)",
+                                            cli_block, re.M),
+        "README.md": re.search(r"`python -m repro ((?:\w+\|)+\w+)`",
+                               readme).group(1).split("|"),
+    }
+    for where, names in listings.items():
+        assert set(names) == registered, where
+        assert len(names) == len(registered), f"{where} repeats a name"
