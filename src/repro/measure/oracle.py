@@ -8,19 +8,30 @@ links and live nodes — deliberately separate from
 :meth:`repro.net.network.Network.shortest_path` and its
 :class:`~repro.perf.cache.PathCache`, which weigh ``Link.cost``.
 
-Trees are memoized per source in a
-:class:`~repro.perf.cache.TopologyMemo`, so they are dropped whenever
-``Network.topology_version`` changes (link/node state flips during
-fault epochs).
+Two questions, two searches, both memoized in a
+:class:`~repro.perf.cache.TopologyMemo` (dropped whenever
+``Network.topology_version`` moves — link/node state flips during fault
+epochs):
+
+* ``delay(src, dst)`` reads the full per-source :func:`delay_tree`;
+* ``best_replica(src, replicas)`` runs :func:`nearest_replica`, the same
+  Dijkstra stopped at the nearest live replica.  Until it stops it pops,
+  relaxes and sums exactly what the full tree does, in the same order,
+  so the delay it returns has the tree's float bits.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.net.network import Network
 from repro.perf.cache import TopologyMemo
+
+#: The nearest live replica and its one-way delay, or ``None``.
+Nearest = Optional[Tuple[str, float]]
+#: One memoized nearest-replica question: (vantage, replica set).
+NearestKey = Tuple[str, FrozenSet[str]]
 
 
 def delay_tree(network: Network, src: str) -> Dict[str, float]:
@@ -50,44 +61,84 @@ def delay_tree(network: Network, src: str) -> Dict[str, float]:
     return dist
 
 
-class DelayOracle(TopologyMemo[str, Dict[str, float]]):
-    """Memoized :func:`delay_tree` lookups, topology-version coherent.
+def nearest_replica(network: Network, src: str,
+                    replicas: FrozenSet[str]) -> Nearest:
+    """(replica, one-way delay) of the delay-closest live replica.
 
-    Construct one per scenario (no module-level instances — the memo is
-    mutable state) and ask it for delays as faults come and go; cached
-    trees are dropped the moment ``network.topology_version`` moves.
+    :func:`delay_tree`'s search, stopped once the answer is settled: the
+    first replica popped fixes the best delay, and popping continues
+    while the popped delay equals it, because a zero-delay link can
+    still settle another replica at that delay.  Among equal delays the
+    smallest replica id wins, whatever order they settled in.
+    """
+    if not network.node(src).up or not replicas:
+        return None
+    nodes = network.nodes
+    dist: Dict[str, float] = {src: 0.0}
+    heap: List[Tuple[float, str]] = [(0.0, src)]
+    best: Nearest = None
+    while heap:
+        d, u = heapq.heappop(heap)
+        if best is not None and d > best[1]:
+            break
+        if d > dist[u]:
+            continue
+        if u in replicas and (best is None or u < best[0]):
+            best = (u, d)
+        for link in nodes[u].links:
+            if not link.up:
+                continue
+            v = link.b if link.a == u else link.a
+            if not nodes[v].up:
+                continue
+            nd = d + link.delay
+            if nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return best
+
+
+class DelayOracle(TopologyMemo[NearestKey, Nearest]):
+    """Memoized nearest-replica answers and delay trees, topology-version
+    coherent.
+
+    Construct one per scenario (no module-level instances — the memos
+    are mutable state) and ask it for delays as faults come and go;
+    every answer is dropped the moment ``network.topology_version``
+    moves.  The oracle itself is the memo of :func:`nearest_replica`,
+    keyed ``(src, frozenset(replicas))``; :attr:`trees` memoizes
+    :func:`delay_tree` per source for :meth:`delay`.
     """
 
     def __init__(self, network: Network) -> None:
-        super().__init__(network, self._run,
-                         {"hits": "perf.probe.delay_tree_hits",
-                          "misses": "perf.probe.delay_tree_misses"})
+        super().__init__(network, self._search,
+                         {"hits": "perf.probe.nearest_replica_hits",
+                          "misses": "perf.probe.nearest_replica_misses"})
+        self.trees: TopologyMemo[str, Dict[str, float]] = TopologyMemo(
+            network, self._tree,
+            {"hits": "perf.probe.delay_tree_hits",
+             "misses": "perf.probe.delay_tree_misses"})
 
-    def _run(self, src: str) -> Dict[str, float]:
+    def _search(self, key: NearestKey) -> Nearest:
         if self.obs.enabled:
-            self.obs.counter("measure.delay_spf_runs").inc()
-        return delay_tree(self.network, src)
+            self.obs.counter("measure.nearest_replica_searches").inc()
+        return nearest_replica(self.network, *key)
 
-    def tree(self, src: str) -> Dict[str, float]:
-        return self.get(src)
+    def _tree(self, src: str) -> Dict[str, float]:
+        # The tree memo's own handle: silencing that memo silences this.
+        obs = self.trees.obs
+        if obs.enabled:
+            obs.counter("measure.delay_spf_runs").inc()
+        return delay_tree(self.network, src)
 
     def delay(self, src: str, dst: str) -> Optional[float]:
         """One-way best delay from *src* to *dst*; None if unreachable."""
-        return self.tree(src).get(dst)
+        return self.trees.get(src).get(dst)
 
-    def best_replica(self, src: str,
-                     replicas: Iterable[str]) -> Optional[Tuple[str, float]]:
+    def best_replica(self, src: str, replicas: Iterable[str]) -> Nearest:
         """(replica, one-way delay) of the delay-closest live replica.
 
         Ties break to the lexicographically smallest replica id, so the
         answer is deterministic regardless of *replicas* input order.
         """
-        tree = self.tree(src)
-        best: Optional[Tuple[str, float]] = None
-        for rid in sorted(set(replicas)):
-            d = tree.get(rid)
-            if d is None:
-                continue
-            if best is None or d < best[1]:
-                best = (rid, d)
-        return best
+        return self.get((src, frozenset(replicas)))

@@ -38,10 +38,12 @@ class Link:
     scope: LinkScope = LinkScope.INTRA_DOMAIN
     up: bool = True
     name: str = field(default="")
-    #: Invoked whenever ``up`` actually flips; :meth:`Network.add_link`
-    #: wires this to the topology-version bump so fault injectors that
-    #: toggle links directly still invalidate path caches.
-    _on_state_change: Optional[Callable[[], None]] = field(
+    #: Invoked with the link whenever ``up`` actually flips;
+    #: :meth:`Network.add_link` wires every link to the network's one
+    #: shared hook, which bumps the topology version of the world and of
+    #: both endpoint domains, so fault injectors that toggle links
+    #: directly still invalidate path caches.
+    _on_state_change: Optional[Callable[["Link"], None]] = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -71,14 +73,14 @@ class Link:
         if self.up:
             self.up = False
             if self._on_state_change is not None:
-                self._on_state_change()
+                self._on_state_change(self)
 
     def restore(self) -> None:
         """Bring the link back up."""
         if not self.up:
             self.up = True
             if self._on_state_change is not None:
-                self._on_state_change()
+                self._on_state_change(self)
 
     def __str__(self) -> str:
         state = "up" if self.up else "DOWN"

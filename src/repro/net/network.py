@@ -9,8 +9,8 @@ stretch.
 from __future__ import annotations
 
 import heapq
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.domain import Domain, Relationship
@@ -60,6 +60,10 @@ class Network:
         self._addr_index: Dict[IPv4Address, str] = {}
         self.obs = get_obs()
         self._topology_version = 0
+        self._domain_versions: Dict[int, int] = {}
+        #: The one state-change hook every link shares (a bound method
+        #: made once, not one per link).
+        self._on_link_change: Callable[[Link], None] = self._link_changed
         #: Memoized shortest-path trees, invalidated by version bumps.
         self.path_cache = PathCache(self)
 
@@ -69,8 +73,22 @@ class Network:
         """Monotonic counter bumped by every path-relevant mutation."""
         return self._topology_version
 
-    def _bump_topology_version(self) -> None:
+    def domain_version(self, asn: int) -> int:
+        """Monotonic counter bumped, with :attr:`topology_version`, by
+        every mutation that touches AS *asn*'s links or nodes."""
+        return self._domain_versions.get(asn, 0)
+
+    def _bump_topology_version(self, *asns: int) -> None:
         self._topology_version += 1
+        versions = self._domain_versions
+        for asn in asns:
+            versions[asn] = versions.get(asn, 0) + 1
+
+    def _link_changed(self, link: Link) -> None:
+        """A link appeared, vanished or flipped: both endpoint domains."""
+        nodes = self.nodes
+        self._bump_topology_version(nodes[link.a].domain_id,
+                                    nodes[link.b].domain_id)
 
     # -- construction ---------------------------------------------------
     def add_domain(self, domain: Domain) -> Domain:
@@ -148,8 +166,8 @@ class Network:
         self.links[key] = link
         node_a.links.append(link)
         node_b.links.append(link)
-        link._on_state_change = self._bump_topology_version  # noqa: SLF001 - network owns its links
-        self._bump_topology_version()
+        link._on_state_change = self._on_link_change  # noqa: SLF001 - network owns its links
+        self._link_changed(link)
         return link
 
     def connect_domains(self, asn_a: int, asn_b: int, border_a: str, border_b: str,
@@ -292,7 +310,7 @@ class Network:
             old_access.links.remove(old_link)
             host.links.remove(old_link)
             old_link._on_state_change = None  # noqa: SLF001 - link detached
-            self._bump_topology_version()
+            self._link_changed(old_link)  # the old domain, before re-homing
         old_access.fib4.withdraw(Prefix.host(host.ipv4), RouteSource.CONNECTED)
         host.fib4.withdraw(DEFAULT_ROUTE, RouteSource.STATIC)
         self.domains[host.domain_id].hosts.discard(host_id)
@@ -325,7 +343,7 @@ class Network:
         """
         node = self.node(node_id)
         node.up = False
-        self._bump_topology_version()
+        self._bump_topology_version(node.domain_id)
         failed = []
         for link in node.links:
             if link.up:
@@ -344,7 +362,7 @@ class Network:
         """
         node = self.node(node_id)
         node.up = True
-        self._bump_topology_version()
+        self._bump_topology_version(node.domain_id)
         candidates = node.links if links is None else list(links)
         restored = []
         for link in candidates:

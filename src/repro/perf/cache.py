@@ -9,8 +9,15 @@ is the one place that turns the counter into a cache rule: *a memoized
 answer is valid while the version holds*; any change drops the whole
 table, lazily, on the next access.  :class:`PathCache` (here),
 :class:`~repro.bgp.egress.EgressCache` and
-:class:`~repro.measure.oracle.DelayOracle` are that memo plus what they
+:class:`~repro.measure.oracle.DelayOracle` (nearest live replicas, and
+whole delay trees in its ``trees`` memo) are that memo plus what they
 compute.
+
+Each mutation also bumps ``Network.domain_version`` of the domains it
+touches (both endpoint domains of a link, a node's domain, a moved
+host's old and new domain).  No memo reads it — the link-state refresh
+gate does; what the memos would save by it was measured and left
+(``docs/performance.md``).
 
 Every layer of the simulator ultimately asks the network for shortest
 paths (stretch per delivered probe, anycast resolution, redirection

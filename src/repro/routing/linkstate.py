@@ -56,9 +56,10 @@ class LinkStateRouting(IgpProtocol):
         #: Per-router link-state database: viewpoint -> origin -> LSA.
         self._lsdb: Dict[str, Dict[str, Lsa]] = {rid: {} for rid in domain.routers}
         self._seq: Dict[str, int] = {rid: 0 for rid in domain.routers}
-        #: (topology version, advertisement generation) at which a full
-        #: :meth:`refresh` scan last found nothing to re-originate; while
-        #: both hold, no router's fresh LSA can differ from its stored one.
+        #: (the domain's version, advertisement generation) at which a
+        #: full :meth:`refresh` scan last found nothing to re-originate;
+        #: while both hold, no router's fresh LSA can differ from its
+        #: stored one.
         self._settled_at: Optional[Tuple[int, int]] = None
 
     # -- origination and flooding ---------------------------------------------
@@ -115,18 +116,19 @@ class LinkStateRouting(IgpProtocol):
     def refresh(self) -> None:
         """Re-originate LSAs whose content changed (triggered updates).
 
-        An LSA's content is a function of the topology and the domain's
-        anycast advertisements, and a router's stored LSA only ever
-        becomes its fresh one.  So once a full scan has scheduled
-        nothing, the next scan cannot either until one of the two
-        moves, and is skipped; a scan that did schedule an origination
-        proves nothing (it has yet to run) and the next call scans
-        again.
+        An LSA's content is a function of the domain's own links and
+        nodes (``Network.domain_version``) and its anycast
+        advertisements, and a router's stored LSA only ever becomes its
+        fresh one.  So once a full scan has scheduled nothing, the next
+        scan cannot either until one of the two moves, and is skipped —
+        a fault in another domain costs this one nothing; a scan that
+        did schedule an origination proves nothing (it has yet to run)
+        and the next call scans again.
         """
         if not self._started:
             self.start()
             return
-        state = (self.network.topology_version, self._advert_gen)
+        state = (self.network.domain_version(self.domain.asn), self._advert_gen)
         if self._settled_at == state:
             self.refreshes_skipped += 1
             if self.obs.enabled:

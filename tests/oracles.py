@@ -7,6 +7,9 @@ against lives here, as test code:
   :class:`~repro.perf.cache.PathCache` answers from a memoized tree;
 * :func:`bellman_ford_first_hops` — distances and the smallest-first-hop
   tie-break ``first_hop_spf`` gives every IGP and vN FIB;
+* :func:`reference_best_replica` — the whole delay tree from the vantage,
+  then a scan of the sorted replicas, which the early-exit
+  ``DelayOracle.best_replica`` must equal float for float;
 * :class:`FibOracle` — a FIB that keeps only the live offers and
   recomputes ``min((admin_distance, metric))`` on every read, which
   :class:`~repro.net.node.Fib`'s stored winners must equal;
@@ -55,6 +58,7 @@ import pytest
 
 from repro.bgp.protocol import BgpProtocol, BgpSpeaker
 from repro.bgp.routes import BgpRoute, BgpUpdate
+from repro.measure.oracle import delay_tree
 from repro.net.fastpath import FlowFastPath
 from repro.net.forwarding import ForwardingEngine, ForwardingTrace
 from repro.net.link import LinkScope
@@ -128,6 +132,23 @@ def bellman_ford_first_hops(source: str, edges: List[Tuple[str, str, float]]
                               if b == node and a in dist
                               and dist[a] + cost == dist[node])
     return {node: (dist[node], first[node]) for node in dist}
+
+
+def reference_best_replica(network: Network, src: str,
+                           replicas: Iterable[str]
+                           ) -> Optional[Tuple[str, float]]:
+    """(replica, one-way delay) of the delay-closest live replica, read
+    off the full :func:`~repro.measure.oracle.delay_tree`: the first
+    minimum over the sorted replica ids.  No early exit, no memo."""
+    tree = delay_tree(network, src)
+    best: Optional[Tuple[str, float]] = None
+    for rid in sorted(set(replicas)):
+        d = tree.get(rid)
+        if d is None:
+            continue
+        if best is None or d < best[1]:
+            best = (rid, d)
+    return best
 
 
 # -- admin-distance arbitration -------------------------------------------------

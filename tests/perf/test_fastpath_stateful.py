@@ -16,8 +16,12 @@ distance-vector, and under ``checked_igp_installs``,
 every BGP install and every vN-Bone rebuild of the run is compared with
 its from-scratch reference, so a site that writes protocol state
 without bumping the router's route generation fails at the next
-install.  (Every session of this world rides one link, so no egress map
-moves here without a session flush marking the lost routes dirty: a BGP
+install.  One rule holds the refresh gate's scope: a flip inside one
+domain moves only that domain's ``Network.domain_version``, so another
+settled link-state domain skips its next scan (re-scanned by
+``paranoid_caches``) while the flipped one scans.  (Every session of
+this world rides one link, so no egress map moves here without a
+session flush marking the lost routes dirty: a BGP
 gate that patches where it should rebuild is caught by the
 parallel-link and border-crash tests of
 ``tests/routing/test_install_gate.py``, not here.)
@@ -29,7 +33,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, precondition, rule,
                                  run_state_machine_as_test)
 
 from repro.core.evolution import EvolvableInternet
+from repro.net.link import LinkScope
 from repro.net.packet import ipv4_packet
+from repro.routing.linkstate import LinkStateRouting
 from repro.topogen import InternetSpec, generate_internet
 from repro.vnbone.mobility import MobilityService
 from repro.vnbone.multicast import enable_multicast
@@ -151,6 +157,40 @@ class FastPathChurn(RuleBasedStateMachine):
         if key is not None:
             self.network.links[key].restore()
             self.orch.notify_link_change(self.network.links[key])
+
+    @rule(a=st.integers(0, 63), b=st.integers(0, 7))
+    def flip_in_one_domain_skips_another(self, a, b):
+        """A flip inside domain A leaves a settled link-state domain B's
+        next ``refresh()`` skipped — ``paranoid_caches`` re-scans B and
+        must find every LSA current — while A's own refresh scans."""
+        igps = self.orch.igps
+        asn_b = self._pick([asn for asn, igp in igps.items()
+                            if isinstance(igp, LinkStateRouting)], b)
+        key = self._pick(
+            [key for key, link in self.network.links.items()
+             if link.scope is LinkScope.INTRA_DOMAIN
+             and self.network.node(link.a).domain_id != asn_b
+             and self.network.node(link.a).up
+             and self.network.node(link.b).up], a)
+        if key is None:
+            return
+        self.orch.reconverge()
+        igp_b = igps[asn_b]
+        igp_b.refresh()  # quiet after the drain: this call settles B
+        link = self.network.links[key]
+        if link.up:
+            link.fail()
+        else:
+            link.restore()
+        self.orch.notify_link_change(link)
+        skipped = igp_b.refreshes_skipped
+        igp_b.refresh()
+        assert igp_b.refreshes_skipped == skipped + 1
+        igp_a = igps.get(self.network.node(link.a).domain_id)
+        if isinstance(igp_a, LinkStateRouting):
+            skipped = igp_a.refreshes_skipped
+            igp_a.refresh()
+            assert igp_a.refreshes_skipped == skipped
 
     @precondition(lambda self: self.crashed is None)
     @rule(index=st.integers(0, 63))

@@ -1,4 +1,4 @@
-"""``TopologyMemo``: the one freshness rule, held for all three memos.
+"""``TopologyMemo``: the one freshness rule, held for every memo.
 
 A memoized answer is valid while ``Network.topology_version`` holds.
 Every transition that moves the version makes the next ``get`` a miss
@@ -20,7 +20,8 @@ from tests.conftest import build_two_domain_network
 MEMOS = {
     "path": (lambda net: net.path_cache, ("h1", False, None)),
     "egress": (EgressCache, (1, 2)),
-    "delay": (DelayOracle, "h1"),
+    "delay": (DelayOracle, ("h1", frozenset({"r2a", "r2b"}))),
+    "delay_tree": (lambda net: DelayOracle(net).trees, "h1"),
 }
 
 PEERING = ("r1b", "r2b")

@@ -3,7 +3,9 @@
 The version is the single invalidation signal for every path cache, so
 these tests pin down exactly which operations move it — and, just as
 importantly, that no-op transitions (failing an already-down link) do
-not churn it.
+not churn it.  Each mutation also moves ``Network.domain_version`` of
+exactly the domains it touches (the scope the link-state refresh gate
+reads), and never without the global counter.
 """
 
 from tests.conftest import build_two_domain_network
@@ -67,3 +69,60 @@ def test_move_host_bumps_version():
     before = net.topology_version
     net.move_host("h1", 2, "r2a")
     assert net.topology_version > before
+
+
+# -- the domain scope ----------------------------------------------------------
+def _versions(net):
+    """(global version, {asn: domain version})."""
+    return (net.topology_version,
+            {asn: net.domain_version(asn) for asn in net.domains})
+
+
+def _moved(net, before):
+    """Whether the global version moved, and which domains moved."""
+    (glob, domains), (glob0, domains0) = _versions(net), before
+    assert glob >= glob0 and all(domains[a] >= domains0[a] for a in domains)
+    return glob > glob0, {asn for asn in domains if domains[asn] > domains0[asn]}
+
+
+def test_intra_domain_flip_bumps_that_domain_only():
+    net = build_two_domain_network()
+    link = net.link_between("r1a", "r1b")
+    before = _versions(net)
+    link.fail()
+    assert _moved(net, before) == (True, {1})
+    before = _versions(net)
+    link.restore()
+    assert _moved(net, before) == (True, {1})
+
+
+def test_inter_domain_flip_bumps_both_endpoint_domains():
+    net = build_two_domain_network()
+    link = net.link_between("r1b", "r2b")
+    before = _versions(net)
+    link.fail()
+    assert _moved(net, before) == (True, {1, 2})
+    before = _versions(net)
+    net.add_router("r2c", 2)
+    net.add_link("r2b", "r2c")
+    assert _moved(net, before) == (True, {2})
+
+
+def test_crash_and_recover_bump_the_nodes_domain():
+    net = build_two_domain_network()
+    before = _versions(net)
+    net.crash_node("r2a")  # its links are intra-domain: AS2 only
+    assert _moved(net, before) == (True, {2})
+    before = _versions(net)
+    net.recover_node("r2a", links=[])  # liveness alone
+    assert _moved(net, before) == (True, {2})
+
+
+def test_move_host_bumps_the_old_and_the_new_domain():
+    net = build_two_domain_network()
+    before = _versions(net)
+    net.move_host("h1", 2, "r2a")
+    assert _moved(net, before) == (True, {1, 2})
+    before = _versions(net)
+    net.move_host("h1", 2, "r2b")  # within AS2
+    assert _moved(net, before) == (True, {2})

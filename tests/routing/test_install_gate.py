@@ -189,8 +189,9 @@ def test_a_scan_that_scheduled_proves_nothing(monkeypatch):
     def trusts_every_scan(self):
         refresh(self)
         if self._started:
-            self._settled_at = (self.network.topology_version,
-                                self._advert_gen)
+            self._settled_at = (
+                self.network.domain_version(self.domain.asn),
+                self._advert_gen)
 
     monkeypatch.setattr(LinkStateRouting, "refresh", trusts_every_scan)
     broken = mixed_internet()
