@@ -8,7 +8,7 @@ links and live nodes — deliberately separate from
 :meth:`repro.net.network.Network.shortest_path` and its
 :class:`~repro.perf.cache.PathCache`, which weigh ``Link.cost``.
 
-Two questions, two searches, both memoized in a
+Two questions over one search, both memoized in a
 :class:`~repro.perf.cache.TopologyMemo` (dropped whenever
 ``Network.topology_version`` moves — link/node state flips during fault
 epochs):
@@ -23,7 +23,8 @@ epochs):
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from repro.net.network import Network
 from repro.perf.cache import TopologyMemo
@@ -34,8 +35,9 @@ Nearest = Optional[Tuple[str, float]]
 NearestKey = Tuple[str, FrozenSet[str]]
 
 
-def delay_tree(network: Network, src: str) -> Dict[str, float]:
-    """Single-source shortest *delay* to every reachable live node.
+def _settle(network: Network, src: str) -> Iterator[Tuple[str, float]]:
+    """The one delay Dijkstra: yields each reachable live node with its
+    shortest *delay* from *src*, in the order it is settled.
 
     Live means: the link is up and both endpoints are up (a crashed
     router forwards nothing, so paths through it do not exist for a
@@ -44,47 +46,15 @@ def delay_tree(network: Network, src: str) -> Dict[str, float]:
     exactly like the cost Dijkstra in :mod:`repro.net.network`.
     """
     if not network.node(src).up:
-        return {}
-    dist: Dict[str, float] = {src: 0.0}
-    heap: List[Tuple[float, str]] = [(0.0, src)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, float("inf")):
-            continue
-        for v, link in network.neighbors(u):
-            if not network.node(v).up:
-                continue
-            nd = d + link.delay
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def nearest_replica(network: Network, src: str,
-                    replicas: FrozenSet[str]) -> Nearest:
-    """(replica, one-way delay) of the delay-closest live replica.
-
-    :func:`delay_tree`'s search, stopped once the answer is settled: the
-    first replica popped fixes the best delay, and popping continues
-    while the popped delay equals it, because a zero-delay link can
-    still settle another replica at that delay.  Among equal delays the
-    smallest replica id wins, whatever order they settled in.
-    """
-    if not network.node(src).up or not replicas:
-        return None
+        return
     nodes = network.nodes
     dist: Dict[str, float] = {src: 0.0}
     heap: List[Tuple[float, str]] = [(0.0, src)]
-    best: Nearest = None
     while heap:
         d, u = heapq.heappop(heap)
-        if best is not None and d > best[1]:
-            break
         if d > dist[u]:
             continue
-        if u in replicas and (best is None or u < best[0]):
-            best = (u, d)
+        yield u, d
         for link in nodes[u].links:
             if not link.up:
                 continue
@@ -95,6 +65,33 @@ def nearest_replica(network: Network, src: str,
             if nd < dist.get(v, float("inf")):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
+
+
+def delay_tree(network: Network, src: str) -> Dict[str, float]:
+    """Single-source shortest delay to every reachable live node: the
+    search run to the end."""
+    return dict(_settle(network, src))
+
+
+def nearest_replica(network: Network, src: str,
+                    replicas: FrozenSet[str]) -> Nearest:
+    """(replica, one-way delay) of the delay-closest live replica.
+
+    The same search, stopped once the answer is settled: the first
+    replica settled fixes the best delay, and settling continues while
+    the delay equals it, because a zero-delay link can still settle
+    another replica at that delay.  Among equal delays the smallest
+    replica id wins, whatever order they settled in.  Until it stops it
+    pops, relaxes and sums exactly what :func:`delay_tree` does.
+    """
+    if not replicas:
+        return None
+    best: Nearest = None
+    for u, d in _settle(network, src):
+        if best is not None and d > best[1]:
+            break
+        if u in replicas and (best is None or u < best[0]):
+            best = (u, d)
     return best
 
 

@@ -32,14 +32,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.net.address import Prefix
+from repro.net.address import IPv4Address, Prefix
 from repro.net.errors import ConvergenceError, RoutingError
 from repro.net.network import first_hop_spf
 from repro.obs import get_obs
 from repro.vnbone.routing import (AdjacencySignature, OwnerEntry,
                                   adjacency_signature)
-from repro.vnbone.state import VnAction, VnFibEntry, VnRouterState
+from repro.vnbone.state import VnAction, VnRouterState
 from repro.vnbone.topology import VnTunnel
+
+#: One vN FIB row as ``VnFib.write`` takes it after the prefix:
+#: (action, next hop, egress IPv4, metric, origin).
+VnRow = Tuple[VnAction, Optional[str], Optional[IPv4Address], float, str]
 
 
 @dataclass(frozen=True)
@@ -226,21 +230,25 @@ class LayeredVnRouting:
         assert self._solver is not None
         routes = self._solver.routes_of(asn)
         for member in sorted(members):
-            state = states[member]
-            state.fib.clear()
+            fib = states[member].fib
             dist = self._intra_dist.get(member, {})
             hops = self._intra_hop.get(member, {})
+            kept: List[Prefix] = []
             for prefix, route in sorted(routes.items(), key=lambda kv: str(kv[0])):
                 if route.origin_asn == asn:
-                    self._install_local(member, state, prefix, asn,
-                                        by_owner_domain, dist, hops)
+                    row = self._local_row(member, prefix, asn,
+                                          by_owner_domain, dist, hops)
                 else:
                     next_asn = route.as_path[1]
-                    self._install_transit(member, state, prefix, asn,
-                                          next_asn, sessions, dist, hops)
+                    row = self._transit_row(member, asn, next_asn, sessions,
+                                            dist, hops)
+                if row is not None:
+                    fib.write(prefix, *row)
+                    kept.append(prefix)
+            fib.retain(kept)
 
-    def _install_local(self, member: str, state: VnRouterState, prefix: Prefix,
-                       asn: int, by_owner_domain, dist, hops) -> None:
+    def _local_row(self, member: str, prefix: Prefix, asn: int,
+                   by_owner_domain, dist, hops) -> Optional[VnRow]:
         entries = by_owner_domain.get((prefix, asn), [])
         best: Optional[Tuple[float, str, OwnerEntry]] = None
         for entry in sorted(entries, key=lambda e: e.owner):
@@ -253,20 +261,14 @@ class LayeredVnRouting:
             if best is None or (total, entry.owner) < best[:2]:
                 best = (total, entry.owner, entry)
         if best is None:
-            return
+            return None
         total, owner, entry = best
         if owner == member:
-            state.fib.install(VnFibEntry(prefix=prefix, action=entry.action,
-                                         egress_ipv4=entry.egress_ipv4,
-                                         metric=total, origin=entry.origin))
-        else:
-            state.fib.install(VnFibEntry(prefix=prefix, action=VnAction.FORWARD,
-                                         next_hop=hops[owner], metric=total,
-                                         origin=entry.origin))
+            return (entry.action, None, entry.egress_ipv4, total, entry.origin)
+        return (VnAction.FORWARD, hops[owner], None, total, entry.origin)
 
-    def _install_transit(self, member: str, state: VnRouterState,
-                         prefix: Prefix, asn: int, next_asn: int, sessions,
-                         dist, hops) -> None:
+    def _transit_row(self, member: str, asn: int, next_asn: int, sessions,
+                     dist, hops) -> Optional[VnRow]:
         borders = self._session_borders(asn, next_asn, sessions)
         best: Optional[Tuple[float, str, str]] = None
         for local, remote, tunnel_cost in sorted(borders):
@@ -279,15 +281,13 @@ class LayeredVnRouting:
             if best is None or candidate < best:
                 best = candidate
         if best is None:
-            return
+            return None
         cost, local, remote = best
         if local == member:
             next_hop = remote  # cross the inter-domain tunnel
         else:
             next_hop = hops[local]  # head for our border first
-        state.fib.install(VnFibEntry(prefix=prefix, action=VnAction.FORWARD,
-                                     next_hop=next_hop, metric=cost,
-                                     origin="bgpvn"))
+        return (VnAction.FORWARD, next_hop, None, cost, "bgpvn")
 
     # -- inspection (interface-compatible subset of VnRouting) ---------------------------
     def reachable_members(self, member: str) -> Set[str]:

@@ -37,7 +37,7 @@ from repro.net.network import Network, first_hop_spf
 from repro.net.node import Node
 from repro.net.packet import Packet, VNHeader
 from repro.obs import get_obs
-from repro.vnbone.state import VnAction, VnFibEntry, VnRouterState
+from repro.vnbone.state import VnAction, VnFib, VnRouterState
 
 #: A canonical, hashable rendering of a tunnel-graph adjacency —
 #: member -> sorted (neighbor, cost) edges.  Equal signatures mean the
@@ -74,16 +74,36 @@ class VnRouting:
         self._first_hop: Dict[str, Dict[str, str]] = {}
         #: Tunnel-graph signature the current SPF results were built from.
         self._signature: Optional[AdjacencySignature] = None
+        #: The ordered candidate view the FIBs in ``_written`` were
+        #: written from, and member -> the ``VnFib`` object written.
+        self._view: List[Tuple[Prefix, List[OwnerEntry]]] = []
+        self._written: Dict[str, VnFib] = {}
+        #: What the skip and the delta write did (see :meth:`gate_stats`).
+        self.members_written = 0
+        self.members_skipped = 0
+        self.rows_written = 0
+        self.rows_removed = 0
+
+    def gate_stats(self) -> Dict[str, int]:
+        """Plain-int totals of the members skipped and the rows written."""
+        return {"members_written": self.members_written,
+                "members_skipped": self.members_skipped,
+                "rows_written": self.rows_written,
+                "rows_removed": self.rows_removed}
 
     def compute(self, states: Dict[str, VnRouterState],
                 owner_entries: List[OwnerEntry]) -> None:
-        """Run SPF for every member and install all IPvN FIBs.
+        """Run SPF for every member and write every IPvN FIB's delta.
 
         The per-member SPF sweep is skipped entirely when the tunnel
         graph is unchanged since the last ``compute`` (same members,
         same edges, same costs) — rebuilds triggered by ownership or
-        advertisement changes reuse the previous distances.  FIB
-        installation always runs.
+        advertisement changes reuse the previous distances.  A member's
+        FIB is a pure function of its SPF rows, the ordered candidate
+        view and the ``VnFib`` object itself, so when all three are what
+        the last ``compute`` wrote from, the member is skipped; any
+        other member gets only the rows that differ written and the rows
+        with no winner removed.
         """
         adjacency: Dict[str, Dict[str, float]] = {m: {} for m in states}
         for member, state in states.items():
@@ -94,7 +114,8 @@ class VnRouting:
                     cost, adjacency[member].get(neighbor, float("inf")))
                 adjacency[neighbor][member] = adjacency[member][neighbor]
         signature = adjacency_signature(adjacency)
-        if signature == self._signature:
+        spf_reused = signature == self._signature
+        if spf_reused:
             if self.obs.enabled:
                 self.obs.counter("vnbone.spf_cache_hits").inc()
         else:
@@ -117,19 +138,43 @@ class VnRouting:
         # Ordered once: every member selects over the same view.
         ordered = [(prefix, sorted(by_prefix[prefix], key=lambda e: e.owner))
                    for prefix in sorted(by_prefix, key=str)]
+        if not spf_reused or ordered != self._view:
+            self._view = ordered
+            self._written = {}
+        written = rows_written = rows_removed = 0
         for member in sorted(states):
-            self._install_member(member, states[member], ordered)
+            fib = states[member].fib
+            if self._written.get(member) is fib:
+                continue
+            added, removed = self._write_member(member, fib, ordered)
+            self._written[member] = fib
+            written += 1
+            rows_written += added
+            rows_removed += removed
+        skipped = len(states) - written
+        self.members_written += written
+        self.members_skipped += skipped
+        self.rows_written += rows_written
+        self.rows_removed += rows_removed
+        if self.obs.enabled:
+            self.obs.counter("vnbone.fib.members_written").inc(written)
+            self.obs.counter("vnbone.fib.members_skipped").inc(skipped)
+            self.obs.counter("vnbone.fib.rows_written").inc(rows_written)
+            self.obs.counter("vnbone.fib.rows_removed").inc(rows_removed)
 
-    def _install_member(self, member: str, state: VnRouterState,
-                        ordered: List[Tuple[Prefix, List[OwnerEntry]]]
-                        ) -> None:
-        """Install, per prefix, the owner minimizing (vN-Bone distance +
-        advertised cost, owner).  *ordered* lists each prefix's entries
-        by owner, so a later entry wins only when strictly cheaper."""
-        state.fib.clear()
-        install = state.fib.install
+    def _write_member(self, member: str, fib: VnFib,
+                      ordered: List[Tuple[Prefix, List[OwnerEntry]]]
+                      ) -> Tuple[int, int]:
+        """Write, per prefix, the owner minimizing (vN-Bone distance +
+        advertised cost, owner), and remove the rows of prefixes with no
+        winner; returns (rows written, rows removed).  *ordered* lists
+        each prefix's entries by owner, so a later entry wins only when
+        strictly cheaper."""
+        write = fib.write
         dist = self._dist.get(member, {})
         first_hop = self._first_hop.get(member, {})
+        kept: List[Prefix] = []
+        written = 0
         for prefix, candidates in ordered:
             best: Optional[OwnerEntry] = None
             best_total = 0.0
@@ -145,14 +190,15 @@ class VnRouting:
                     best, best_total = entry, total
             if best is None:
                 continue
+            kept.append(prefix)
             if best.owner == member:
-                install(VnFibEntry(prefix=prefix, action=best.action,
-                                   egress_ipv4=best.egress_ipv4,
-                                   metric=best_total, origin=best.origin))
+                written += write(prefix, best.action, None, best.egress_ipv4,
+                                 best_total, best.origin)
             else:
-                install(VnFibEntry(prefix=prefix, action=VnAction.FORWARD,
-                                   next_hop=first_hop[best.owner],
-                                   metric=best_total, origin=best.origin))
+                written += write(prefix, VnAction.FORWARD,
+                                 first_hop[best.owner], None, best_total,
+                                 best.origin)
+        return written, fib.retain(kept)
 
     # -- inspection ---------------------------------------------------------------------
     def distance(self, a: str, b: str) -> Optional[float]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional
 
 from repro.net.address import VN_BITS, IPv4Address, Prefix, VNAddress
 from repro.net.errors import RoutingError
@@ -63,6 +63,35 @@ class VnFib:
 
     def install(self, entry: VnFibEntry) -> None:
         self._table.insert(entry.prefix, entry)
+
+    def write(self, prefix: Prefix, action: VnAction,
+              next_hop: Optional[str], egress_ipv4: Optional[IPv4Address],
+              metric: float, origin: str) -> bool:
+        """Install this row unless the installed one already says the
+        same; True when it wrote.  No entry is built for an unchanged
+        row — the one install rule of both vN-Bone routings."""
+        current = self._table.get(prefix)
+        if (current is not None and current.action is action
+                and current.next_hop == next_hop
+                and current.egress_ipv4 == egress_ipv4
+                and current.metric == metric and current.origin == origin):
+            return False
+        self._table.insert(prefix, VnFibEntry(prefix, action, next_hop,
+                                              egress_ipv4, metric, origin))
+        return True
+
+    def retain(self, kept: Collection[Prefix]) -> int:
+        """Remove every row whose prefix is not in *kept* and return how
+        many went.  *kept* holds installed prefixes only (the rows just
+        written), so equal sizes prove nothing is stale."""
+        if len(self._table) == len(kept):
+            return 0
+        keep = set(kept)
+        stale = [prefix for prefix, _ in self._table.items()
+                 if prefix not in keep]
+        for prefix in stale:
+            self._table.remove(prefix)
+        return len(stale)
 
     def lookup(self, address: VNAddress) -> Optional[VnFibEntry]:
         match = self._table.lookup(address)

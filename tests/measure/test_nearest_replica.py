@@ -5,15 +5,17 @@ of building the vantage's whole delay tree.  Until it stops it runs the
 tree's relaxations in the tree's order, so its answer must equal
 ``tests/oracles.py::reference_best_replica`` — the full tree, then the
 sorted-replica scan — with float ``==``, ties and zero-delay links
-included.
+included.  ``delay_tree`` is the same search run to the end, so it must
+equal ``reference_delay_tree``, a separate Dijkstra over
+``Network.neighbors`` lists.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.measure import DelayOracle
+from repro.measure import DelayOracle, delay_tree
 from repro.net import Domain, Network, Prefix, Relationship
 
-from tests.oracles import reference_best_replica
+from tests.oracles import reference_best_replica, reference_delay_tree
 
 N_ROUTERS = 7
 #: Zero delays settle equal-delay replicas late; 0.1 + 0.2 != 0.3 makes
@@ -39,15 +41,14 @@ def _network(edges):
     return net
 
 
-@settings(max_examples=300, deadline=None)
-@given(edges=st.lists(_edge, max_size=16),
-       down=st.lists(st.integers(min_value=0, max_value=40), max_size=4),
-       crashed=st.sets(_node, max_size=2),
-       replicas=st.sets(_node, max_size=N_ROUTERS))
-def test_best_replica_equals_the_full_tree_scan(edges, down, crashed,
-                                                 replicas):
-    """Every vantage — crashed, itself a replica, or neither — against a
-    replica set that may hold crashed members, over down links."""
+_edges = st.lists(_edge, max_size=16)
+_down = st.lists(st.integers(min_value=0, max_value=40), max_size=4)
+_crashed = st.sets(_node, max_size=2)
+
+
+def _damaged(edges, down, crashed):
+    """:func:`_network` with the *down* links failed and the *crashed*
+    routers crashed."""
     net = _network(edges)
     keys = sorted(net.links)
     for index in down:
@@ -55,6 +56,28 @@ def test_best_replica_equals_the_full_tree_scan(edges, down, crashed,
             net.links[keys[index % len(keys)]].fail()
     for index in crashed:
         net.crash_node(f"r{index}")
+    return net
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=_edges, down=_down, crashed=_crashed)
+def test_delay_tree_equals_the_neighbor_list_dijkstra(edges, down, crashed):
+    """The tree is the nearest-replica search run to the end; from every
+    vantage it equals the reference Dijkstra over ``Network.neighbors``,
+    float for float."""
+    net = _damaged(edges, down, crashed)
+    for src in sorted(net.nodes):
+        assert delay_tree(net, src) == reference_delay_tree(net, src), src
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=_edges, down=_down, crashed=_crashed,
+       replicas=st.sets(_node, max_size=N_ROUTERS))
+def test_best_replica_equals_the_full_tree_scan(edges, down, crashed,
+                                                 replicas):
+    """Every vantage — crashed, itself a replica, or neither — against a
+    replica set that may hold crashed members, over down links."""
+    net = _damaged(edges, down, crashed)
     replica_ids = {f"r{i}" for i in replicas}
     oracle = DelayOracle(net)
     for src in sorted(net.nodes):
@@ -117,6 +140,8 @@ def test_the_search_builds_no_neighbor_list(monkeypatch):
 
     monkeypatch.setattr(Network, "neighbors", no_lists)
     assert DelayOracle(net).best_replica("r0", ["r3"]) == ("r3", 6.0)
+    assert delay_tree(net, "r0") == {"r0": 0.0, "r1": 1.0, "r2": 3.0,
+                                     "r3": 6.0}
 
 
 def test_trees_stay_trees():

@@ -7,8 +7,10 @@ against lives here, as test code:
   :class:`~repro.perf.cache.PathCache` answers from a memoized tree;
 * :func:`bellman_ford_first_hops` — distances and the smallest-first-hop
   tie-break ``first_hop_spf`` gives every IGP and vN FIB;
-* :func:`reference_best_replica` — the whole delay tree from the vantage,
-  then a scan of the sorted replicas, which the early-exit
+* :func:`reference_delay_tree` — the delay Dijkstra as its own loop
+  over ``Network.neighbors``, which ``delay_tree`` must equal float for
+  float; :func:`reference_best_replica` — that whole tree from the
+  vantage, then a scan of the sorted replicas, which the early-exit
   ``DelayOracle.best_replica`` must equal float for float;
 * :class:`FibOracle` — a FIB that keeps only the live offers and
   recomputes ``min((admin_distance, metric))`` on every read, which
@@ -58,7 +60,6 @@ import pytest
 
 from repro.bgp.protocol import BgpProtocol, BgpSpeaker
 from repro.bgp.routes import BgpRoute, BgpUpdate
-from repro.measure.oracle import delay_tree
 from repro.net.fastpath import FlowFastPath
 from repro.net.forwarding import ForwardingEngine, ForwardingTrace
 from repro.net.link import LinkScope
@@ -134,13 +135,36 @@ def bellman_ford_first_hops(source: str, edges: List[Tuple[str, str, float]]
     return {node: (dist[node], first[node]) for node in dist}
 
 
+def reference_delay_tree(network: Network, src: str) -> Dict[str, float]:
+    """Single-source shortest delay to every reachable live node, as
+    :func:`~repro.measure.oracle.delay_tree` computed it while it was its
+    own Dijkstra: ``Network.neighbors`` lists, a relaxation per live
+    neighbour, strict ``<``, heap ``(delay, node)`` order."""
+    if not network.node(src).up:
+        return {}
+    dist: Dict[str, float] = {src: 0.0}
+    heap: List[Tuple[float, str]] = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, float("inf")):
+            continue
+        for v, link in network.neighbors(u):
+            if not network.node(v).up:
+                continue
+            nd = d + link.delay
+            if nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
 def reference_best_replica(network: Network, src: str,
                            replicas: Iterable[str]
                            ) -> Optional[Tuple[str, float]]:
     """(replica, one-way delay) of the delay-closest live replica, read
-    off the full :func:`~repro.measure.oracle.delay_tree`: the first
-    minimum over the sorted replica ids.  No early exit, no memo."""
-    tree = delay_tree(network, src)
+    off the full :func:`reference_delay_tree`: the first minimum over
+    the sorted replica ids.  No early exit, no memo."""
+    tree = reference_delay_tree(network, src)
     best: Optional[Tuple[str, float]] = None
     for rid in sorted(set(replicas)):
         d = tree.get(rid)
@@ -633,7 +657,10 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
     ``install_routes`` skips is re-derived and compared with its FIB:
     ``igp_install``) and refresh gate (every skipped
     ``LinkStateRouting.refresh`` is re-scanned and must find no
-    differing LSA: ``igp_refresh``), ``VnRouting.compute``, the
+    differing LSA: ``igp_refresh``), ``VnRouting.compute`` (a fresh
+    routing with no memo writes into fresh FIBs; a reused SPF sweep
+    must equal its sweep: ``vn_routing``, and every member the skip
+    passed over its FIB: ``vn_fib``), the
     ``LayeredVnRouting`` intra cache and the flow fast path (a copy of
     every packet it answers is walked hop by hop).  Returns the count
     of verified hits per mechanism, so a test can show it was not
@@ -695,15 +722,31 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
 
     def paranoid_vn_compute(self, states, owner_entries):
         before = self._signature
+        memo = dict(self._written)
+        skipped = self.members_skipped
         vn_compute(self, states, owner_entries)
-        if before is not None and self._signature == before:
-            dist = {m: dict(d) for m, d in self._dist.items()}
-            first_hop = {m: dict(h) for m, h in self._first_hop.items()}
-            self._signature = None
-            with _quiet(self):
-                vn_compute(self, states, owner_entries)
-            assert (self._dist, self._first_hop) == (dist, first_hop)
+        spf_reused = before is not None and self._signature == before
+        passed_over = []
+        if self.members_skipped != skipped:
+            passed_over = [m for m in sorted(states)
+                           if memo.get(m) is states[m].fib]
+            assert len(passed_over) == self.members_skipped - skipped
+        if not (spf_reused or passed_over):
+            return
+        # The memo forgotten: a fresh routing writes fresh FIBs.
+        fresh = VnRouting(self.network, self.version)
+        fresh.obs = NULL_OBS
+        fresh_states = {m: dataclasses.replace(state, fib=VnFib())
+                        for m, state in states.items()}
+        vn_compute(fresh, fresh_states, owner_entries)
+        if spf_reused:
+            assert (self._dist, self._first_hop) == (fresh._dist,
+                                                     fresh._first_hop)
             verified["vn_routing"] += 1
+        for member in passed_over:
+            assert (states[member].fib.entries()
+                    == fresh_states[member].fib.entries()), member
+        verified["vn_fib"] += len(passed_over)
 
     layered_compute = LayeredVnRouting.compute
 

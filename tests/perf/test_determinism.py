@@ -43,6 +43,8 @@ def test_cached_leg_matches_uncached_leg(name, scenario, plain_payloads,
         leg.counter("perf.bgp.egress_cache.hits") > 0
     assert paranoid_caches["vn_routing"] == \
         leg.counter("vnbone.spf_cache_hits")
+    assert paranoid_caches["vn_fib"] == \
+        leg.counter("vnbone.fib.members_skipped")
 
 
 def test_fault_epoch_exercises_cache_invalidation(paranoid_caches):

@@ -134,11 +134,18 @@ class FastPathChurn(RuleBasedStateMachine):
     @rule()
     def rebuild_twice(self):
         """The second rebuild finds nothing to do (every domain quiet:
-        this is where the refresh gate closes) and changes nothing."""
+        this is where the refresh gate closes) and changes nothing: it
+        skips every member and writes and removes no vN FIB row."""
         self.deployment.rebuild()
         before = forwarding_state(self.network, self.deployment)
+        stats = self.deployment.routing.gate_stats()
         self.deployment.rebuild()
         assert forwarding_state(self.network, self.deployment) == before
+        after = self.deployment.routing.gate_stats()
+        skipped = after["members_skipped"] - stats["members_skipped"]
+        assert skipped == len(self.deployment.states)
+        for key in ("members_written", "rows_written", "rows_removed"):
+            assert after[key] == stats[key], key
 
     # -- liveness, with no fault epoch pausing the fast path ---------------
     @rule(index=st.integers(0, 63))

@@ -5,6 +5,13 @@ routers whose route generation (under link-state: the LSDB generation)
 moved since their last install.  A converged domain must reinstall
 without running Dijkstra, and an event inside one domain must not
 dirty a router of another ("exactly the affected entries").
+
+``VnRouting.compute`` skips a member whose SPF rows, candidate view and
+``VnFib`` object are all what it last wrote from, and otherwise writes
+only the rows that differ and removes the rows with no winner.  The
+last two tests hold both halves: a view that moves over an unchanged
+tunnel graph must be written, and a prefix that loses every owner must
+leave every FIB.
 """
 
 import pytest
@@ -15,8 +22,11 @@ from repro.core.orchestrator import Orchestrator
 from repro.obs import Observability, observing
 from repro.topogen.hierarchy import InternetSpec
 from repro.vnbone.deployment import VnDeployment
+from repro.vnbone.egress import EgressPolicy
+from repro.vnbone.state import vn_prefix_for_ipv4
 
 from tests.conftest import build_two_domain_network
+from tests.oracles import checked_vn_rebuilds
 
 
 def converged(seed=1):
@@ -114,5 +124,75 @@ def test_vnbone_rebuild_over_an_unchanged_tunnel_graph_is_rederived(
     reused = ("vn_routing" if routing_mode == "global-spf"
               else "layered_intra")
     assert paranoid_caches[reused] > 0
+    if routing_mode == "global-spf":
+        # Same SPF rows, same view, same FIB objects: every member skipped.
+        assert paranoid_caches["vn_fib"] == len(deployment.states) > 0
     assert {member: state.fib.entries()
             for member, state in deployment.states.items()} == fibs
+
+
+# -- what a vN-Bone rebuild writes ---------------------------------------------
+def _prefixes(state):
+    return {entry.prefix for entry in state.fib.entries()}
+
+
+def _vn_internet(egress_policy):
+    internet = EvolvableInternet.generate(
+        InternetSpec(n_tier1=2, n_tier2=3, n_stub=5, seed=7), seed=7)
+    anchor = internet.tier1_asns()[0]
+    deployment = internet.new_deployment(
+        version=8, scheme="default", default_asn=anchor,
+        egress_policy=egress_policy)
+    deployment.deploy(anchor)
+    deployment.rebuild()
+    return internet, deployment
+
+
+def test_owner_entries_that_move_over_an_unchanged_tunnel_graph_are_written(
+        paranoid_caches):
+    """``register_host`` under ``HOST_ADVERTISED`` adds an advertisement
+    and no tunnel: the SPF sweep is reused, but the candidate view moved,
+    so no member may be skipped — each gains the host's route."""
+    internet, deployment = _vn_internet(EgressPolicy.HOST_ADVERTISED)
+    adopting = deployment.adopting_asns()
+    host_id = next(host for host in internet.hosts()
+                   if internet.network.node(host).domain_id not in adopting)
+    assert deployment.register_host(host_id) is not None
+    before = deployment.routing.gate_stats()
+    with checked_vn_rebuilds() as vn:
+        deployment.rebuild()
+    after = deployment.routing.gate_stats()
+    assert paranoid_caches["vn_routing"] > 0 and vn["rebuilds"] == 1
+    members = len(deployment.states)
+    assert after["members_written"] - before["members_written"] == members
+    assert after["members_skipped"] == before["members_skipped"]
+    # One new row per member and nothing else rewritten or removed.
+    assert after["rows_written"] - before["rows_written"] == members
+    assert after["rows_removed"] == before["rows_removed"]
+    for member, state in deployment.states.items():
+        assert any(entry.origin == "host-advertised"
+                   for entry in state.fib.entries()), member
+
+
+def test_an_adopting_domain_s_egress_prefix_leaves_every_member(
+        paranoid_caches):
+    """Once an external AS adopts, its self-addressed block is routed
+    natively: the ``egress-select`` row every member held for it must
+    be removed, not left stale beside the rows that were rewritten."""
+    internet, deployment = _vn_internet(EgressPolicy.BGP_INFORMED)
+    network = internet.network
+    target = next(asn for asn, domain in sorted(network.domains.items())
+                  if domain.tier == 2)
+    block = vn_prefix_for_ipv4(network.domains[target].prefix)
+    old_members = set(deployment.states)
+    assert all(block in _prefixes(deployment.states[member])
+               for member in old_members)
+    before = deployment.routing.gate_stats()
+    with checked_vn_rebuilds() as vn:
+        deployment.deploy(target)
+        deployment.rebuild()
+    after = deployment.routing.gate_stats()
+    assert vn["rebuilds"] == 1
+    for member, state in deployment.states.items():
+        assert block not in _prefixes(state), member
+    assert after["rows_removed"] - before["rows_removed"] >= len(old_members)

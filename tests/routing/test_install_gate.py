@@ -152,12 +152,14 @@ def test_every_install_and_rebuild_equals_its_reference(egress_policy):
 
 def test_paranoid_gates_rederive_what_they_skip(paranoid_caches):
     internet = mixed_internet()
-    churn(internet)
+    deployment = churn(internet)
     stats = [p.gate_stats() for p in internet.orchestrator.igps.values()]
     assert paranoid_caches["igp_install"] == sum(
         s["routers_skipped"] for s in stats) > 0
     assert paranoid_caches["igp_refresh"] == sum(
         s["refreshes_skipped"] for s in stats) > 0
+    assert paranoid_caches["vn_fib"] == \
+        deployment.routing.gate_stats()["members_skipped"] > 0
 
 
 # -- message neutrality -----------------------------------------------------------
