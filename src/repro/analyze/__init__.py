@@ -1,7 +1,7 @@
 """repro.analyze: the offline trace-analysis toolkit.
 
 Consumes the JSONL traces :mod:`repro.obs` writes (schema
-``repro.trace/v2`` with causal spans — see ``docs/tracing.md``) and
+``repro.trace/v4`` with causal spans — see ``docs/tracing.md``) and
 turns them into reports:
 
 * **critical path** per fault epoch — sim-time from ``fault.apply`` to
@@ -34,7 +34,7 @@ from repro.analyze.catchment import (CATCHMENT_SCHEMA, build_catchment,
                                      catchment_from_trace, render_catchment,
                                      validate_catchment_dict)
 from repro.analyze.reader import (SpanForest, SpanNode, build_span_forest,
-                                  iter_trace_events)
+                                  iter_trace_events, resolve_hops)
 from repro.analyze.render import render_report
 from repro.analyze.report import (REPORT_SCHEMA, build_report,
                                   validate_report_dict)
@@ -42,5 +42,5 @@ from repro.analyze.report import (REPORT_SCHEMA, build_report,
 __all__ = ["CATCHMENT_SCHEMA", "REPORT_SCHEMA", "SpanForest", "SpanNode",
            "build_catchment", "build_report", "build_span_forest",
            "catchment_from_trace", "iter_trace_events", "render_catchment",
-           "render_report", "validate_report_dict",
+           "render_report", "resolve_hops", "validate_report_dict",
            "validate_catchment_dict"]

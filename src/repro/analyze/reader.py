@@ -2,11 +2,13 @@
 
 :func:`iter_trace_events` yields parsed events one line at a time —
 the whole toolkit is built on it, so a trace file is never materialized
-in memory.  :func:`build_span_forest` folds a (possibly filtered) event
-stream into a :class:`SpanForest` of parent-linked :class:`SpanNode`
-objects; callers that only need the bounded *structural* spans pass a
-``skip`` predicate to keep high-volume span kinds (per-packet
-``forward`` walks) out of the forest.
+in memory.  :func:`resolve_hops` puts a v4 ``forward`` event's hop list
+back where it was referenced.  :func:`build_span_forest` folds a
+(possibly filtered) event stream into a :class:`SpanForest` of
+parent-linked :class:`SpanNode` objects; callers that only need the
+bounded *structural* spans pass a ``skip`` predicate to keep
+high-volume span kinds (per-packet ``forward`` walks) out of the
+forest.
 """
 
 from __future__ import annotations
@@ -43,6 +45,32 @@ def iter_trace_events(path: Union[str, Path]) -> Iterator[Event]:
                 continue
             if isinstance(event, dict):
                 yield event
+
+
+def resolve_hops(events: Iterable[Event]) -> Iterator[Event]:
+    """Yield *events* with every ``forward`` event's hop list in place.
+
+    Trace schema v4 lists a flow's hops once; a later ``forward`` event
+    repeating them carries ``hops_at``, the ``seq`` of the event that
+    listed them.  Such an event is yielded as a copy with ``hops``
+    instead of ``hops_at``, so "which path did this packet take" reads
+    the same from every schema version.  A ``hops_at`` naming no earlier
+    listing is left as it is (``validate_trace`` reports it).  Keeps one
+    hop list per listing event.
+    """
+    listed: Dict[int, object] = {}
+    for event in events:
+        if event.get("kind") == "forward":
+            seq, hops = event.get("seq"), event.get("hops")
+            at = event.get("hops_at")
+            if isinstance(hops, list) and isinstance(seq, int):
+                listed[seq] = hops
+            elif (isinstance(at, int) and not isinstance(at, bool)
+                  and at in listed):
+                event = {key: value for key, value in event.items()
+                         if key != "hops_at"}
+                event["hops"] = listed[at]
+        yield event
 
 
 def as_float(value: object) -> Optional[float]:
@@ -177,4 +205,4 @@ def build_span_forest(events: Iterable[Mapping[str, object]],
 
 
 __all__ = ["Event", "SpanForest", "SpanNode", "as_float", "as_str",
-           "build_span_forest", "iter_trace_events"]
+           "build_span_forest", "iter_trace_events", "resolve_hops"]

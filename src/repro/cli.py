@@ -227,13 +227,15 @@ def _obs_self_check(args: argparse.Namespace) -> int:
     Traces the acceptance scenario once, then checks the trace schema,
     the span causality invariants (every ``span.end`` has a matching
     ``span.start``, parents precede children, no orphan ``parent_id``),
-    and that every expected counter moved and span kind appeared.
+    that every expected counter moved and span kind appeared, and that
+    some ``forward`` event carries ``hops_at`` and every one resolves.
     """
     import json
     import os
     import tempfile
     from collections import Counter
 
+    from repro.analyze import resolve_hops
     from repro.experiments import run
     from repro.obs import (Observability, SPAN_START, Tracer,
                            validate_span_events, validate_trace_lines)
@@ -249,6 +251,7 @@ def _obs_self_check(args: argparse.Namespace) -> int:
             lines = trace.readlines()
     errors = validate_trace_lines(lines)
     span_kinds: Counter = Counter()
+    hops_at = 0
     if not errors:  # schema-valid: every line is one JSON object
         events = [json.loads(line) for line in lines]
         errors.extend(validate_span_events(events))
@@ -258,10 +261,17 @@ def _obs_self_check(args: argparse.Namespace) -> int:
             and isinstance(event.get("name"), str))
         errors.extend(f"expected span kind {name!r} in the trace"
                       for name in _SELF_CHECK_SPANS if not span_kinds[name])
+        hops_at = sum("hops_at" in event for event in events)
+        if not hops_at:
+            errors.append("expected a forward event with 'hops_at'")
+        errors.extend(f"seq {event['seq']}: hops_at does not resolve"
+                      for event in resolve_hops(events)
+                      if "hops_at" in event)
     counters = result.metrics.get("counters", {})
     errors.extend(f"expected counter {name!r} to be nonzero"
                   for name in _SELF_CHECK_COUNTERS if not counters.get(name))
     status = {"ok": not errors, "trace_events": len(lines),
+              "hops_at": hops_at,
               "counters_checked": list(_SELF_CHECK_COUNTERS),
               "spans": sum(span_kinds.values()),
               "span_kinds": dict(sorted(span_kinds.items()))}

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 from repro.net.address import IPv4Address
 from repro.net.errors import (FaultDropError, ForwardingLoopError, NoRouteError,
                               TTLExpiredError)
-from repro.net.fastpath import FlowFastPath
+from repro.net.fastpath import FlowFastPath, FlowKey
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.packet import IPv4Header, Packet, VNHeader
@@ -365,6 +365,9 @@ class ForwardingEngine:
         #: packets of a flow while forwarding state is unchanged (see
         #: :mod:`repro.net.fastpath` for the invalidation rules).
         self.fastpath = FlowFastPath(network)
+        #: Per flow, the ``forward`` event that last listed its hops:
+        #: ``(tracer, topology_version, hop log, seq)``.
+        self._listed: Dict[FlowKey, Tuple[object, int, List[Any], int]] = {}
         self._outcome_counters: Dict[Outcome, Counter] = {
             outcome: self.obs.counter(f"forwarding.outcome.{outcome.value}")
             for outcome in Outcome}
@@ -393,7 +396,8 @@ class ForwardingEngine:
         (replicas, re-sends), otherwise to the innermost entered span
         (e.g. a fault-epoch workload), and stamped onto the packet for
         downstream causality — and a ``forward`` event, the same for a
-        replayed trace as for a walked one.  Disabled handles skip all
+        replayed trace as for a walked one (its hops listed once per
+        flow, see :meth:`_observe_trace`).  Disabled handles skip all
         of it behind the usual one ``enabled`` check.
         """
         fastpath = self.fastpath
@@ -407,6 +411,7 @@ class ForwardingEngine:
             if key is not None:
                 fastpath.store(key, trace)
             return trace
+        flow = key if key is not None else fastpath.key_for(packet, start)
         t = self.clock() if self.clock is not None else None
         span = self.obs.span("forward", t=t, parent=packet.span, start=start)
         if packet.span is None:
@@ -416,7 +421,7 @@ class ForwardingEngine:
             if cached is None:
                 self._walk(packet, self.network.node(start), trace, strict, None)
             span.end(t=t, **self._span_fields(trace))
-        self._observe_trace(trace, start)
+        self._observe_trace(trace, start, flow)
         if cached is None and key is not None:
             fastpath.store(key, trace)
         return trace
@@ -438,20 +443,42 @@ class ForwardingEngine:
                 "faulted": trace.faulted,
                 "drop_reason": trace.drop_reason}
 
-    def _observe_trace(self, trace: ForwardingTrace, start: str) -> None:  # repro: allow[D4]
-        """Per-outcome counters, hop/depth histograms, one trace event."""
+    def _observe_trace(self, trace: ForwardingTrace, start: str,  # repro: allow[D4]
+                       flow: Optional[FlowKey] = None) -> None:
+        """Per-outcome counters, hop/depth histograms, one trace event.
+
+        The event lists the walk's rendered hops, unless the last
+        ``forward`` event of *flow* (``None``: a multicast branch, always
+        listed) went to the same tracer at the same topology version
+        with an equal hop log: then it carries ``hops_at``, that event's
+        ``seq``.  Equal logs render equal hops: their nodes are the same
+        objects, everything else in them is frozen, and a node's domain
+        moves only with the topology version.  Keyed on content, so a
+        fresh walk of a flow dedups exactly like a fast-path replay.
+        """
         self._outcome_counters[trace.outcome].inc()
         obs = self.obs
         obs.histogram("forwarding.physical_hops").observe(trace.physical_hops)
         obs.histogram("forwarding.encapsulations").observe(trace.encapsulations)
         obs.histogram("forwarding.max_depth").observe(trace.max_depth)
-        obs.event("forward", outcome=trace.outcome.value, start=start,
-                  delivered_to=trace.delivered_to,
-                  physical_hops=trace.physical_hops, vn_hops=trace.vn_hops,
-                  encapsulations=trace.encapsulations,
-                  max_depth=trace.max_depth, latency=trace.latency,
-                  faulted=trace.faulted,
-                  hops=[hop.format() for hop in trace.hops])
+        fields: Dict[str, Any] = {
+            "outcome": trace.outcome.value, "start": start,
+            "delivered_to": trace.delivered_to,
+            "physical_hops": trace.physical_hops, "vn_hops": trace.vn_hops,
+            "encapsulations": trace.encapsulations,
+            "max_depth": trace.max_depth, "latency": trace.latency,
+            "faulted": trace.faulted}
+        tracer, log = obs.tracer, trace._log
+        version = self.network.topology_version
+        listed = self._listed.get(flow) if flow is not None else None
+        if (listed is not None and listed[0] is tracer
+                and listed[1] == version and listed[2] == log):
+            obs.event("forward", hops_at=listed[3], **fields)
+            return
+        seq = obs.event("forward", hops=[hop.format() for hop in trace.hops],
+                        **fields)
+        if flow is not None and seq is not None:
+            self._listed[flow] = (tracer, version, log, seq)
 
     def forward_multicast(self, packet: Packet, start: str) -> "MulticastTrace":
         """Run a multicast packet, following every replication branch.

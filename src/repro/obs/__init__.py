@@ -79,10 +79,12 @@ class Observability:
 
     # -- tracing -------------------------------------------------------------
     def event(self, kind: str, t: Optional[float] = None,
-              **fields: object) -> None:
-        """Emit one structured trace event (no-op when disabled/untraced)."""
+              **fields: object) -> Optional[int]:
+        """Emit one structured trace event and return its ``seq``
+        (``None``, and nothing written, when disabled or untraced)."""
         if self.enabled and self.tracer is not None:
-            self.tracer.emit(kind, t=t, **fields)
+            return self.tracer.emit(kind, t=t, **fields)
+        return None
 
     @property
     def trace_path(self) -> Optional[str]:

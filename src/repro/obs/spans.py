@@ -36,8 +36,9 @@ costs one ``enabled`` check when observability is off.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Set,
-                    Tuple, Union)
+import json
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Set, Tuple, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs import Observability
@@ -306,25 +307,46 @@ def validate_span_events(events: Iterable[Dict[str, object]]) -> List[str]:
     return errors
 
 
+#: Stands in for a line left unparsed because it cannot hold a span event.
+_NOT_A_SPAN: Dict[str, object] = {}
+
+
+def _objects(lines: Iterable[str],
+             spans_only: bool) -> Iterator[Dict[str, object]]:
+    """The lines that parse as JSON objects, parsed.  With *spans_only*
+    a line whose ``kind`` cannot decode to ``span.…`` — it neither
+    spells ``span.`` out nor escapes a character — is not parsed and
+    stands as :data:`_NOT_A_SPAN`, whatever it holds."""
+    for line in lines:
+        if spans_only and "span." not in line and "\\u" not in line:
+            yield _NOT_A_SPAN
+            continue
+        try:
+            event = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(event, dict):
+            yield event
+
+
 def validate_span_lines(lines: Iterable[str]) -> List[str]:
     """Span-validate serialized JSONL lines (non-JSON lines are skipped
     here; the trace schema validator reports those)."""
-    import json
-
-    def _events() -> Iterable[Dict[str, object]]:
-        for line in lines:
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(event, dict):
-                yield event
-
-    return validate_span_events(_events())
+    return validate_span_events(_objects(lines, spans_only=False))
 
 
 def validate_spans(path: str) -> List[str]:
-    """Span-validate a JSONL trace file, streaming line by line."""
+    """Span-validate a JSONL trace file, streaming line by line.
+
+    The first read parses only the lines that can hold a span event, so
+    it finds exactly the problems a full read finds.  But a problem is
+    numbered by its event's place among the lines that parse as JSON
+    objects, which an unparsed line leaves open; so a trace with
+    problems is read a second time, parsing every line, to number them.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        if not validate_span_events(_objects(fh, spans_only=True)):
+            return []
     with open(path, "r", encoding="utf-8") as fh:
         return validate_span_lines(fh)
 

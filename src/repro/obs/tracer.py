@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, IO, Iterable, List, Optional
+from typing import Dict, IO, Iterable, List, Optional, Set
 
 from repro.obs.serialize import json_safe
 
@@ -32,12 +32,24 @@ RUN_END = "run.end"
 
 #: Schema tag stamped into the ``run.start`` header.  v2 added the
 #: ``span.start``/``span.end`` causal-span events (``docs/tracing.md``);
-#: v3 adds ``probe.rtt`` measurement events and latency fields on
-#: forward events/spans.  v1 streams (no ``schema`` field) and v2
-#: streams still validate.
-TRACE_SCHEMA = "repro.trace/v3"
+#: v3 added ``probe.rtt`` measurement events and latency fields on
+#: forward events/spans; v4 lists a flow's hops once: a ``forward``
+#: event repeating them carries ``hops_at``, the ``seq`` of the
+#: ``forward`` event that listed them.  v1 streams (no ``schema``
+#: field), v2 and v3 streams still validate.
+TRACE_SCHEMA = "repro.trace/v4"
 
-_KNOWN_SCHEMAS = ("repro.trace/v1", "repro.trace/v2", TRACE_SCHEMA)
+_KNOWN_SCHEMAS = ("repro.trace/v1", "repro.trace/v2", "repro.trace/v3",
+                  TRACE_SCHEMA)
+
+#: The one event encoder: sorted keys, no spaces (what ``json.dumps``
+#: with those keywords writes, without building an encoder per call).
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: Field types written as they are; anything else goes through
+#: ``json_safe``.  Exact types: an enum member that is also an ``int``
+#: or ``str`` must still collapse to its value.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
 class Tracer:
@@ -114,17 +126,22 @@ class Tracer:
         self.close()
 
     # -- emission -----------------------------------------------------------
-    def emit(self, kind: str, t: Optional[float] = None, **fields: object) -> None:
-        """Append one event.  *t* is simulation time when meaningful."""
+    def emit(self, kind: str, t: Optional[float] = None,
+             **fields: object) -> Optional[int]:
+        """Append one event and return its ``seq`` (``None`` once the
+        tracer is closed).  *t* is simulation time when meaningful."""
         if self._closed:
-            return
+            return None
         self._ensure_started()
-        record: Dict[str, object] = {"kind": kind, "seq": self._next_seq()}
+        seq = self._next_seq()
+        record: Dict[str, object] = {"kind": kind, "seq": seq}
         if t is not None:
             record["t"] = t
         for key, value in fields.items():
-            record[key] = json_safe(value)
+            record[key] = (value if type(value) in _SCALAR_TYPES
+                           else json_safe(value))
         self._write(record)
+        return seq
 
     def _next_seq(self) -> int:
         seq = self._seq
@@ -132,7 +149,7 @@ class Tracer:
         return seq
 
     def _write(self, record: Dict[str, object]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        line = _ENCODE(record)
         if self._fh is not None:
             self._fh.write(line + "\n")
         else:
@@ -161,11 +178,14 @@ def validate_trace_lines(lines: Iterable[str]) -> List[str]:
     (string) and ``seq`` (int) are present; ``seq`` is consecutive from
     0; the first event is ``run.start`` with a ``context`` object; ``t``
     and every ``wall_*`` field are numbers; a ``run.end``, if present,
-    is the final event.
+    is the final event; a ``hops_at`` is an int naming an earlier
+    ``forward`` event that lists ``hops``.
     """
     errors: List[str] = []
     expected_seq = 0
     saw_end_at: Optional[int] = None
+    # Seqs of the forward events that list hops.
+    listed: Set[int] = set()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             errors.append(f"line {lineno}: blank line")
@@ -209,9 +229,24 @@ def validate_trace_lines(lines: Iterable[str]) -> List[str]:
         t = event.get("t")
         if t is not None and not isinstance(t, (int, float)):
             errors.append(f"line {lineno}: 't' is not a number")
-        for key, value in event.items():
-            if key.startswith(WALL_PREFIX) and not isinstance(value, (int, float)):
-                errors.append(f"line {lineno}: wall field {key!r} is not a number")
+        if "hops_at" in event:
+            at = event["hops_at"]
+            if isinstance(at, bool) or not isinstance(at, int):
+                errors.append(f"line {lineno}: 'hops_at' is not an int")
+            elif at not in listed:
+                errors.append(f"line {lineno}: hops_at {at} names no earlier "
+                              "forward event listing hops")
+        if (kind == "forward" and isinstance(seq, int)
+                and isinstance(event.get("hops"), list)):
+            listed.add(seq)
+        # A key decodes to "wall_..." only if the line spells it out or
+        # escapes a character of it.
+        if WALL_PREFIX in line or "\\u" in line:
+            for key, value in event.items():
+                if (key.startswith(WALL_PREFIX)
+                        and not isinstance(value, (int, float))):
+                    errors.append(f"line {lineno}: wall field {key!r} "
+                                  "is not a number")
     if expected_seq == 0:
         errors.append("trace is empty")
     return errors
@@ -239,6 +274,5 @@ def strip_wall_fields(lines: Iterable[str]) -> List[str]:
         event = json.loads(line)
         cleaned = {key: value for key, value in event.items()
                    if not key.startswith(WALL_PREFIX)}
-        stripped.append(json.dumps(cleaned, sort_keys=True,
-                                   separators=(",", ":")))
+        stripped.append(_ENCODE(cleaned))
     return stripped

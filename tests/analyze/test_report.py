@@ -39,7 +39,7 @@ class TestReportOnSeededRun:
 
     def test_run_context_is_carried(self, report):
         assert report["run"]["context"]["seed"] == 7
-        assert report["run"]["trace_schema"] == "repro.trace/v3"
+        assert report["run"]["trace_schema"] == "repro.trace/v4"
         assert report["run"]["complete"] is True
 
     def test_critical_path_has_nonzero_phases(self, report):

@@ -42,6 +42,7 @@ class TestObsCommand:
         status = json.loads(capsys.readouterr().out)
         assert status["ok"] is True
         assert status["trace_events"] > 0
+        assert status["hops_at"] > 0
         assert status["counters_checked"] == list(_SELF_CHECK_COUNTERS)
         assert status["spans"] == sum(status["span_kinds"].values())
         assert all(status["span_kinds"].get(name, 0) > 0

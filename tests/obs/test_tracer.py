@@ -4,6 +4,7 @@ import enum
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs import (RUN_END, RUN_START, Tracer, json_safe,
                        strip_wall_fields, validate_trace,
@@ -185,3 +186,56 @@ class TestJsonSafe:
         assert json_safe({3, 1, 2}) == [1, 2, 3]
         assert json_safe(WithDict()) == {"inner": [1, 2, 3]}
         assert json_safe(object()).startswith("<object object")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Mode(str, enum.Enum):
+    FAST = "fast"
+
+
+class _Shape:
+    def to_dict(self):
+        return {"sides": (3, 4), "tags": {2, 1}}
+
+
+class _Name(str):
+    pass
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=4))
+
+
+def _old_line(kind, seq, t, fields):
+    """The event line as ``emit`` wrote it with ``json_safe`` on every
+    field and ``json.dumps`` per call."""
+    record = {"kind": kind, "seq": seq}
+    if t is not None:
+        record["t"] = t
+    for key, value in fields.items():
+        record[key] = json_safe(value)
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+class TestEmitEncoding:
+    @given(fields=st.dictionaries(
+        st.text(min_size=1, max_size=6).filter(
+            lambda key: key not in ("kind", "seq", "t")),
+        st.recursive(
+            _LEAVES | st.sampled_from([_Level.LOW, _Mode.FAST, _Shape(),
+                                       _Name("n"), frozenset({3, 1}),
+                                       object]),
+            lambda inner: (st.lists(inner, max_size=3)
+                           | st.tuples(inner, inner)
+                           | st.dictionaries(st.text(max_size=3), inner,
+                                             max_size=3)),
+            max_leaves=6),
+        max_size=4),
+        t=st.none() | st.floats(allow_nan=False))
+    def test_lines_are_what_json_safe_and_dumps_wrote(self, fields, t):
+        tracer = Tracer()
+        tracer.emit("e", t=t, **fields)
+        assert tracer.lines()[1] == _old_line("e", 1, t, fields)

@@ -44,13 +44,19 @@ against lives here, as test code:
 * :func:`slow_path_held` and :func:`per_message_bgp` — hold the levers
   ``src/`` selects from observable state (``FlowFastPath.pause()``, an
   active ``MessagePerturbation``) for a whole run, to compare it with a
-  run that used the fast path / MRAI batching.
+  run that used the fast path / MRAI batching;
+* :func:`reference_validate_trace_lines` and
+  :func:`reference_validate_span_lines` — the trace and span validators
+  as they were before they skipped lines that cannot fail: every line
+  parsed, every key of every event looked at, which the validators with
+  prefilters must equal error for error.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+import json
 from collections import Counter
 from contextlib import contextmanager
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
@@ -68,6 +74,8 @@ from repro.net.address import Address, Prefix
 from repro.net.node import Fib, FibEntry, RouteSource
 from repro.net.simulator import EventScheduler, MessagePerturbation
 from repro.obs import NULL_OBS
+from repro.obs.spans import validate_span_events
+from repro.obs.tracer import RUN_END, RUN_START, WALL_PREFIX, _KNOWN_SCHEMAS
 from repro.perf.cache import TopologyMemo
 from repro.routing.distancevector import DistanceVectorRouting
 from repro.routing.igp import IgpProtocol
@@ -771,3 +779,78 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
     monkeypatch.setattr(VnRouting, "compute", paranoid_vn_compute)
     monkeypatch.setattr(LayeredVnRouting, "compute", paranoid_layered_compute)
     return verified
+
+
+# -- trace validators ---------------------------------------------------------
+def reference_validate_trace_lines(lines: Iterable[str]) -> List[str]:
+    """``validate_trace_lines`` before ``hops_at`` and the ``wall_``
+    prefilter: every key of every event is looked at."""
+    errors: List[str] = []
+    expected_seq = 0
+    saw_end_at: Optional[int] = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            errors.append(f"line {lineno}: blank line")
+            continue
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as exc:
+            errors.append(f"line {lineno}: not valid JSON ({exc})")
+            continue
+        if not isinstance(event, dict):
+            errors.append(f"line {lineno}: not a JSON object")
+            continue
+        kind = event.get("kind")
+        if not isinstance(kind, str) or not kind:
+            errors.append(f"line {lineno}: missing or non-string 'kind'")
+        seq = event.get("seq")
+        if not isinstance(seq, int):
+            errors.append(f"line {lineno}: missing or non-int 'seq'")
+        elif seq != expected_seq:
+            errors.append(f"line {lineno}: seq {seq} != expected {expected_seq}")
+        expected_seq += 1
+        if lineno == 1:
+            if kind != RUN_START:
+                errors.append(f"line 1: first event must be {RUN_START!r}, "
+                              f"got {kind!r}")
+            elif not isinstance(event.get("context"), dict):
+                errors.append("line 1: run.start has no 'context' object")
+            schema = event.get("schema")
+            if schema is not None and schema not in _KNOWN_SCHEMAS:
+                errors.append(f"line 1: unknown trace schema {schema!r}")
+        if kind in ("span.start", "span.end"):
+            for field in ("span_id", "trace_id"):
+                if not isinstance(event.get(field), str):
+                    errors.append(f"line {lineno}: {kind} has missing or "
+                                  f"non-string {field!r}")
+        if saw_end_at is not None:
+            errors.append(f"line {lineno}: event after {RUN_END!r} "
+                          f"(line {saw_end_at})")
+        if kind == RUN_END:
+            saw_end_at = lineno
+        t = event.get("t")
+        if t is not None and not isinstance(t, (int, float)):
+            errors.append(f"line {lineno}: 't' is not a number")
+        for key, value in event.items():
+            if key.startswith(WALL_PREFIX) and not isinstance(value, (int, float)):
+                errors.append(f"line {lineno}: wall field {key!r} is not a number")
+    if expected_seq == 0:
+        errors.append("trace is empty")
+    return errors
+
+
+def reference_validate_span_lines(lines: Iterable[str]) -> List[str]:
+    """``validate_span_lines`` parsing every line: what
+    ``validate_spans`` must return for a file of these lines."""
+    import json
+
+    def _events() -> Iterable[Dict[str, object]]:
+        for line in lines:
+            try:
+                event = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(event, dict):
+                yield event
+
+    return validate_span_events(_events())
