@@ -27,7 +27,7 @@ measures the real mechanism rather than an oracle.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.errors import DeploymentError
@@ -81,9 +81,6 @@ class AnycastScheme(abc.ABC):
     @property
     def member_domains(self) -> Set[int]:
         return set(self._member_domains)
-
-    def is_member(self, router_id: str) -> bool:
-        return router_id in self._members
 
     def add_member(self, router_id: str) -> None:
         """Configure *router_id* as a group member (accept + advertise)."""

@@ -127,9 +127,6 @@ class BgpSpeaker:
         """Loc-RIB size — the per-AS routing-state metric of experiment E5."""
         return len(self.loc_rib)
 
-    def adj_rib_in_size(self) -> int:
-        return sum(len(routes) for routes in self.adj_rib_in.values())
-
 
 class BgpProtocol:
     """Message-driven path-vector routing across all domains."""

@@ -87,7 +87,11 @@ class FaultInjector:
 
         *workload* is called twice per epoch — before and after
         reconvergence — to measure transient loss and recovered
-        delivery.  Pass None to just mutate topology.
+        delivery.  Pass None to just mutate topology.  Its packets take
+        the same forwarding path as any other traffic: the flow fast
+        path replays repeats, and drops its stored walks whenever the
+        state they read changes (a link or node fault moves
+        ``Network.topology_version``; reinstalling routes bumps).
         """
         if self._played:
             raise FaultError(
@@ -97,16 +101,7 @@ class FaultInjector:
         scheduler = self.orchestrator.scheduler
         if not self.orchestrator._converged:  # noqa: SLF001 - injector drives lifecycle
             self.orchestrator.converge(max_events=max_events)
-        start = scheduler.now
-        # While faults are active every packet must take the slow path:
-        # transient (pre-reconvergence) walks are measurement, not
-        # repeat traffic, and must never be replayed from cache.
-        fastpath = self.orchestrator.engine.fastpath
-        fastpath.pause()
-        try:
-            reports = self._play_epochs(workload, max_events, start)
-        finally:
-            fastpath.resume()
+        reports = self._play_epochs(workload, max_events, scheduler.now)
         self.epoch_reports = reports
         return reports
 

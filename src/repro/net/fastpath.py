@@ -29,12 +29,13 @@ link/node liveness.  Every change of that state drops every flow:
   ``AnycastScheme.add_member``/``remove_member``,
   ``VnMulticastService.join``/``leave``/``rebuild`` and
   ``ForwardingEngine.register_vn_handler``;
-* fault experiments bracket their epochs with :meth:`pause` /
-  :meth:`resume` — while faults are being applied and measured, every
-  packet takes the slow path and nothing is stored, so transient
-  (pre-reconvergence) behavior is never replayed;
 * only **delivered, fault-free** walks are stored, so ``strict=True``
   raise-on-failure semantics are preserved bit-for-bit.
+
+Fault plans get no special case: applying a fault moves the topology
+version and the reinstall after reconvergence bumps, so a transient
+(pre-reconvergence) walk is replayed only while the stale FIBs it read
+are still the ones installed — exactly what a fresh walk would see.
 
 Headers are frozen and compared field by field (TTL, protocol, the
 ``dest_ipv4`` option and the multicast flag included), so flows are
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.net.errors import ForwardingError
 from repro.net.packet import Header, Packet
 from repro.obs import get_obs
 
@@ -77,7 +77,6 @@ class FlowFastPath:
         self.network = network
         self.obs = get_obs()
         self._version = network.topology_version
-        self._paused = 0
         self._traces: Dict[FlowKey, "ForwardingTrace"] = {}
         #: Packets answered from the table since it was last dropped.
         self._replays = 0
@@ -86,25 +85,6 @@ class FlowFastPath:
         self.invalidations = 0
 
     # -- lifecycle ---------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """Whether lookups may be served right now."""
-        return self._paused == 0
-
-    @property
-    def paused(self) -> bool:
-        return self._paused > 0
-
-    def pause(self) -> None:
-        """Disable the fast path (nested; fault epochs bracket with this)."""
-        self._paused += 1
-        self._invalidate()
-
-    def resume(self) -> None:
-        if self._paused == 0:
-            raise ForwardingError("fast path resume() without pause()")
-        self._paused -= 1
-
     def bump(self) -> None:
         """Forwarding state changed (a FIB, an acceptance set, vN state,
         the vN handler): drop every stored flow."""
@@ -144,20 +124,17 @@ class FlowFastPath:
             self.obs.counter("perf.fastpath.hits").inc()
         return trace
 
-    def store(self, key: FlowKey, trace: "ForwardingTrace") -> bool:
+    def store(self, key: FlowKey, trace: "ForwardingTrace") -> None:
         """Store a completed slow-path walk if it is replay-safe.
 
         Only delivered, fault-free walks qualify: anything that hit
         injected-fault state or failed to deliver re-walks every time
         (and raise-on-failure ``strict`` semantics stay exact).
         """
-        if not self.active:
-            return False
         if not trace.delivered or trace.faulted:
-            return False
+            return
         self._check_version()
         self._traces[key] = trace
-        return True
 
     def __len__(self) -> int:
         return len(self._traces)

@@ -385,11 +385,11 @@ class ForwardingEngine:
     def forward(self, packet: Packet, start: str, strict: bool = False) -> ForwardingTrace:
         """Run *packet* from node *start* until a terminal outcome.
 
-        When the flow fast path is active and this packet repeats a
-        stored flow (same start, identical header stack, unchanged
-        forwarding state), the stored trace is returned and the packet
-        is left as sent: no walk.  Any delivered, fault-free walk is
-        stored, encapsulated IPvN ones included.
+        When this packet repeats a stored flow (same start, identical
+        header stack, unchanged forwarding state), the stored trace is
+        returned and the packet is left as sent: no walk.  Any
+        delivered, fault-free walk is stored, encapsulated IPvN ones
+        included.
 
         With observability enabled the packet gets a ``forward`` span —
         parented to the packet's carried context when present
@@ -401,17 +401,15 @@ class ForwardingEngine:
         of it behind the usual one ``enabled`` check.
         """
         fastpath = self.fastpath
-        key = fastpath.key_for(packet, start) if fastpath.active else None
-        cached = fastpath.lookup(key) if key is not None else None
+        flow = fastpath.key_for(packet, start)
+        cached = fastpath.lookup(flow)
         if not self.obs.enabled:
             if cached is not None:
                 return cached
             trace = ForwardingTrace()
             self._walk(packet, self.network.node(start), trace, strict, None)
-            if key is not None:
-                fastpath.store(key, trace)
+            fastpath.store(flow, trace)
             return trace
-        flow = key if key is not None else fastpath.key_for(packet, start)
         t = self.clock() if self.clock is not None else None
         span = self.obs.span("forward", t=t, parent=packet.span, start=start)
         if packet.span is None:
@@ -422,8 +420,8 @@ class ForwardingEngine:
                 self._walk(packet, self.network.node(start), trace, strict, None)
             span.end(t=t, **self._span_fields(trace))
         self._observe_trace(trace, start, flow)
-        if cached is None and key is not None:
-            fastpath.store(key, trace)
+        if cached is None:
+            fastpath.store(flow, trace)
         return trace
 
     @staticmethod

@@ -15,7 +15,7 @@ decapsulated IPvN packets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -220,9 +220,6 @@ class Node:
         if address == self.ipv4:
             raise TopologyError(f"cannot remove {self.node_id}'s primary address")
         self._local_ipv4.discard(address)
-
-    def local_ipv4_addresses(self) -> Set[IPv4Address]:
-        return set(self._local_ipv4)
 
     @property
     def is_router(self) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.domain import Domain
@@ -219,9 +219,6 @@ class IgpProtocol(abc.ABC):
         """Routers in this domain advertising *address*."""
         return {rid for rid, adverts in self._anycast_adverts.items() if address in adverts}
 
-    def anycast_advert_cost(self, router_id: str, address: IPv4Address) -> Optional[float]:
-        return self._anycast_adverts.get(router_id, {}).get(address)
-
     # -- helpers ----------------------------------------------------------------
     def _require_member(self, router_id: str) -> Node:
         if router_id not in self.domain.routers:
@@ -259,8 +256,3 @@ class IgpProtocol(abc.ABC):
         raise RoutingError(
             f"{type(self).__name__} cannot enumerate anycast members; "
             "use anycast-bootstrap discovery instead (paper footnote 3)")
-
-    def distance_between(self, a: str, b: str) -> Optional[float]:
-        """IGP distance between two routers of this domain (ground truth)."""
-        result = self.network.shortest_path(a, b, intra_domain_only=True)
-        return result[0] if result is not None else None

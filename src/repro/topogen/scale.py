@@ -328,19 +328,13 @@ def _install_static_fringe_routes(result: GeneratedScaleInternet) -> None:
     reconvergence never strips the fringe.
     """
     network = result.network
-    tree_memo: Dict[Tuple[int, str], Dict[str, Tuple[float, Optional[str]]]] = {}
-
-    def tree_toward(asn: int, border: str) -> Dict[str, Tuple[float, Optional[str]]]:
-        key = (asn, border)
-        if key not in tree_memo:
-            tree_memo[key] = network.shortest_path_tree(
-                border, intra_domain_only=True, domain=asn)
-        return tree_memo[key]
-
+    # Static installs leave the topology version alone, so a border's
+    # tree is computed once and then served by the path cache.
     for stub_asn in result.stubs:
         stub_border, provider_asn, provider_border = result.uplinks[stub_asn]
         stub_domain = network.domains[stub_asn]
-        stub_tree = tree_toward(stub_asn, stub_border)
+        stub_tree = network.shortest_path_tree(
+            stub_border, intra_domain_only=True, domain=stub_asn)
         for router_id in sorted(stub_domain.routers):
             if router_id == stub_border:
                 next_hop = provider_border
@@ -355,7 +349,8 @@ def _install_static_fringe_routes(result: GeneratedScaleInternet) -> None:
                 FibEntry(prefix=DEFAULT_ROUTE, next_hop=next_hop,
                          source=RouteSource.STATIC))
         provider_domain = network.domains[provider_asn]
-        provider_tree = tree_toward(provider_asn, provider_border)
+        provider_tree = network.shortest_path_tree(
+            provider_border, intra_domain_only=True, domain=provider_asn)
         for router_id in sorted(provider_domain.routers):
             if router_id == provider_border:
                 next_hop = stub_border

@@ -50,12 +50,6 @@ class VnAddressPlan:
         self._pinned.add(host_id)
         return address
 
-    def unpin_address(self, host_id: str) -> None:
-        self._pinned.discard(host_id)
-
-    def is_pinned(self, host_id: str) -> bool:
-        return host_id in self._pinned
-
     # -- native allocation ---------------------------------------------------
     def native_prefix(self, asn: int) -> Prefix:
         return native_domain_prefix(asn, version=self.version)
@@ -121,9 +115,6 @@ class VnAddressPlan:
             if host_id in self._assigned:
                 self.ensure_host_address(host_id)
         return len(self.relabel_events) - before
-
-    def assigned_hosts(self) -> Set[str]:
-        return set(self._assigned)
 
     def _require_host(self, host_id: str) -> Host:
         node = self.network.node(host_id)

@@ -65,10 +65,6 @@ class McastEntry:
     #: Receiver hosts this router exits towards (designated router role).
     egress_hosts: Tuple[IPv4Address, ...] = ()
 
-    @property
-    def is_core(self) -> bool:
-        return False  # overridden by construction; see service below
-
 
 @dataclass
 class GroupState:

@@ -4,7 +4,7 @@ The engine-level contract: repeated sends of an identical header stack
 from the same node, while forwarding state holds, replay the stored
 trace — plain IPv4 and encapsulated IPvN alike; any forwarding state
 change (link/node liveness, a ``bump()`` at the site that changed it)
-or fault epoch (``pause()``/``resume()``) drops back to the slow path.
+drops the stored flows, and the next packet walks again.
 """
 
 import pytest
@@ -12,8 +12,6 @@ import pytest
 from repro.anycast import DefaultRootedAnycast
 from repro.net import Domain, Network, Outcome, Prefix, ipv4, ipv4_packet
 from repro.net.address import VNAddress
-from repro.net.errors import ForwardingError
-from repro.net.fastpath import FlowFastPath
 from repro.net.forwarding import ForwardingEngine, VnDeliver, VnDrop
 from repro.net.node import FibEntry, RouteSource
 from repro.net.packet import IPv4Header, Packet, VNHeader, vn_packet
@@ -149,15 +147,6 @@ class TestVnFlows:
         assert _fastpath(deployment).hits == 0
         assert len(_fastpath(deployment)) == 0
 
-    def test_vn_sends_while_paused_are_never_stored(self, deployment):
-        _fastpath(deployment).pause()
-        first = deployment.send("hx", "hz")
-        second = deployment.send("hx", "hz")
-        assert first.delivered and second is not first
-        assert first.to_dict() == second.to_dict()
-        assert _fastpath(deployment).stats()["hits"] == 0
-        assert len(_fastpath(deployment)) == 0
-
 
 class TestInvalidation:
     def test_link_state_change_invalidates(self):
@@ -273,35 +262,4 @@ class TestInvalidationSites:
         assert not deployment.needs_rebuild  # so its own bump is not run
         service.rebuild()
         assert len(_fastpath(deployment)) == 0
-
-
-class TestPauseResume:
-    def test_paused_fastpath_neither_serves_nor_stores(self):
-        net = line_network()
-        engine = ForwardingEngine(net)
-        engine.forward(_packet(net), "r0")
-        engine.fastpath.pause()
-        assert not engine.fastpath.active
-        assert len(engine.fastpath) == 0  # pause flushed the cache
-        engine.forward(_packet(net), "r0")
-        assert engine.fastpath.hits == 0
-        assert len(engine.fastpath) == 0  # nothing stored while paused
-        engine.fastpath.resume()
-        engine.forward(_packet(net), "r0")
-        engine.forward(_packet(net), "r0")
-        assert engine.fastpath.hits == 1
-
-    def test_pause_nests(self):
-        fastpath = FlowFastPath(line_network())
-        fastpath.pause()
-        fastpath.pause()
-        fastpath.resume()
-        assert fastpath.paused
-        fastpath.resume()
-        assert not fastpath.paused
-
-    def test_resume_without_pause_raises(self):
-        fastpath = FlowFastPath(line_network())
-        with pytest.raises(ForwardingError):
-            fastpath.resume()
 

@@ -41,10 +41,12 @@ against lives here, as test code:
   the IGP gates skip is re-derived from scratch and compared, so a run
   that finishes has given exactly the answers an uncached, ungated run
   would have;
-* :func:`slow_path_held` and :func:`per_message_bgp` — hold the levers
-  ``src/`` selects from observable state (``FlowFastPath.pause()``, an
-  active ``MessagePerturbation``) for a whole run, to compare it with a
-  run that used the fast path / MRAI batching;
+* :func:`slow_path_held` — a flow fast path that never finds or stores
+  a flow, so every packet walks hop by hop, to compare a run with one
+  that used the fast path;
+* :func:`per_message_bgp` — holds the lever ``src/`` selects from
+  observable state (an active ``MessagePerturbation``) for a whole run,
+  to compare it with a run that used MRAI batching;
 * :func:`reference_validate_trace_lines` and
   :func:`reference_validate_span_lines` — the trace and span validators
   as they were before they skipped lines that cannot fail: every line
@@ -631,16 +633,12 @@ def per_message_bgp() -> Iterator[None]:
 # -- the flow fast path ------------------------------------------------------
 @contextmanager
 def slow_path_held() -> Iterator[None]:
-    """Every ``FlowFastPath`` built in the block starts ``pause()``d and
-    is never resumed: each packet walks hop by hop."""
-    init = FlowFastPath.__init__
-
-    def init_paused(self: FlowFastPath, network: Network) -> None:
-        init(self, network)
-        self.pause()
-
+    """Every ``FlowFastPath`` in the block finds nothing and stores
+    nothing: each packet walks hop by hop, and the fast path's own
+    counters stay at zero."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FlowFastPath, "__init__", init_paused)
+        patch.setattr(FlowFastPath, "lookup", lambda self, key: None)
+        patch.setattr(FlowFastPath, "store", lambda self, key, trace: None)
         yield
 
 

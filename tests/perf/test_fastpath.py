@@ -1,24 +1,27 @@
 """Fast path == slow path: flow aggregation never changes answers.
 
 Mirrors ``test_determinism``: every scenario runs twice on the same
-seed — once as shipped and once with ``FlowFastPath.pause()`` held from
-construction (``tests/oracles.py::slow_path_held``), so every packet
-walks hop by hop — and the canonical JSON payloads must be
-bit-identical.  A traced fault-epoch run additionally locks the
-``repro.report/v1`` critical paths: fault epochs pause the fast path
-themselves, so the span trees the analyzer extracts phase timings from
-are the same event for event.  A traced run of repeated flows locks the
-trace file itself: an observed replay emits what a walk emits.
+seed — once as shipped and once with a fast path that finds and stores
+nothing (``tests/oracles.py::slow_path_held``), so every packet walks
+hop by hop — and the canonical JSON payloads must be bit-identical.
+Fault plans forward on the same path as everything else, so a plan
+whose probes repeat is served and must answer as the held leg does.  A
+traced fault-epoch run additionally locks the ``repro.report/v1``
+critical paths: an observed replay emits the span and event a walk
+emits, so the span trees the analyzer extracts phase timings from are
+the same event for event.  A traced run of repeated flows locks the
+trace file itself.
 """
 
 import pytest
 
 from repro.analyze import build_report
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Observability, Tracer, observing, strip_wall_fields
 
 from tests.oracles import slow_path_held
-from tests.scenarios import (SCENARIO_IDS, SCENARIOS, deployed_internet,
-                             fault_epoch, run_leg, traced_fault_report)
+from tests.scenarios import (FAULT_SAMPLE, SCENARIO_IDS, SCENARIOS,
+                             deployed_internet, run_leg, traced_fault_report)
 
 
 @pytest.mark.parametrize("name,scenario", SCENARIOS, ids=SCENARIO_IDS)
@@ -47,11 +50,40 @@ def test_repeated_sweep_aggregates_flows():
     assert fastpath.stats()["packets_aggregated"] >= 60
 
 
+def _repeating_fault_epoch(seed):
+    """:func:`tests.scenarios.fault_epoch` with every phase probing its
+    host pairs twice, IPvN and IPv4."""
+    internet, deployment = deployed_internet(seed)
+    victim = sorted(deployment.states)[1]
+    plan = (FaultPlan()
+            .crash_node(victim, at=10.0)
+            .recover_node(victim, at=200.0))
+
+    def sweep():
+        return [internet.reachability(8, sample=FAULT_SAMPLE, seed=seed),
+                internet.ipv4_reachability(sample=FAULT_SAMPLE, seed=seed)]
+
+    def workload():
+        first, second = sweep(), sweep()
+        assert ([report.to_dict() for report in second]
+                == [report.to_dict() for report in first])
+        return second[0]
+
+    reports = FaultInjector(internet.orchestrator, plan,
+                            deployments=[deployment]).play(workload)
+    return {"victim": victim,
+            "epochs": [report.to_dict() for report in reports]}
+
+
 def test_fault_epochs_always_take_the_slow_path():
-    leg = run_leg(fault_epoch, seed=7)
-    # play() pauses the fast path for the whole plan, so transient and
-    # recovered measurements never replay a cached walk.
-    assert leg.counter("perf.fastpath.hits") == 0
+    """The id is historical: fault plans forward on the one path, so a
+    plan whose probes repeat is served, with the held leg's answers."""
+    on = run_leg(_repeating_fault_epoch, seed=7)
+    with slow_path_held():
+        off = run_leg(_repeating_fault_epoch, seed=7)
+    assert on.counter("perf.fastpath.hits") > 0
+    assert off.counter("perf.fastpath.hits") == 0
+    assert on.payload == off.payload
 
 
 def _traced_repeat_run(path):
@@ -96,7 +128,6 @@ def test_report_critical_paths_identical_fastpath_on_vs_off():
         assert epoch_on["critical_path"] == epoch_off["critical_path"]
         assert epoch_on["transient"] == epoch_off["transient"]
         assert epoch_on["recovered"] == epoch_off["recovered"]
-    # Forwarding distributions come from per-packet spans; the fault
-    # scenario's probes all run under paused epochs, so even these
-    # match span for span.
+    # Forwarding distributions come from per-packet spans, and a replay
+    # ends its span with the walk's fields, so even these match.
     assert on["forwarding"] == off["forwarding"]

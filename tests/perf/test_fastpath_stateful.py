@@ -3,8 +3,10 @@
 A Hypothesis state machine drives a small generated internet through
 adoption (deploy / expand / undeploy / rebuild), liveness changes made
 behind the control plane's back (link fail / restore, node crash /
-recovery), host mobility and multicast joins, interleaved with repeated
-IPvN and IPv4 sends.  It runs under ``paranoid_caches``
+recovery), whole fault plans played by a ``FaultInjector`` (repeated
+sends in their transient and recovered phases), anycast members
+joining and leaving, host mobility and multicast joins, interleaved
+with repeated IPvN and IPv4 sends.  It runs under ``paranoid_caches``
 (``tests/oracles.py``), which walks a copy of every packet the fast
 path answers and asserts the replayed trace equals the walked one — so
 a site that changes forwarding state without dropping the stored flows
@@ -27,12 +29,15 @@ parallel-link and border-crash tests of
 ``tests/routing/test_install_gate.py``, not here.)
 """
 
+from collections import Counter
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, precondition, rule,
                                  run_state_machine_as_test)
 
 from repro.core.evolution import EvolvableInternet
+from repro.faults import FaultInjector, FaultPlan
 from repro.net.link import LinkScope
 from repro.net.packet import ipv4_packet
 from repro.routing.linkstate import LinkStateRouting
@@ -50,8 +55,11 @@ class FastPathChurn(RuleBasedStateMachine):
     """One small world per example; rules pick targets by index so every
     example is a pure function of the drawn integers."""
 
-    def __init__(self) -> None:
+    def __init__(self, verified: Counter) -> None:
         super().__init__()
+        #: ``paranoid_caches``' counts; ``play_fault_plan`` adds the
+        #: replays re-walked inside a plan as ``"fastpath_in_plans"``.
+        self.verified = verified
         spec = InternetSpec(n_tier1=2, n_tier2=2, n_stub=4, seed=SEED)
         generated = generate_internet(spec)
         # Two-router stubs: no loop for distance-vector to count around.
@@ -147,7 +155,7 @@ class FastPathChurn(RuleBasedStateMachine):
         for key in ("members_written", "rows_written", "rows_removed"):
             assert after[key] == stats[key], key
 
-    # -- liveness, with no fault epoch pausing the fast path ---------------
+    # -- liveness, behind the control plane's back ----------------------------
     @rule(index=st.integers(0, 63))
     def fail_link(self, index):
         link = self.network.links[self._pick(self.network.links, index)]
@@ -230,17 +238,68 @@ class FastPathChurn(RuleBasedStateMachine):
     def join_group(self, index):
         self.multicast.join(self.group, self._pick(self.hosts, index))
 
+    @rule(index=st.integers(0, 7))
+    def anycast_member_join_leave(self, index):
+        """An ISP withdraws one of its IPvN routers from the anycast
+        group, or configures it back in."""
+        scheme = self.deployment.scheme
+        router_id = self._pick(self.deployment.live_members(), index)
+        if router_id in scheme.members:
+            scheme.remove_member(router_id)
+        elif router_id is not None:
+            scheme.add_member(router_id)
+
+    # -- fault plans, on the forwarding path every other packet takes -------
+    @rule(index=st.integers(0, 63), src=st.integers(0, 7),
+          crash=st.booleans(), rebuild=st.booleans())
+    def play_fault_plan(self, index, src, crash, rebuild):
+        """One fault and its repair, played by a ``FaultInjector`` whose
+        workload sends the same IPvN and IPv4 pairs twice in each phase:
+        the second send of a pair is a replay ``paranoid_caches``
+        re-walks.  Without the vN-Bone rebuild nothing bumps between
+        the route reinstall and the recovered phase but the reinstall
+        itself."""
+        routers = sorted(node_id for node_id, node in self.network.nodes.items()
+                         if node.is_router and node.up)
+        if crash:
+            victim = self._pick(routers, index)
+            plan = (FaultPlan().crash_node(victim, at=10.0)
+                    .recover_node(victim, at=50.0))
+        else:
+            key = self._pick([key for key, link in self.network.links.items()
+                              if link.up and set(key) <= set(routers)], index)
+            if key is None:
+                return
+            plan = FaultPlan().link_down(*key, at=10.0).link_up(*key, at=50.0)
+        if self.deployment.needs_rebuild:
+            self.deployment.rebuild()
+        src_id = self._pick(self.hosts, src)
+        dsts = [dst_id for dst_id in self.hosts if dst_id != src_id]
+
+        def workload():
+            for _ in range(2):
+                for dst_id in dsts:
+                    self.deployment.send(src_id, dst_id)
+                    self._ipv4(src_id, dst_id)
+
+        replays = self.verified["fastpath"]
+        FaultInjector(self.orch, plan,
+                      deployments=[self.deployment] if rebuild else ()
+                      ).play(workload)
+        self.verified["fastpath_in_plans"] += self.verified["fastpath"] - replays
+
 
 def test_every_replay_equals_a_fresh_walk_under_churn(paranoid_caches):
     with checked_igp_installs() as igp, checked_bgp_installs() as bgp, \
             checked_vn_rebuilds() as vn:
         run_state_machine_as_test(
-            FastPathChurn,
+            lambda: FastPathChurn(paranoid_caches),
             settings=settings(max_examples=40, stateful_step_count=30,
                               deadline=None))
     # A divergent replay (install, rebuild) asserts inside the run; this
     # shows the run replayed (installed, rebuilt, skipped) at all.
     assert paranoid_caches["fastpath"] > 0
+    assert paranoid_caches["fastpath_in_plans"] > 0
     assert paranoid_caches["igp_install"] > 0
     assert paranoid_caches["igp_refresh"] > 0
     assert igp["routers"] > 0 and vn["members"] > 0
