@@ -14,7 +14,7 @@ from repro.core.metrics import vn_coverage, vn_tail_length
 from repro.core.orchestrator import Orchestrator
 from repro.anycast import DefaultRootedAnycast, GlobalAnycast
 from repro.topogen import figure1, figure2, figure3, figure4
-from repro.vnbone import EgressPolicy, VnDeployment
+from repro.vnbone import EgressPolicy, VnDeployment, proxies_for_domain
 from repro.experiments.base import ExperimentResult, register
 
 
@@ -173,9 +173,10 @@ def run_figure4(seed: int = 0,
     for label, policy, threshold in configs:
         fig, deployment = _figure4_deployment(policy, threshold)
         if policy is EgressPolicy.PROXY:
-            proxies = deployment.proxy.proxies_for_domain(
+            proxies = proxies_for_domain(
+                fig.network, deployment.orchestrator.bgp, deployment.version,
                 fig.asn("Z"), deployment.members(),
-                deployment.adopting_asns())
+                deployment.adopting_asns(), deployment.proxy_threshold)
             proxy_domains = sorted({fig.network.domains[
                 fig.network.node(p).domain_id].name for p in proxies})
         else:

@@ -34,7 +34,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.net.errors import ConvergenceError, SimulationError
 from repro.obs import MetricSampler, Observability, SpanContext, get_obs
@@ -360,6 +360,3 @@ class MessageStats:
         self.sent = 0
         self.delivered = 0
         self.bytes_sent = 0
-
-
-Clock = Tuple[float, int]

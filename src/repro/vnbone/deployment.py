@@ -27,19 +27,20 @@ import itertools
 import math
 import random
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
 from repro.net.address import Prefix
-from repro.net.errors import DeploymentError
+from repro.net.domain import Domain
+from repro.net.errors import DeploymentError, ParameterError
 from repro.net.forwarding import ForwardingTrace
 from repro.net.node import Host
 from repro.net.packet import IPv4Header, vn_packet
 from repro.core.orchestrator import Orchestrator
 from repro.anycast.service import AnycastScheme
 from repro.vnbone.addressing import VnAddressPlan
+from repro.vnbone.bgpvn import LayeredVnRouting
 from repro.vnbone.egress import (EgressPolicy, HostRegistry,
                                  external_owner_entries)
-from repro.vnbone.proxy import ProxyAdvertiser
 from repro.vnbone.routing import OwnerEntry, VnRouting, make_vn_handler
 from repro.vnbone.state import VnAction, VnRouterState
 from repro.vnbone.topology import VnBoneTopology, VnTunnel
@@ -69,6 +70,8 @@ class VnDeployment:
                  egress_policy: EgressPolicy = EgressPolicy.BGP_INFORMED,
                  proxy_threshold: int = 1, fallback_exit: bool = True,
                  routing_mode: str = "global-spf") -> None:
+        if proxy_threshold < 0:
+            raise ParameterError("proxy threshold must be non-negative")
         self.orchestrator = orchestrator
         self.network = orchestrator.network
         self.scheme = scheme
@@ -78,19 +81,19 @@ class VnDeployment:
         anchor = getattr(scheme, "default_asn", None)
         self.topology = VnBoneTopology(orchestrator, version,
                                        k_neighbors=k_neighbors, anchor_asn=anchor)
+        self.routing: Union[VnRouting, LayeredVnRouting]
         if routing_mode == "global-spf":
             self.routing = VnRouting(self.network, version)
         elif routing_mode == "layered":
-            from repro.vnbone.bgpvn import LayeredVnRouting
-
             self.routing = LayeredVnRouting(self.network, version)
         else:
             raise DeploymentError(
                 f"unknown routing_mode {routing_mode!r}; "
                 "choose 'global-spf' or 'layered'")
-        self.routing_mode = routing_mode
-        self.proxy = ProxyAdvertiser(self.network, orchestrator.bgp, version,
-                                     threshold=proxy_threshold)
+        #: Maximum IPv(N-1) AS-path length at which a member still
+        #: proxies a destination domain under ``EgressPolicy.PROXY``
+        #: (1 = direct neighbors only).
+        self.proxy_threshold = proxy_threshold
         self.host_registry = HostRegistry(version)
         self.states: Dict[str, VnRouterState] = {}
         self.tunnels: List[VnTunnel] = []
@@ -112,9 +115,7 @@ class VnDeployment:
         drawn from *rng*, which fractional callers must supply
         explicitly (:func:`adoption_rng` is the canonical choice).
         """
-        if asn not in self.network.domains:
-            raise DeploymentError(f"unknown domain AS{asn}")
-        domain = self.network.domains[asn]
+        domain = self._domain(asn)
         available = sorted(domain.routers)
         if not available:
             raise DeploymentError(f"AS{asn} has no routers to upgrade")
@@ -142,6 +143,12 @@ class VnDeployment:
         self.orchestrator.engine.fastpath.bump()
         return chosen
 
+    def _domain(self, asn: int) -> Domain:
+        try:
+            return self.network.domains[asn]
+        except KeyError:
+            raise DeploymentError(f"unknown domain AS{asn}") from None
+
     def _make_member(self, router_id: str, asn: int) -> None:
         if router_id in self.states:
             return
@@ -155,9 +162,10 @@ class VnDeployment:
 
     def expand(self, asn: int, router_ids: Set[str]) -> None:
         """Upgrade additional routers of an already-adopting AS."""
-        if not self.network.domains[asn].deploys(self.version):
+        domain = self._domain(asn)
+        if not domain.deploys(self.version):
             raise DeploymentError(f"AS{asn} has not adopted IPv{self.version} yet")
-        self.network.domains[asn].deploy_version(self.version, set(router_ids))
+        domain.deploy_version(self.version, set(router_ids))
         for router_id in sorted(router_ids):
             self._make_member(router_id, asn)
         self._dirty = True
@@ -165,7 +173,7 @@ class VnDeployment:
 
     def undeploy(self, asn: int) -> None:
         """Roll IPvN back in AS *asn* (churn experiments)."""
-        domain = self.network.domains[asn]
+        domain = self._domain(asn)
         for router_id in sorted(domain.vn_router_ids(self.version)):
             self.scheme.remove_member(router_id)
             node = self.network.node(router_id)
@@ -224,10 +232,7 @@ class VnDeployment:
                 state_a.is_vn_border = True
                 state_b.is_vn_border = True
         entries = self._owner_entries(members_by_domain, live)
-        if self.routing_mode == "layered":
-            self.routing.compute(self.states, entries, self.tunnels)
-        else:
-            self.routing.compute(self.states, entries)
+        self.routing.compute(self.states, entries)
         self._dirty = False
         # Acceptance sets and vN routing changed after reconverge()'s
         # bump: drop cached flow-level walks once more.
@@ -272,13 +277,10 @@ class VnDeployment:
                     action=VnAction.EGRESS, egress_ipv4=host.ipv4,
                     origin="host"))
         # External (non-adopting) destination domains.
-        adopting = set(members_by_domain)
-        if self.egress_policy is EgressPolicy.PROXY:
-            entries.extend(self.proxy.owner_entries(members, adopting))
-        else:
-            entries.extend(external_owner_entries(
-                self.network, self.orchestrator.bgp, self.version, members,
-                self.egress_policy, adopting))
+        entries.extend(external_owner_entries(
+            self.network, self.orchestrator.bgp, self.version, members,
+            self.egress_policy, set(members_by_domain),
+            proxy_threshold=self.proxy_threshold))
         # Host-registry advertisements serve two callers: the rejected
         # HOST_ADVERTISED egress design, and mobility (a moved host's
         # pinned address advertised from its new attachment).

@@ -18,8 +18,9 @@ should *leave* the vN-Bone:
   host's temporary address.  Implemented for comparison; the paper
   keeps it on the table "in the case of IPvNs where [its] issues turn
   out to not be problematic".
-* ``PROXY`` — advertising-by-proxy (Figure 4), implemented in
-  :mod:`repro.vnbone.proxy` on top of the same machinery.
+* ``PROXY`` — advertising-by-proxy (Figure 4): only members within a
+  threshold of IPv(N-1) AS hops advertise "their distance to Z";
+  :func:`proxies_for_domain` names them.
 
 Selection is realized by *advertising* external-domain prefixes into
 vN-Bone routing (as :class:`~repro.vnbone.routing.OwnerEntry` items)
@@ -96,6 +97,19 @@ def external_owner_entries(network: Network, bgp: BgpProtocol, version: int,
                        egress_ipv4=None, advertised_cost=cost, origin=origin)
             for member, cost in sorted(costs[asn].items()))
     return entries
+
+
+def proxies_for_domain(network: Network, bgp: BgpProtocol, version: int,
+                       asn: int, members: Iterable[str],
+                       adopting_asns: Set[int],
+                       proxy_threshold: int) -> List[str]:
+    """Which of *members* proxy destination domain *asn* under
+    ``PROXY`` (Figure 4's B and C)."""
+    wanted = vn_prefix_for_ipv4(network.domains[asn].prefix, version=version)
+    entries = external_owner_entries(network, bgp, version, members,
+                                     EgressPolicy.PROXY, adopting_asns,
+                                     proxy_threshold=proxy_threshold)
+    return sorted({e.owner for e in entries if e.prefix == wanted})
 
 
 def _as_path_hops(bgp: BgpProtocol,

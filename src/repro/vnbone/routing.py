@@ -11,13 +11,16 @@ more **owners** with an advertised cost, mirroring route origination:
 * native host addresses, owned by the member nearest the host's access
   router, which exits the vN-Bone towards the host (``EGRESS``),
 * self-addressed blocks of non-IPvN domains, owned by the egress
-  routers that :mod:`repro.vnbone.egress` selects (``EGRESS``),
-* proxy-advertised external domains (:mod:`repro.vnbone.proxy`).
+  routers that :mod:`repro.vnbone.egress` selects (``EGRESS``), or by
+  the proxies of advertising-by-proxy (``EgressPolicy.PROXY``).
 
 When several owners advertise the same prefix, each member routes to
 the one minimizing (vN-Bone distance + advertised cost) — anycast-style
 selection inside the vN-Bone, which is exactly how advertising-by-proxy
-picks the best exit (Figure 4).
+picks the best exit (Figure 4).  The tunnel graph
+(:func:`tunnel_graph`), the per-member SPF sweep (:func:`spf_sweep`)
+and this owner rule (:func:`write_owner_rows`) are shared with the
+layered :class:`~repro.vnbone.bgpvn.LayeredVnRouting`.
 
 The module also provides the forwarding-engine handler that makes IPvN
 routers act on these FIBs, including the fallback the paper calls "the
@@ -28,7 +31,7 @@ an IPv(N-1) destination, exit the vN-Bone and forward directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.net.address import IPv4Address, Prefix
 from repro.net.forwarding import (VnDecision, VnDeliver, VnDrop, VnEgress,
@@ -36,13 +39,15 @@ from repro.net.forwarding import (VnDecision, VnDeliver, VnDrop, VnEgress,
 from repro.net.network import Network, first_hop_spf
 from repro.net.node import Node
 from repro.net.packet import Packet, VNHeader
-from repro.obs import get_obs
+from repro.obs import Observability, get_obs
 from repro.vnbone.state import VnAction, VnFib, VnRouterState
 
 #: A canonical, hashable rendering of a tunnel-graph adjacency —
 #: member -> sorted (neighbor, cost) edges.  Equal signatures mean the
 #: SPF input is unchanged, so prior results can be reused verbatim.
 AdjacencySignature = Tuple[Tuple[str, Tuple[Tuple[str, float], ...]], ...]
+#: Member -> its first hop towards each member it reaches.
+FirstHops = Dict[str, Dict[str, str]]
 
 
 def adjacency_signature(
@@ -63,6 +68,91 @@ class OwnerEntry:
     origin: str = ""
 
 
+#: Each prefix with its candidate owners, prefixes by ``str`` and each
+#: prefix's entries by owner: the order selection reads them in.
+CandidateView = List[Tuple[Prefix, List[OwnerEntry]]]
+
+
+def tunnel_graph(states: Dict[str, VnRouterState]
+                 ) -> Dict[str, Dict[str, float]]:
+    """The members' virtual links, symmetric, cheapest cost per pair:
+    every member -> {neighbor member: cost}."""
+    adjacency: Dict[str, Dict[str, float]] = {m: {} for m in states}
+    for member, state in states.items():
+        for neighbor, cost in state.neighbors.items():
+            if neighbor not in states:
+                continue
+            adjacency[member][neighbor] = min(
+                cost, adjacency[member].get(neighbor, float("inf")))
+            adjacency[neighbor][member] = adjacency[member][neighbor]
+    return adjacency
+
+
+def spf_sweep(adjacency: Dict[str, Dict[str, float]], obs: Observability
+              ) -> Tuple[Dict[str, Dict[str, float]], FirstHops]:
+    """One ``first_hop_spf`` per member of *adjacency*: per member the
+    distance to, and first hop towards, every member it reaches."""
+    # Edge lists sorted once here, not once per heap pop.
+    sorted_adjacency = {member: sorted(edges.items())
+                        for member, edges in adjacency.items()}
+    dist: Dict[str, Dict[str, float]] = {}
+    first_hop: FirstHops = {}
+    for member in sorted(adjacency):
+        if obs.enabled:
+            obs.counter("perf.dijkstra_runs").inc()
+        tree = first_hop_spf(member, sorted_adjacency)
+        dist[member] = {n: tree[n][0] for n in sorted(tree)}
+        first_hop[member] = {
+            n: hop for n, (_, hop) in tree.items() if hop is not None}
+    return dist, first_hop
+
+
+def candidate_view(owner_entries: Iterable[OwnerEntry]) -> CandidateView:
+    """*owner_entries* grouped by prefix in selection order."""
+    by_prefix: Dict[Prefix, List[OwnerEntry]] = {}
+    for entry in owner_entries:
+        by_prefix.setdefault(entry.prefix, []).append(entry)
+    return [(prefix, sorted(by_prefix[prefix], key=lambda e: e.owner))
+            for prefix in sorted(by_prefix, key=str)]
+
+
+def write_owner_rows(member: str, fib: VnFib, view: CandidateView,
+                     dist: Dict[str, float], first_hop: Dict[str, str]
+                     ) -> Tuple[int, List[Prefix]]:
+    """Write, per prefix of *view*, the owner minimizing (distance +
+    advertised cost, owner) into *member*'s FIB; returns (rows written,
+    prefixes with a winner).  *view* lists each prefix's entries by
+    owner, so a later entry wins only when strictly cheaper.  Rows of
+    prefixes without a winner stay: the caller's ``retain`` drops them."""
+    write = fib.write
+    kept: List[Prefix] = []
+    written = 0
+    for prefix, candidates in view:
+        best: Optional[OwnerEntry] = None
+        best_total = 0.0
+        for entry in candidates:
+            if entry.owner == member:
+                total = entry.advertised_cost
+            else:
+                reach = dist.get(entry.owner)
+                if reach is None:
+                    continue  # owner unreachable over the vN-Bone
+                total = reach + entry.advertised_cost
+            if best is None or total < best_total:
+                best, best_total = entry, total
+        if best is None:
+            continue
+        kept.append(prefix)
+        if best.owner == member:
+            written += write(prefix, best.action, None, best.egress_ipv4,
+                             best_total, best.origin)
+        else:
+            written += write(prefix, VnAction.FORWARD,
+                             first_hop[best.owner], None, best_total,
+                             best.origin)
+    return written, kept
+
+
 class VnRouting:
     """Computes vN-Bone routes and installs IPvN FIBs."""
 
@@ -71,12 +161,12 @@ class VnRouting:
         self.version = version
         self.obs = get_obs()
         self._dist: Dict[str, Dict[str, float]] = {}
-        self._first_hop: Dict[str, Dict[str, str]] = {}
+        self._first_hop: FirstHops = {}
         #: Tunnel-graph signature the current SPF results were built from.
         self._signature: Optional[AdjacencySignature] = None
         #: The ordered candidate view the FIBs in ``_written`` were
         #: written from, and member -> the ``VnFib`` object written.
-        self._view: List[Tuple[Prefix, List[OwnerEntry]]] = []
+        self._view: CandidateView = []
         self._written: Dict[str, VnFib] = {}
         #: What the skip and the delta write did (see :meth:`gate_stats`).
         self.members_written = 0
@@ -105,39 +195,20 @@ class VnRouting:
         other member gets only the rows that differ written and the rows
         with no winner removed.
         """
-        adjacency: Dict[str, Dict[str, float]] = {m: {} for m in states}
-        for member, state in states.items():
-            for neighbor, cost in state.neighbors.items():
-                if neighbor not in states:
-                    continue
-                adjacency[member][neighbor] = min(
-                    cost, adjacency[member].get(neighbor, float("inf")))
-                adjacency[neighbor][member] = adjacency[member][neighbor]
+        adjacency = tunnel_graph(states)
         signature = adjacency_signature(adjacency)
         spf_reused = signature == self._signature
         if spf_reused:
             if self.obs.enabled:
                 self.obs.counter("vnbone.spf_cache_hits").inc()
         else:
-            # Edge lists sorted once here, not once per heap pop.
-            sorted_adjacency = {member: sorted(edges.items())
-                                for member, edges in adjacency.items()}
+            # The old sweep goes before the new one is built (peak RSS).
             self._dist.clear()
             self._first_hop.clear()
-            for member in sorted(states):
-                if self.obs.enabled:
-                    self.obs.counter("perf.dijkstra_runs").inc()
-                tree = first_hop_spf(member, sorted_adjacency)
-                self._dist[member] = {n: tree[n][0] for n in sorted(tree)}
-                self._first_hop[member] = {
-                    n: hop for n, (_, hop) in tree.items() if hop is not None}
+            self._dist, self._first_hop = spf_sweep(adjacency, self.obs)
             self._signature = signature
-        by_prefix: Dict[Prefix, List[OwnerEntry]] = {}
-        for entry in owner_entries:
-            by_prefix.setdefault(entry.prefix, []).append(entry)
         # Ordered once: every member selects over the same view.
-        ordered = [(prefix, sorted(by_prefix[prefix], key=lambda e: e.owner))
-                   for prefix in sorted(by_prefix, key=str)]
+        ordered = candidate_view(owner_entries)
         if not spf_reused or ordered != self._view:
             self._view = ordered
             self._written = {}
@@ -146,11 +217,13 @@ class VnRouting:
             fib = states[member].fib
             if self._written.get(member) is fib:
                 continue
-            added, removed = self._write_member(member, fib, ordered)
+            added, kept = write_owner_rows(member, fib, ordered,
+                                           self._dist.get(member, {}),
+                                           self._first_hop.get(member, {}))
             self._written[member] = fib
             written += 1
             rows_written += added
-            rows_removed += removed
+            rows_removed += fib.retain(kept)
         skipped = len(states) - written
         self.members_written += written
         self.members_skipped += skipped
@@ -161,44 +234,6 @@ class VnRouting:
             self.obs.counter("vnbone.fib.members_skipped").inc(skipped)
             self.obs.counter("vnbone.fib.rows_written").inc(rows_written)
             self.obs.counter("vnbone.fib.rows_removed").inc(rows_removed)
-
-    def _write_member(self, member: str, fib: VnFib,
-                      ordered: List[Tuple[Prefix, List[OwnerEntry]]]
-                      ) -> Tuple[int, int]:
-        """Write, per prefix, the owner minimizing (vN-Bone distance +
-        advertised cost, owner), and remove the rows of prefixes with no
-        winner; returns (rows written, rows removed).  *ordered* lists
-        each prefix's entries by owner, so a later entry wins only when
-        strictly cheaper."""
-        write = fib.write
-        dist = self._dist.get(member, {})
-        first_hop = self._first_hop.get(member, {})
-        kept: List[Prefix] = []
-        written = 0
-        for prefix, candidates in ordered:
-            best: Optional[OwnerEntry] = None
-            best_total = 0.0
-            for entry in candidates:
-                if entry.owner == member:
-                    total = entry.advertised_cost
-                else:
-                    reach = dist.get(entry.owner)
-                    if reach is None:
-                        continue  # owner unreachable over the vN-Bone
-                    total = reach + entry.advertised_cost
-                if best is None or total < best_total:
-                    best, best_total = entry, total
-            if best is None:
-                continue
-            kept.append(prefix)
-            if best.owner == member:
-                written += write(prefix, best.action, None, best.egress_ipv4,
-                                 best_total, best.origin)
-            else:
-                written += write(prefix, VnAction.FORWARD,
-                                 first_hop[best.owner], None, best_total,
-                                 best.origin)
-        return written, fib.retain(kept)
 
     # -- inspection ---------------------------------------------------------------------
     def distance(self, a: str, b: str) -> Optional[float]:

@@ -127,8 +127,14 @@ class VnBoneTopology:
         for asn in sorted(members_by_domain):
             tunnels.extend(self._build_intra(asn, members_by_domain[asn], join_order))
         tunnels.extend(self._build_inter(members_by_domain, join_order))
-        tunnels.extend(self._ensure_anchor_connectivity(members_by_domain,
-                                                        join_order, tunnels))
+        # Anchor (default provider) connectivity: every component joins
+        # the one holding the anchor's first member.
+        all_members = sorted({m for members in members_by_domain.values()
+                              for m in members})
+        if len(all_members) >= 2:
+            anchor = self._anchor_member(members_by_domain, join_order)
+            tunnels.extend(self._repair_partitions(
+                all_members, tunnels, anchor, self.network.shortest_path_tree))
         return self._dedupe(tunnels)
 
     @staticmethod
@@ -161,9 +167,8 @@ class VnBoneTopology:
                  if other != member and other in tree))
             for cost, other in candidates[:self.k_neighbors]:
                 tunnels.append(VnTunnel(a=member, b=other, cost=cost, kind="intra"))
-        tunnels.extend(self._repair_partitions(members, tunnels,
-                                               lambda m: self._intra_tree(m, asn),
-                                               kind="repair"))
+        tunnels.extend(self._repair_partitions(
+            members, tunnels, members[0], lambda m: self._intra_tree(m, asn)))
         return tunnels
 
     def _intra_bootstrap(self, asn: int, members: List[str],
@@ -189,22 +194,19 @@ class VnBoneTopology:
         return tunnels
 
     def _repair_partitions(self, members: List[str], tunnels: List[VnTunnel],
-                           tree_of: Callable[[str], Tree], kind: str
+                           root: str, tree_of: Callable[[str], Tree]
                            ) -> List[VnTunnel]:
-        """Connect disconnected member components via closest pairs."""
+        """Join every member component to the one holding *root*, one
+        closest pair (by *tree_of*'s distances) at a time."""
         repairs: List[VnTunnel] = []
         uf = _UnionFind(members)
         for tunnel in tunnels:
             uf.union(tunnel.a, tunnel.b)
         while True:
-            components = list(uf.components().values())
-            if len(components) <= 1:
-                return repairs
+            components = uf.components()
+            main = components.pop(uf.find(root))
             best: Optional[Tuple[float, str, str]] = None
-            main = min(components, key=lambda c: min(c))
-            for component in components:
-                if component is main:
-                    continue
+            for component in components.values():
                 for member in sorted(component):
                     tree = tree_of(member)
                     for target in sorted(main):
@@ -214,9 +216,10 @@ class VnBoneTopology:
                         if best is None or key < best:
                             best = key
             if best is None:
-                return repairs  # physically partitioned; nothing to do
+                return repairs  # connected, or physically partitioned
             cost, member, target = best
-            repairs.append(VnTunnel(a=member, b=target, cost=cost, kind=kind))
+            repairs.append(VnTunnel(a=member, b=target, cost=cost,
+                                    kind="repair"))
             uf.union(member, target)
 
     # -- inter-domain ------------------------------------------------------------------
@@ -262,45 +265,16 @@ class VnBoneTopology:
         return tunnels
 
     # -- anchor (default provider) connectivity ---------------------------------------------
-    def _ensure_anchor_connectivity(self, members_by_domain: Dict[int, Set[str]],
-                                    join_order: Dict[str, int],
-                                    tunnels: List[VnTunnel]) -> List[VnTunnel]:
-        all_members = sorted({m for members in members_by_domain.values()
-                              for m in members})
-        if len(all_members) < 2:
-            return []
+    def _anchor_member(self, members_by_domain: Dict[int, Set[str]],
+                       join_order: Dict[str, int]) -> str:
+        """The first member of the anchor AS — the default provider if it
+        adopted, else the earliest-joined adopting AS."""
         anchor_asn = self.anchor_asn
         if anchor_asn is None or anchor_asn not in members_by_domain:
             domain_join = {asn: min(join_order.get(m, 0) for m in members)
                            for asn, members in members_by_domain.items() if members}
             anchor_asn = min(domain_join, key=lambda a: (domain_join[a], a))
-        anchor_member = min(members_by_domain[anchor_asn])
-        uf = _UnionFind(all_members)
-        for tunnel in tunnels:
-            uf.union(tunnel.a, tunnel.b)
-        repairs: List[VnTunnel] = []
-        while True:
-            components = uf.components()
-            anchor_root = uf.find(anchor_member)
-            others = [c for root, c in components.items() if root != anchor_root]
-            if not others:
-                return repairs
-            anchor_component = components[anchor_root]
-            best: Optional[Tuple[float, str, str]] = None
-            for component in others:
-                for member in sorted(component):
-                    tree = self.network.shortest_path_tree(member)
-                    for target in sorted(anchor_component):
-                        if target not in tree:
-                            continue
-                        key = (tree[target][0], member, target)
-                        if best is None or key < best:
-                            best = key
-            if best is None:
-                return repairs
-            cost, member, target = best
-            repairs.append(VnTunnel(a=member, b=target, cost=cost, kind="repair"))
-            uf.union(member, target)
+        return min(members_by_domain[anchor_asn])
 
     # -- congruence metric (Section 3.3.1, last paragraph) --------------------------------
     def congruence(self, tunnels: List[VnTunnel]) -> Dict[str, float]:

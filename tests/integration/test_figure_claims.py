@@ -12,7 +12,7 @@ from repro.core.orchestrator import Orchestrator
 from repro.anycast import DefaultRootedAnycast, GlobalAnycast
 from repro.experiments import run
 from repro.topogen import figure1, figure2, figure3, figure4
-from repro.vnbone import EgressPolicy, VnDeployment
+from repro.vnbone import EgressPolicy, VnDeployment, proxies_for_domain
 
 
 class TestFigure1SeamlessSpread:
@@ -150,8 +150,9 @@ class TestFigure4AdvertisingByProxy:
 
     def test_proxies_are_b_and_c(self):
         fig, orch, deployment = self.build(EgressPolicy.PROXY)
-        proxies = deployment.proxy.proxies_for_domain(
-            fig.asn("Z"), deployment.members(), deployment.adopting_asns())
+        proxies = proxies_for_domain(
+            fig.network, orch.bgp, 8, fig.asn("Z"), deployment.members(),
+            deployment.adopting_asns(), deployment.proxy_threshold)
         proxy_domains = {fig.network.node(p).domain_id for p in proxies}
         assert proxy_domains == {fig.asn("B"), fig.asn("C")}
 

@@ -34,8 +34,11 @@ against lives here, as test code:
 * :func:`reference_vn_fibs` — the vN FIBs computed the way they were
   before selection shared its work: the AS-path length looked up once
   per (destination, member), prefixes and owners re-sorted for every
-  member; :func:`checked_vn_rebuilds` asserts it after every
-  ``VnDeployment.rebuild``;
+  member; :func:`reference_layered_vn_fibs` — the layered BGPvN FIBs
+  from the deployment's tunnel list, one SPF sweep per domain, its own
+  BGPvN solve and a per-row owner and border choice;
+  :func:`checked_vn_rebuilds` asserts the one that matches the
+  deployment's routing after every ``VnDeployment.rebuild``;
 * :func:`paranoid_caches` — a fixture under which every cache hit,
   every flow the fast path replays, and every router and ``refresh()``
   the IGP gates skip is re-derived from scratch and compared, so a run
@@ -71,8 +74,8 @@ from repro.bgp.routes import BgpRoute, BgpUpdate
 from repro.net.fastpath import FlowFastPath
 from repro.net.forwarding import ForwardingEngine, ForwardingTrace
 from repro.net.link import LinkScope
-from repro.net.network import Network
-from repro.net.address import Address, Prefix
+from repro.net.network import Network, first_hop_spf
+from repro.net.address import Address, IPv4Address, Prefix
 from repro.net.node import Fib, FibEntry, RouteSource
 from repro.net.simulator import EventScheduler, MessagePerturbation
 from repro.obs import NULL_OBS
@@ -82,7 +85,7 @@ from repro.perf.cache import TopologyMemo
 from repro.routing.distancevector import DistanceVectorRouting
 from repro.routing.igp import IgpProtocol
 from repro.routing.linkstate import LinkStateRouting
-from repro.vnbone.bgpvn import LayeredVnRouting
+from repro.vnbone.bgpvn import BgpVnRoute, BgpVnSolver
 from repro.vnbone.deployment import VnDeployment
 from repro.vnbone.egress import EGRESS_AS_HOP_COST, EgressPolicy
 from repro.vnbone.routing import OwnerEntry, VnRouting
@@ -504,7 +507,7 @@ def _reference_external_entries(deployment: VnDeployment, members: List[str],
             if hops is None:
                 continue
             if (policy is EgressPolicy.PROXY
-                    and hops > deployment.proxy.threshold):
+                    and hops > deployment.proxy_threshold):
                 continue
             entries.append(OwnerEntry(prefix=vn_prefix, owner=member,
                                       action=VnAction.EGRESS, egress_ipv4=None,
@@ -580,6 +583,159 @@ def reference_vn_fibs(deployment: VnDeployment
     return fibs
 
 
+def _layered_intra_spf(members: Set[str],
+                       adjacency: Dict[str, Dict[str, float]]
+                       ) -> Tuple[Dict[str, Dict[str, float]],
+                                  Dict[str, Dict[str, str]]]:
+    dists: Dict[str, Dict[str, float]] = {}
+    hops: Dict[str, Dict[str, str]] = {}
+    sorted_adjacency = {member: sorted(edges.items())
+                        for member, edges in adjacency.items()}
+    for source in sorted(members):
+        tree = first_hop_spf(source, sorted_adjacency)
+        dists[source] = {n: tree[n][0] for n in sorted(tree)}
+        hops[source] = {n: hop for n, (_, hop) in tree.items()
+                        if hop is not None}
+    return dists, hops
+
+
+#: One vN FIB row after the prefix: (action, next hop, egress IPv4,
+#: metric, origin).
+_VnRow = Tuple[VnAction, Optional[str], Optional[IPv4Address], float, str]
+_Sessions = Dict[Tuple[int, int], List[Tuple[str, str, float]]]
+
+
+def _layered_local_row(member: str, prefix: Prefix, asn: int,
+                       by_owner_domain: Dict[Tuple[Prefix, int],
+                                             List[OwnerEntry]],
+                       dist: Dict[str, float], hops: Dict[str, str]
+                       ) -> Optional[_VnRow]:
+    entries = by_owner_domain.get((prefix, asn), [])
+    best: Optional[Tuple[float, str, OwnerEntry]] = None
+    for entry in sorted(entries, key=lambda e: e.owner):
+        if entry.owner == member:
+            total = entry.advertised_cost
+        elif entry.owner in dist:
+            total = dist[entry.owner] + entry.advertised_cost
+        else:
+            continue
+        if best is None or (total, entry.owner) < best[:2]:
+            best = (total, entry.owner, entry)
+    if best is None:
+        return None
+    total, owner, entry = best
+    if owner == member:
+        return (entry.action, None, entry.egress_ipv4, total, entry.origin)
+    return (VnAction.FORWARD, hops[owner], None, total, entry.origin)
+
+
+def _layered_transit_row(member: str, asn: int, next_asn: int,
+                         sessions: _Sessions, dist: Dict[str, float],
+                         hops: Dict[str, str]) -> Optional[_VnRow]:
+    key = (min(asn, next_asn), max(asn, next_asn))
+    borders = sessions.get(key, [])
+    if asn > next_asn:
+        borders = [(remote, local, cost) for local, remote, cost in borders]
+    best: Optional[Tuple[float, str, str]] = None
+    for local, remote, tunnel_cost in sorted(borders):
+        if local == member:
+            candidate = (tunnel_cost, local, remote)
+        elif local in dist:
+            candidate = (dist[local] + tunnel_cost, local, remote)
+        else:
+            continue
+        if best is None or candidate < best:
+            best = candidate
+    if best is None:
+        return None
+    cost, local, remote = best
+    next_hop = remote if local == member else hops[local]
+    return (VnAction.FORWARD, next_hop, None, cost, "bgpvn")
+
+
+def reference_layered_vn_fibs(deployment: VnDeployment
+                              ) -> Dict[str, List[VnFibEntry]]:
+    """Every member's layered BGPvN FIB entries, derived from
+    ``deployment.tunnels`` (not the members' neighbour sets): intra
+    tunnels make one SPF sweep per adopting domain, inter-domain tunnels
+    the BGPvN sessions, a fresh :class:`BgpVnSolver` picks each
+    domain's routes, and each row is chosen on its own — a prefix the
+    member's domain originates by the first minimum of ``(distance +
+    advertised cost, owner)`` over that domain's owners, any other
+    prefix by the cheapest ``(cost, local border, remote border)``
+    towards the next AS on the route."""
+    states = deployment.states
+    network = deployment.network
+    owner_entries = _reference_owner_entries(deployment)
+    domain_of = {rid: network.node(rid).domain_id for rid in states}
+    members_by_domain: Dict[int, Set[str]] = {}
+    for rid, asn in domain_of.items():
+        members_by_domain.setdefault(asn, set()).add(rid)
+    intra_adj: Dict[int, Dict[str, Dict[str, float]]] = {
+        asn: {m: {} for m in members}
+        for asn, members in members_by_domain.items()}
+    sessions: _Sessions = {}
+    for tunnel in deployment.tunnels:
+        if tunnel.a not in states or tunnel.b not in states:
+            continue
+        asn_a, asn_b = domain_of[tunnel.a], domain_of[tunnel.b]
+        if asn_a == asn_b:
+            adj = intra_adj[asn_a]
+            adj[tunnel.a][tunnel.b] = min(
+                tunnel.cost, adj[tunnel.a].get(tunnel.b, float("inf")))
+            adj[tunnel.b][tunnel.a] = adj[tunnel.a][tunnel.b]
+        else:
+            key = (min(asn_a, asn_b), max(asn_a, asn_b))
+            local, remote = ((tunnel.a, tunnel.b) if asn_a <= asn_b
+                             else (tunnel.b, tunnel.a))
+            sessions.setdefault(key, []).append((local, remote, tunnel.cost))
+    dist: Dict[str, Dict[str, float]] = {}
+    hops: Dict[str, Dict[str, str]] = {}
+    for asn, members in members_by_domain.items():
+        dists, first_hops = _layered_intra_spf(members, intra_adj[asn])
+        dist.update(dists)
+        hops.update(first_hops)
+    adjacency: Dict[int, Set[int]] = {asn: set() for asn in members_by_domain}
+    for a, b in sessions:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    originations: Dict[int, List[BgpVnRoute]] = {
+        asn: [] for asn in members_by_domain}
+    by_owner_domain: Dict[Tuple[Prefix, int], List[OwnerEntry]] = {}
+    for entry in owner_entries:
+        asn = domain_of.get(entry.owner)
+        if asn is None:
+            continue
+        originations[asn].append(BgpVnRoute(
+            prefix=entry.prefix, as_path=(asn,),
+            metric=entry.advertised_cost, entry=entry))
+        by_owner_domain.setdefault((entry.prefix, asn), []).append(entry)
+    solver = BgpVnSolver(adjacency, originations)
+    solver.converge()
+    fibs: Dict[str, List[VnFibEntry]] = {}
+    for asn in sorted(members_by_domain):
+        routes = solver.routes_of(asn)
+        for member in sorted(members_by_domain[asn]):
+            fib = VnFib()
+            for prefix, route in sorted(routes.items(),
+                                        key=lambda kv: str(kv[0])):
+                if route.origin_asn == asn:
+                    row = _layered_local_row(member, prefix, asn,
+                                             by_owner_domain,
+                                             dist.get(member, {}),
+                                             hops.get(member, {}))
+                else:
+                    row = _layered_transit_row(member, asn, route.as_path[1],
+                                               sessions, dist.get(member, {}),
+                                               hops.get(member, {}))
+                if row is not None:
+                    action, next_hop, egress_ipv4, metric, origin = row
+                    fib.install(VnFibEntry(prefix, action, next_hop,
+                                           egress_ipv4, metric, origin))
+            fibs[member] = fib.entries()
+    return fibs
+
+
 def forwarding_state(network: Network, deployment: VnDeployment
                      ) -> Tuple[Dict[str, List[FibRow]],
                                 Dict[str, List[VnFibEntry]]]:
@@ -594,18 +750,19 @@ def forwarding_state(network: Network, deployment: VnDeployment
 
 @contextmanager
 def checked_vn_rebuilds() -> Iterator[Counter]:
-    """Assert :func:`reference_vn_fibs` equality for every member after
-    every flat-routed ``VnDeployment.rebuild`` inside the block
-    (``LayeredVnRouting`` installs by another rule and is passed over).
-    Yields the running counts of rebuilds and members checked."""
+    """Assert every member's vN FIB equals its reference after every
+    ``VnDeployment.rebuild`` inside the block: :func:`reference_vn_fibs`
+    under the flat routing, :func:`reference_layered_vn_fibs` under the
+    layered one.  Yields the running counts of rebuilds and members
+    checked."""
     rebuild = VnDeployment.rebuild
     checked: Counter = Counter()
 
     def rebuild_and_check(self: VnDeployment) -> None:
         rebuild(self)
-        if not isinstance(self.routing, VnRouting):
-            return
-        expected = reference_vn_fibs(self)
+        expected = (reference_vn_fibs(self)
+                    if isinstance(self.routing, VnRouting)
+                    else reference_layered_vn_fibs(self))
         for member, state in self.states.items():
             assert state.fib.entries() == expected[member], member
         checked["rebuilds"] += 1
@@ -666,8 +823,7 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
     differing LSA: ``igp_refresh``), ``VnRouting.compute`` (a fresh
     routing with no memo writes into fresh FIBs; a reused SPF sweep
     must equal its sweep: ``vn_routing``, and every member the skip
-    passed over its FIB: ``vn_fib``), the
-    ``LayeredVnRouting`` intra cache and the flow fast path (a copy of
+    passed over its FIB: ``vn_fib``) and the flow fast path (a copy of
     every packet it answers is walked hop by hop).  Returns the count
     of verified hits per mechanism, so a test can show it was not
     vacuous.
@@ -754,28 +910,11 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
                     == fresh_states[member].fib.entries()), member
         verified["vn_fib"] += len(passed_over)
 
-    layered_compute = LayeredVnRouting.compute
-
-    def paranoid_layered_compute(self, states, owner_entries, tunnels):
-        before = dict(self._intra_cache)
-        layered_compute(self, states, owner_entries, tunnels)
-        hits = [asn for asn, entry in self._intra_cache.items()
-                if entry is before.get(asn)]
-        if hits:
-            dist = {m: dict(d) for m, d in self._intra_dist.items()}
-            hops = {m: dict(h) for m, h in self._intra_hop.items()}
-            self._intra_cache.clear()
-            with _quiet(self):
-                layered_compute(self, states, owner_entries, tunnels)
-            assert (self._intra_dist, self._intra_hop) == (dist, hops)
-            verified["layered_intra"] += len(hits)
-
     monkeypatch.setattr(ForwardingEngine, "forward", paranoid_forward)
     monkeypatch.setattr(TopologyMemo, "get", paranoid_get)
     monkeypatch.setattr(IgpProtocol, "install_routes", paranoid_igp_install)
     monkeypatch.setattr(LinkStateRouting, "refresh", paranoid_igp_refresh)
     monkeypatch.setattr(VnRouting, "compute", paranoid_vn_compute)
-    monkeypatch.setattr(LayeredVnRouting, "compute", paranoid_layered_compute)
     return verified
 
 

@@ -1,4 +1,4 @@
-"""SPF reuse: the IGP install gate and the vN-Bone signature caches.
+"""SPF reuse: the IGP install gate and the vN-Bone signature cache.
 
 ``IgpProtocol.install_routes`` runs SPF for, and rewrites, only the
 routers whose route generation (under link-state: the LSDB generation)
@@ -105,9 +105,10 @@ def test_recomputed_distances_reflect_the_new_topology():
 def test_vnbone_rebuild_over_an_unchanged_tunnel_graph_is_rederived(
         routing_mode, paranoid_caches):
     """A second ``rebuild()`` at fixed membership finds the same tunnel
-    graph and reuses the SPF sweep (flat: one adjacency signature;
-    layered: one per adopting domain).  Under ``paranoid_caches`` each
-    reuse is recomputed and compared."""
+    graph.  The flat routing reuses its SPF sweep and skips every member,
+    and under ``paranoid_caches`` each reuse is recomputed and compared;
+    the layered routing memoises nothing and sweeps again.  Either way
+    every rebuild equals its reference and the FIBs do not move."""
     internet = EvolvableInternet.generate(
         InternetSpec(n_tier1=2, n_tier2=3, n_stub=5, seed=7), seed=7)
     adopters = [internet.tier1_asns()[0]] + internet.stub_asns()[:2]
@@ -117,14 +118,14 @@ def test_vnbone_rebuild_over_an_unchanged_tunnel_graph_is_rederived(
                               routing_mode=routing_mode)
     for asn in adopters:
         deployment.deploy(asn)
-    deployment.rebuild()
-    fibs = {member: state.fib.entries()
-            for member, state in deployment.states.items()}
-    deployment.rebuild()
-    reused = ("vn_routing" if routing_mode == "global-spf"
-              else "layered_intra")
-    assert paranoid_caches[reused] > 0
+    with checked_vn_rebuilds() as vn:
+        deployment.rebuild()
+        fibs = {member: state.fib.entries()
+                for member, state in deployment.states.items()}
+        deployment.rebuild()
+    assert vn["rebuilds"] == 2
     if routing_mode == "global-spf":
+        assert paranoid_caches["vn_routing"] > 0
         # Same SPF rows, same view, same FIB objects: every member skipped.
         assert paranoid_caches["vn_fib"] == len(deployment.states) > 0
     assert {member: state.fib.entries()

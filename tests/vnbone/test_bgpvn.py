@@ -2,16 +2,21 @@
 
 import pytest
 
+from repro.net import Relationship
 from repro.net.address import Prefix
 from repro.net.errors import ConvergenceError, DeploymentError, RoutingError
 from repro.anycast import DefaultRootedAnycast
 from repro.core.evolution import EvolvableInternet
 from repro.core.metrics import measure_reachability
+from repro.core.orchestrator import Orchestrator
 from repro.topogen import InternetSpec
 from repro.vnbone import VnDeployment
 from repro.vnbone.bgpvn import BgpVnRoute, BgpVnSolver
 from repro.vnbone.routing import OwnerEntry
 from repro.vnbone.state import VnAction, native_domain_prefix
+
+from tests.conftest import build_two_domain_network
+from tests.oracles import checked_vn_rebuilds
 
 
 def dummy_entry(asn: int) -> OwnerEntry:
@@ -154,3 +159,54 @@ class TestLayeredMode:
         flat_report = measure_reachability(internet.network, flat.send, pairs)
         assert layered_report.delivery_ratio == 1.0
         assert flat_report.delivery_ratio == 1.0
+
+    def test_rebuilds_equal_the_layered_reference(self):
+        """E15's world: deploy, the tier-1 core link down, one more
+        adopter — after every rebuild each member's FIB equals
+        ``reference_layered_vn_fibs``."""
+        internet = EvolvableInternet.generate(
+            InternetSpec(n_tier1=2, n_tier2=4, n_stub=8, hosts_per_stub=2,
+                         seed=37), seed=37)
+        network, orch = internet.network, internet.orchestrator
+        first, second = internet.tier1_asns()
+        adopters = [first] + [asn for asn in sorted(network.domains)
+                              if asn != first][:4]
+        with checked_vn_rebuilds() as vn:
+            deployment = layered_deployment(internet, adopters[:4])
+            fibs = deployment.vn_fib_sizes()
+            link = network.link_between(min(network.domains[first].routers),
+                                        min(network.domains[second].routers))
+            link.fail()
+            orch.notify_link_change(link)
+            orch.reconverge()
+            deployment.rebuild()
+            deployment.deploy(adopters[4])
+            deployment.rebuild()
+        assert vn["rebuilds"] == 3
+        assert vn["members"] > 3 * len(fibs)
+        assert deployment.vn_fib_sizes() != fibs
+
+    def test_transit_rows_take_the_cheapest_border(self):
+        """Two sessions between the same two domains: each member's
+        transit rows leave by the border cheapest from it, whether that
+        is its own tunnel or the other border's."""
+        network = build_two_domain_network()
+        for router_id in ("r1a", "r2a"):
+            network.node(router_id).is_border = True
+        network.connect_domains(1, 2, "r1a", "r2a", Relationship.PEER,
+                                cost=5.0)
+        orch = Orchestrator(network)
+        orch.converge()
+        scheme = DefaultRootedAnycast(orch, "layered", default_asn=1)
+        deployment = VnDeployment(orch, scheme, version=8,
+                                  routing_mode="layered")
+        with checked_vn_rebuilds() as vn:
+            for asn in (1, 2):
+                deployment.deploy(asn)
+            deployment.rebuild()
+        assert vn["rebuilds"] == 1
+        assert [t.kind for t in deployment.tunnels].count("inter") == 2
+        hops = {member: {entry.next_hop for entry in state.fib.entries()
+                         if entry.origin == "bgpvn"}
+                for member, state in deployment.states.items()}
+        assert hops["r1a"] == {"r1b"} and hops["r1b"] == {"r2b"}

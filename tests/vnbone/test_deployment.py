@@ -51,6 +51,15 @@ class TestLifecycle:
         with pytest.raises(DeploymentError):
             deployment.deploy(99)
 
+    @pytest.mark.parametrize("change", [
+        lambda deployment: deployment.deploy(99),
+        lambda deployment: deployment.expand(99, {"x1"}),
+        lambda deployment: deployment.undeploy(99),
+    ], ids=["deploy", "expand", "undeploy"])
+    def test_unknown_domain_is_a_deployment_error(self, deployment, change):
+        with pytest.raises(DeploymentError, match="unknown domain AS99"):
+            change(deployment)
+
     def test_expand(self, deployment):
         deployment.deploy(2, router_ids={"x2"})
         deployment.expand(2, {"x1"})

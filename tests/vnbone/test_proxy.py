@@ -2,51 +2,40 @@
 
 import pytest
 
+from repro.anycast import DefaultRootedAnycast
 from repro.net.errors import ReproError
-from repro.vnbone.proxy import ProxyAdvertiser
+from repro.vnbone import (EgressPolicy, VnDeployment, external_owner_entries,
+                          proxies_for_domain)
 
 
-def advertiser(orch, threshold=1):
-    return ProxyAdvertiser(orch.network, orch.bgp, version=8,
-                           threshold=threshold)
+def proxies(orch, members, adopting_asns, threshold=1):
+    return proxies_for_domain(orch.network, orch.bgp, 8, 4, members,
+                              adopting_asns, threshold)
 
 
 class TestProxyAdvertiser:
     def test_negative_threshold_rejected(self, converged_hub):
+        scheme = DefaultRootedAnycast(converged_hub, "ipv8", default_asn=1)
         with pytest.raises(ValueError) as raised:
-            ProxyAdvertiser(converged_hub.network, converged_hub.bgp, 8,
-                            threshold=-1)
+            VnDeployment(converged_hub, scheme, version=8,
+                         egress_policy=EgressPolicy.PROXY, proxy_threshold=-1)
         assert isinstance(raised.value, ReproError)
 
     def test_adjacent_member_proxies(self, converged_hub):
-        proxy = advertiser(converged_hub, threshold=1)
         # Member in W (hub): adjacent to Y and Z, both external.
-        proxies = proxy.proxies_for_domain(4, ["w2"], adopting_asns={1})
-        assert proxies == ["w2"]
+        assert proxies(converged_hub, ["w2"], adopting_asns={1}) == ["w2"]
 
     def test_distant_member_does_not_proxy(self, converged_hub):
-        proxy = advertiser(converged_hub, threshold=1)
         # Member in X is 2 AS hops from Z.
-        assert proxy.proxies_for_domain(4, ["x2"], adopting_asns={2}) == []
+        assert proxies(converged_hub, ["x2"], adopting_asns={2}) == []
 
     def test_higher_threshold_widens(self, converged_hub):
-        proxy = advertiser(converged_hub, threshold=2)
-        assert proxy.proxies_for_domain(4, ["x2"], adopting_asns={2}) == ["x2"]
-
-    def test_coverage_counts(self, converged_hub):
-        proxy = advertiser(converged_hub, threshold=1)
-        coverage = proxy.coverage(["w2", "x2"], adopting_asns={1, 2})
-        # External domains are Y (3) and Z (4); only W's member is
-        # adjacent to them.
-        assert coverage == {3: 1, 4: 1}
-
-    def test_coverage_zero_when_no_proxies(self, converged_hub):
-        proxy = advertiser(converged_hub, threshold=0)
-        coverage = proxy.coverage(["x2"], adopting_asns={2})
-        assert all(count == 0 for count in coverage.values())
+        assert proxies(converged_hub, ["x2"], adopting_asns={2},
+                       threshold=2) == ["x2"]
 
     def test_owner_entries_tagged(self, converged_hub):
-        proxy = advertiser(converged_hub, threshold=1)
-        entries = proxy.owner_entries(["w2"], adopting_asns={1})
+        entries = external_owner_entries(
+            converged_hub.network, converged_hub.bgp, 8, ["w2"],
+            EgressPolicy.PROXY, adopting_asns={1}, proxy_threshold=1)
         assert entries
         assert all(e.origin == "proxy" for e in entries)
