@@ -37,10 +37,12 @@ version and the reinstall after reconvergence bumps, so a transient
 (pre-reconvergence) walk is replayed only while the stale FIBs it read
 are still the ones installed — exactly what a fresh walk would see.
 
-Headers are frozen and compared field by field (TTL, protocol, the
-``dest_ipv4`` option and the multicast flag included), so flows are
-exact-match; a stored trace is returned as a shared object and callers
-treat traces as read-only (the same contract
+Headers are immutable tuples (:mod:`repro.net.packet`): a header equals
+the plain tuple of its fields, and a key compares every field (TTL,
+protocol, the ``dest_ipv4`` option and the multicast flag included) and
+the header kind (an IPv4 header has four fields, an IPvN header five),
+so flows are exact-match.  A stored trace is returned as a shared
+object and callers treat traces as read-only (the same contract
 :class:`~repro.perf.cache.PathCache` relies on for trees).  A replay
 leaves the packet as sent — its headers are not decremented or popped.
 
@@ -65,7 +67,7 @@ def fastpath_enabled() -> bool:
     return True
 
 
-#: One flow: (start node, the header stack innermost first — frozen
+#: One flow: (start node, the header stack innermost first — immutable
 #: headers, hashable).
 FlowKey = Tuple[str, Tuple[Header, ...]]
 

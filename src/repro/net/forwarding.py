@@ -673,7 +673,7 @@ class ForwardingEngine:
         packet.replace_outer(outer.decremented())
         if isinstance(decision, VnForward):
             neighbor = self.network.node(decision.next_vn_hop)
-            packet.encapsulate(IPv4Header(src=node.ipv4, dst=neighbor.ipv4))
+            packet.encapsulate(IPv4Header(node.ipv4, neighbor.ipv4))
             trace.encapsulations += 1
             trace.vn_hops += 1
             trace.record(node, "vn-forward", decision.next_vn_hop,
@@ -689,7 +689,7 @@ class ForwardingEngine:
         if isinstance(decision, VnReplicate):
             return self._replicate(node, packet, trace, decision, fork_queue)
         assert isinstance(decision, VnEgress)
-        packet.encapsulate(IPv4Header(src=node.ipv4, dst=decision.ipv4_dst))
+        packet.encapsulate(IPv4Header(node.ipv4, decision.ipv4_dst))
         trace.encapsulations += 1
         trace.egress_router = node.node_id
         trace.record(node, "vn-egress", decision.ipv4_dst,
@@ -714,10 +714,9 @@ class ForwardingEngine:
             copy.replace_outer(outer)
             if isinstance(copy_decision, VnForward):
                 neighbor = self.network.node(copy_decision.next_vn_hop)
-                copy.encapsulate(IPv4Header(src=node.ipv4, dst=neighbor.ipv4))
+                copy.encapsulate(IPv4Header(node.ipv4, neighbor.ipv4))
             else:
-                copy.encapsulate(IPv4Header(src=node.ipv4,
-                                            dst=copy_decision.ipv4_dst))
+                copy.encapsulate(IPv4Header(node.ipv4, copy_decision.ipv4_dst))
             fork_queue.append((copy, node))
         trace.outcome = Outcome.REPLICATED
         trace.record(node, "vn-replicate", decision.copies,

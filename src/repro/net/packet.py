@@ -17,13 +17,21 @@ and, inside the vN-Bone, per-virtual-hop tunnels::
 The IPvN header carries an optional ``dest_ipv4`` field — the paper's
 "separate option field in the IPvN header" used for egress selection
 when the destination sits in a non-IPvN domain (Section 3.3.2).
+
+Headers are ``NamedTuple`` classes: building, hashing and comparing one
+runs in C, and every host send builds two, every hop one
+(:meth:`IPv4Header.decremented`) and every flow-key lookup hashes and
+compares a whole stack.  A header therefore equals the plain tuple of
+its fields.  An IPv4 header (four fields) never equals an IPvN header
+(five), and a stack holds only headers, so a stack comparison is exact,
+header kind included.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 from repro.net.address import IPv4Address, VNAddress
 from repro.net.errors import ForwardingError
@@ -34,8 +42,7 @@ DEFAULT_TTL = 64
 _packet_ids = itertools.count(1)
 
 
-@dataclass(frozen=True, slots=True)
-class IPv4Header:
+class IPv4Header(NamedTuple):
     """An IPv(N-1) header; the ubiquitously deployed generation."""
 
     src: IPv4Address
@@ -51,8 +58,7 @@ class IPv4Header:
         return f"IPv4[{self.src} -> {self.dst} ttl={self.ttl}]"
 
 
-@dataclass(frozen=True, slots=True)
-class VNHeader:
+class VNHeader(NamedTuple):
     """A next-generation IPvN header.
 
     ``dest_ipv4`` is the optional field carrying the destination's
@@ -102,7 +108,7 @@ class VNHeader:
 Header = Union[IPv4Header, VNHeader]
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A simulated packet: a header stack over an opaque payload.
 
@@ -112,7 +118,7 @@ class Packet:
 
     headers: List[Header] = field(default_factory=list)
     payload: object = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     #: Causal span context the packet is traveling under (set by the
     #: forwarding engine when spans are enabled; survives copies, so
     #: encap/decap replicas stay in the originating trace).
@@ -163,7 +169,8 @@ class Packet:
         return None
 
     def copy(self) -> "Packet":
-        """A shallow copy with its own header stack (headers are frozen)."""
+        """A shallow copy with its own header stack (headers are
+        immutable)."""
         return Packet(headers=list(self.headers), payload=self.payload,
                       packet_id=self.packet_id, span=self.span)
 
@@ -175,11 +182,10 @@ class Packet:
 def ipv4_packet(src: IPv4Address, dst: IPv4Address, payload: object = None,
                 ttl: int = DEFAULT_TTL) -> Packet:
     """Build a plain IPv4 packet."""
-    return Packet(headers=[IPv4Header(src=src, dst=dst, ttl=ttl)], payload=payload)
+    return Packet([IPv4Header(src, dst, ttl)], payload)
 
 
 def vn_packet(src: VNAddress, dst: VNAddress, payload: object = None,
               ttl: int = DEFAULT_TTL, dest_ipv4: Optional[IPv4Address] = None) -> Packet:
     """Build a bare IPvN packet (not yet encapsulated for the anycast hop)."""
-    return Packet(headers=[VNHeader(src=src, dst=dst, ttl=ttl, dest_ipv4=dest_ipv4)],
-                  payload=payload)
+    return Packet([VNHeader(src, dst, ttl, dest_ipv4)], payload)

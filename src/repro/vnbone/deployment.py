@@ -34,7 +34,7 @@ from repro.net.domain import Domain
 from repro.net.errors import DeploymentError, ParameterError
 from repro.net.forwarding import ForwardingTrace
 from repro.net.node import Host
-from repro.net.packet import IPv4Header, vn_packet
+from repro.net.packet import IPv4Header, Packet, VNHeader
 from repro.core.orchestrator import Orchestrator
 from repro.anycast.service import AnycastScheme
 from repro.vnbone.addressing import VnAddressPlan
@@ -301,10 +301,9 @@ class VnDeployment:
             self.rebuild()
         src = self._require_host(src_host_id)
         dst = self._require_host(dst_host_id)
-        src_addr = self.plan.host_address(src)
-        dst_addr = self.plan.host_address(dst)
-        packet = vn_packet(src_addr, dst_addr, payload=payload, ttl=ttl)
-        packet.encapsulate(IPv4Header(src=src.ipv4, dst=self.scheme.address))
+        packet = Packet([VNHeader(self.plan.host_address(src),
+                                  self.plan.host_address(dst), ttl),
+                         IPv4Header(src.ipv4, self.scheme.address)], payload)
         return self.orchestrator.forward(packet, src_host_id)
 
     def register_host(self, host_id: str) -> Optional[str]:

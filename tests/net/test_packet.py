@@ -1,13 +1,13 @@
 """Unit tests for packets and header encapsulation."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.address import IPv4Address, VNAddress, ipv4
 from repro.net.errors import ForwardingError
+from repro.net.fastpath import FlowFastPath
+from repro.net.network import Network
 from repro.net.packet import (DEFAULT_TTL, IPv4Header, Packet, VNHeader,
                               ipv4_packet, vn_packet)
 
@@ -69,17 +69,81 @@ _FIELD_SAMPLES = {
 ])
 def test_copy_methods_carry_every_field(cls, method, changed):
     samples = _FIELD_SAMPLES[cls]
-    fields = dataclasses.fields(cls)
-    assert set(samples) == {f.name for f in fields}
-    for f in fields:
-        assert samples[f.name] != f.default, f"{f.name} sample is the default"
+    assert set(samples) == set(cls._fields)
+    for name in cls._fields:
+        assert samples[name] != cls._field_defaults.get(name), (
+            f"{name} sample is the default")
     full = cls(**samples)
     # ... and once more with the fields the method writes at their defaults.
-    plain = dataclasses.replace(full, **{
-        f.name: f.default for f in fields if f.name in changed(full)})
+    plain = full._replace(**{name: cls._field_defaults[name]
+                             for name in changed(full)})
     for header in (full, plain):
-        assert (getattr(header, method)()
-                == dataclasses.replace(header, **changed(header)))
+        copied = getattr(header, method)()
+        assert type(copied) is cls
+        assert copied == header._replace(**changed(header))
+
+
+class TestHeaderRendering:
+    """``str()`` of a header is what hop details print into traces."""
+
+    @pytest.mark.parametrize("header, text", [
+        (IPv4Header(ipv4("10.0.0.1"), ipv4("10.2.0.9")),
+         "IPv4[10.0.0.1 -> 10.2.0.9 ttl=64]"),
+        (IPv4Header(ipv4("10.0.0.1"), ipv4("10.2.0.9"), 3, "udp"),
+         "IPv4[10.0.0.1 -> 10.2.0.9 ttl=3]"),
+        (VNHeader(VNAddress(1), VNAddress(0x2a)),
+         "IPv8[v8:0000000000000001/native -> v8:000000000000002a/native"
+         " ttl=64]"),
+        (VNHeader(VNAddress(1), VNAddress.self_assigned(ipv4("10.2.0.9")),
+                  5, ipv4("10.2.0.9"), True),
+         "IPv8[v8:0000000000000001/native -> v8:800000000a020009/self"
+         " ttl=5]"),
+        (VNHeader(VNAddress(1, version=9), VNAddress(2, version=9),
+                  dest_ipv4=ipv4("10.2.0.9")),
+         "IPv9[v9:0000000000000001/native -> v9:0000000000000002/native"
+         " ttl=64]"),
+    ])
+    def test_str(self, header, text):
+        assert str(header) == text
+        assert f"now {header}" == f"now {text}"  # how hop details word it
+
+
+#: Small field domains, so drawn stacks often coincide.
+_V4 = st.sampled_from([ipv4("10.0.0.1"), ipv4("10.0.0.2")])
+_VN = st.sampled_from([VNAddress(1), VNAddress(2),
+                       VNAddress.self_assigned(ipv4("10.0.0.1"))])
+_TTL = st.sampled_from([63, 64])
+_HEADERS = st.one_of(
+    st.builds(IPv4Header, _V4, _V4, _TTL, st.sampled_from(["ip", "udp"])),
+    st.builds(VNHeader, _VN, _VN, _TTL,
+              st.sampled_from([None, ipv4("10.0.0.1")]), st.booleans()))
+_STACKS = st.lists(_HEADERS, min_size=1, max_size=3)
+
+
+def _field_oracle(stack):
+    return [(type(header).__name__,
+             *(getattr(header, name) for name in header._fields))
+            for header in stack]
+
+
+@given(st.data())
+def test_flow_keys_match_exactly_when_stacks_do(data):
+    """The fast path's flow is exact-match, header family included: two
+    keys are equal (and hash equal) iff the stacks agree field by field
+    and kind by kind."""
+    first = data.draw(_STACKS)
+    second = data.draw(st.one_of(
+        st.just([header._replace() for header in first]), _STACKS))
+    start = data.draw(st.sampled_from(["a", "b"]))
+    other_start = data.draw(st.sampled_from(["a", "b"]))
+    fastpath = FlowFastPath(Network())
+    key = fastpath.key_for(Packet(first), start)
+    other = fastpath.key_for(Packet(second), other_start)
+    same = (start == other_start
+            and _field_oracle(first) == _field_oracle(second))
+    assert (key == other) is same
+    if same:
+        assert hash(key) == hash(other)
 
 
 class TestPacket:

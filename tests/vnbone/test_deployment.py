@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import Outcome
 from repro.net.errors import DeploymentError
+from repro.net.packet import IPv4Header, vn_packet
 from repro.anycast import DefaultRootedAnycast, GlobalAnycast
 from repro.vnbone import EgressPolicy, VnDeployment, adoption_rng
 
@@ -146,6 +147,41 @@ class TestSend:
         assert deployment.needs_rebuild
         deployment.send("hx", "hz")
         assert not deployment.needs_rebuild
+
+    def test_send_hands_forward_the_host_stack(self, converged_hub,
+                                               deployment, monkeypatch):
+        """A send forwards exactly Section 3.1's packet: the IPvN header
+        innermost, inside IPv4 from the host to ``A_N``, over the
+        payload — the stack ``vn_packet`` + ``encapsulate`` builds."""
+        sent = []
+        forward = converged_hub.forward
+
+        def spy(packet, start, *args, **kwargs):
+            sent.append((list(packet.headers), packet.payload,
+                         packet.packet_id, start))
+            return forward(packet, start, *args, **kwargs)
+
+        monkeypatch.setattr(converged_hub, "forward", spy)
+        deployment.deploy(2)
+        payload = object()
+        deployment.send("hx", "hz", payload=payload, ttl=9)
+        deployment.send("hx", "hz", payload=payload, ttl=9)
+        deployment.send("hz", "hx")
+
+        assert len(sent) == 3
+        plan, network = deployment.plan, converged_hub.network
+        for (headers, carried, _, start), (src, dst, ttl) in zip(
+                sent, [("hx", "hz", 9), ("hx", "hz", 9), ("hz", "hx", 64)]):
+            expected = vn_packet(plan.ensure_host_address(src),
+                                 plan.ensure_host_address(dst), ttl=ttl)
+            expected.encapsulate(IPv4Header(src=network.node(src).ipv4,
+                                            dst=deployment.scheme.address))
+            assert headers == expected.headers
+            assert ([type(h) for h in headers]
+                    == [type(h) for h in expected.headers])
+            assert start == src
+            assert carried is (payload if src == "hx" else None)
+        assert len({packet_id for _, _, packet_id, _ in sent}) == 3  # unique
 
     def test_send_requires_hosts(self, deployment):
         deployment.deploy(2)
