@@ -32,8 +32,8 @@ boundaries strictly below the sample's ``t`` encodes exactly that.
 
 The document carries no span ids, no ``seq`` numbers, no wall-clock
 fields, and no file paths: same-seed runs produce byte-identical
-catchment reports at any worker count, with the flow fast path on or
-off, and with the path cache on or off.
+catchment reports at any worker count, and whether the flow fast path
+walks or replays each probe.
 """
 
 from __future__ import annotations

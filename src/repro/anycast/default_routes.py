@@ -109,10 +109,6 @@ class DefaultRootedAnycast(AnycastScheme):
         if not remaining:
             self.orchestrator.bgp.withdraw(advertiser_asn, pfx)
 
-    @property
-    def advertisements(self) -> Set[Tuple[int, int]]:
-        return set(self._advertisements)
-
     def default_share(self, sources: list) -> float:
         """Fraction of probes from *sources* terminating in the default ISP.
 

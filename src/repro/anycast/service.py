@@ -91,9 +91,6 @@ class AnycastScheme(abc.ABC):
             raise DeploymentError(f"{router_id!r} is a host; anycast members are routers")
         address = self.address
         node.add_local_ipv4(address)
-        # The member accepts the anycast address from here on: stored
-        # walks that passed through it towards another member are stale.
-        self.orchestrator.engine.fastpath.bump()
         self.orchestrator.igp(node.domain_id).advertise_anycast(router_id, address)
         self._members.add(router_id)
         if node.domain_id not in self._member_domains:
@@ -105,7 +102,6 @@ class AnycastScheme(abc.ABC):
             return
         node = self.network.node(router_id)
         node.remove_local_ipv4(self.address)
-        self.orchestrator.engine.fastpath.bump()
         self.orchestrator.igp(node.domain_id).withdraw_anycast(router_id, self.address)
         self._members.discard(router_id)
         domain_members = {m for m in self._members

@@ -482,9 +482,9 @@ class BgpProtocol:
 
         A domain is rebuilt in full only when its own egress map moved
         since its last install; otherwise just its dirty Loc-RIB
-        deltas are reinstalled.  The caller
-        (:meth:`~repro.core.orchestrator.Orchestrator.install_routes`)
-        bumps the forwarding fast path afterwards.
+        deltas are reinstalled.  Each FIB write reports itself to the
+        network (``Network.forwarding_version``), so a pass that
+        installs nothing leaves the flow fast path's walks stored.
         """
         lookups_before = self.install_fib_lookups
         for asn in sorted(self.speakers):

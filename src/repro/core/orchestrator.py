@@ -92,7 +92,6 @@ class Orchestrator:
             self.bgp.start()
             processed += self.scheduler.run_until_idle(max_events=max_events)
             self.bgp.install_routes()
-            self.engine.fastpath.bump()
             self._converged = True
             span.end(t=self.scheduler.now, events=processed)
         if observed:
@@ -139,8 +138,6 @@ class Orchestrator:
         for asn in sorted(self.igps):
             self.igps[asn].install_routes()
         self.bgp.install_routes()
-        # FIBs changed: cached flow-level walks are stale.
-        self.engine.fastpath.bump()
 
     # -- failure notification ----------------------------------------------------
     def notify_link_change(self, link: Link) -> None:

@@ -90,8 +90,8 @@ class FaultInjector:
         delivery.  Pass None to just mutate topology.  Its packets take
         the same forwarding path as any other traffic: the flow fast
         path replays repeats, and drops its stored walks whenever the
-        state they read changes (a link or node fault moves
-        ``Network.topology_version``; reinstalling routes bumps).
+        state they read changes (a link or node fault, and every FIB row
+        the reinstall writes, move ``Network.forwarding_version``).
         """
         if self._played:
             raise FaultError(

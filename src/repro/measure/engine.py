@@ -25,10 +25,10 @@ loss during a blackhole epoch shows up as an undelivered sample (a gap
 in the RTT series), not an exception.  Samples are recorded whether or
 not observability is enabled; with it enabled each round runs under a
 ``probe.rtt``-parenting ``probe.round`` span and emits one ``probe.rtt``
-event per probe.  Those events deliberately carry **no span ids**: the
-flow fast path elides spans for cached walks, and keeping span ids out
-of the measurement stream is what makes same-seed probe series and
-catchment reports byte-identical with the fast path on or off.
+event per probe.  Those events deliberately carry **no span ids**: any
+other traced work shifts them, and keeping them out of the measurement
+stream makes same-seed probe series and catchment reports
+byte-identical whatever else the run traces.
 """
 
 from __future__ import annotations
@@ -240,8 +240,8 @@ class ProbeEngine:
 
         Contains no span ids, no wall-clock fields, and no file paths,
         so same-seed series are byte-identical once JSON-dumped with
-        sorted keys — at any worker count, with the flow fast path on
-        or off, and with the path cache on or off.
+        sorted keys — at any worker count, and whether the flow fast
+        path walks or replays each probe.
         """
         delivered = sum(1 for s in self.samples if s.delivered)
         return {"plan": self.plan.to_dict(),

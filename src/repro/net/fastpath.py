@@ -18,24 +18,18 @@ Replay is answer-preserving because a walk is a deterministic function
 of the start node, the exact header stack, and forwarding state: IPv4
 FIBs, vN FIBs, local-acceptance sets, per-router IPvN state, host IPvN
 addresses and group memberships, the registered vN handler, and
-link/node liveness.  Every change of that state drops every flow:
-
-* link/node liveness and attachment move ``Network.topology_version``
-  — a mismatch clears the table at the next lookup or store (same
-  scheme as :class:`~repro.perf.cache.PathCache`);
-* everything else calls :meth:`FlowFastPath.bump` where it changes:
-  route installation (``Orchestrator.converge``/``install_routes``),
-  ``VnDeployment.deploy``/``expand``/``undeploy``/``rebuild``,
-  ``AnycastScheme.add_member``/``remove_member``,
-  ``VnMulticastService.join``/``leave``/``rebuild`` and
-  ``ForwardingEngine.register_vn_handler``;
-* only **delivered, fault-free** walks are stored, so ``strict=True``
-  raise-on-failure semantics are preserved bit-for-bit.
-
-Fault plans get no special case: applying a fault moves the topology
-version and the reinstall after reconvergence bumps, so a transient
-(pre-reconvergence) walk is replayed only while the stale FIBs it read
-are still the ones installed — exactly what a fresh walk would see.
+link/node liveness.  Nothing tells the fast path when that state
+changes: the state moves ``Network.forwarding_version`` itself (every
+topology bump, and every change a node, its FIB, an attached ``VnFib``
+or the engine's handler table reports through the network's one hook),
+and the table drops every flow at the first lookup or store after it
+moved.  No stored walk depends on what is not watched: a host's first
+IPvN address or a join (either can only turn a drop into a delivery),
+and per-router multicast state (a unicast walk reading it ends in a
+drop).  Only **delivered, fault-free** walks are stored, so
+``strict=True`` raise-on-failure semantics are preserved bit-for-bit.
+Fault plans get no special case: a transient (pre-reconvergence) walk
+is replayed only while the stale FIBs it read are still installed.
 
 Headers are immutable tuples (:mod:`repro.net.packet`): a header equals
 the plain tuple of its fields, and a key compares every field (TTL,
@@ -78,7 +72,7 @@ class FlowFastPath:
     def __init__(self, network: "Network") -> None:
         self.network = network
         self.obs = get_obs()
-        self._version = network.topology_version
+        self._version = network.forwarding_version
         self._traces: Dict[FlowKey, "ForwardingTrace"] = {}
         #: Packets answered from the table since it was last dropped.
         self._replays = 0
@@ -87,23 +81,19 @@ class FlowFastPath:
         self.invalidations = 0
 
     # -- lifecycle ---------------------------------------------------------
-    def bump(self) -> None:
-        """Forwarding state changed (a FIB, an acceptance set, vN state,
-        the vN handler): drop every stored flow."""
-        self._invalidate()
-
-    def _invalidate(self) -> None:
+    def _check_version(self) -> None:
+        """Forwarding state changed since the last check: drop every
+        stored flow."""
+        version = self.network.forwarding_version
+        if version == self._version:
+            return
+        self._version = version
         if self._traces:
             self._traces.clear()
             self._replays = 0
             self.invalidations += 1
             if self.obs.enabled:
                 self.obs.counter("perf.fastpath.invalidations").inc()
-        self._version = self.network.topology_version
-
-    def _check_version(self) -> None:
-        if self.network.topology_version != self._version:
-            self._invalidate()
 
     # -- the flow cache ----------------------------------------------------
     def key_for(self, packet: Packet, start: str) -> FlowKey:

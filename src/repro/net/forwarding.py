@@ -362,8 +362,8 @@ class ForwardingEngine:
         #: simulation time (the orchestrator wires its scheduler in).
         self.clock = clock
         #: Flow-level fast path: replays delivered walks for repeat
-        #: packets of a flow while forwarding state is unchanged (see
-        #: :mod:`repro.net.fastpath` for the invalidation rules).
+        #: packets of a flow while ``network.forwarding_version`` holds
+        #: (see :mod:`repro.net.fastpath`).
         self.fastpath = FlowFastPath(network)
         #: Per flow, the ``forward`` event that last listed its hops:
         #: ``(tracer, topology_version, hop log, seq)``.
@@ -375,8 +375,7 @@ class ForwardingEngine:
     def register_vn_handler(self, version: int, handler: VnHandler) -> None:
         """Install the forwarding logic for IPvN *version* routers."""
         self._vn_handlers[version] = handler
-        # Stored walks replay the old handler's decisions.
-        self.fastpath.bump()
+        self.network._on_forwarding_change()  # noqa: SLF001 - forwarding state
 
     def vn_handler(self, version: int) -> Optional[VnHandler]:
         return self._vn_handlers.get(version)

@@ -59,27 +59,28 @@ class Network:
         self.domains: Dict[int, Domain] = {}
         self._addr_index: Dict[IPv4Address, str] = {}
         self.obs = get_obs()
-        self._topology_version = 0
+        #: Monotonic counter bumped by every path-relevant mutation.
+        self.topology_version = 0
         self._domain_versions: Dict[int, int] = {}
-        #: The one state-change hook every link shares (a bound method
-        #: made once, not one per link).
+        #: Moved by every topology bump and by every change of forwarding
+        #: state reported through :attr:`_on_forwarding_change`.
+        self.forwarding_version = 0
+        #: The one state-change hook every link shares, and the one every
+        #: node shares (bound methods made once, not one per link or node).
         self._on_link_change: Callable[[Link], None] = self._link_changed
+        self._on_forwarding_change: Callable[[], None] = self._forwarding_changed
         #: Memoized shortest-path trees, invalidated by version bumps.
         self.path_cache = PathCache(self)
 
     # -- topology versioning ----------------------------------------------
-    @property
-    def topology_version(self) -> int:
-        """Monotonic counter bumped by every path-relevant mutation."""
-        return self._topology_version
-
     def domain_version(self, asn: int) -> int:
         """Monotonic counter bumped, with :attr:`topology_version`, by
         every mutation that touches AS *asn*'s links or nodes."""
         return self._domain_versions.get(asn, 0)
 
     def _bump_topology_version(self, *asns: int) -> None:
-        self._topology_version += 1
+        self.topology_version += 1
+        self.forwarding_version += 1
         versions = self._domain_versions
         for asn in asns:
             versions[asn] = versions.get(asn, 0) + 1
@@ -89,6 +90,9 @@ class Network:
         nodes = self.nodes
         self._bump_topology_version(nodes[link.a].domain_id,
                                     nodes[link.b].domain_id)
+
+    def _forwarding_changed(self) -> None:
+        self.forwarding_version += 1
 
     # -- construction ---------------------------------------------------
     def add_domain(self, domain: Domain) -> Domain:
@@ -146,6 +150,7 @@ class Network:
                 f"address {node.ipv4} already assigned to {self._addr_index[node.ipv4]!r}")
         self.nodes[node.node_id] = node
         self._addr_index[node.ipv4] = node.node_id
+        node._on_change = node.fib4._on_change = self._on_forwarding_change  # noqa: SLF001
 
     def add_link(self, a: str, b: str, cost: float = 1.0, delay: float = 1.0) -> Link:
         """Connect two nodes.  Scope is derived from the endpoint domains."""

@@ -11,13 +11,15 @@ Next-generation (IPvN) state is attached by :mod:`repro.vnbone` through
 the ``vn_states`` slots so the base network layer stays family-agnostic:
 the forwarding engine only knows that a node *may* have a handler for
 decapsulated IPvN packets.
+A node, its FIB and an attached vN state's ``fib`` are :class:`Watched`:
+each reports a change through the one hook its network wires in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.address import IPV4_BITS, Address, IPv4Address, Prefix, VNAddress
 from repro.net.errors import TopologyError
@@ -61,6 +63,17 @@ class FibEntry:
             raise TopologyError(f"non-local FIB entry for {self.prefix} needs a next hop")
 
 
+class Watched:
+    """State a forwarding walk reads: reports each change through
+    ``_on_change``, wired when its node joins a network."""
+
+    _on_change: Optional[Callable[[], None]] = None
+
+    def _changed(self) -> None:
+        if self._on_change is not None:
+            self._on_change()
+
+
 def _rank(entry: FibEntry) -> Tuple[int, float]:
     return (entry.source.admin_distance, entry.metric)
 
@@ -75,7 +88,7 @@ class _Route:
         self.best = entry
 
 
-class Fib:
+class Fib(Watched):
     """A longest-prefix-match forwarding table with admin-distance arbitration.
 
     Multiple protocols may offer routes for the same prefix; the FIB
@@ -100,10 +113,11 @@ class Fib:
         route = self._table.get(entry.prefix)
         if route is None:
             self._table.insert(entry.prefix, _Route(entry))
-            return
-        offers = route.offers
-        offers[entry.source] = entry
-        route.best = entry if len(offers) == 1 else min(offers.values(), key=_rank)
+        else:
+            offers = route.offers
+            offers[entry.source] = entry
+            route.best = entry if len(offers) == 1 else min(offers.values(), key=_rank)
+        self._changed()
 
     def withdraw(self, prefix: Prefix, source: RouteSource) -> bool:
         """Remove *source*'s offer for *prefix*; True if one was removed."""
@@ -115,6 +129,7 @@ class Fib:
             self._table.remove(prefix)
         elif route.best.source is source:
             route.best = min(route.offers.values(), key=_rank)
+        self._changed()
         return True
 
     def withdraw_all(self, source: RouteSource) -> int:
@@ -166,12 +181,9 @@ class Fib:
         """Number of distinct prefixes with at least one offer."""
         return len(self._table)
 
-    def clear(self) -> None:
-        self._table.clear()
-
 
 @dataclass
-class Node:
+class Node(Watched):
     """Base class for routers and hosts."""
 
     node_id: str
@@ -199,10 +211,16 @@ class Node:
         return self.vn_states.get(version)
 
     def set_vn_state(self, version: int, state: object) -> None:
+        """Attach *state*; a :class:`Watched` ``fib`` in it reports to this node's hook."""
         self.vn_states[version] = state
+        fib = getattr(state, "fib", None)
+        if isinstance(fib, Watched):
+            fib._on_change = self._on_change
+        self._changed()
 
     def clear_vn_state(self, version: int) -> None:
         self.vn_states.pop(version, None)
+        self._changed()
 
     # -- local delivery ------------------------------------------------
     def accepts_ipv4(self, address: IPv4Address) -> bool:
@@ -215,11 +233,13 @@ class Node:
 
     def add_local_ipv4(self, address: IPv4Address) -> None:
         self._local_ipv4.add(address)
+        self._changed()
 
     def remove_local_ipv4(self, address: IPv4Address) -> None:
         if address == self.ipv4:
             raise TopologyError(f"cannot remove {self.node_id}'s primary address")
         self._local_ipv4.discard(address)
+        self._changed()
 
     @property
     def is_router(self) -> bool:
@@ -252,6 +272,8 @@ class Host(Node):
     IPv4 through its access router; its IPvN stack (if enabled) does the
     paper's host encapsulation: wrap the IPvN packet in IPv4 addressed
     to the deployment's anycast address.
+    Only losing or replacing an IPvN address or a group reports a change:
+    a first address or a join can only turn a drop into a delivery.
     """
 
     access_router: str = ""
@@ -270,13 +292,14 @@ class Host(Node):
         return self.vn_addresses.get(version)
 
     def assign_vn_address(self, address: VNAddress) -> None:
+        replaced = self.vn_addresses.get(address.version)
         self.vn_addresses[address.version] = address
+        if replaced is not None and replaced != address:
+            self._changed()
 
-    def self_assign(self, version: int) -> VNAddress:
-        """Derive and adopt a temporary self-assigned IPvN address."""
-        address = VNAddress.self_assigned(self.ipv4, version=version)
-        self.vn_addresses[version] = address
-        return address
+    def leave_group(self, group: VNAddress) -> None:
+        self.vn_groups.discard(group)
+        self._changed()
 
 
 NodePair = Tuple[str, str]

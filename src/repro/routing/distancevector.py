@@ -83,6 +83,8 @@ class DistanceVectorRouting(IgpProtocol):
                 changed = True
         live_neighbors = {nid for nid, _, _ in self.intra_neighbors(router_id)}
         for pfx, route in list(table.items()):
+            if not route.reachable:
+                continue  # already poisoned: rewriting it would change nothing
             if route.next_hop is None and pfx not in fresh:
                 # Poison local routes we no longer originate (withdrawn anycast).
                 table[pfx] = DvRoute(prefix=pfx, metric=INFINITY, next_hop=None)

@@ -64,9 +64,6 @@ class GeneratedInternet:
     def all_asns(self) -> List[int]:
         return self.tier1 + self.tier2 + self.stubs
 
-    def hosts_in(self, asn: int) -> List[str]:
-        return sorted(self.network.domains[asn].hosts)
-
 
 def _domain_prefix(asn: int) -> Prefix:
     if asn > 255:

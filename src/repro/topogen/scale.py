@@ -134,9 +134,6 @@ class GeneratedScaleInternet:
     def all_asns(self) -> List[int]:
         return self.transit + self.stubs
 
-    def hosts_in(self, asn: int) -> List[str]:
-        return sorted(self.network.domains[asn].hosts)
-
     def as_degree(self, asn: int) -> int:
         """AS-level degree: distinct neighboring ASes."""
         return len(self.network.domains[asn].relationships)

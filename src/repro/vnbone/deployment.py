@@ -138,9 +138,6 @@ class VnDeployment:
             self._make_member(router_id, asn)
         self.plan.relabel_domain(asn)
         self._dirty = True
-        # The domain's hosts were relabeled after the members' own
-        # bumps: stored walks delivered to their old addresses are stale.
-        self.orchestrator.engine.fastpath.bump()
         return chosen
 
     def _domain(self, asn: int) -> Domain:
@@ -169,7 +166,6 @@ class VnDeployment:
         for router_id in sorted(router_ids):
             self._make_member(router_id, asn)
         self._dirty = True
-        self.orchestrator.engine.fastpath.bump()
 
     def undeploy(self, asn: int) -> None:
         """Roll IPvN back in AS *asn* (churn experiments)."""
@@ -183,7 +179,6 @@ class VnDeployment:
         domain.undeploy_version(self.version)
         self.plan.relabel_domain(asn)
         self._dirty = True
-        self.orchestrator.engine.fastpath.bump()
 
     # -- control-plane rebuild ---------------------------------------------------------
     def rebuild(self) -> None:
@@ -234,9 +229,6 @@ class VnDeployment:
         entries = self._owner_entries(members_by_domain, live)
         self.routing.compute(self.states, entries)
         self._dirty = False
-        # Acceptance sets and vN routing changed after reconverge()'s
-        # bump: drop cached flow-level walks once more.
-        self.orchestrator.engine.fastpath.bump()
         span.end(t=self.orchestrator.scheduler.now, members=len(live),
                  tunnels=len(self.tunnels))
         if observed:

@@ -104,16 +104,13 @@ class VnMulticastService:
             raise DeploymentError(f"{host_id!r} is not a host")
         state.receivers.add(host_id)
         host.vn_groups.add(group)
-        # Hosts deliver by group membership: stored walks read the old set.
-        self.deployment.orchestrator.engine.fastpath.bump()
 
     def leave(self, group: VNAddress, host_id: str) -> None:
         state = self._require_group(group)
         state.receivers.discard(host_id)
         host = self.network.node(host_id)
         if isinstance(host, Host):
-            host.vn_groups.discard(group)
-        self.deployment.orchestrator.engine.fastpath.bump()
+            host.leave_group(group)
 
     def receivers(self, group: VNAddress) -> Set[str]:
         return set(self._require_group(group).receivers)
@@ -137,8 +134,6 @@ class VnMulticastService:
             state.mcast_groups = {}
         for group in sorted(self.groups, key=lambda g: g.value):
             self._build_group(self.groups[group])
-        # Per-router group state was replaced under the vN handler.
-        self.deployment.orchestrator.engine.fastpath.bump()
 
     def _designated_router(self, host_id: str) -> Optional[str]:
         """The member that acts for *host_id* (nearest to its access)."""

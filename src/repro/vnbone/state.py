@@ -23,6 +23,7 @@ from typing import Collection, Dict, List, Optional
 from repro.net.address import VN_BITS, IPv4Address, Prefix, VNAddress
 from repro.net.errors import RoutingError
 from repro.net.lpm import PrefixTable
+from repro.net.node import Watched
 
 
 class VnAction(Enum):
@@ -52,7 +53,7 @@ class VnFibEntry:
             raise RoutingError(f"FORWARD entry for {self.prefix} needs a next hop")
 
 
-class VnFib:
+class VnFib(Watched):
     """Longest-prefix-match table over the 64-bit IPvN family."""
 
     def __init__(self) -> None:
@@ -63,6 +64,7 @@ class VnFib:
 
     def install(self, entry: VnFibEntry) -> None:
         self._table.insert(entry.prefix, entry)
+        self._changed()
 
     def write(self, prefix: Prefix, action: VnAction,
               next_hop: Optional[str], egress_ipv4: Optional[IPv4Address],
@@ -78,6 +80,7 @@ class VnFib:
             return False
         self._table.insert(prefix, VnFibEntry(prefix, action, next_hop,
                                               egress_ipv4, metric, origin))
+        self._changed()
         return True
 
     def retain(self, kept: Collection[Prefix]) -> int:
@@ -91,6 +94,8 @@ class VnFib:
                  if prefix not in keep]
         for prefix in stale:
             self._table.remove(prefix)
+        if stale:
+            self._changed()
         return len(stale)
 
     def lookup(self, address: VNAddress) -> Optional[VnFibEntry]:
@@ -102,9 +107,6 @@ class VnFib:
 
     def route_count(self) -> int:
         return len(self._table)
-
-    def clear(self) -> None:
-        self._table.clear()
 
 
 @dataclass
@@ -131,12 +133,6 @@ class VnRouterState:
         current = self.neighbors.get(router_id)
         if current is None or cost < current:
             self.neighbors[router_id] = cost
-
-    def remove_neighbor(self, router_id: str) -> None:
-        self.neighbors.pop(router_id, None)
-
-    def neighbor_ids(self) -> List[str]:
-        return sorted(self.neighbors)
 
 
 def vn_prefix_for_ipv4(prefix: Prefix, version: int = 8) -> Prefix:

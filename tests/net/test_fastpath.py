@@ -2,9 +2,10 @@
 
 The engine-level contract: repeated sends of an identical header stack
 from the same node, while forwarding state holds, replay the stored
-trace — plain IPv4 and encapsulated IPvN alike; any forwarding state
-change (link/node liveness, a ``bump()`` at the site that changed it)
-drops the stored flows, and the next packet walks again.
+trace — plain IPv4 and encapsulated IPvN alike; any change of forwarding
+state moves ``Network.forwarding_version`` by itself (no call site tells
+the fast path), the stored flows drop at the next lookup, and the next
+packet walks again.  A change that cannot alter a stored walk keeps them.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.net.forwarding import ForwardingEngine, VnDeliver, VnDrop
 from repro.net.node import FibEntry, RouteSource
 from repro.net.packet import IPv4Header, Packet, VNHeader, vn_packet
 from repro.vnbone import VnDeployment
+from repro.vnbone.state import VnAction, VnFibEntry
 from repro.vnbone.multicast import enable_multicast
 
 
@@ -64,8 +66,6 @@ class TestFlowReplay:
         stats = engine.fastpath.stats()
         assert (stats["flows"], stats["hits"]) == (2, 2)
         assert stats["packets_aggregated"] == 4
-        engine.fastpath.bump()
-        assert engine.fastpath.stats()["packets_aggregated"] == 0
 
     def test_different_ttl_is_a_different_flow(self):
         net = line_network()
@@ -161,25 +161,61 @@ class TestInvalidation:
         assert engine.fastpath.hits == 0
         assert engine.fastpath.invalidations == 1
 
-    def test_bump_drops_cached_flows(self):
+    def test_fib_install_is_seen(self):
         net = line_network()
         engine = ForwardingEngine(net)
-        engine.forward(_packet(net), "r0")
-        engine.fastpath.bump()
-        assert len(engine.fastpath) == 0
-        engine.forward(_packet(net), "r0")
-        assert engine.fastpath.hits == 0
+        assert engine.forward(_packet(net), "r0").delivered_to == "r2"
+        net.node("r1").fib4.install(FibEntry(
+            prefix=Prefix.host(net.node("r2").ipv4), next_hop=None,
+            source=RouteSource.CONNECTED, local=True))  # a blackhole
+        assert engine.forward(_packet(net), "r0").outcome is Outcome.NO_ROUTE
 
-    def test_bump_on_empty_cache_is_not_an_invalidation(self):
+    def test_fib_withdraw_is_seen(self):
         net = line_network()
         engine = ForwardingEngine(net)
-        engine.fastpath.bump()
+        assert engine.forward(_packet(net), "r0").delivered_to == "r2"
+        net.node("r1").fib4.withdraw(Prefix.host(net.node("r2").ipv4),
+                                     RouteSource.STATIC)
+        assert engine.forward(_packet(net), "r0").outcome is Outcome.NO_ROUTE
+
+    def test_local_addresses_are_seen(self):
+        net = line_network()
+        engine = ForwardingEngine(net)
+        r1, target = net.node("r1"), net.node("r2").ipv4
+        assert engine.forward(_packet(net), "r0").delivered_to == "r2"
+        r1.add_local_ipv4(target)
+        assert engine.forward(_packet(net), "r0").delivered_to == "r1"
+        r1.remove_local_ipv4(target)
+        assert engine.forward(_packet(net), "r0").delivered_to == "r2"
+
+    def test_vn_state_is_seen(self):
+        net = line_network()
+        engine = ForwardingEngine(net)
+        # The handler answers whatever decision the router's state is.
+        engine.register_vn_handler(8, lambda node, packet: node.vn_state_for(8))
+        r0 = net.node("r0")
+        packet = vn_packet(VNAddress(1), VNAddress(2))
+        r0.set_vn_state(8, VnDeliver())
+        assert engine.forward(packet.copy(), "r0").delivered_to == "r0"
+        r0.clear_vn_state(8)
+        trace = engine.forward(packet.copy(), "r0")
+        assert trace.outcome is Outcome.NO_VN_HANDLER
+        r0.set_vn_state(8, VnDeliver())
+        assert engine.forward(packet.copy(), "r0").delivered_to == "r0"
+        r0.set_vn_state(8, VnDrop("replaced"))
+        assert engine.forward(packet.copy(), "r0").outcome is Outcome.DROPPED
+
+    def test_a_change_on_an_empty_table_is_not_an_invalidation(self):
+        net = line_network()
+        engine = ForwardingEngine(net)
+        net.link_between("r0", "r1").fail()
+        engine.forward(_packet(net), "r0")
         assert engine.fastpath.invalidations == 0
 
 
 class TestInvalidationSites:
-    """State a stored walk read changes: the site that changes it bumps.
-    Each test fails with that site's ``bump()`` removed."""
+    """State a stored walk read changes through a public call, and the
+    next send sees it; a change no stored walk read keeps the table."""
 
     def test_register_vn_handler(self):
         net = line_network()
@@ -203,7 +239,7 @@ class TestInvalidationSites:
 
     def test_deploy_relabels_hosts(self, deployment):
         # x1 already serves A_N on its own, so deploy()'s add_member is
-        # a no-op and deploy's own bump is the only one.
+        # a no-op and hx's relabel is the change the replay must see.
         deployment.scheme.add_member("x1")
         deployment.orchestrator.reconverge()
         network, engine = deployment.network, deployment.orchestrator.engine
@@ -250,16 +286,40 @@ class TestInvalidationSites:
     def test_multicast_join(self, deployment):
         service = enable_multicast(deployment)
         group = service.create_group()
-        deployment.send("hx", "hz")
-        assert len(_fastpath(deployment)) == 1
-        service.join(group, "hz")
-        assert len(_fastpath(deployment)) == 0
+        first = deployment.send("hx", "hz")
+        service.join(group, "hz")  # can only turn a drop into a delivery
+        assert deployment.send("hx", "hz") is first
 
-    def test_multicast_rebuild(self, deployment):
-        service = enable_multicast(deployment)
-        deployment.send("hx", "hz")
-        assert len(_fastpath(deployment)) == 1
-        assert not deployment.needs_rebuild  # so its own bump is not run
-        service.rebuild()
-        assert len(_fastpath(deployment)) == 0
+    def test_vn_fib_rows_are_seen(self, deployment):
+        ingress = deployment.send("hx", "hz").ingress_router
+        fib = deployment.state_of(ingress).fib
+        row = Prefix.host(deployment.plan.address_of("hz"))
+        fib.write(row, VnAction.LOCAL, None, None, 0.0, "test")
+        assert deployment.send("hx", "hz").delivered_to == ingress
+        fib.retain([entry.prefix for entry in fib.entries()
+                    if entry.prefix != row])
+        assert deployment.send("hx", "hz").delivered_to == "hz"
+        fib.install(VnFibEntry(prefix=row, action=VnAction.LOCAL))
+        assert deployment.send("hx", "hz").delivered_to == ingress
+
+    def test_host_relabel_is_seen(self, deployment):
+        assert deployment.send("hx", "hz").delivered_to == "hz"
+        hz = deployment.network.node("hz")
+        # A new address the plan (and so the sender) does not know yet.
+        hz.assign_vn_address(VNAddress((4 << 32) | 1, version=8))
+        assert deployment.send("hx", "hz").outcome is Outcome.DROPPED
+
+    def test_noop_rebuild_keeps_the_table(self, deployment):
+        first = deployment.send("hx", "hz")
+        deployment.rebuild()
+        assert deployment.send("hx", "hz") is first
+        assert _fastpath(deployment).invalidations == 0
+
+    def test_first_send_from_a_fresh_host_keeps_stored_flows(self, deployment):
+        network, engine = deployment.network, deployment.orchestrator.engine
+        packet = ipv4_packet(network.node("hx").ipv4, network.node("hz").ipv4)
+        first = engine.forward(packet.copy(), "hx")
+        assert deployment.plan.address_of("hx") is None
+        deployment.send("hx", "hz")  # both hosts get their first address
+        assert engine.forward(packet.copy(), "hx") is first
 

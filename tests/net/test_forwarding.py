@@ -174,7 +174,8 @@ class TestLocalDeliveryAndDecap:
     def test_host_receives_vn_packet_for_its_address(self):
         net = line_network()
         host = net.add_host("h", 1, "r2")
-        address = host.self_assign(8)
+        address = VNAddress.self_assigned(host.ipv4, version=8)
+        host.assign_vn_address(address)
         packet = vn_packet(VNAddress(1), address)
         from repro.net.packet import IPv4Header
 
@@ -186,7 +187,7 @@ class TestLocalDeliveryAndDecap:
     def test_host_drops_foreign_vn_packet(self):
         net = line_network()
         host = net.add_host("h", 1, "r2")
-        host.self_assign(8)
+        host.assign_vn_address(VNAddress.self_assigned(host.ipv4, version=8))
         packet = vn_packet(VNAddress(1), VNAddress(2))  # not the host's address
         from repro.net.packet import IPv4Header
 

@@ -177,7 +177,8 @@ class TestNodes:
     def test_host_self_assign(self):
         host = Host(node_id="h", ipv4=ipv4("10.4.0.3"), domain_id=1,
                     kind=NodeKind.HOST, access_router="r")
-        address = host.self_assign(8)
+        address = VNAddress.self_assigned(host.ipv4, version=8)
+        host.assign_vn_address(address)
         assert address.is_self_assigned
         assert host.vn_address(8) == address
         assert host.vn_address(9) is None

@@ -5,12 +5,13 @@ adoption (deploy / expand / undeploy / rebuild), liveness changes made
 behind the control plane's back (link fail / restore, node crash /
 recovery), whole fault plans played by a ``FaultInjector`` (repeated
 sends in their transient and recovered phases), anycast members
-joining and leaving, host mobility and multicast joins, interleaved
-with repeated IPvN and IPv4 sends.  It runs under ``paranoid_caches``
-(``tests/oracles.py``), which walks a copy of every packet the fast
-path answers and asserts the replayed trace equals the walked one — so
-a site that changes forwarding state without dropping the stored flows
-fails the run at the first stale replay.
+joining and leaving, host mobility and multicast joins, FIB rows and
+local addresses changed directly on a router a stored walk crossed,
+interleaved with repeated IPvN and IPv4 sends.  It runs under
+``paranoid_caches`` (``tests/oracles.py``), which walks a copy of every
+packet the fast path answers and asserts the replayed trace equals the
+walked one — so state that changes without moving
+``Network.forwarding_version`` fails the run at the first stale replay.
 
 The same churn holds the reconvergence gates: two stub domains run
 distance-vector, and under ``checked_igp_installs``,
@@ -38,7 +39,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, precondition, rule,
 
 from repro.core.evolution import EvolvableInternet
 from repro.faults import FaultInjector, FaultPlan
+from repro.net.address import Prefix
 from repro.net.link import LinkScope
+from repro.net.node import FibEntry, RouteSource
 from repro.net.packet import ipv4_packet
 from repro.routing.linkstate import LinkStateRouting
 from repro.topogen import InternetSpec, generate_internet
@@ -58,7 +61,8 @@ class FastPathChurn(RuleBasedStateMachine):
     def __init__(self, verified: Counter) -> None:
         super().__init__()
         #: ``paranoid_caches``' counts; ``play_fault_plan`` adds the
-        #: replays re-walked inside a plan as ``"fastpath_in_plans"``.
+        #: replays re-walked inside a plan as ``"fastpath_in_plans"``,
+        #: ``change_on_path_directly`` its changes as ``"direct_changes"``.
         self.verified = verified
         spec = InternetSpec(n_tier1=2, n_tier2=2, n_stub=4, seed=SEED)
         generated = generate_internet(spec)
@@ -90,8 +94,10 @@ class FastPathChurn(RuleBasedStateMachine):
     @rule(src=st.integers(0, 7), dst=st.integers(0, 7))
     def send_twice(self, src, dst):
         src_id, dst_id = self._pick(self.hosts, src), self._pick(self.hosts, dst)
-        if src_id == dst_id:
-            return
+        if src_id != dst_id:
+            self._send_twice(src_id, dst_id)
+
+    def _send_twice(self, src_id, dst_id):
         first = self.deployment.send(src_id, dst_id)
         second = self.deployment.send(src_id, dst_id)
         assert first.to_dict() == second.to_dict()
@@ -143,17 +149,53 @@ class FastPathChurn(RuleBasedStateMachine):
     def rebuild_twice(self):
         """The second rebuild finds nothing to do (every domain quiet:
         this is where the refresh gate closes) and changes nothing: it
-        skips every member and writes and removes no vN FIB row."""
+        skips every member, writes and removes no vN FIB row, and keeps
+        the fast path's stored walks."""
         self.deployment.rebuild()
         before = forwarding_state(self.network, self.deployment)
         stats = self.deployment.routing.gate_stats()
+        version = self.network.forwarding_version
         self.deployment.rebuild()
+        assert self.network.forwarding_version == version
         assert forwarding_state(self.network, self.deployment) == before
         after = self.deployment.routing.gate_stats()
         skipped = after["members_skipped"] - stats["members_skipped"]
         assert skipped == len(self.deployment.states)
         for key in ("members_written", "rows_written", "rows_removed"):
             assert after[key] == stats[key], key
+
+    # -- forwarding state, behind every control plane's back --------------------
+    @rule(src=st.integers(0, 7), dst=st.integers(0, 7), hop=st.integers(0, 7),
+          accept=st.booleans())
+    def change_on_path_directly(self, src, dst, hop, accept):
+        """A router an IPv4 walk crossed gets a static blackhole for the
+        destination's address, or accepts that address itself, with no
+        orchestrator or deployment call; then the change is undone.
+        Sends repeat after each step, so each replay is re-walked."""
+        src_id, dst_id = self._pick(self.hosts, src), self._pick(self.hosts, dst)
+        if src_id == dst_id:
+            return
+        trace = self._ipv4(src_id, dst_id)
+        on_path = [node_id for node_id in trace.node_path()
+                   if self.network.node(node_id).is_router]
+        if not trace.delivered or not on_path:
+            return
+        router = self.network.node(on_path[hop % len(on_path)])
+        address = self.network.node(dst_id).ipv4
+        self._send_twice(src_id, dst_id)
+        if accept:
+            router.add_local_ipv4(address)
+        else:
+            router.fib4.install(FibEntry(prefix=Prefix.host(address),
+                                         next_hop=None, local=True,
+                                         source=RouteSource.STATIC))
+        self._send_twice(src_id, dst_id)
+        if accept:
+            router.remove_local_ipv4(address)
+        else:
+            router.fib4.withdraw(Prefix.host(address), RouteSource.STATIC)
+        self._send_twice(src_id, dst_id)
+        self.verified["direct_changes"] += 1
 
     # -- liveness, behind the control plane's back ----------------------------
     @rule(index=st.integers(0, 63))
@@ -300,6 +342,7 @@ def test_every_replay_equals_a_fresh_walk_under_churn(paranoid_caches):
     # shows the run replayed (installed, rebuilt, skipped) at all.
     assert paranoid_caches["fastpath"] > 0
     assert paranoid_caches["fastpath_in_plans"] > 0
+    assert paranoid_caches["direct_changes"] > 0
     assert paranoid_caches["igp_install"] > 0
     assert paranoid_caches["igp_refresh"] > 0
     assert igp["routers"] > 0 and vn["members"] > 0

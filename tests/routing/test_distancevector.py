@@ -58,6 +58,22 @@ class TestUnicast:
         assert entry is not None and entry.next_hop == "r3"
         assert entry.metric == 3.0
 
+    def test_refresh_after_a_partition_rewrites_nothing(self):
+        net = line_domain(2)
+        igp, sched = converge(net)
+        net.link_between("r0", "r1").fail()
+
+        def reconverge():
+            igp.refresh()
+            sched.run_until_idle()
+            igp.install_routes()
+
+        reconverge()
+        written, version = igp.routers_written, net.forwarding_version
+        reconverge()  # finds every dead route already poisoned
+        assert igp.routers_written == written
+        assert net.forwarding_version == version
+
     def test_host_routes_propagate(self):
         net = line_domain()
         net.add_host("h", 1, "r3")

@@ -14,6 +14,10 @@ from repro.vnbone.state import VnAction, vn_prefix_for_ipv4
 pytestmark = pytest.mark.usefixtures("paranoid_caches")
 
 
+def _self_assign(host):
+    host.assign_vn_address(VNAddress.self_assigned(host.ipv4, version=8))
+
+
 class TestExternalOwnerEntries:
     def test_exit_immediately_advertises_nothing(self, converged_hub):
         entries = external_owner_entries(
@@ -73,7 +77,7 @@ class TestHostRegistry:
     def test_register_and_entries(self, converged_hub):
         registry = HostRegistry(version=8)
         host = converged_hub.network.node("hz")
-        host.self_assign(8)
+        _self_assign(host)
         registry.register("hz", "x2")
         entries = registry.owner_entries(converged_hub.network,
                                          live_members={"x2"})
@@ -85,7 +89,7 @@ class TestHostRegistry:
 
     def test_fate_sharing_with_dead_member(self, converged_hub):
         registry = HostRegistry(version=8)
-        converged_hub.network.node("hz").self_assign(8)
+        _self_assign(converged_hub.network.node("hz"))
         registry.register("hz", "x2")
         # The advertising router rolled back: advertisement dies with it.
         assert registry.owner_entries(converged_hub.network,
@@ -99,7 +103,7 @@ class TestHostRegistry:
 
     def test_deregister(self, converged_hub):
         registry = HostRegistry(version=8)
-        converged_hub.network.node("hz").self_assign(8)
+        _self_assign(converged_hub.network.node("hz"))
         registry.register("hz", "x2")
         registry.deregister("hz")
         assert registry.registered_hosts == set()
@@ -107,7 +111,7 @@ class TestHostRegistry:
 
     def test_reregistration_replaces(self, converged_hub):
         registry = HostRegistry(version=8)
-        converged_hub.network.node("hz").self_assign(8)
+        _self_assign(converged_hub.network.node("hz"))
         registry.register("hz", "x2")
         registry.register("hz", "y2")
         assert registry.advertiser_of("hz") == "y2"
