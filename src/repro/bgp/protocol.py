@@ -301,6 +301,8 @@ class BgpProtocol:
     def _receive(self, asn: int, update: BgpUpdate) -> None:
         if asn in self._down_speakers:
             return  # message lost: every router of the AS is down
+        if (update.sender_asn, asn) in self._down_sessions:
+            return  # message lost: the session it rode is down
         self.stats.record_delivery()
         speaker = self.speaker(asn)
         rib = speaker.adj_rib_in.get(update.prefix)
