@@ -29,7 +29,10 @@ deterministic synchronous iteration to fixpoint rather than a
 message-driven engine — the adopters cooperate (the paper's design
 space here is unconstrained), so there is no policy oscillation to
 model.  Nothing is memoised: every ``compute`` sweeps and solves anew,
-and writes each FIB's delta through ``VnFib.write`` / ``retain``.
+re-selects every row of every member (the owner rows through the flat
+routing's cost-bounded scan) and writes each FIB's delta through
+``VnFib.write`` / ``retain``, whose walk drops the stale rows — the
+flat routing's row delta needs the memo this one does not keep.
 
 Select the mode with ``VnDeployment(..., routing_mode="layered")``.
 """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Dict, List, Optional
+from typing import Collection, Dict, Iterable, List, Optional
 
 from repro.net.address import VN_BITS, IPv4Address, Prefix, VNAddress
 from repro.net.errors import RoutingError
@@ -97,6 +97,19 @@ class VnFib(Watched):
         if stale:
             self._changed()
         return len(stale)
+
+    def remove(self, prefixes: Iterable[Prefix]) -> int:
+        """Remove the rows of *prefixes* that are installed and return
+        how many went; a prefix with no row is passed over."""
+        table = self._table
+        removed = 0
+        for prefix in prefixes:
+            if prefix in table:
+                table.remove(prefix)
+                removed += 1
+        if removed:
+            self._changed()
+        return removed
 
     def lookup(self, address: VNAddress) -> Optional[VnFibEntry]:
         match = self._table.lookup(address)

@@ -16,6 +16,9 @@ try:  # hypothesis is a dev dependency; the suite must run without it
 
     _hyp_settings.register_profile("ci", derandomize=True, deadline=None)
     _hyp_settings.register_profile("dev", deadline=None)
+    # The scheduled search: fresh examples each run, ×20 the default
+    # 100 (a test that pins its own count scales it by the same factor).
+    _hyp_settings.register_profile("deep", deadline=None, max_examples=2000)
     _hyp_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 except ImportError:  # pragma: no cover - exercised only without hypothesis
     pass

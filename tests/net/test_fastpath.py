@@ -301,6 +301,8 @@ class TestInvalidationSites:
         assert deployment.send("hx", "hz").delivered_to == "hz"
         fib.install(VnFibEntry(prefix=row, action=VnAction.LOCAL))
         assert deployment.send("hx", "hz").delivered_to == ingress
+        assert fib.remove([row]) == 1
+        assert deployment.send("hx", "hz").delivered_to == "hz"
 
     def test_host_relabel_is_seen(self, deployment):
         assert deployment.send("hx", "hz").delivered_to == "hz"

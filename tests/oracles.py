@@ -542,12 +542,40 @@ def _reference_owner_entries(deployment: VnDeployment) -> List[OwnerEntry]:
     return entries
 
 
+def reference_owner_row(member: str, prefix: Prefix,
+                        entries: List[OwnerEntry], dist: Dict[str, float],
+                        first_hop: Dict[str, str]) -> Optional[VnFibEntry]:
+    """*member*'s row for *prefix*: every one of *entries* re-sorted by
+    owner, the first minimum of ``(distance + advertised cost, owner)``
+    kept; ``None`` when no owner is reachable."""
+    best: Optional[Tuple[float, str, OwnerEntry]] = None
+    for entry in sorted(entries, key=lambda e: e.owner):
+        if entry.owner == member:
+            total = entry.advertised_cost
+        elif entry.owner in dist:
+            total = dist[entry.owner] + entry.advertised_cost
+        else:
+            continue
+        if best is None or (total, entry.owner) < best[:2]:
+            best = (total, entry.owner, entry)
+    if best is None:
+        return None
+    total, owner, entry = best
+    if owner == member:
+        return VnFibEntry(prefix=prefix, action=entry.action,
+                          egress_ipv4=entry.egress_ipv4, metric=total,
+                          origin=entry.origin)
+    return VnFibEntry(prefix=prefix, action=VnAction.FORWARD,
+                      next_hop=first_hop[owner], metric=total,
+                      origin=entry.origin)
+
+
 def reference_vn_fibs(deployment: VnDeployment
                       ) -> Dict[str, List[VnFibEntry]]:
-    """Every member's vN FIB entries, selected member by member: each
-    re-sorts the prefixes by ``str`` and each prefix's owners, and keeps
-    the first minimum of ``(distance + advertised cost, owner)``.
-    Distances and first hops are the deployment's own SPF sweep."""
+    """Every member's vN FIB entries, selected member by member and
+    prefix by prefix (:func:`reference_owner_row`), prefixes re-sorted
+    by ``str``.  Distances and first hops are the deployment's own SPF
+    sweep."""
     routing = deployment.routing
     by_prefix: Dict[Prefix, List[OwnerEntry]] = {}
     for entry in _reference_owner_entries(deployment):
@@ -558,27 +586,10 @@ def reference_vn_fibs(deployment: VnDeployment
         dist = routing._dist.get(member, {})
         first_hop = routing._first_hop.get(member, {})
         for prefix in sorted(by_prefix, key=str):
-            best: Optional[Tuple[float, str, OwnerEntry]] = None
-            for entry in sorted(by_prefix[prefix], key=lambda e: e.owner):
-                if entry.owner == member:
-                    total = entry.advertised_cost
-                elif entry.owner in dist:
-                    total = dist[entry.owner] + entry.advertised_cost
-                else:
-                    continue
-                if best is None or (total, entry.owner) < best[:2]:
-                    best = (total, entry.owner, entry)
-            if best is None:
-                continue
-            total, owner, entry = best
-            if owner == member:
-                fib.install(VnFibEntry(prefix=prefix, action=entry.action,
-                                       egress_ipv4=entry.egress_ipv4,
-                                       metric=total, origin=entry.origin))
-            else:
-                fib.install(VnFibEntry(prefix=prefix, action=VnAction.FORWARD,
-                                       next_hop=first_hop[owner],
-                                       metric=total, origin=entry.origin))
+            row = reference_owner_row(member, prefix, by_prefix[prefix],
+                                      dist, first_hop)
+            if row is not None:
+                fib.install(row)
         fibs[member] = fib.entries()
     return fibs
 
@@ -822,9 +833,11 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
     ``LinkStateRouting.refresh`` is re-scanned and must find no
     differing LSA: ``igp_refresh``), ``VnRouting.compute`` (a fresh
     routing with no memo writes into fresh FIBs; a reused SPF sweep
-    must equal its sweep: ``vn_routing``, and every member the skip
-    passed over its FIB: ``vn_fib``) and the flow fast path (a copy of
-    every packet it answers is walked hop by hop).  Returns the count
+    must equal its sweep: ``vn_routing``, and after a compute that left
+    any (member, prefix) row unvisited every member's FIB must equal
+    its fresh one: ``vn_fib`` counts the unvisited rows so checked,
+    ``vn_rows`` every row of every compute) and the flow fast path (a
+    copy of every packet it answers is walked hop by hop).  Returns the count
     of verified hits per mechanism, so a test can show it was not
     vacuous.
     """
@@ -884,16 +897,14 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
 
     def paranoid_vn_compute(self, states, owner_entries):
         before = self._signature
-        memo = dict(self._written)
-        skipped = self.members_skipped
+        visited = self.rows_visited
         vn_compute(self, states, owner_entries)
         spf_reused = before is not None and self._signature == before
-        passed_over = []
-        if self.members_skipped != skipped:
-            passed_over = [m for m in sorted(states)
-                           if memo.get(m) is states[m].fib]
-            assert len(passed_over) == self.members_skipped - skipped
-        if not (spf_reused or passed_over):
+        rows = len(states) * len({entry.prefix for entry in owner_entries})
+        unvisited = rows - (self.rows_visited - visited)
+        assert unvisited >= 0
+        verified["vn_rows"] += rows
+        if not (spf_reused or unvisited):
             return
         # The memo forgotten: a fresh routing writes fresh FIBs.
         fresh = VnRouting(self.network, self.version)
@@ -905,10 +916,11 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
             assert (self._dist, self._first_hop) == (fresh._dist,
                                                      fresh._first_hop)
             verified["vn_routing"] += 1
-        for member in passed_over:
-            assert (states[member].fib.entries()
-                    == fresh_states[member].fib.entries()), member
-        verified["vn_fib"] += len(passed_over)
+        if unvisited:
+            for member in sorted(states):
+                assert (states[member].fib.entries()
+                        == fresh_states[member].fib.entries()), member
+        verified["vn_fib"] += unvisited
 
     monkeypatch.setattr(ForwardingEngine, "forward", paranoid_forward)
     monkeypatch.setattr(TopologyMemo, "get", paranoid_get)

@@ -43,8 +43,9 @@ def test_cached_leg_matches_uncached_leg(name, scenario, plain_payloads,
         leg.counter("perf.bgp.egress_cache.hits") > 0
     assert paranoid_caches["vn_routing"] == \
         leg.counter("vnbone.spf_cache_hits")
-    assert paranoid_caches["vn_fib"] == \
-        leg.counter("vnbone.fib.members_skipped")
+    # Every (member, prefix) row a vN-Bone compute left unvisited.
+    assert paranoid_caches["vn_fib"] == (
+        paranoid_caches["vn_rows"] - leg.counter("vnbone.fib.rows_visited"))
 
 
 def test_fault_epoch_exercises_cache_invalidation(paranoid_caches):

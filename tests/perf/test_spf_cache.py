@@ -6,12 +6,14 @@ moved since their last install.  A converged domain must reinstall
 without running Dijkstra, and an event inside one domain must not
 dirty a router of another ("exactly the affected entries").
 
-``VnRouting.compute`` skips a member whose SPF rows, candidate view and
-``VnFib`` object are all what it last wrote from, and otherwise writes
-only the rows that differ and removes the rows with no winner.  The
-last two tests hold both halves: a view that moves over an unchanged
-tunnel graph must be written, and a prefix that loses every owner must
-leave every FIB.
+``VnRouting.compute`` re-selects, in a ``VnFib`` it last wrote, only
+the prefixes whose candidates changed and those of the owners whose
+distance or first hop moved; it writes only the rows that differ and
+removes the rows of prefixes gone or left with no winner.  The last
+tests hold the halves: a view that moves over an unchanged tunnel
+graph must be written, a prefix that loses every owner must leave
+every FIB, and an owner that moves only its first hop must be
+re-selected.
 """
 
 import pytest
@@ -122,12 +124,17 @@ def test_vnbone_rebuild_over_an_unchanged_tunnel_graph_is_rederived(
         deployment.rebuild()
         fibs = {member: state.fib.entries()
                 for member, state in deployment.states.items()}
+        rows = paranoid_caches["vn_rows"]
         deployment.rebuild()
     assert vn["rebuilds"] == 2
     if routing_mode == "global-spf":
         assert paranoid_caches["vn_routing"] > 0
-        # Same SPF rows, same view, same FIB objects: every member skipped.
-        assert paranoid_caches["vn_fib"] == len(deployment.states) > 0
+        # Same SPF rows, same view, same FIB objects: the first rebuild
+        # wrote fresh FIBs in full, the second visited no row at all.
+        assert paranoid_caches["vn_fib"] == \
+            paranoid_caches["vn_rows"] - rows > 0
+        stats = deployment.routing.gate_stats()
+        assert stats["members_skipped"] == len(deployment.states)
     assert {member: state.fib.entries()
             for member, state in deployment.states.items()} == fibs
 

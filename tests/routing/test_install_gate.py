@@ -158,8 +158,9 @@ def test_paranoid_gates_rederive_what_they_skip(paranoid_caches):
         s["routers_skipped"] for s in stats) > 0
     assert paranoid_caches["igp_refresh"] == sum(
         s["refreshes_skipped"] for s in stats) > 0
-    assert paranoid_caches["vn_fib"] == \
-        deployment.routing.gate_stats()["members_skipped"] > 0
+    assert paranoid_caches["vn_fib"] == (
+        paranoid_caches["vn_rows"]
+        - deployment.routing.gate_stats()["rows_visited"]) > 0
 
 
 # -- message neutrality -----------------------------------------------------------

@@ -1,13 +1,20 @@
 """Unit tests for vN-Bone routing (SPF, owner selection, the handler)."""
 
+import dataclasses
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net import Network, Domain, Prefix, ipv4
 from repro.net.address import VNAddress
 from repro.net.forwarding import VnDeliver, VnDrop, VnEgress, VnForward
 from repro.net.packet import vn_packet
-from repro.vnbone.routing import OwnerEntry, VnRouting, make_vn_handler
-from repro.vnbone.state import VnAction, VnRouterState, vn_prefix_for_ipv4
+from repro.vnbone.routing import (OwnerEntry, VnRouting, candidate_view,
+                                  make_vn_handler, write_owner_rows)
+from repro.vnbone.state import (VnAction, VnFib, VnRouterState,
+                                vn_prefix_for_ipv4)
+
+from tests.oracles import reference_owner_row
 
 
 def make_states(*specs):
@@ -105,6 +112,167 @@ class TestOwnerSelection:
         routing.compute(states, entries)
         assert states["a"].fib.lookup(
             VNAddress.self_assigned(ipv4("10.9.0.5"))) is None
+
+
+#: An external block every test below can hand to any owner.
+EXTERNAL = vn_prefix_for_ipv4(Prefix.parse("10.9.0.0/16"))
+
+
+def egress(owner, cost, origin="egress"):
+    return OwnerEntry(prefix=EXTERNAL, owner=owner, action=VnAction.EGRESS,
+                      advertised_cost=cost, origin=origin)
+
+
+def square(b_to_d, c_to_d):
+    """a reaches d over b or over c, every other tunnel of cost 1."""
+    return make_states(("a", {"b": 1.0, "c": 1.0}),
+                       ("b", {"a": 1.0, "d": b_to_d}),
+                       ("c", {"a": 1.0, "d": c_to_d}),
+                       ("d", {"b": b_to_d, "c": c_to_d}))
+
+
+def fresh_fibs(states, entries):
+    """Every member's entries as a routing with no memory writes them."""
+    fresh = {m: dataclasses.replace(state, fib=VnFib())
+             for m, state in states.items()}
+    VnRouting(Network(), 8).compute(fresh, entries)
+    return {m: state.fib.entries() for m, state in fresh.items()}
+
+
+def rewire(states, new_states):
+    """Give *states* (and so their FIBs) the tunnels of *new_states*."""
+    for member, state in states.items():
+        state.neighbors = dict(new_states[member].neighbors)
+
+
+class TestDeltaWrite:
+    """A second ``compute`` into the FIBs it wrote re-selects only what
+    moved; each FIB must still equal a memoryless routing's."""
+
+    def test_an_owner_that_moves_only_its_first_hop_is_reselected(self):
+        states = square(1.0, 2.0)
+        entries = [local_entry(states, r) for r in states] + [
+            egress("d", 0.0)]
+        routing = VnRouting(Network(), 8)
+        routing.compute(states, entries)
+        assert states["a"].fib.lookup(states["d"].vn_address).next_hop == "b"
+        # a's distance to d stays 2.0; only its first hop moves.
+        rewire(states, square(2.0, 1.0))
+        routing.compute(states, entries)
+        assert routing.distance("a", "d") == 2.0
+        assert states["a"].fib.lookup(states["d"].vn_address).next_hop == "c"
+        assert {m: s.fib.entries() for m, s in states.items()} == \
+            fresh_fibs(states, entries)
+
+    def test_a_changed_candidate_list_is_reselected(self):
+        states = square(1.0, 1.0)
+        local = [local_entry(states, r) for r in states]
+        routing = VnRouting(Network(), 8)
+        routing.compute(states, local + [egress("d", 5.0)])
+        visited = routing.rows_visited
+        # Same tunnels (the sweep is reused), one prefix's owners change.
+        entries = local + [egress("d", 5.0), egress("a", 0.0)]
+        routing.compute(states, entries)
+        assert routing.rows_visited - visited == len(states)
+        assert states["b"].fib.lookup(
+            VNAddress.self_assigned(ipv4("10.9.0.5"))).next_hop == "a"
+        assert {m: s.fib.entries() for m, s in states.items()} == \
+            fresh_fibs(states, entries)
+
+    def test_a_gone_prefix_leaves_every_fib_by_name(self):
+        states = square(1.0, 1.0)
+        local = [local_entry(states, r) for r in states]
+        routing = VnRouting(Network(), 8)
+        routing.compute(states, local + [egress("d", 0.0)])
+        visited, removed = routing.rows_visited, routing.rows_removed
+        routing.compute(states, local)
+        assert routing.rows_visited == visited
+        assert routing.rows_removed - removed == len(states)
+        assert {m: s.fib.entries() for m, s in states.items()} == \
+            fresh_fibs(states, local)
+
+    def test_a_prefix_left_with_no_reachable_owner_leaves_the_fib(self):
+        states = square(1.0, 1.0)
+        entries = [local_entry(states, r) for r in states] + [
+            egress("d", 0.0)]
+        routing = VnRouting(Network(), 8)
+        routing.compute(states, entries)
+        rewire(states, make_states(("a", {"b": 1.0, "c": 1.0}),
+                                   ("b", {"a": 1.0}), ("c", {"a": 1.0}),
+                                   ("d", {})))
+        routing.compute(states, entries)
+        assert states["a"].fib.lookup(
+            VNAddress.self_assigned(ipv4("10.9.0.5"))) is None
+        assert {m: s.fib.entries() for m, s in states.items()} == \
+            fresh_fibs(states, entries)
+
+
+class TestCostBoundedSelection:
+    """Candidates come by advertised cost, the scan stops at the first
+    cost above the best total, and ties go to owner order."""
+
+    def select(self, member, entries, dist):
+        fib = VnFib()
+        hops = {owner: f"via-{owner}" for owner in dist}
+        write_owner_rows(member, fib, candidate_view(entries), dist, hops)
+        return fib.entries()
+
+    def test_a_tie_at_the_bound_goes_to_the_earlier_owner(self):
+        # b is reached first (cost 4) with total 5; a's own cost 5 equals
+        # that total, so the scan must go on and a wins the tie.
+        [row] = self.select("a", [egress("a", 5.0, "mine"),
+                                  egress("b", 4.0, "theirs")], {"b": 1.0})
+        assert (row.action, row.origin) == (VnAction.EGRESS, "mine")
+
+    def test_a_cheaper_owner_later_in_owner_order_is_reached(self):
+        entries = [egress("a", 1.0, "a"), egress("b", 5.0, "b"),
+                   egress("c", 0.0, "c")]
+        [row] = self.select("m", entries, {"a": 1.0, "b": 1.0, "c": 1.0})
+        assert (row.origin, row.metric) == ("c", 1.0)
+
+
+_owner = st.sampled_from(["a", "b", "c", "d"])
+#: 10_000.0 + 5.06 == 10_000.0 + 5.0600000000000005: totals that tie
+#: only after rounding.
+_cost = st.sampled_from([0.0, 1.0, 5.0, 5.06, 5.0600000000000005,
+                         10_000.0])
+_reach = st.sampled_from([0.0, 1.0, 5.06, 10_000.0])
+
+
+@settings(deadline=None)
+@example(member="a", offers=[(0, "b", 5.0600000000000005), (0, "b", 5.06)],
+         dist={"b": 10_000.0})
+@example(member="a", offers=[(0, "a", 5.0), (0, "b", 4.0)], dist={"b": 1.0})
+@example(member="a", offers=[(0, "c", 0.0)], dist={})
+@given(member=_owner,
+       offers=st.lists(st.tuples(st.integers(0, 2), _owner, _cost),
+                       max_size=8),
+       dist=st.dictionaries(_owner, _reach))
+def test_cost_bounded_selection_equals_the_owner_order_rule(member, offers,
+                                                            dist):
+    """``write_owner_rows`` over ``candidate_view`` keeps, per prefix,
+    the first minimum of (distance + advertised cost, owner) in owner
+    order, as ``reference_vn_fibs`` does: equal costs, an owner offered
+    twice, zero reach, owners missing from *dist* (unreachable) and
+    rounded ties included.  The member reaches itself at 0.0."""
+    prefixes = [vn_prefix_for_ipv4(Prefix.parse(f"10.{i}.0.0/16"))
+                for i in range(3)]
+    entries = [OwnerEntry(prefix=prefixes[p], owner=owner,
+                          action=VnAction.EGRESS, advertised_cost=cost,
+                          origin=f"offer{i}")
+               for i, (p, owner, cost) in enumerate(offers)]
+    dist = {**dist, member: 0.0}
+    hops = {owner: f"via-{owner}" for owner in dist if owner != member}
+    fib = VnFib()
+    write_owner_rows(member, fib, candidate_view(entries), dist, hops)
+    expected = VnFib()
+    for prefix in prefixes:
+        row = reference_owner_row(
+            member, prefix, [e for e in entries if e.prefix == prefix],
+            dist, hops)
+        if row is not None:
+            expected.install(row)
+    assert fib.entries() == expected.entries()
 
 
 class TestHandler:
