@@ -49,9 +49,12 @@ class Link:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise TopologyError(f"self-loop link at {self.a!r}")
-        if self.cost < 0:
-            raise TopologyError(f"negative link cost {self.cost}")
-        if self.delay < 0:
+        # Written so that NaN fails too: shortest-path searches order
+        # their heaps by cost and keep their tie-breaks only when every
+        # cost is positive.
+        if not self.cost > 0:
+            raise TopologyError(f"link cost {self.cost} is not positive")
+        if not self.delay >= 0:
             raise TopologyError(f"negative link delay {self.delay}")
         if not self.name:
             self.name = f"{self.a}<->{self.b}"

@@ -35,6 +35,19 @@ class TestLink:
         with pytest.raises(TopologyError):
             Link(a="x", b="y", cost=-1)
 
+    @pytest.mark.parametrize("cost", [0, 0.0, float("nan")])
+    def test_a_zero_or_nan_cost_is_rejected(self, cost):
+        with pytest.raises(TopologyError):
+            Link(a="x", b="y", cost=cost)
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_a_negative_or_nan_delay_is_rejected(self, delay):
+        with pytest.raises(TopologyError):
+            Link(a="x", b="y", delay=delay)
+
+    def test_a_zero_delay_is_kept(self):
+        assert Link(a="x", b="y", delay=0.0).delay == 0.0
+
     def test_endpoints_canonical(self):
         assert Link(a="y", b="x").endpoints() == ("x", "y")
 
