@@ -832,8 +832,9 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
     ``igp_install``) and refresh gate (every skipped
     ``LinkStateRouting.refresh`` is re-scanned and must find no
     differing LSA: ``igp_refresh``), ``VnRouting.compute`` (a fresh
-    routing with no memo writes into fresh FIBs; a reused SPF sweep
-    must equal its sweep: ``vn_routing``, and after a compute that left
+    routing with no memo writes into fresh FIBs; trees a compute did
+    not sweep in full must equal its sweep: ``vn_routing``, of which
+    ``vn_grown`` grew over added tunnels, and after a compute that left
     any (member, prefix) row unvisited every member's FIB must equal
     its fresh one: ``vn_fib`` counts the unvisited rows so checked,
     ``vn_rows`` every row of every compute) and the flow fast path (a
@@ -896,10 +897,12 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
     vn_compute = VnRouting.compute
 
     def paranoid_vn_compute(self, states, owner_entries):
-        before = self._signature
+        trees, adjacency = self._dist, self._adjacency
         visited = self.rows_visited
         vn_compute(self, states, owner_entries)
-        spf_reused = before is not None and self._signature == before
+        # The full sweep builds new maps; a compute that kept them grew
+        # its trees in place or reused them.
+        spf_reused = self._dist is trees
         rows = len(states) * len({entry.prefix for entry in owner_entries})
         unvisited = rows - (self.rows_visited - visited)
         assert unvisited >= 0
@@ -916,6 +919,7 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
             assert (self._dist, self._first_hop) == (fresh._dist,
                                                      fresh._first_hop)
             verified["vn_routing"] += 1
+            verified["vn_grown"] += self._adjacency != adjacency
         if unvisited:
             for member in sorted(states):
                 assert (states[member].fib.entries()

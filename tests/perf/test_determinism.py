@@ -1,9 +1,9 @@
 """Cached == re-derived: no cache may ever change an answer.
 
 Every scenario runs under ``paranoid_caches`` (``tests/oracles.py``):
-each cache hit — path cache, egress cache, delay trees, vN-Bone
-signature caches — and each router or ``refresh()`` the IGP gates skip
-is re-derived from scratch on the spot and compared.  A run that
+each cache hit — path cache, egress cache, delay trees, vN-Bone SPF
+trees kept or grown — and each router or ``refresh()`` the IGP gates
+skip is re-derived from scratch on the spot and compared.  A run that
 finishes has therefore given exactly the answers an uncached, ungated
 run gives; its payload must also equal the plain run's, which shows the
 checking itself perturbs nothing.
@@ -11,7 +11,8 @@ checking itself perturbs nothing.
 
 import pytest
 
-from tests.scenarios import (SCENARIO_IDS, SCENARIOS, fault_epoch,
+from tests.scenarios import (SCENARIO_IDS, SCENARIOS,
+                             SWEEP_ADOPTION_STAGES, fault_epoch,
                              reachability_sweep, run_leg)
 
 
@@ -39,10 +40,15 @@ def test_cached_leg_matches_uncached_leg(name, scenario, plain_payloads,
         leg.counter("igp.refresh.skipped")
     if name == "reachability_sweep":
         assert paranoid_caches["igp_refresh"] > 0
+        # Each adoption stage only adds tunnels: its trees grow in place.
+        assert paranoid_caches["vn_grown"] == SWEEP_ADOPTION_STAGES
     assert paranoid_caches["EgressCache"] == \
         leg.counter("perf.bgp.egress_cache.hits") > 0
-    assert paranoid_caches["vn_routing"] == \
-        leg.counter("vnbone.spf_cache_hits")
+    # Every vN-Bone compute that did not sweep in full was re-derived:
+    # those over an unchanged tunnel graph are the cache hits, the rest
+    # grew their trees over added tunnels.
+    assert paranoid_caches["vn_routing"] == (
+        leg.counter("vnbone.spf_cache_hits") + paranoid_caches["vn_grown"])
     # Every (member, prefix) row a vN-Bone compute left unvisited.
     assert paranoid_caches["vn_fib"] == (
         paranoid_caches["vn_rows"] - leg.counter("vnbone.fib.rows_visited"))

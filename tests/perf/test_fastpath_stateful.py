@@ -145,24 +145,35 @@ class FastPathChurn(RuleBasedStateMachine):
         if asn is not None:
             self.deployment.undeploy(asn)
 
+    def _messages(self):
+        """BGP and link-state IGP messages sent so far.  (Distance-vector
+        is left out: its ``refresh`` schedules a full advertisement round
+        on every reconvergence, even a quiet one.)"""
+        return (self.orch.bgp.stats.sent,
+                sum(igp.stats.sent for igp in self.orch.igps.values()
+                    if isinstance(igp, LinkStateRouting)))
+
     @rule()
     def rebuild_twice(self):
         """The second rebuild finds nothing to do (every domain quiet:
         this is where the refresh gate closes) and changes nothing: it
-        skips every member, visits, writes and removes no vN FIB row,
-        and keeps the fast path's stored walks."""
+        sends no BGP or link-state message, settles no vN SPF row, skips
+        every member, visits, writes and removes no vN FIB row, and
+        keeps the fast path's stored walks."""
         self.deployment.rebuild()
         before = forwarding_state(self.network, self.deployment)
         stats = self.deployment.routing.gate_stats()
         version = self.network.forwarding_version
+        messages = self._messages()
         self.deployment.rebuild()
+        assert self._messages() == messages
         assert self.network.forwarding_version == version
         assert forwarding_state(self.network, self.deployment) == before
         after = self.deployment.routing.gate_stats()
         skipped = after["members_skipped"] - stats["members_skipped"]
         assert skipped == len(self.deployment.states)
-        for key in ("members_written", "rows_visited", "rows_written",
-                    "rows_removed"):
+        for key in ("rows_settled", "members_written", "rows_visited",
+                    "rows_written", "rows_removed"):
             assert after[key] == stats[key], key
 
     # -- forwarding state, behind every control plane's back --------------------
