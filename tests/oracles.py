@@ -85,6 +85,7 @@ from repro.perf.cache import TopologyMemo
 from repro.routing.distancevector import DistanceVectorRouting
 from repro.routing.igp import IgpProtocol
 from repro.routing.linkstate import LinkStateRouting
+from repro.vnbone.addressing import VnAddressPlan
 from repro.vnbone.bgpvn import BgpVnRoute, BgpVnSolver
 from repro.vnbone.deployment import VnDeployment
 from repro.vnbone.egress import EGRESS_AS_HOP_COST, EgressPolicy
@@ -837,8 +838,11 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
     ``vn_grown`` grew over added tunnels, and after a compute that left
     any (member, prefix) row unvisited every member's FIB must equal
     its fresh one: ``vn_fib`` counts the unvisited rows so checked,
-    ``vn_rows`` every row of every compute) and the flow fast path (a
-    copy of every packet it answers is walked hop by hop).  Returns the count
+    ``vn_rows`` every row of every compute), ``VnAddressPlan.resolve``
+    (every reused ``(host, address)`` is re-derived with
+    ``_require_host`` + ``host_address``: ``send_hosts``) and the flow
+    fast path (a copy of every packet it answers is walked hop by hop).
+    Returns the count
     of verified hits per mechanism, so a test can show it was not
     vacuous.
     """
@@ -926,8 +930,21 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
                         == fresh_states[member].fib.entries()), member
         verified["vn_fib"] += unvisited
 
+    resolve = VnAddressPlan.resolve
+
+    def paranoid_resolve(self, host_id):
+        entry = self._resolved.get(host_id)
+        answer = resolve(self, host_id)
+        if entry is not None and self._resolved.get(host_id) is entry:
+            host = self._require_host(host_id)
+            assert answer == (host, self.host_address(host)), host_id
+            assert answer[0] is host
+            verified["send_hosts"] += 1
+        return answer
+
     monkeypatch.setattr(ForwardingEngine, "forward", paranoid_forward)
     monkeypatch.setattr(TopologyMemo, "get", paranoid_get)
+    monkeypatch.setattr(VnAddressPlan, "resolve", paranoid_resolve)
     monkeypatch.setattr(IgpProtocol, "install_routes", paranoid_igp_install)
     monkeypatch.setattr(LinkStateRouting, "refresh", paranoid_igp_refresh)
     monkeypatch.setattr(VnRouting, "compute", paranoid_vn_compute)
