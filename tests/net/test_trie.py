@@ -51,14 +51,6 @@ class TestBasics:
         match = table.lookup(IPv4Address.parse("200.1.2.3"))
         assert match is not None and match[1] == "default"
 
-    def test_all_matches_shortest_first(self):
-        table = PrefixTable(IPV4_BITS)
-        table.insert(Prefix(IPv4Address(0), 0), 0)
-        table.insert(p("10.0.0.0/8"), 8)
-        table.insert(p("10.1.0.0/16"), 16)
-        matches = table.all_matches(IPv4Address.parse("10.1.9.9"))
-        assert [value for _, value in matches] == [0, 8, 16]
-
     def test_remove_and_prune(self):
         table = PrefixTable(IPV4_BITS)
         table.insert(p("10.1.0.0/16"), "x")
@@ -104,12 +96,6 @@ class TestBasics:
             table.insert(p(text), text)
         assert [str(pfx) for pfx, _ in table.items()] == [
             "9.0.0.0/8", "10.0.0.0/8", "10.128.0.0/9"]
-
-    def test_clear(self):
-        table = PrefixTable(IPV4_BITS)
-        table.insert(p("10.0.0.0/8"), 1)
-        table.clear()
-        assert len(table) == 0
 
 
 # -- property-based: table vs reference model ---------------------------------
@@ -168,15 +154,10 @@ def test_items_roundtrip(entries):
     for pfx, value in entries:
         table.insert(pfx, value)
         model[pfx] = value
-    assert table.to_dict() == model
+    assert dict(table.items()) == model
 
 
 # -- stateful: every operation interleaved, both families ---------------------
-
-def reference_all_matches(model, address):
-    """Every covering prefix of a plain dict, shortest first."""
-    return sorted(((pfx, value) for pfx, value in model.items()
-                   if pfx.contains(address)), key=lambda hit: hit[0].plen)
 
 
 class PrefixTableMachine(RuleBasedStateMachine):
@@ -225,7 +206,8 @@ class PrefixTableMachine(RuleBasedStateMachine):
             self.table.insert(Prefix(address, plen), plen)
             self.model[Prefix(address, plen)] = plen
         assert self.table.lookup(address) == (Prefix.host(address), self.bits)
-        assert len(self.table.all_matches(address)) == self.bits + 1
+        covering = [pfx for pfx, _ in self.table.items() if pfx.contains(address)]
+        assert len(covering) == self.bits + 1
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
@@ -256,13 +238,13 @@ class PrefixTableMachine(RuleBasedStateMachine):
     def lookup(self, data):
         address = self.address(data)
         assert self.table.lookup(address) == reference_lookup(self.model, address)
-        assert (self.table.all_matches(address)
-                == reference_all_matches(self.model, address))
 
     @rule()
-    def clear(self):
-        self.table.clear()
-        self.model.clear()
+    def remove_everything(self):
+        # In key order, so every length loses its last prefix in turn.
+        for pfx, _ in list(self.table.items()):
+            assert self.table.remove(pfx) == self.model.pop(pfx)
+        assert not self.model
 
     @invariant()
     def same_contents_in_key_order(self):
@@ -272,7 +254,6 @@ class PrefixTableMachine(RuleBasedStateMachine):
         assert dict(items) == self.model
         keys = [(pfx.address.value, pfx.plen) for pfx, _ in items]
         assert keys == sorted(keys)
-        assert self.table.prefixes() == [pfx for pfx, _ in items]
 
 
 class IPv4TableMachine(PrefixTableMachine):
@@ -299,7 +280,7 @@ def test_every_length_installed_at_once(make_address):
         table.insert(Prefix(address, plen), plen)
     assert len(table) == bits + 1
     assert table.lookup(address) == (Prefix.host(address), bits)
-    assert [plen for _, plen in table.all_matches(address)] == list(range(bits + 1))
+    assert [pfx.plen for pfx, _ in table.items()] == list(range(bits + 1))
     # An address sharing only the top bit matches /0 and /1.
     assert table.lookup(make_address(1 << (bits - 1)))[1] == 1
     assert table.lookup(make_address(0))[1] == 0
@@ -311,8 +292,7 @@ def test_last_prefix_of_a_length_leaves_no_stale_index():
     table.insert(p("10.1.2.0/24"), "long")
     table.remove(p("10.1.2.0/24"))
     assert table.lookup(IPv4Address.parse("10.1.2.3")) == (p("10.0.0.0/8"), "short")
-    assert table.all_matches(IPv4Address.parse("10.1.2.3")) == [
-        (p("10.0.0.0/8"), "short")]
+    assert list(table.items()) == [(p("10.0.0.0/8"), "short")]
     table.remove(p("10.0.0.0/8"))
     assert table.lookup(IPv4Address.parse("10.1.2.3")) is None
     table.insert(p("10.1.2.0/24"), "again")
