@@ -172,9 +172,8 @@ def app_level_send(deployment: VnDeployment, service: LookupService,
     if answer is None:
         raise RedirectionError(
             f"no application-level redirection available for {src_host_id!r}")
-    src = deployment.network.node(src_host_id)
     target = deployment.network.node(answer.router_id)
-    src_addr = deployment.plan.ensure_host_address(src_host_id)
+    src, src_addr = deployment.plan.resolve(src_host_id)
     dst_addr = deployment.plan.ensure_host_address(dst_host_id)
     packet = vn_packet(src_addr, dst_addr, payload=payload)
     packet.encapsulate(IPv4Header(src=src.ipv4, dst=target.ipv4))

@@ -217,10 +217,7 @@ class VnMulticastService:
         source needs no knowledge of the core, the tree, or deployment.
         """
         self._require_group(group)
-        src = self.network.node(src_host_id)
-        if not isinstance(src, Host):
-            raise DeploymentError(f"{src_host_id!r} is not a host")
-        src_addr = self.deployment.plan.ensure_host_address(src_host_id)
+        src, src_addr = self.deployment.plan.resolve(src_host_id)
         packet = vn_packet(src_addr, group, payload=payload, ttl=ttl)
         packet.encapsulate(IPv4Header(src=src.ipv4,
                                       dst=self.deployment.scheme.address))
