@@ -6,8 +6,10 @@ from repro.net.domain import Domain, Relationship
 from repro.net.errors import (AddressError, ConvergenceError, DeploymentError,
                               FaultDropError, FaultError, ForwardingError,
                               ForwardingLoopError, NoRouteError,
-                              RedirectionError, ReproError, RoutingError,
-                              SimulationError, TopologyError, TTLExpiredError)
+                              NotVnDestinationError, NoVnHandlerError,
+                              RedirectionError, ReplicationError, ReproError,
+                              RoutingError, SimulationError, TopologyError,
+                              TTLExpiredError)
 from repro.net.forwarding import (ForwardingEngine, ForwardingTrace, HopRecord,
                                   Outcome, VnDecision, VnDeliver, VnDrop, VnEgress,
                                   VnForward)
@@ -25,7 +27,8 @@ __all__ = [
     "ipv4", "prefix", "Domain", "Relationship", "AddressError",
     "ConvergenceError", "DeploymentError", "FaultDropError", "FaultError",
     "ForwardingError",
-    "ForwardingLoopError", "NoRouteError", "RedirectionError", "ReproError",
+    "ForwardingLoopError", "NoRouteError", "NotVnDestinationError",
+    "NoVnHandlerError", "RedirectionError", "ReplicationError", "ReproError",
     "RoutingError", "SimulationError", "TopologyError", "TTLExpiredError",
     "ForwardingEngine", "ForwardingTrace", "HopRecord", "Outcome", "VnDecision",
     "VnDeliver", "VnDrop", "VnEgress", "VnForward", "Link", "LinkScope",

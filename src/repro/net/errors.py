@@ -52,6 +52,19 @@ class FaultDropError(ForwardingError):
     """The packet hit injected-fault state (down link or crashed node)."""
 
 
+class NoVnHandlerError(ForwardingError):
+    """The node cannot process the packet's IPvN version: the engine has
+    no handler for it, or the node does not deploy it."""
+
+
+class NotVnDestinationError(ForwardingError):
+    """An IPvN packet reached a host that is not its destination."""
+
+
+class ReplicationError(ForwardingError):
+    """A replication decision was taken outside a multicast walk."""
+
+
 class FaultError(ReproError):
     """A fault plan was malformed or an injector was misused."""
 

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.net import (Domain, ForwardingLoopError, Network, NoRouteError,
-                       Outcome, Prefix, TTLExpiredError, ipv4, ipv4_packet,
-                       vn_packet)
+                       NotVnDestinationError, NoVnHandlerError, Outcome,
+                       Prefix, TTLExpiredError, ipv4, ipv4_packet, vn_packet)
 from repro.net.address import VNAddress
 from repro.net.forwarding import ForwardingEngine, VnDeliver, VnDrop
 from repro.net.node import FibEntry, RouteSource
+from repro.net.packet import IPv4Header
 
 
 def line_network(n=3):
@@ -195,6 +196,38 @@ class TestLocalDeliveryAndDecap:
         engine = ForwardingEngine(net)
         trace = engine.forward(packet, "r2")
         assert trace.outcome is Outcome.DROPPED
+
+
+class TestStrictVnDrops:
+    """``strict=True`` raises on every vN routing failure, each with its
+    own ``ForwardingError`` subclass, worded like the drop reason."""
+
+    def test_no_vn_handler_raises(self):
+        net = line_network()
+        packet = vn_packet(VNAddress(1), VNAddress(2))
+        packet.encapsulate(IPv4Header(src=net.node("r0").ipv4,
+                                      dst=net.node("r2").ipv4))
+        with pytest.raises(NoVnHandlerError, match="^r2 cannot process IPv8$"):
+            ForwardingEngine(net).forward(packet, "r0", strict=True)
+
+    def test_router_without_vn_state_raises(self):
+        net = line_network()
+        engine = ForwardingEngine(net)
+        engine.register_vn_handler(8, lambda node, packet: VnDeliver())
+        packet = vn_packet(VNAddress(1), VNAddress(2))
+        packet.encapsulate(IPv4Header(src=net.node("r0").ipv4,
+                                      dst=net.node("r2").ipv4))
+        with pytest.raises(NoVnHandlerError):
+            engine.forward(packet, "r0", strict=True)
+
+    def test_host_not_vn_destination_raises(self):
+        net = line_network()
+        host = net.add_host("h", 1, "r2")
+        host.assign_vn_address(VNAddress.self_assigned(host.ipv4, version=8))
+        packet = vn_packet(VNAddress(1), VNAddress(2))
+        packet.encapsulate(IPv4Header(src=net.node("r2").ipv4, dst=host.ipv4))
+        with pytest.raises(NotVnDestinationError, match="^host h is not IPv8 "):
+            ForwardingEngine(net).forward(packet, "r2", strict=True)
 
 
 class TestTraceAccounting:

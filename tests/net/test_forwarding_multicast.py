@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Domain, Network, Prefix, ipv4
+from repro.net import Domain, Network, Prefix, ReplicationError, ipv4
 from repro.net.address import VNAddress
 from repro.net.forwarding import (ForwardingEngine, Outcome, VnDeliver,
                                   VnEgress, VnEncap, VnForward, VnReplicate)
@@ -124,6 +124,17 @@ class TestReplication:
         trace = engine.forward(packet, "hub")
         assert trace.outcome is Outcome.DROPPED
         assert "replication" in trace.drop_reason
+
+    def test_replicate_in_unicast_walk_strict_raises(self):
+        net, hub, leaves = star_network(1)
+        engine = ForwardingEngine(net)
+        arm(net, engine, lambda node, packet: VnReplicate(
+            copies=(VnForward(leaves[0].node_id),)))
+        packet = vn_packet(VNAddress(1), GROUP)
+        packet.encapsulate(IPv4Header(src=hub.ipv4, dst=hub.ipv4))
+        with pytest.raises(ReplicationError,
+                           match="^replication at hub outside a multicast walk$"):
+            engine.forward(packet, "hub", strict=True)
 
 
 class TestVnInVn:
