@@ -44,6 +44,10 @@ against lives here, as test code:
   the IGP gates skip is re-derived from scratch and compared, so a run
   that finishes has given exactly the answers an uncached, ungated run
   would have;
+* :func:`reference_walk` — ``ForwardingEngine._walk`` as it was
+  before the IPv4 segment loop: one :func:`reference_ipv4_step` per
+  IPv4 hop, each building the decremented header and calling
+  ``record``, which the segment loop must equal slot for slot;
 * :func:`slow_path_held` — a flow fast path that never finds or stores
   a flow, so every packet walks hop by hop, to compare a run with one
   that used the fast path;
@@ -64,19 +68,23 @@ import heapq
 import json
 from collections import Counter
 from contextlib import contextmanager
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Set, Tuple)
+from typing import (Deque, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 import pytest
 
 from repro.bgp.protocol import BgpProtocol, BgpSpeaker
 from repro.bgp.routes import BgpRoute, BgpUpdate
+from repro.net.errors import (FaultDropError, ForwardingLoopError, NoRouteError,
+                              TTLExpiredError)
 from repro.net.fastpath import FlowFastPath
-from repro.net.forwarding import ForwardingEngine, ForwardingTrace
+from repro.net.forwarding import (FAULT_ACTION, ForwardingEngine,
+                                  ForwardingTrace, Outcome)
 from repro.net.link import LinkScope
 from repro.net.network import Network, first_hop_spf
 from repro.net.address import Address, IPv4Address, Prefix
-from repro.net.node import Fib, FibEntry, RouteSource
+from repro.net.node import Fib, FibEntry, Node, RouteSource
+from repro.net.packet import IPv4Header, Packet
 from repro.net.simulator import EventScheduler, MessagePerturbation
 from repro.obs import NULL_OBS
 from repro.obs.spans import validate_span_events
@@ -799,6 +807,86 @@ def per_message_bgp() -> Iterator[None]:
         yield
 
 
+# -- the hop-by-hop walk ------------------------------------------------------
+def reference_walk(engine: ForwardingEngine, packet: Packet, node: Node,
+                   trace: ForwardingTrace, strict: bool,
+                   fork_queue: Optional[Deque]) -> None:
+    """The walk one step per node, as ``ForwardingEngine._walk`` was
+    before the IPv4 segment loop; vN steps and local acceptance are the
+    engine's own."""
+    steps = 0
+    while True:
+        if not node.up:
+            trace.outcome = Outcome.FAULT_DROPPED
+            trace.drop_reason = f"node {node.node_id} is down"
+            trace.record(node, FAULT_ACTION, trace.drop_reason)
+            if strict:
+                raise FaultDropError(trace.drop_reason)
+            return
+        steps += 1
+        if steps > engine.max_steps:
+            trace.outcome = Outcome.LOOP
+            trace.drop_reason = f"exceeded {engine.max_steps} steps"
+            if strict:
+                raise ForwardingLoopError(trace.drop_reason)
+            return
+        outer = packet.outer
+        if isinstance(outer, IPv4Header):
+            next_node = reference_ipv4_step(engine, node, packet, outer, trace,
+                                            strict)
+        else:
+            next_node = engine._vn_step(node, packet, outer, trace, strict,
+                                        fork_queue)
+        if next_node is None:
+            return
+        node = next_node
+
+
+def reference_ipv4_step(engine: ForwardingEngine, node: Node, packet: Packet,
+                        outer: IPv4Header, trace: ForwardingTrace,
+                        strict: bool) -> Optional[Node]:
+    """One IPv4 hop: a new header with the TTL decremented, one
+    ``record``, and the next node fetched by id."""
+    if node.accepts_ipv4(outer.dst):
+        return engine._accept_locally(node, packet, trace)
+    entry = node.fib4.lookup(outer.dst)
+    if entry is None or entry.next_hop is None:
+        trace.outcome = Outcome.NO_ROUTE
+        trace.drop_reason = f"no IPv4 route at {node.node_id} for {outer.dst}"
+        trace.record(node, "drop", trace.drop_reason)
+        if strict:
+            raise NoRouteError(node.node_id, outer.dst)
+        return None
+    if outer.ttl <= 1:
+        trace.outcome = Outcome.TTL_EXPIRED
+        trace.drop_reason = f"IPv4 TTL expired at {node.node_id}"
+        trace.record(node, "drop", trace.drop_reason)
+        if strict:
+            raise TTLExpiredError(node.node_id)
+        return None
+    link = engine.network.link_between(node.node_id, entry.next_hop)
+    if link is None:
+        trace.outcome = Outcome.NO_ROUTE
+        trace.drop_reason = f"next hop {entry.next_hop} unreachable from {node.node_id}"
+        trace.record(node, "drop", trace.drop_reason)
+        if strict:
+            raise NoRouteError(node.node_id, outer.dst)
+        return None
+    if not link.up:
+        trace.outcome = Outcome.FAULT_DROPPED
+        trace.drop_reason = (
+            f"link {node.node_id}<->{entry.next_hop} is down")
+        trace.record(node, FAULT_ACTION, trace.drop_reason)
+        if strict:
+            raise FaultDropError(trace.drop_reason)
+        return None
+    packet.replace_outer(outer._replace(ttl=outer.ttl - 1))
+    trace.physical_hops += 1
+    trace.latency += link.delay
+    trace.record(node, "ipv4-forward", entry, depth=packet.depth)
+    return engine.network.node(entry.next_hop)
+
+
 # -- the flow fast path ------------------------------------------------------
 @contextmanager
 def slow_path_held() -> Iterator[None]:
@@ -841,10 +929,9 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
     ``vn_rows`` every row of every compute), ``VnAddressPlan.resolve``
     (every reused ``(host, address)`` is re-derived with
     ``_require_host`` + ``host_address``: ``send_hosts``) and the flow
-    fast path (a copy of every packet it answers is walked hop by hop).
-    Returns the count
-    of verified hits per mechanism, so a test can show it was not
-    vacuous.
+    fast path (a copy of every packet it answers is walked hop by hop by
+    :func:`reference_walk`).  Returns the count of verified hits per
+    mechanism, so a test can show it was not vacuous.
     """
     verified: Counter = Counter()
 
@@ -856,7 +943,8 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
         replayed = forward(self, packet, start, strict)
         if self.fastpath.hits != hits:
             walked = ForwardingTrace()
-            self._walk(sent, self.network.node(start), walked, False, None)
+            reference_walk(self, sent, self.network.node(start), walked,
+                           False, None)
             assert walked.to_dict() == replayed.to_dict()
             verified["fastpath"] += 1
         return replayed
