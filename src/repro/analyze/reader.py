@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Union)
 
-from repro.obs.spans import SPAN_END, SPAN_START
+from repro.obs.spans import SPAN_END, SPAN_START, read_trace
 
 #: One parsed JSONL event.
 Event = Dict[str, object]
@@ -33,9 +33,11 @@ def iter_trace_events(path: Union[str, Path]) -> Iterator[Event]:
     """Yield the events of a JSONL trace file, streaming line by line.
 
     Lines that are not JSON objects are skipped (the trace schema
-    validator, not the reader, is responsible for reporting them).
+    validator, not the reader, is responsible for reporting them); a
+    file that cannot be read as UTF-8 raises
+    :class:`~repro.net.errors.TraceError`.
     """
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with read_trace(path) as fh:
         for line in fh:
             if not line.strip():
                 continue

@@ -40,6 +40,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.evolution import EvolvableInternet
+from repro.net.errors import ReproError
 from repro.net.serialize import load_network, save_network
 from repro.topogen import InternetSpec
 
@@ -333,17 +334,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
     finding remains; 1 means findings (or parse errors); 2 means the
     invocation itself was bad (unknown rule, missing path).
     """
-    from repro.lint import (LintError, lint_paths, render_human,
-                            render_json, render_rule_list)
+    from repro.lint import (lint_paths, render_human, render_json,
+                            render_rule_list)
 
     if args.list_rules:
         print(render_rule_list())
         return 0
-    try:
-        report = lint_paths(args.paths or ["src"], rule_ids=args.rule)
-    except LintError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+    report = lint_paths(args.paths or ["src"], rule_ids=args.rule)
     print(render_json(report) if args.json else render_human(report))
     return 0 if report.ok else 1
 
@@ -362,7 +359,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     from repro.fleet import (FleetMatrix, run_fleet, validate_fleet_dict,
                              write_fleet)
-    from repro.net.errors import FleetError
 
     def progress(record: dict) -> None:
         state = "ok" if record["ok"] else f"FAIL ({record['error']})"
@@ -370,14 +366,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
               f"seed={record['seed']} params={record['params']} {state}",
               file=sys.stderr)
 
-    try:
-        matrix = FleetMatrix.from_file(args.matrix)
-        doc = run_fleet(matrix, workers=args.workers,
-                        traces_dir=args.traces, cache_dir=args.cache_dir,
-                        progress=None if args.quiet else progress)
-    except FleetError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
+    matrix = FleetMatrix.from_file(args.matrix)
+    doc = run_fleet(matrix, workers=args.workers, traces_dir=args.traces,
+                    cache_dir=args.cache_dir,
+                    progress=None if args.quiet else progress)
     errors = validate_fleet_dict(doc)
     write_fleet(doc, args.out)
     totals: dict = doc["totals"]  # type: ignore[assignment]
@@ -492,9 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command.  A library error (a missing or malformed input
+    file, an unknown node, a bad matrix) prints ``<command>: <message>``
+    on stderr and exits 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -154,7 +154,7 @@ class FleetMatrix:
         try:
             with open(path, encoding="utf-8") as handle:
                 doc = json.load(handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise FleetError(f"matrix file {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise FleetError(f"matrix file {path!r}: invalid JSON "

@@ -93,6 +93,10 @@ class WorkloadError(ReproError):
     """A workload spec was violated (bad param schema, bad runner shape)."""
 
 
+class TraceError(ReproError):
+    """A trace file could not be read (missing, unreadable, not UTF-8)."""
+
+
 class FleetError(ReproError):
     """A fleet matrix or sweep invocation was malformed."""
 

@@ -103,5 +103,12 @@ def save_network(network: Network, path: Union[str, Path]) -> None:
 
 
 def load_network(path: Union[str, Path]) -> Network:
-    """Load a network previously written by :func:`save_network`."""
-    return network_from_dict(json.loads(Path(path).read_text()))
+    """Load a network previously written by :func:`save_network`.
+
+    A file that is missing, unreadable, not UTF-8 or not JSON raises
+    :class:`TopologyError`."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TopologyError(f"topology file {str(path)!r}: {exc}") from exc
+    return network_from_dict(data)

@@ -37,8 +37,12 @@ costs one ``enabled`` check when observability is off.
 from __future__ import annotations
 
 import json
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Set, Tuple, Union)
+from contextlib import contextmanager
+from pathlib import Path
+from typing import (IO, TYPE_CHECKING, Dict, Iterable, Iterator, List,
+                    Optional, Set, Tuple, Union)
+
+from repro.net.errors import TraceError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs import Observability
@@ -344,13 +348,25 @@ def validate_spans(path: str) -> List[str]:
     objects, which an unparsed line leaves open; so a trace with
     problems is read a second time, parsing every line, to number them.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with read_trace(path) as fh:
         if not validate_span_events(_objects(fh, spans_only=True)):
             return []
-    with open(path, "r", encoding="utf-8") as fh:
+    with read_trace(path) as fh:
         return validate_span_lines(fh)
 
 
+@contextmanager
+def read_trace(path: Union[str, Path]) -> Iterator[IO[str]]:
+    """Open a JSONL trace for reading.  A file that is missing,
+    unreadable or not UTF-8 raises :class:`TraceError`, also when the
+    bad bytes surface while the caller reads."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(f"trace {str(path)!r}: {exc}") from exc
+
+
 __all__ = ["AbstractSpan", "NULL_SPAN", "NullSpan", "SPAN_END", "SPAN_START",
-           "Span", "SpanContext", "SpanTracker", "validate_span_events",
-           "validate_span_lines", "validate_spans"]
+           "Span", "SpanContext", "SpanTracker", "read_trace",
+           "validate_span_events", "validate_span_lines", "validate_spans"]

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Dict, IO, Iterable, List, Optional, Set
 
 from repro.obs.serialize import json_safe
+from repro.obs.spans import read_trace
 
 #: Key prefix marking wall-clock-derived (nondeterministic) fields.
 WALL_PREFIX = "wall_"
@@ -259,7 +260,7 @@ def validate_trace(path: str) -> List[str]:
     (millions of events) validates in constant memory instead of being
     materialized as one string.
     """
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with read_trace(path) as fh:
         return validate_trace_lines(fh)
 
 

@@ -49,13 +49,12 @@ class TestReachability:
         assert "delivered: 100.0%" in out
 
     def test_failure_exit_code(self, capsys):
-        # Deploy nothing deployable: global scheme with an adopter that
-        # cannot serve everyone when propagation is... simplest: the
-        # reachability command returns nonzero only when delivery < 1,
-        # which a normal run never hits; assert the 0 path instead and
-        # the exit contract via the trace command on an unknown host.
-        with pytest.raises(Exception):
-            main(["trace", "--seed", "3", "--src", "ghost"])
+        # The reachability command returns nonzero only when delivery
+        # < 1, which a normal run never hits; assert the 0 path instead
+        # and the exit contract via the trace command on an unknown
+        # host: a typed error, one stderr line, exit 2.
+        assert main(["trace", "--seed", "3", "--src", "ghost"]) == 2
+        assert capsys.readouterr().err == "trace: unknown node 'ghost'\n"
 
 
 class TestFaults:
@@ -108,3 +107,36 @@ class TestRemovedSurface:
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2, argv
+
+
+#: What a broken input file holds: nothing (missing), a byte that is not
+#: UTF-8, and JSON cut short.
+BAD_FILES = {"missing": None, "0xff": b"\xff\xfe{", "truncated": b'{"a": ['}
+
+#: (case name, the argv before the file, the argv after it, broken files).
+#: A cut-short trace is a trace with one bad line, which ``report`` reads
+#: past (and ``--check`` reports, exit 1), so it is not a case here.
+FILE_INPUTS = [
+    ("report", ["report"], [], ("missing", "0xff")),
+    ("report-catchment", ["report"], ["--catchment"], ("missing", "0xff")),
+    ("report-check", ["report"], ["--check"], ("missing", "0xff")),
+    ("topology-load", ["topology", "--load"], [],
+     ("missing", "0xff", "truncated")),
+    ("fleet-matrix", ["fleet", "--matrix"], ["--out", "fleet.json"],
+     ("missing", "0xff", "truncated")),
+]
+
+
+@pytest.mark.parametrize("before,after,broken", [
+    pytest.param(before, after, broken, id=f"{name}-{broken}")
+    for name, before, after, cases in FILE_INPUTS for broken in cases])
+def test_a_bad_input_file_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys,
+                                                 before, after, broken):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input"
+    if BAD_FILES[broken] is not None:
+        path.write_bytes(BAD_FILES[broken])
+    assert main([*before, str(path), *after]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{before[0]}: "), err
+    assert "Traceback" not in err
