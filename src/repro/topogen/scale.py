@@ -55,6 +55,9 @@ _SCALE_SEED_SALT = 2_654_435_761
 #: Base of the scale tier's address plan (disjoint from hierarchy's 10/8).
 _ADDRESS_BASE = 20 << 24
 
+#: Transit /16s that fit between the base and the top of IPv4 space.
+_MAX_TRANSIT = ((1 << 32) - _ADDRESS_BASE) >> 16
+
 #: A transit /16 has room for 255 customer /24s (sub-block 0 is the
 #: transit's own router/host allocation pool).
 _MAX_CUSTOMERS_PER_TRANSIT = 255
@@ -104,6 +107,10 @@ class ScaleSpec:
                 f"t1_clique={self.t1_clique} seed")
         if self.m_attach < 1:
             raise TopologyError("m_attach must be at least 1")
+        if self.n_transit > _MAX_TRANSIT:
+            raise TopologyError(
+                f"{self.n_transit} transit ASes exceed the address plan's "
+                f"capacity of {_MAX_TRANSIT} transit /16s")
         if self.n_stub > self.n_transit * _MAX_CUSTOMERS_PER_TRANSIT:
             raise TopologyError(
                 f"{self.n_stub} stubs exceed the address plan's capacity of "

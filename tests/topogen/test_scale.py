@@ -70,6 +70,17 @@ class TestShape:
         with pytest.raises(TopologyError):
             spec_for_router_budget(10)
 
+    def test_spec_validation_rejects_more_transit_than_addresses(self):
+        """Transit /16s run from 20.0.0.0 to the top of IPv4 space: 60 416
+        fit.  One more is refused up front, naming the limit, instead of
+        failing mid-generation on an out-of-range address."""
+        shape = dict(n_stub=1, routers_transit=1, routers_stub=1, m_attach=1)
+        ScaleSpec(n_transit=60416, **shape).validate()
+        with pytest.raises(TopologyError, match="capacity of 60416 transit"):
+            ScaleSpec(n_transit=60417, **shape).validate()
+        with pytest.raises(TopologyError, match="transit /16s"):
+            spec_for_router_budget(4_000_000).validate()
+
 
 class TestDefaultRoutedFringe:
     def test_stubs_are_default_routed_and_transit_is_not(self, gen):
