@@ -15,8 +15,6 @@ is exactly the deployment concern that motivates option 2.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.net.address import IPv4Address, Prefix
 from repro.net.errors import DeploymentError
 from repro.bgp.routes import RouteScope
@@ -43,10 +41,6 @@ class AnycastAddressPool:
         address = IPv4Address(self._next)
         self._next += 1
         return address
-
-    def __iter__(self) -> Iterator[IPv4Address]:
-        while True:
-            yield self.allocate()
 
 
 class GlobalAnycast(AnycastScheme):

@@ -74,14 +74,6 @@ class AnycastScheme(abc.ABC):
             self._address = self.allocate_address()
         return self._address
 
-    @property
-    def members(self) -> Set[str]:
-        return set(self._members)
-
-    @property
-    def member_domains(self) -> Set[int]:
-        return set(self._member_domains)
-
     def add_member(self, router_id: str) -> None:
         """Configure *router_id* as a group member (accept + advertise)."""
         if router_id in self._members:

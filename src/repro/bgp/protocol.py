@@ -98,9 +98,6 @@ class BgpSpeaker:
     def withdraw_origination(self, prefix: Prefix) -> bool:
         return self.originated.pop(prefix, None) is not None
 
-    def best_route(self, prefix: Prefix) -> Optional[BgpRoute]:
-        return self.loc_rib.get(prefix)
-
     def decide(self, prefix: Prefix) -> Optional[BgpRoute]:
         """Run the decision process for *prefix*; returns the new best.
 
@@ -181,17 +178,6 @@ class BgpProtocol:
             return self.speakers[asn]
         except KeyError:
             raise RoutingError(f"no BGP speaker for AS{asn}") from None
-
-    def add_speaker(self, domain: Domain) -> BgpSpeaker:
-        """Register a domain added after protocol construction."""
-        if domain.asn in self.speakers:
-            raise RoutingError(f"speaker for AS{domain.asn} already exists")
-        if domain.default_routed:
-            raise RoutingError(
-                f"AS{domain.asn} is default-routed; it does not speak BGP")
-        speaker = BgpSpeaker(domain)
-        self.speakers[domain.asn] = speaker
-        return speaker
 
     def _session_peers(self, domain: Domain) -> List[int]:
         """The neighbors of *domain* that have a speaker, by ASN: whom
@@ -356,12 +342,6 @@ class BgpProtocol:
             return
         self._started = True
         self.originate_domain_prefixes()
-
-    def converge(self, max_events: int = 2_000_000) -> int:
-        """Drain BGP messages.  FIB installation is a separate step."""
-        if not self._started:
-            self.start()
-        return self.scheduler.run_until_idle(max_events=max_events)
 
     # -- session maintenance ---------------------------------------------------------
     def resync_speakers(self) -> int:
@@ -635,11 +615,3 @@ class BgpProtocol:
     # -- inspection --------------------------------------------------------------------
     def total_rib_size(self) -> int:
         return sum(s.rib_size() for s in self.speakers.values())
-
-    def route_counts(self) -> Dict[int, int]:
-        """Loc-RIB size per AS (experiment E5's routing-state metric)."""
-        return {asn: s.rib_size() for asn, s in sorted(self.speakers.items())}
-
-    def as_path_to(self, asn: int, prefix: Prefix) -> Optional[Tuple[int, ...]]:
-        route = self.speaker(asn).best_route(prefix)
-        return route.as_path if route is not None else None

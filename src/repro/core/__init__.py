@@ -6,9 +6,9 @@ from repro.core.deployment import (AdoptionStep, DeploymentSchedule,
 from repro.core.evolution import EvolvableInternet
 from repro.core.incentives import (AdoptionModel, AdoptionTrajectory, IspAgent,
                                    compare_access_models)
-from repro.core.metrics import (ReachabilityReport, last_vn_domain,
-                                measure_reachability, outcome_histogram,
-                                path_stretch, routing_state_table, summarize,
+from repro.core.metrics import (ReachabilityReport, measure_reachability,
+                                outcome_histogram, path_stretch,
+                                routing_state_table, summarize,
                                 trace_path_cost, traffic_share, vn_coverage,
                                 vn_tail_length)
 from repro.core.orchestrator import Orchestrator
@@ -17,7 +17,7 @@ __all__ = ["CoupledEvolution", "CoupledResult", "CoupledRound",
            "AdoptionStep", "DeploymentSchedule", "ScenarioResult",
            "ScenarioRunner", "EvolvableInternet", "AdoptionModel",
            "AdoptionTrajectory", "IspAgent", "compare_access_models",
-           "ReachabilityReport", "last_vn_domain", "measure_reachability",
+           "ReachabilityReport", "measure_reachability",
            "outcome_histogram", "path_stretch", "routing_state_table",
            "summarize", "trace_path_cost", "traffic_share", "vn_coverage",
            "vn_tail_length", "Orchestrator"]

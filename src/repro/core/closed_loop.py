@@ -50,18 +50,6 @@ class CoupledResult:
             raise DeploymentError("coupled run produced no rounds")
         return self.rounds[-1]
 
-    def first_deployment_round(self) -> Optional[int]:
-        for entry in self.rounds:
-            if entry.deployed_asns:
-                return entry.round_index
-        return None
-
-    def delivery_always_total_once_deployed(self) -> bool:
-        """Every *measured* round with any deployment saw 100% delivery."""
-        return all(entry.delivery_ratio == 1.0
-                   for entry in self.rounds
-                   if entry.deployed_asns and entry.delivery_ratio is not None)
-
 
 class CoupledEvolution:
     """Runs an adoption model against a live internetwork."""

@@ -51,9 +51,6 @@ class DeploymentSchedule:
 
     steps: List[AdoptionStep] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def __iter__(self):
         return iter(self.steps)
 
@@ -107,9 +104,6 @@ class ScenarioResult:
 
     rows: List[Dict[str, object]] = field(default_factory=list)
 
-    def column(self, key: str) -> List[object]:
-        return [row.get(key) for row in self.rows]
-
     def last(self) -> Dict[str, object]:
         if not self.rows:
             raise DeploymentError("scenario produced no rows")
@@ -138,28 +132,6 @@ class ScenarioRunner:
             result.rows.append(row)
         for index, step in enumerate(schedule, start=1):
             _apply_step(self.deployment, step)
-            self.deployment.rebuild()
-            row = dict(probe(index, self.deployment))
-            row.setdefault("step", index)
-            row.setdefault("adopted_asn", step.asn)
-            result.rows.append(row)
-        return result
-
-    def run_with_churn(self, schedule: DeploymentSchedule, probe: StepProbe,
-                       churn_every: int, seed: int = 0) -> ScenarioResult:
-        """Like :meth:`run`, but every *churn_every* steps a previously
-        adopting AS rolls IPvN back (deployment churn for E7)."""
-        if churn_every < 1:
-            raise DeploymentError("churn_every must be >= 1")
-        rng = random.Random(seed)
-        result = ScenarioResult()
-        adopted: List[int] = []
-        for index, step in enumerate(schedule, start=1):
-            _apply_step(self.deployment, step)
-            adopted.append(step.asn)
-            if index % churn_every == 0 and len(adopted) > 1:
-                victim = adopted.pop(rng.randrange(len(adopted) - 1))
-                self.deployment.undeploy(victim)
             self.deployment.rebuild()
             row = dict(probe(index, self.deployment))
             row.setdefault("step", index)

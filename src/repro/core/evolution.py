@@ -149,19 +149,6 @@ class EvolvableInternet:
         pairs = self.host_pairs(sample=sample, seed=seed)
         return measure_reachability(self.network, deployment.send, pairs)
 
-    def ipv4_reachability(self, sample: Optional[int] = None,
-                          seed: int = 0) -> ReachabilityReport:
-        """Plain IPv(N-1) reachability (substrate sanity check)."""
-        from repro.net.packet import ipv4_packet
-
-        def send(src: str, dst: str):
-            packet = ipv4_packet(self.network.node(src).ipv4,
-                                 self.network.node(dst).ipv4)
-            return self.orchestrator.forward(packet, src)
-
-        pairs = self.host_pairs(sample=sample, seed=seed)
-        return measure_reachability(self.network, send, pairs)
-
     def describe(self) -> Dict[str, object]:
         info: Dict[str, object] = dict(self.network.stats())
         info["deployments"] = {

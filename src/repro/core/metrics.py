@@ -114,13 +114,6 @@ def vn_coverage(trace: ForwardingTrace) -> Optional[float]:
     return inside / trace.physical_hops
 
 
-def last_vn_domain(network: Network, trace: ForwardingTrace) -> Optional[int]:
-    """The domain of the last IPvN router that handled the packet."""
-    if trace.last_vn_node is None:
-        return None
-    return network.node(trace.last_vn_node).domain_id
-
-
 @dataclass
 class ReachabilityReport:
     """Outcome counts over a set of (src, dst) delivery attempts."""

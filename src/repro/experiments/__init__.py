@@ -17,8 +17,7 @@ and validate workloads through this one surface.
 from repro.experiments.base import (EXPERIMENT_SCHEMA, ExperimentResult,
                                     Param, WorkloadSpec,
                                     all_specs, available, describe,
-                                    format_error, get_spec, register, run,
-                                    validate_experiment_dict)
+                                    format_error, get_spec, register, run)
 
 # Importing the modules registers their experiments.
 from repro.experiments import figures  # noqa: F401  (F1-F4)
@@ -34,5 +33,4 @@ from repro.experiments import measurement_claims  # noqa: F401  (rtt_catchment)
 
 __all__ = ["EXPERIMENT_SCHEMA", "ExperimentResult", "Param",
            "WorkloadSpec", "all_specs", "available", "describe",
-           "format_error", "get_spec", "register", "run",
-           "validate_experiment_dict"]
+           "format_error", "get_spec", "register", "run"]

@@ -10,7 +10,6 @@ enumerable and validatable through one surface::
     from repro.experiments import all_specs, run
 
     for spec in all_specs():
-        errors = spec.validate_params(spec.default_params())
         result = run(spec.workload_id)
 
 The same surface drives the shell (``python -m repro experiment F1``),
@@ -30,13 +29,13 @@ keywords.
 object the experiment constructs binds to it.  The returned
 :class:`ExperimentResult` then carries ``metrics`` (the registry
 snapshot) and ``trace_path``, and serializes to the versioned
-``repro.experiment/v1`` document (:func:`validate_experiment_dict`).
+``repro.experiment/v1`` document (its shape is
+``repro.schema.SCHEMAS["repro.experiment/v1"]``).
 """
 
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
                     Optional, Tuple)
@@ -44,7 +43,6 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
 from repro.net.errors import ReproError, WorkloadError
 from repro.obs import Observability, observing
 from repro.obs.serialize import json_safe
-from repro.schema import validate
 
 #: Schema tag stamped into :meth:`ExperimentResult.to_dict` documents.
 EXPERIMENT_SCHEMA = "repro.experiment/v1"
@@ -120,7 +118,7 @@ class ExperimentResult:
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical ``repro.experiment/v1`` form (shared serialization
-        contract; see :func:`validate_experiment_dict`)."""
+        contract; its shape is declared in :mod:`repro.schema`)."""
         return {"schema": EXPERIMENT_SCHEMA,
                 "experiment_id": self.experiment_id, "title": self.title,
                 "header": self.header, "rows": list(self.rows),
@@ -128,19 +126,6 @@ class ExperimentResult:
                 "seed": self.seed, "params": json_safe(self.params),
                 "metrics": json_safe(self.metrics),
                 "trace_path": self.trace_path}
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-
-def validate_experiment_dict(doc: object) -> List[str]:
-    """Validate a ``repro.experiment/v1`` document; returns error strings.
-
-    The fleet merge step runs every per-cell artifact through the same
-    table (:data:`repro.schema.SCHEMAS`) before folding it into the
-    cross-scenario report.
-    """
-    return validate(EXPERIMENT_SCHEMA, doc)
 
 
 _Runner = Callable[..., ExperimentResult]
@@ -164,21 +149,6 @@ class WorkloadSpec:
     params: Optional[Mapping[str, Param]] = None
     tags: FrozenSet[str] = frozenset()
     artifact_schema: str = EXPERIMENT_SCHEMA
-
-    def default_params(self) -> Dict[str, object]:
-        """The schema's defaults (empty when unconstrained)."""
-        if not self.params:
-            return {}
-        return {name: param.default
-                for name, param in sorted(self.params.items())}
-
-    def resolve_params(
-            self, params: Optional[Mapping[str, object]] = None
-    ) -> Dict[str, object]:
-        """Defaults overlaid with *params* (the cell the runner sees)."""
-        resolved = self.default_params()
-        resolved.update(params or {})
-        return resolved
 
     def validate_params(
             self, params: Optional[Mapping[str, object]] = None

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.errors import FaultError, TopologyError
 from repro.net.network import Network
@@ -145,12 +145,6 @@ class FaultPlan:
             else:
                 grouped.append((event.time, [event]))
         return grouped
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self.events())
 
     # -- validation ---------------------------------------------------------------
     def validate(self, network: Network) -> None:

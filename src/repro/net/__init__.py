@@ -1,7 +1,7 @@
 """Network substrate: addresses, packets, nodes, links, forwarding, events."""
 
 from repro.net.address import (IPV4_BITS, VN_BITS, Address, IPv4Address, Prefix,
-                               VNAddress, ipv4, prefix)
+                               VNAddress, ipv4)
 from repro.net.domain import Domain, Relationship
 from repro.net.errors import (AddressError, ConvergenceError, DeploymentError,
                               FaultDropError, FaultError, ForwardingError,
@@ -24,7 +24,7 @@ from repro.net.simulator import (EventHandle, EventScheduler, MessagePerturbatio
 
 __all__ = [
     "IPV4_BITS", "VN_BITS", "Address", "IPv4Address", "Prefix", "VNAddress",
-    "ipv4", "prefix", "Domain", "Relationship", "AddressError",
+    "ipv4", "Domain", "Relationship", "AddressError",
     "ConvergenceError", "DeploymentError", "FaultDropError", "FaultError",
     "ForwardingError",
     "ForwardingLoopError", "NoRouteError", "NotVnDestinationError",

@@ -238,8 +238,3 @@ def ipv4(text_or_value: Union[str, int]) -> IPv4Address:
     if isinstance(text_or_value, str):
         return IPv4Address.parse(text_or_value)
     return IPv4Address(text_or_value)
-
-
-def prefix(text: str) -> Prefix:
-    """Convenience constructor: ``prefix("10.0.0.0/8")``."""
-    return Prefix.parse(text)

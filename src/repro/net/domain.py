@@ -122,15 +122,6 @@ class Domain:
     def relationship_with(self, neighbor_asn: int) -> Optional[Relationship]:
         return self.relationships.get(neighbor_asn)
 
-    def customers(self) -> List[int]:
-        return [asn for asn, rel in self.relationships.items() if rel is Relationship.CUSTOMER]
-
-    def providers(self) -> List[int]:
-        return [asn for asn, rel in self.relationships.items() if rel is Relationship.PROVIDER]
-
-    def peers(self) -> List[int]:
-        return [asn for asn, rel in self.relationships.items() if rel is Relationship.PEER]
-
     def neighbor_asns(self) -> List[int]:
         return list(self.relationships)
 

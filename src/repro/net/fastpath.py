@@ -128,9 +128,6 @@ class FlowFastPath:
         self._check_version()
         self._traces[key] = trace
 
-    def __len__(self) -> int:
-        return len(self._traces)
-
     def stats(self) -> Dict[str, int]:
         """Plain-int snapshot (works without an observability handle)."""
         return {"hits": self.hits, "misses": self.misses,

@@ -325,9 +325,6 @@ class MulticastTrace:
     def max_link_stress(self) -> int:
         return max(self.link_stress.values()) if self.link_stress else 0
 
-    def delivered_all(self, receivers: Set[str]) -> bool:
-        return receivers <= self.delivered_to
-
     def to_dict(self) -> Dict[str, object]:
         """Stable-key, JSON-safe form (the unified ``to_dict`` contract)."""
         outcomes: Dict[str, int] = {}

@@ -262,10 +262,6 @@ class Network:
         except KeyError:
             raise TopologyError(f"unknown node {node_id!r}") from None
 
-    def node_by_ipv4(self, address: IPv4Address) -> Optional[Node]:
-        node_id = self._addr_index.get(address)
-        return self.nodes[node_id] if node_id is not None else None
-
     def link_between(self, a: str, b: str) -> Optional[Link]:
         key = (a, b) if a <= b else (b, a)
         return self.links.get(key)
@@ -290,14 +286,6 @@ class Network:
         else:
             nodes = (self.nodes[nid] for nid in sorted(self._require_domain(asn).routers))
         return [n for n in nodes if isinstance(n, Router)]
-
-    def hosts(self, asn: Optional[int] = None) -> List[Host]:
-        nodes: Iterable[Node]
-        if asn is None:
-            nodes = self.nodes.values()
-        else:
-            nodes = (self.nodes[nid] for nid in sorted(self._require_domain(asn).hosts))
-        return [n for n in nodes if isinstance(n, Host)]
 
     # -- ground-truth shortest paths ---------------------------------------
     def shortest_path(self, src: str, dst: str,

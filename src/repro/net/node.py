@@ -105,9 +105,6 @@ class Fib(Watched):
         #: are valid only while this (and the domain's egress map) holds.
         self.igp_generation = 0
 
-    def __len__(self) -> int:
-        return len(self._table)
-
     def install(self, entry: FibEntry) -> None:
         """Offer *entry*; replaces this source's previous offer for the prefix."""
         route = self._table.get(entry.prefix)
@@ -144,19 +141,6 @@ class Fib(Watched):
         match = self._table.lookup(address)
         return match[1].best if match is not None else None
 
-    def get(self, prefix: Prefix, source: Optional[RouteSource] = None) -> Optional[FibEntry]:
-        """Exact-prefix lookup; optionally restricted to one source."""
-        route = self._table.get(prefix)
-        if route is None:
-            return None
-        if source is not None:
-            return route.offers.get(source)
-        return route.best
-
-    def entries(self) -> List[FibEntry]:
-        """The winning entry for every installed prefix."""
-        return [route.best for _, route in self._table.items()]
-
     def snapshot(self, source: Optional[RouteSource] = None
                  ) -> List[Tuple[str, str, str, float]]:
         """A canonical, sorted dump of every offer — the byte-exact
@@ -176,10 +160,6 @@ class Fib(Watched):
                              entry.metric))
         rows.sort()
         return rows
-
-    def route_count(self) -> int:
-        """Number of distinct prefixes with at least one offer."""
-        return len(self._table)
 
 
 @dataclass
@@ -287,9 +267,6 @@ class Host(Node):
         self.vn_addresses: Dict[int, VNAddress] = {}
         #: IPvN multicast groups this host has joined (any version).
         self.vn_groups: Set[VNAddress] = set()
-
-    def vn_address(self, version: int) -> Optional[VNAddress]:
-        return self.vn_addresses.get(version)
 
     def assign_vn_address(self, address: VNAddress) -> None:
         replaced = self.vn_addresses.get(address.version)

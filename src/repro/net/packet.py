@@ -132,11 +132,6 @@ class Packet:
         return self.headers[-1]
 
     @property
-    def inner(self) -> Header:
-        """The innermost header (the original end-to-end header)."""
-        return self.headers[0]
-
-    @property
     def depth(self) -> int:
         """Number of stacked headers (1 = not encapsulated)."""
         return len(self.headers)

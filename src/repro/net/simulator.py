@@ -177,10 +177,6 @@ class EventScheduler:
             event.span_ctx = self.obs.current_span_context()
         return EventHandle(event, self)
 
-    def schedule_at(self, time: float, callback: Callback) -> EventHandle:
-        """Schedule *callback* at absolute simulation *time*."""
-        return self.schedule(time - self._now, callback)
-
     # -- message perturbation (fault injection) -----------------------------
     @property
     def message_perturbation(self) -> Optional[MessagePerturbation]:

@@ -101,9 +101,6 @@ class TopologyMemo(Generic[K, V]):
         value = self._table[key] = self.compute(key)
         return value
 
-    def __len__(self) -> int:
-        return len(self._table)
-
     def stats(self) -> Dict[str, int]:
         """Plain-int snapshot (works without an observability handle)."""
         return {"hits": self.hits, "misses": self.misses,

@@ -2,9 +2,7 @@
 
 from repro.redirection.lookup import (BrokerLookupService, IspLookupService,
                                       LookupAnswer, LookupService,
-                                      RedirectionComparison, app_level_send,
-                                      compare_redirection)
+                                      app_level_send)
 
 __all__ = ["BrokerLookupService", "IspLookupService", "LookupAnswer",
-           "LookupService", "RedirectionComparison", "app_level_send",
-           "compare_redirection"]
+           "LookupService", "app_level_send"]

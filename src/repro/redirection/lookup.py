@@ -24,8 +24,8 @@ measurable cost experiment E7 reports.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Optional, Set
 
 from repro.net.errors import RedirectionError
 from repro.net.forwarding import ForwardingTrace
@@ -178,48 +178,3 @@ def app_level_send(deployment: VnDeployment, service: LookupService,
     packet = vn_packet(src_addr, dst_addr, payload=payload)
     packet.encapsulate(IPv4Header(src=src.ipv4, dst=target.ipv4))
     return deployment.orchestrator.forward(packet, src_host_id)
-
-
-@dataclass
-class RedirectionComparison:
-    """E7 row: one redirection mechanism's score over a client set."""
-
-    mechanism: str
-    served: int = 0
-    refused: int = 0
-    delivered: int = 0
-    stale_drops: int = 0
-    requires_new_contracts: bool = False
-
-    @property
-    def access_ratio(self) -> float:
-        total = self.served + self.refused
-        return self.served / total if total else 0.0
-
-    @property
-    def delivery_ratio(self) -> float:
-        total = self.served + self.refused
-        return self.delivered / total if total else 0.0
-
-
-def compare_redirection(deployment: VnDeployment, service: LookupService,
-                        clients: List[str], dst_host_id: str,
-                        mechanism: str) -> RedirectionComparison:
-    """Score one lookup service against the anycast ground rules."""
-    row = RedirectionComparison(
-        mechanism=mechanism,
-        requires_new_contracts=service.violates_market_structure)
-    for client in clients:
-        if client == dst_host_id:
-            continue
-        try:
-            trace = app_level_send(deployment, service, client, dst_host_id)
-        except RedirectionError:
-            row.refused += 1
-            continue
-        row.served += 1
-        if trace.delivered:
-            row.delivered += 1
-        else:
-            row.stale_drops += 1
-    return row

@@ -22,9 +22,9 @@ single update per router.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set
 
-from repro.net.address import IPv4Address, Prefix
+from repro.net.address import Prefix
 from repro.net.domain import Domain
 from repro.net.network import Network
 from repro.net.node import FibEntry, RouteSource
@@ -228,16 +228,3 @@ class DistanceVectorRouting(IgpProtocol):
                 continue
             yield FibEntry(prefix=pfx, next_hop=route.next_hop,
                            source=RouteSource.IGP, metric=route.metric)
-
-    # -- inspection -------------------------------------------------------------------
-    def table(self, router_id: str) -> Dict[Prefix, Tuple[float, Optional[str]]]:
-        """Snapshot of a router's DV table (for tests)."""
-        return {pfx: (r.metric, r.next_hop)
-                for pfx, r in self._tables[router_id].items()}
-
-    def route_to(self, router_id: str, address: IPv4Address
-                 ) -> Optional[Tuple[float, Optional[str]]]:
-        route = self._tables[router_id].get(Prefix.host(address))
-        if route is None or not route.reachable:
-            return None
-        return route.metric, route.next_hop

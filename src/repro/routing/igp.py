@@ -215,10 +215,6 @@ class IgpProtocol(abc.ABC):
         if self._started:
             self.refresh()
 
-    def anycast_advertisers(self, address: IPv4Address) -> Set[str]:
-        """Routers in this domain advertising *address*."""
-        return {rid for rid, adverts in self._anycast_adverts.items() if address in adverts}
-
     # -- helpers ----------------------------------------------------------------
     def _require_member(self, router_id: str) -> Node:
         if router_id not in self.domain.routers:

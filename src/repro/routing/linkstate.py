@@ -267,9 +267,3 @@ class LinkStateRouting(IgpProtocol):
             raise RoutingError(f"{viewpoint!r} is not a router of AS{self.domain.asn}")
         return {origin for origin, lsa in self._lsdb[viewpoint].items()
                 if any(a == address for a, _ in lsa.anycast)}
-
-    def igp_distance(self, viewpoint: str, target: str) -> Optional[float]:
-        """Converged SPF distance from *viewpoint* to *target* router."""
-        spf = self._spf(viewpoint)
-        entry = spf.get(target)
-        return entry[0] if entry is not None else None

@@ -2,8 +2,7 @@
 
 from repro.topogen.figures import FigureTopology, figure1, figure2, figure3, figure4
 from repro.topogen.hierarchy import (GeneratedInternet, InternetSpec,
-                                     generate_internet, medium_internet,
-                                     small_internet)
+                                     generate_internet)
 from repro.topogen.intra import (build_domain_routers, grid_domain, random_domain,
                                  ring_domain, star_domain)
 from repro.topogen.scale import (GeneratedScaleInternet, ScaleSpec,
@@ -12,7 +11,7 @@ from repro.topogen.scale import (GeneratedScaleInternet, ScaleSpec,
 
 __all__ = ["FigureTopology", "figure1", "figure2", "figure3", "figure4",
            "GeneratedInternet", "InternetSpec", "generate_internet",
-           "medium_internet", "small_internet", "build_domain_routers",
-           "grid_domain", "random_domain", "ring_domain", "star_domain",
+           "build_domain_routers", "grid_domain", "random_domain",
+           "ring_domain", "star_domain",
            "GeneratedScaleInternet", "ScaleSpec", "generate_scale_internet",
            "scale_rng", "spec_for_router_budget"]

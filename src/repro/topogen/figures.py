@@ -28,9 +28,6 @@ class FigureTopology:
     def asn(self, name: str) -> int:
         return self.domains[name]
 
-    def node_id(self, role: str) -> str:
-        return self.nodes[role]
-
 
 def _add_domain(network: Network, asn: int, name: str, routers: int = 2,
                 tier: int = 2) -> List[str]:

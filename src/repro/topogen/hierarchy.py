@@ -61,9 +61,6 @@ class GeneratedInternet:
     routers_by_asn: Dict[int, List[str]] = field(default_factory=dict)
     hosts: List[str] = field(default_factory=list)
 
-    def all_asns(self) -> List[int]:
-        return self.tier1 + self.tier2 + self.stubs
-
 
 def _domain_prefix(asn: int) -> Prefix:
     if asn > 255:
@@ -165,16 +162,3 @@ def _attach_hosts(network: Network, result: GeneratedInternet, asn: int,
         host_id = f"h{asn}n{index}"
         network.add_host(host_id, asn, access)
         result.hosts.append(host_id)
-
-
-def small_internet(seed: int = 0) -> GeneratedInternet:
-    """A compact default internetwork for tests and quick experiments."""
-    return generate_internet(InternetSpec(seed=seed))
-
-
-def medium_internet(seed: int = 0) -> GeneratedInternet:
-    """A mid-size internetwork for the benchmark sweeps."""
-    spec = InternetSpec(n_tier1=4, n_tier2=10, n_stub=25, routers_tier1=6,
-                        routers_tier2=5, routers_stub=3, hosts_per_stub=2,
-                        hosts_per_tier2=1, seed=seed)
-    return generate_internet(spec)

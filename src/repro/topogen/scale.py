@@ -91,13 +91,6 @@ class ScaleSpec:
     inter_cost: float = 2.0
     seed: int = 0
 
-    def total_domains(self) -> int:
-        return self.n_transit + self.n_stub
-
-    def total_routers(self) -> int:
-        return (self.n_transit * self.routers_transit
-                + self.n_stub * self.routers_stub)
-
     def validate(self) -> None:
         if self.t1_clique < 2:
             raise TopologyError("seed clique needs at least two tier-1 ASes")
@@ -137,13 +130,6 @@ class GeneratedScaleInternet:
     hosts: List[str] = field(default_factory=list)
     #: Per stub ASN: (stub border, provider ASN, provider border).
     uplinks: Dict[int, Tuple[str, int, str]] = field(default_factory=dict)
-
-    def all_asns(self) -> List[int]:
-        return self.transit + self.stubs
-
-    def as_degree(self, asn: int) -> int:
-        """AS-level degree: distinct neighboring ASes."""
-        return len(self.network.domains[asn].relationships)
 
 
 def _transit_prefix(index: int) -> Prefix:

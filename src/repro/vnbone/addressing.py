@@ -19,14 +19,13 @@ not a redirection one).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.net.address import Prefix, VNAddress
+from repro.net.address import VNAddress
 from repro.net.domain import Domain
 from repro.net.errors import AddressError, DeploymentError
 from repro.net.network import Network
 from repro.net.node import Host
-from repro.vnbone.state import native_domain_prefix
 
 
 class VnAddressPlan:
@@ -56,9 +55,6 @@ class VnAddressPlan:
         return address
 
     # -- native allocation ---------------------------------------------------
-    def native_prefix(self, asn: int) -> Prefix:
-        return native_domain_prefix(asn, version=self.version)
-
     def allocate_native(self, asn: int) -> VNAddress:
         """The next native address from AS *asn*'s IPvN block."""
         if asn not in self.network.domains:
@@ -70,9 +66,6 @@ class VnAddressPlan:
         return VNAddress((asn << 32) | suffix, version=self.version)
 
     # -- host addressing -------------------------------------------------------
-    def address_of(self, host_id: str) -> Optional[VNAddress]:
-        return self._assigned.get(host_id)
-
     def ensure_host_address(self, host_id: str) -> VNAddress:
         """Give *host_id* an IPvN address appropriate to its domain.
 

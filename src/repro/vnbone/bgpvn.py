@@ -130,15 +130,13 @@ class LayeredVnRouting:
         self._dist: Dict[str, Dict[str, float]] = {}
         self._first_hop: FirstHops = {}
         self._solver: Optional[BgpVnSolver] = None
-        self._domain_of: Dict[str, int] = {}
 
     def compute(self, states: Dict[str, VnRouterState],
                 owner_entries: List[OwnerEntry]) -> None:
         """Run the intra-domain SPF sweep and BGPvN, then write every
         member's FIB delta: its own domain's prefixes by the owner rule,
         every other prefix BGPvN routes towards the next domain."""
-        domain_of = self._domain_of = {
-            rid: self.network.node(rid).domain_id for rid in states}
+        domain_of = {rid: self.network.node(rid).domain_id for rid in states}
         # Split the tunnel graph into intra adjacency and sessions.
         intra: Dict[str, Dict[str, float]] = {}
         sessions: Sessions = {}
@@ -196,30 +194,6 @@ class LayeredVnRouting:
                               "bgpvn")
                     kept.append(prefix)
                 fib.retain(kept)
-
-    # -- inspection (interface-compatible subset of VnRouting) ---------------------------
-    def reachable_members(self, member: str) -> Set[str]:
-        """Members reachable from *member*: its domain plus every domain
-        BGPvN has a route through (approximation at domain granularity)."""
-        if self._solver is None:
-            return set()
-        asn = self._domain_of.get(member)
-        if asn is None:
-            return set()
-        reachable_domains = {asn}
-        for route in self._solver.routes_of(asn).values():
-            reachable_domains.add(route.origin_asn)
-        return {rid for rid, domain in self._domain_of.items()
-                if domain in reachable_domains}
-
-    def domain_route(self, asn: int, prefix: Prefix) -> Optional[BgpVnRoute]:
-        if self._solver is None:
-            raise RoutingError("compute() has not run yet")
-        return self._solver.routes_of(asn).get(prefix)
-
-    def distance(self, a: str, b: str) -> Optional[float]:
-        """Intra-domain distances only; inter-domain is path-vector."""
-        return self._dist.get(a, {}).get(b)
 
     def path(self, a: str, b: str) -> Optional[List[str]]:
         raise RoutingError("layered BGPvN mode does not expose member-level "

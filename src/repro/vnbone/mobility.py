@@ -55,9 +55,6 @@ class MobilityService:
         self._mobile[host_id] = address
         return address
 
-    def is_mobile(self, host_id: str) -> bool:
-        return host_id in self._mobile
-
     def identity_of(self, host_id: str) -> VNAddress:
         try:
             return self._mobile[host_id]

@@ -112,9 +112,6 @@ class VnMulticastService:
         if isinstance(host, Host):
             host.leave_group(group)
 
-    def receivers(self, group: VNAddress) -> Set[str]:
-        return set(self._require_group(group).receivers)
-
     def _require_group(self, group: VNAddress) -> GroupState:
         try:
             return self.groups[group]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Dict, Iterable, List, Optional
+from typing import Collection, Dict, Iterable, Optional
 
 from repro.net.address import VN_BITS, IPv4Address, Prefix, VNAddress
 from repro.net.errors import RoutingError
@@ -58,13 +58,6 @@ class VnFib(Watched):
 
     def __init__(self) -> None:
         self._table: PrefixTable[VnFibEntry] = PrefixTable(VN_BITS)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def install(self, entry: VnFibEntry) -> None:
-        self._table.insert(entry.prefix, entry)
-        self._changed()
 
     def write(self, prefix: Prefix, action: VnAction,
               next_hop: Optional[str], egress_ipv4: Optional[IPv4Address],
@@ -114,9 +107,6 @@ class VnFib(Watched):
     def lookup(self, address: VNAddress) -> Optional[VnFibEntry]:
         match = self._table.lookup(address)
         return match[1] if match is not None else None
-
-    def entries(self) -> List[VnFibEntry]:
-        return [entry for _, entry in self._table.items()]
 
     def route_count(self) -> int:
         return len(self._table)

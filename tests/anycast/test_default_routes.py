@@ -97,8 +97,8 @@ class TestFigure2:
         orch.reconverge()
         pfx = Prefix.host(scheme.address)
         # Y holds the /32; P (not party to the agreement) must not.
-        assert orch.bgp.speaker(fig.asn("Y")).best_route(pfx) is not None
-        assert orch.bgp.speaker(fig.asn("P")).best_route(pfx) is None
+        assert orch.bgp.speaker(fig.asn("Y")).loc_rib.get(pfx) is not None
+        assert orch.bgp.speaker(fig.asn("P")).loc_rib.get(pfx) is None
 
     def test_advertise_requires_membership(self):
         fig, orch, scheme = self.setup_scheme()

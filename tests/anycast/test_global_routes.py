@@ -32,7 +32,7 @@ class TestGlobalAnycast:
         converged_hub.reconverge()
         pfx = Prefix.host(scheme.address)
         for asn in (1, 2, 3, 4):
-            assert converged_hub.bgp.speaker(asn).best_route(pfx) is not None
+            assert converged_hub.bgp.speaker(asn).loc_rib.get(pfx) is not None
 
     def test_seamless_spread_closer_member_wins(self, converged_hub):
         """Figure 1 semantics: as deployment spreads, clients are
@@ -52,7 +52,7 @@ class TestGlobalAnycast:
         scheme.remove_member("x2")
         converged_hub.reconverge()
         pfx = Prefix.host(scheme.address)
-        assert converged_hub.bgp.speaker(4).best_route(pfx) is None
+        assert converged_hub.bgp.speaker(4).loc_rib.get(pfx) is None
         assert scheme.resolve("hz") is None
 
     def test_non_propagating_isp_blackholes_customers(self, converged_hub):

@@ -137,8 +137,8 @@ class TestMraiBatching:
         converged_chain.scheduler.run_until_idle()
         assert bgp._pending_batches == {}
         for asn in (1, 2, 3):
-            assert bgp.speaker(asn).best_route(p1) is not None
-            assert bgp.speaker(asn).best_route(p2) is not None
+            assert bgp.speaker(asn).loc_rib.get(p1) is not None
+            assert bgp.speaker(asn).loc_rib.get(p2) is not None
 
     def test_batching_reduces_convergence_events(self):
         def run():
@@ -167,7 +167,7 @@ class TestMraiBatching:
             scheduler.run_until_idle()
         finally:
             scheduler.clear_message_perturbation()
-        assert bgp.speaker(1).best_route(pfx) is not None
+        assert bgp.speaker(1).loc_rib.get(pfx) is not None
 
     def test_seed_mode_never_batches(self):
         """With a (no-op) perturbation set from the start, every update

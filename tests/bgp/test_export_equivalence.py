@@ -16,7 +16,7 @@ the same check.)  The last two tests show the check bites.
 import pytest
 
 from repro.anycast import DefaultRootedAnycast, GlobalAnycast
-from repro.bgp.protocol import BgpProtocol
+from repro.bgp.protocol import BgpProtocol, BgpSpeaker
 from repro.bgp.routes import BgpRoute
 from repro.core.orchestrator import Orchestrator
 from repro.faults import FaultInjector, FaultPlan
@@ -78,7 +78,7 @@ def test_global_anycast_past_a_non_propagating_transit():
         scheme.remove_member("x2")
         orch.reconverge()
     assert checked["exports"] > 0
-    assert orch.bgp.speaker(3).best_route(Prefix.host(scheme.address)) is None
+    assert orch.bgp.speaker(3).loc_rib.get(Prefix.host(scheme.address)) is None
 
 
 @pytest.mark.parametrize("transitive", [False, True],
@@ -132,8 +132,8 @@ def late_domain(network):
 
 def test_a_neighbour_is_a_peer_once_it_has_a_speaker():
     """A domain connected after construction is a neighbour without a
-    speaker, then a session peer from ``add_speaker`` on — with no
-    invalidation in between."""
+    speaker, then a session peer once it has one — with no invalidation
+    in between."""
     with checked_bgp_exports() as checked:
         orch = Orchestrator(build_hub_network())
         orch.converge()
@@ -144,12 +144,12 @@ def test_a_neighbour_is_a_peer_once_it_has_a_speaker():
         bgp.reannounce(1)  # AS9 is a neighbour of AS1 and hears nothing
         assert bgp.stats.sent - sent == 3 * len(bgp.speaker(1).loc_rib)
         orch.scheduler.run_until_idle()
-        bgp.add_speaker(domain)
+        bgp.speakers[domain.asn] = BgpSpeaker(domain)
         bgp.originate(9, domain.prefix)
         bgp.reannounce(1)
         orch.scheduler.run_until_idle()
     assert checked["exports"] > 0
-    assert bgp.speaker(4).best_route(domain.prefix).as_path == (1, 9)
+    assert bgp.speaker(4).loc_rib.get(domain.prefix).as_path == (1, 9)
     assert len(bgp.speaker(9).loc_rib) == 5
 
 

@@ -1,7 +1,5 @@
 """Integration-level tests for the BGP protocol engine."""
 
-import pytest
-
 from repro.net import (Domain, Network, Outcome, Prefix, Relationship, ipv4,
                        ipv4_packet)
 from repro.bgp.routes import RouteScope
@@ -25,7 +23,7 @@ class TestPropagation:
         bgp = converged_chain.bgp
         net = converged_chain.network
         # AS4 (Z) to AS1 (W): path Z->Y->X->W has 3 AS hops.
-        path = bgp.as_path_to(4, net.domains[1].prefix)
+        path = bgp.speaker(4).loc_rib[net.domains[1].prefix].as_path
         assert path == (3, 2, 1)
 
     def test_valley_free_paths(self, converged_hub):
@@ -33,7 +31,7 @@ class TestPropagation:
         through another customer: all paths go via the hub provider."""
         bgp = converged_hub.bgp
         net = converged_hub.network
-        path = bgp.as_path_to(2, net.domains[4].prefix)
+        path = bgp.speaker(2).loc_rib[net.domains[4].prefix].as_path
         assert path == (1, 4)
 
     def test_peers_do_not_provide_transit(self):
@@ -50,10 +48,11 @@ class TestPropagation:
         orch = Orchestrator(net)
         orch.converge()
         # AS3 peers with AS4, so it reaches AS4's prefix directly...
-        assert orch.bgp.as_path_to(3, net.domains[4].prefix) == (4,)
+        loc_rib = orch.bgp.speaker(3).loc_rib
+        assert loc_rib[net.domains[4].prefix].as_path == (4,)
         # ...but AS3 must NOT reach AS2 (4's provider) through the peer
         # link, and there is no other path: no route at all.
-        assert orch.bgp.as_path_to(3, net.domains[2].prefix) is None
+        assert net.domains[2].prefix not in loc_rib
 
 
 class TestWithdrawal:
@@ -64,17 +63,17 @@ class TestWithdrawal:
         bgp.withdraw(1, pfx)
         converged_chain.scheduler.run_until_idle()
         for asn in (2, 3, 4):
-            assert bgp.speaker(asn).best_route(pfx) is None
+            assert bgp.speaker(asn).loc_rib.get(pfx) is None
 
     def test_anycast_origination_and_withdrawal(self, converged_chain):
         bgp = converged_chain.bgp
         pfx = Prefix.host(ipv4("240.0.0.1"))
         bgp.originate(2, pfx, scope=RouteScope.ANYCAST_GLOBAL)
         converged_chain.scheduler.run_until_idle()
-        assert bgp.speaker(4).best_route(pfx) is not None
+        assert bgp.speaker(4).loc_rib.get(pfx) is not None
         bgp.withdraw(2, pfx)
         converged_chain.scheduler.run_until_idle()
-        assert bgp.speaker(4).best_route(pfx) is None
+        assert bgp.speaker(4).loc_rib.get(pfx) is None
 
     def test_multi_origin_anycast_prefers_closest(self, converged_chain):
         bgp = converged_chain.bgp
@@ -83,7 +82,7 @@ class TestWithdrawal:
         bgp.originate(3, pfx, scope=RouteScope.ANYCAST_GLOBAL)
         converged_chain.scheduler.run_until_idle()
         # AS4 (Z) is adjacent to AS3 (Y): one hop beats three.
-        route = bgp.speaker(4).best_route(pfx)
+        route = bgp.speaker(4).loc_rib.get(pfx)
         assert route is not None and route.as_path == (3,)
 
 
@@ -113,15 +112,10 @@ class TestInstallation:
         assert entry is None
 
     def test_route_counts(self, converged_hub):
-        counts = converged_hub.bgp.route_counts()
+        counts = {asn: speaker.rib_size()
+                  for asn, speaker in converged_hub.bgp.speakers.items()}
         assert set(counts) == {1, 2, 3, 4}
         assert all(v == 4 for v in counts.values())
-
-    def test_add_speaker_rejects_duplicates(self, converged_hub):
-        from repro.net.errors import RoutingError
-
-        with pytest.raises(RoutingError):
-            converged_hub.bgp.add_speaker(converged_hub.network.domains[1])
 
 
 class TestHotPotato:

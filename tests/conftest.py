@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from typing import List
 
 import pytest
 
@@ -22,6 +23,19 @@ try:  # hypothesis is a dev dependency; the suite must run without it
     _hyp_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 except ImportError:  # pragma: no cover - exercised only without hypothesis
     pass
+
+
+def providers(domain: Domain) -> List[int]:
+    """*domain*'s provider ASNs, in the order they were connected."""
+    return [asn for asn, rel in domain.relationships.items()
+            if rel is Relationship.PROVIDER]
+
+
+def igp_distance(igp, viewpoint: str, target: str):
+    """Converged SPF distance in a link-state domain from *viewpoint* to
+    *target*, or None."""
+    entry = igp._spf(viewpoint).get(target)
+    return entry[0] if entry is not None else None
 
 
 def build_two_domain_network() -> Network:

@@ -8,6 +8,9 @@ from repro.core.incentives import AdoptionModel
 from repro.net.errors import DeploymentError
 from repro.topogen import InternetSpec
 
+from tests.scenarios import (delivery_always_total_once_deployed,
+                             first_deployment_round)
+
 
 def make_coupled(universal_access=True, seed=2, n_isps=12):
     internet = EvolvableInternet.generate(
@@ -28,7 +31,7 @@ class TestBinding:
     def test_first_mover_becomes_default_isp(self):
         coupled = make_coupled()
         result = coupled.run(rounds=20)
-        first_round = result.first_deployment_round()
+        first_round = first_deployment_round(result)
         assert first_round is not None
         first_asns = next(r.deployed_asns for r in result.rounds
                           if r.round_index == first_round)
@@ -55,13 +58,13 @@ class TestLoop:
         hold at every round with any deployment."""
         coupled = make_coupled()
         result = coupled.run(rounds=25)
-        assert result.first_deployment_round() is not None
-        assert result.delivery_always_total_once_deployed()
+        assert first_deployment_round(result) is not None
+        assert delivery_always_total_once_deployed(result)
 
     def test_deployment_grows_with_model(self):
         coupled = make_coupled()
         result = coupled.run(rounds=30)
-        first = result.first_deployment_round()
+        first = first_deployment_round(result)
         assert first is not None
         early = next(r for r in result.rounds if r.round_index == first)
         late = result.final()

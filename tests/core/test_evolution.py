@@ -7,6 +7,8 @@ from repro.net.errors import DeploymentError
 from repro.topogen import InternetSpec
 from repro.vnbone import EgressPolicy
 
+from tests.scenarios import ipv4_reachability
+
 
 @pytest.fixture(scope="module")
 def internet():
@@ -16,7 +18,7 @@ def internet():
 
 class TestConstruction:
     def test_generate_converges(self, internet):
-        report = internet.ipv4_reachability(sample=20)
+        report = ipv4_reachability(internet, sample=20)
         assert report.delivery_ratio == 1.0
 
     def test_tier_queries(self, internet):
@@ -26,7 +28,7 @@ class TestConstruction:
 
     def test_from_custom_network(self, hub_network):
         internet = EvolvableInternet(hub_network)
-        assert internet.ipv4_reachability().delivery_ratio == 1.0
+        assert ipv4_reachability(internet).delivery_ratio == 1.0
 
 
 class TestDeployments:

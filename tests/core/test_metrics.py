@@ -3,9 +3,9 @@
 import pytest
 
 from repro.anycast import DefaultRootedAnycast
-from repro.core.metrics import (ReachabilityReport, last_vn_domain,
-                                measure_reachability, outcome_histogram,
-                                path_stretch, routing_state_table, summarize,
+from repro.core.metrics import (ReachabilityReport, measure_reachability,
+                                outcome_histogram, path_stretch,
+                                routing_state_table, summarize,
                                 trace_path_cost, traffic_share, vn_coverage,
                                 vn_tail_length)
 from repro.net import ipv4_packet
@@ -56,7 +56,7 @@ class TestTraceMetrics:
 
     def test_last_vn_domain(self, deployment, converged_hub):
         trace = deployment.send("hz", "hx")
-        assert last_vn_domain(converged_hub.network, trace) == 2
+        assert converged_hub.network.node(trace.last_vn_node).domain_id == 2
 
     def test_tail_none_without_egress(self, converged_hub):
         net = converged_hub.network

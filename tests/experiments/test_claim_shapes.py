@@ -14,6 +14,9 @@ import statistics
 from repro.experiments import run
 from repro.experiments.common import experiment_spec
 
+from tests.scenarios import (delivery_always_total_once_deployed,
+                             first_deployment_round)
+
 
 def test_fig2_default_routes():
     """F2 — default-ISP-rooted anycast."""
@@ -173,8 +176,8 @@ def test_closed_loop():
     """E14 — the virtuous cycle, closed-loop."""
     result = run("E14")
     ua, wg = result.data["ua"], result.data["wg"]
-    assert ua.first_deployment_round() is not None
-    assert ua.delivery_always_total_once_deployed()
+    assert first_deployment_round(ua) is not None
+    assert delivery_always_total_once_deployed(ua)
     assert len(ua.final().deployed_asns) > len(wg.final().deployed_asns)
     measured = [e for e in ua.rounds if e.mean_stretch is not None]
     assert measured[-1].mean_stretch <= measured[0].mean_stretch

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.experiments.common import sources_for_probes
-from repro.topogen import small_internet
+from repro.topogen import InternetSpec, generate_internet
 
 
 @pytest.fixture(scope="module")
 def net():
-    return small_internet(0).network
+    return generate_internet(InternetSpec(seed=0)).network
 
 
 class TestProbeSources:

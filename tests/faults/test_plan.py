@@ -15,8 +15,8 @@ class TestConstruction:
                 .crash_node("r2", at=10.0)
                 .recover_node("r2", at=20.0)
                 .link_up("r0", "r1", at=20.0))
-        assert len(plan) == 4
-        kinds = [event.kind for event in plan]
+        assert len(plan.events()) == 4
+        kinds = [event.kind for event in plan.events()]
         assert kinds == [FaultKind.LINK_DOWN, FaultKind.NODE_CRASH,
                          FaultKind.NODE_RECOVER, FaultKind.LINK_UP]
 
@@ -106,5 +106,5 @@ class TestSerialization:
 
     def test_describe_is_human_readable(self):
         plan = FaultPlan().link_down("r0", "r1", at=5.0).crash_node("r2", at=6.0)
-        described = [event.describe() for event in plan]
+        described = [event.describe() for event in plan.events()]
         assert described == ["link-down r0<->r1", "node-crash r2"]

@@ -6,6 +6,8 @@ from repro.core.evolution import EvolvableInternet
 from repro.topogen import InternetSpec
 from repro.vnbone import EgressPolicy
 
+from tests.conftest import providers
+
 
 @pytest.fixture
 def internet():
@@ -53,8 +55,8 @@ class TestChurn:
         deployment.rebuild()
         assert internet.reachability(8, sample=15).delivery_ratio == 1.0
         multihomed = next(asn for asn in internet.stub_asns()
-                          if len(internet.network.domains[asn].providers()) >= 2)
-        victim_provider = internet.network.domains[multihomed].providers()[0]
+                          if len(providers(internet.network.domains[asn])) >= 2)
+        victim_provider = providers(internet.network.domains[multihomed])[0]
         for link in internet.network.links.values():
             ends = {internet.network.node(link.a).domain_id,
                     internet.network.node(link.b).domain_id}

@@ -85,4 +85,4 @@ class TestMobilityThenSerialize:
         mobility.move(mobile, target, access)
         clone = network_from_dict(network_to_dict(internet.network))
         for node_id, node in clone.nodes.items():
-            assert clone.node_by_ipv4(node.ipv4).node_id == node_id
+            assert clone._addr_index[node.ipv4] == node_id

@@ -74,7 +74,7 @@ def test_mobility_identity_survives_arbitrary_moves(seed, data):
         records.append(mobility.move(mobile, target, access))
     trace = mobility.reach(corr, mobile)
     assert trace.delivered and trace.delivered_to == mobile
-    assert internet.network.node(mobile).vn_address(8) == identity
+    assert internet.network.node(mobile).vn_addresses[8] == identity
     for record in records:
         legacy = mobility.ipv4_reach_old_locator(corr, record)
         assert legacy.delivered_to != mobile

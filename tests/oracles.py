@@ -105,6 +105,32 @@ from repro.vnbone.state import (VnAction, VnFib, VnFibEntry,
 FibRow = Tuple[str, str, str, float]
 
 
+# -- table reads the simulator never makes --------------------------------------
+def fib_entries(fib: Fib) -> List[FibEntry]:
+    """The winning entry of every prefix installed in *fib*."""
+    return [route.best for _, route in fib._table.items()]
+
+
+def fib_get(fib: Fib, prefix: Prefix,
+            source: Optional[RouteSource] = None) -> Optional[FibEntry]:
+    """Exact-prefix read: the winner, or *source*'s own offer."""
+    route = fib._table.get(prefix)
+    if route is None:
+        return None
+    return route.best if source is None else route.offers.get(source)
+
+
+def vn_fib_entries(fib: VnFib) -> List[VnFibEntry]:
+    """Every row of *fib*, in the table's prefix order."""
+    return [entry for _, entry in fib._table.items()]
+
+
+def vn_fib_install(fib: VnFib, entry: VnFibEntry) -> None:
+    """Write *entry*'s row into *fib*."""
+    fib.write(entry.prefix, entry.action, entry.next_hop, entry.egress_ipv4,
+              entry.metric, entry.origin)
+
+
 # -- shortest paths -----------------------------------------------------------
 def early_exit_dijkstra(network: Network, src: str, dst: str,
                         intra_domain_only: bool = False
@@ -511,7 +537,7 @@ def _reference_external_entries(deployment: VnDeployment, members: List[str],
             if network.domains[member_asn].prefix == domain_prefix:
                 hops: Optional[int] = 0
             else:
-                route = bgp.speaker(member_asn).best_route(domain_prefix)
+                route = bgp.speaker(member_asn).loc_rib.get(domain_prefix)
                 hops = None if route is None else route.path_length
             if hops is None:
                 continue
@@ -598,8 +624,8 @@ def reference_vn_fibs(deployment: VnDeployment
             row = reference_owner_row(member, prefix, by_prefix[prefix],
                                       dist, first_hop)
             if row is not None:
-                fib.install(row)
-        fibs[member] = fib.entries()
+                vn_fib_install(fib, row)
+        fibs[member] = vn_fib_entries(fib)
     return fibs
 
 
@@ -750,9 +776,9 @@ def reference_layered_vn_fibs(deployment: VnDeployment
                                                hops.get(member, {}))
                 if row is not None:
                     action, next_hop, egress_ipv4, metric, origin = row
-                    fib.install(VnFibEntry(prefix, action, next_hop,
-                                           egress_ipv4, metric, origin))
-            fibs[member] = fib.entries()
+                    fib.write(prefix, action, next_hop, egress_ipv4, metric,
+                              origin)
+            fibs[member] = vn_fib_entries(fib)
     return fibs
 
 
@@ -764,7 +790,7 @@ def forwarding_state(network: Network, deployment: VnDeployment
     leave as they were."""
     return ({node_id: node.fib4.snapshot()
              for node_id, node in network.nodes.items()},
-            {member: state.fib.entries()
+            {member: vn_fib_entries(state.fib)
              for member, state in deployment.states.items()})
 
 
@@ -784,7 +810,7 @@ def checked_vn_rebuilds() -> Iterator[Counter]:
                     if isinstance(self.routing, VnRouting)
                     else reference_layered_vn_fibs(self))
         for member, state in self.states.items():
-            assert state.fib.entries() == expected[member], member
+            assert vn_fib_entries(state.fib) == expected[member], member
         checked["rebuilds"] += 1
         checked["members"] += len(self.states)
 
@@ -1014,8 +1040,8 @@ def paranoid_caches(monkeypatch: pytest.MonkeyPatch) -> Counter:
             verified["vn_grown"] += self._adjacency != adjacency
         if unvisited:
             for member in sorted(states):
-                assert (states[member].fib.entries()
-                        == fresh_states[member].fib.entries()), member
+                assert (vn_fib_entries(states[member].fib)
+                        == vn_fib_entries(fresh_states[member].fib)), member
         verified["vn_fib"] += unvisited
 
     resolve = VnAddressPlan.resolve

@@ -21,7 +21,8 @@ from repro.obs import Observability, Tracer, observing, strip_wall_fields
 
 from tests.oracles import slow_path_held
 from tests.scenarios import (FAULT_SAMPLE, SCENARIO_IDS, SCENARIOS,
-                             deployed_internet, run_leg, traced_fault_report)
+                             deployed_internet, ipv4_reachability, run_leg,
+                             traced_fault_report)
 
 
 @pytest.mark.parametrize("name,scenario", SCENARIOS, ids=SCENARIO_IDS)
@@ -41,8 +42,8 @@ def test_repeated_sweep_aggregates_flows():
     obs = Observability()
     with observing(obs):
         internet, _deployment = deployed_internet(seed=7)
-        first = internet.ipv4_reachability(sample=30, seed=7).to_dict()
-        second = internet.ipv4_reachability(sample=30, seed=7).to_dict()
+        first = ipv4_reachability(internet, sample=30, seed=7).to_dict()
+        second = ipv4_reachability(internet, sample=30, seed=7).to_dict()
         fastpath = internet.orchestrator.engine.fastpath
     assert first == second
     # Every probe of the second sweep replayed a cached flow.
@@ -61,7 +62,7 @@ def _repeating_fault_epoch(seed):
 
     def sweep():
         return [internet.reachability(8, sample=FAULT_SAMPLE, seed=seed),
-                internet.ipv4_reachability(sample=FAULT_SAMPLE, seed=seed)]
+                ipv4_reachability(internet, sample=FAULT_SAMPLE, seed=seed)]
 
     def workload():
         first, second = sweep(), sweep()
@@ -98,7 +99,7 @@ def _traced_repeat_run(path):
         for _ in range(3):
             for src, dst in pairs:
                 assert deployment.send(src, dst).delivered_to == dst
-            internet.ipv4_reachability(sample=10, seed=7)
+            ipv4_reachability(internet, sample=10, seed=7)
     obs.close()
     return obs
 

@@ -137,7 +137,7 @@ class FastPathChurn(RuleBasedStateMachine):
         asn = self._pick(partial, index)
         if asn is not None:
             rest = self.network.domains[asn].routers - self.deployment.members()
-            self.deployment.expand(asn, {sorted(rest)[0]})
+            self.deployment.deploy(asn, router_ids={sorted(rest)[0]})
 
     @rule(index=st.integers(0, 7))
     def undeploy(self, index):
@@ -298,7 +298,7 @@ class FastPathChurn(RuleBasedStateMachine):
         group, or configures it back in."""
         scheme = self.deployment.scheme
         router_id = self._pick(self.deployment.live_members(), index)
-        if router_id in scheme.members:
+        if router_id in scheme._members:
             scheme.remove_member(router_id)
         elif router_id is not None:
             scheme.add_member(router_id)

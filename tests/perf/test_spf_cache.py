@@ -27,8 +27,8 @@ from repro.vnbone.deployment import VnDeployment
 from repro.vnbone.egress import EgressPolicy
 from repro.vnbone.state import vn_prefix_for_ipv4
 
-from tests.conftest import build_two_domain_network
-from tests.oracles import checked_vn_rebuilds
+from tests.conftest import build_two_domain_network, igp_distance
+from tests.oracles import checked_vn_rebuilds, vn_fib_entries
 
 
 def converged(seed=1):
@@ -84,23 +84,23 @@ def test_link_event_invalidates_only_the_affected_domain():
     after = counters(obs)
     assert (after["igp.ls.spf_runs"] - before["igp.ls.spf_runs"]
             == igp1.routers_written - written1)
-    assert igp2.igp_distance("r2a", "r2b") == 1.0
+    assert igp_distance(igp2, "r2a", "r2b") == 1.0
 
 
 def test_recomputed_distances_reflect_the_new_topology():
     net, orch, obs = converged()
     igp1 = orch.igp(1)
-    assert igp1.igp_distance("r1a", "r1b") == 1.0
+    assert igp_distance(igp1, "r1a", "r1b") == 1.0
     link = net.link_between("r1a", "r1b")
     link.fail()
     orch.notify_link_change(link)
     orch.reconverge()
     # r1a and r1b are now partitioned inside AS1.
-    assert igp1.igp_distance("r1a", "r1b") is None
+    assert igp_distance(igp1, "r1a", "r1b") is None
     link.restore()
     orch.notify_link_change(link)
     orch.reconverge()
-    assert igp1.igp_distance("r1a", "r1b") == 1.0
+    assert igp_distance(igp1, "r1a", "r1b") == 1.0
 
 
 @pytest.mark.parametrize("routing_mode", ["global-spf", "layered"])
@@ -122,7 +122,7 @@ def test_vnbone_rebuild_over_an_unchanged_tunnel_graph_is_rederived(
         deployment.deploy(asn)
     with checked_vn_rebuilds() as vn:
         deployment.rebuild()
-        fibs = {member: state.fib.entries()
+        fibs = {member: vn_fib_entries(state.fib)
                 for member, state in deployment.states.items()}
         rows = paranoid_caches["vn_rows"]
         deployment.rebuild()
@@ -135,13 +135,13 @@ def test_vnbone_rebuild_over_an_unchanged_tunnel_graph_is_rederived(
             paranoid_caches["vn_rows"] - rows > 0
         stats = deployment.routing.gate_stats()
         assert stats["members_skipped"] == len(deployment.states)
-    assert {member: state.fib.entries()
+    assert {member: vn_fib_entries(state.fib)
             for member, state in deployment.states.items()} == fibs
 
 
 # -- what a vN-Bone rebuild writes ---------------------------------------------
 def _prefixes(state):
-    return {entry.prefix for entry in state.fib.entries()}
+    return {entry.prefix for entry in vn_fib_entries(state.fib)}
 
 
 def _vn_internet(egress_policy):
@@ -179,7 +179,7 @@ def test_owner_entries_that_move_over_an_unchanged_tunnel_graph_are_written(
     assert after["rows_removed"] == before["rows_removed"]
     for member, state in deployment.states.items():
         assert any(entry.origin == "host-advertised"
-                   for entry in state.fib.entries()), member
+                   for entry in vn_fib_entries(state.fib)), member
 
 
 def test_an_adopting_domain_s_egress_prefix_leaves_every_member(

@@ -18,6 +18,20 @@ def line_domain(n=4):
     return net
 
 
+def table(igp, router_id):
+    """*router_id*'s DV table: prefix -> (metric, next hop)."""
+    return {pfx: (r.metric, r.next_hop)
+            for pfx, r in igp._tables[router_id].items()}
+
+
+def route_to(igp, router_id, address):
+    """*router_id*'s reachable route to *address*, or None."""
+    route = igp._tables[router_id].get(Prefix.host(address))
+    if route is None or not route.reachable:
+        return None
+    return route.metric, route.next_hop
+
+
 def converge(net):
     sched = EventScheduler()
     igp = DistanceVectorRouting(net, net.domains[1], sched)
@@ -41,7 +55,7 @@ class TestUnicast:
     def test_metrics_accumulate_hop_costs(self):
         net = line_domain()
         igp, _ = converge(net)
-        route = igp.table("r0")[Prefix.host(net.node("r3").ipv4)]
+        route = table(igp, "r0")[Prefix.host(net.node("r3").ipv4)]
         assert route == (3.0, "r1")
 
     def test_link_failure_reroutes_via_ring(self):
@@ -109,8 +123,8 @@ class TestAnycastExtension:
         anycast = ipv4("240.0.0.1")
         igp.advertise_anycast("r4", anycast)
         igp.converge()
-        assert igp.route_to("r0", anycast) == (4.0, "r1")
-        assert igp.route_to("r4", anycast) == (0.0, None)
+        assert route_to(igp, "r0", anycast) == (4.0, "r1")
+        assert route_to(igp, "r4", anycast) == (0.0, None)
 
     def test_withdrawal_poisons_route(self):
         net = line_domain(3)
@@ -119,11 +133,11 @@ class TestAnycastExtension:
         anycast = ipv4("240.0.0.1")
         igp.advertise_anycast("r2", anycast)
         igp.converge()
-        assert igp.route_to("r0", anycast) is not None
+        assert route_to(igp, "r0", anycast) is not None
         igp.withdraw_anycast("r2", anycast)
         sched.run_until_idle()
         igp.install_routes()
-        assert igp.route_to("r0", anycast) is None
+        assert route_to(igp, "r0", anycast) is None
         assert net.node("r0").fib4.lookup(anycast) is None
 
     def test_no_member_discovery(self):
@@ -143,9 +157,9 @@ class TestProtocolMechanics:
         igp, sched = converge(net)
         # r1's route to r0's loopback has next hop r0; the vector r1
         # sends to r0 must poison it (advertise INFINITY).
-        table = igp.table("r1")
+        r1_table = table(igp, "r1")
         r0_prefix = Prefix.host(net.node("r0").ipv4)
-        assert table[r0_prefix][1] == "r0"
+        assert r1_table[r0_prefix][1] == "r0"
         vector = {}
         for pfx, route in igp._tables["r1"].items():
             vector[pfx] = INFINITY if route.next_hop == "r0" else route.metric
@@ -173,4 +187,4 @@ class TestProtocolMechanics:
         # dead link are discarded, and convergence still completes.
         net.link_between("r1", "r2").fail()
         igp.converge()
-        assert igp.route_to("r0", net.node("r2").ipv4) is None
+        assert route_to(igp, "r0", net.node("r2").ipv4) is None

@@ -8,6 +8,8 @@ from repro.routing.igp import ANYCAST_STUB_COST
 from repro.routing.linkstate import LinkStateRouting
 from repro.net.errors import RoutingError
 
+from tests.conftest import igp_distance
+
 
 def square_domain():
     """a - b
@@ -175,5 +177,5 @@ class TestProtocolMechanics:
     def test_igp_distance(self):
         net = square_domain()
         igp, _ = converge(net)
-        assert igp.igp_distance("a", "c") == 2.0
-        assert igp.igp_distance("a", "a") == 0.0
+        assert igp_distance(igp, "a", "c") == 2.0
+        assert igp_distance(igp, "a", "a") == 0.0

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analyze import build_report
+from repro.core.closed_loop import CoupledResult
 from repro.core.evolution import EvolvableInternet
+from repro.core.metrics import ReachabilityReport, measure_reachability
 from repro.faults import FaultInjector, FaultPlan
+from repro.net.packet import ipv4_packet
 from repro.obs import Observability, Tracer, observing
 from repro.obs.serialize import json_safe
 from repro.topogen.hierarchy import InternetSpec
@@ -30,6 +33,36 @@ SWEEP_SAMPLE = 30
 SWEEP_ADOPTION_STAGES = 2
 FAULT_SAMPLE = 20
 MULTICAST_RECEIVERS = 4
+
+
+def ipv4_reachability(internet: EvolvableInternet,
+                      sample: Optional[int] = None,
+                      seed: int = 0) -> ReachabilityReport:
+    """Plain IPv(N-1) reachability over *internet*'s sampled host pairs
+    (substrate sanity check)."""
+    network = internet.network
+
+    def send(src: str, dst: str):
+        packet = ipv4_packet(network.node(src).ipv4, network.node(dst).ipv4)
+        return internet.orchestrator.forward(packet, src)
+
+    pairs = internet.host_pairs(sample=sample, seed=seed)
+    return measure_reachability(network, send, pairs)
+
+
+def first_deployment_round(result: CoupledResult) -> Optional[int]:
+    """The index of a coupled run's first round with any deployment."""
+    for entry in result.rounds:
+        if entry.deployed_asns:
+            return entry.round_index
+    return None
+
+
+def delivery_always_total_once_deployed(result: CoupledResult) -> bool:
+    """Every *measured* round with any deployment saw 100% delivery."""
+    return all(entry.delivery_ratio == 1.0
+               for entry in result.rounds
+               if entry.deployed_asns and entry.delivery_ratio is not None)
 
 
 def deployed_internet(seed: int) -> Tuple[EvolvableInternet, VnDeployment]:
@@ -69,8 +102,8 @@ def reachability_sweep(seed: int) -> object:
         stages.append(internet.reachability(8, sample=SWEEP_SAMPLE,
                                             seed=seed).to_dict())
     return {"stages": stages,
-            "ipv4": internet.ipv4_reachability(sample=SWEEP_SAMPLE,
-                                               seed=seed).to_dict()}
+            "ipv4": ipv4_reachability(internet, sample=SWEEP_SAMPLE,
+                                      seed=seed).to_dict()}
 
 
 def fault_epoch(seed: int) -> object:

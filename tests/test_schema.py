@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.analyze import (build_catchment, build_report,
                            catchment_from_trace, validate_catchment_dict,
                            validate_report_dict)
-from repro.experiments import run, validate_experiment_dict
+from repro.experiments import run
 from repro.fleet import FleetMatrix, run_fleet, validate_fleet_dict
 from repro.lint import lint_sources
 from repro.obs import Observability, Tracer
@@ -95,6 +95,10 @@ def lint_doc():
 
 def validate_lint_dict(doc):
     return validate("repro.lint/v1", doc)
+
+
+def validate_experiment_dict(doc):
+    return validate("repro.experiment/v1", doc)
 
 
 VALIDATORS = {

@@ -6,6 +6,8 @@ from repro.net import Relationship
 from repro.core.orchestrator import Orchestrator
 from repro.topogen import figure1, figure2, figure3, figure4
 
+from tests.conftest import providers
+
 
 @pytest.mark.parametrize("builder", [figure1, figure2, figure3])
 def test_all_figures_converge_and_are_fully_reachable(builder):
@@ -27,7 +29,7 @@ class TestFigure1:
     def test_cast(self):
         fig = figure1()
         assert set(fig.domains) == {"W", "X", "Y", "Z"}
-        assert fig.node_id("client_C") == "client_c"
+        assert fig.nodes["client_C"] == "client_c"
         client = fig.network.node("client_c")
         assert client.domain_id == fig.asn("Z")
 
@@ -44,17 +46,17 @@ class TestFigure2:
         fig = figure2()
         assert set(fig.domains) == {"P", "Q", "D", "X", "Y", "Z"}
         for name in ("X", "Y", "Z"):
-            assert fig.node_id(f"host_{name}") in fig.network.nodes
+            assert fig.nodes[f"host_{name}"] in fig.network.nodes
 
     def test_y_is_dual_homed(self):
         fig = figure2()
         y = fig.network.domains[fig.asn("Y")]
-        assert set(y.providers()) == {fig.asn("P"), fig.asn("Q")}
+        assert set(providers(y)) == {fig.asn("P"), fig.asn("Q")}
 
     def test_z_single_homed_to_q(self):
         fig = figure2()
         z = fig.network.domains[fig.asn("Z")]
-        assert z.providers() == [fig.asn("Q")]
+        assert providers(z) == [fig.asn("Q")]
 
 
 class TestFigure3:
@@ -66,12 +68,12 @@ class TestFigure3:
     def test_client_domain_customer_of_o(self):
         fig = figure3()
         s = fig.network.domains[fig.asn("S")]
-        assert s.providers() == [fig.asn("O")]
+        assert providers(s) == [fig.asn("O")]
 
     def test_named_routers_exist(self):
         fig = figure3()
         for role in ("border_X", "router_Z", "border_Y"):
-            assert fig.node_id(role) in fig.network.nodes
+            assert fig.nodes[role] in fig.network.nodes
 
 
 class TestFigure4:
@@ -96,11 +98,11 @@ class TestFigure4:
 
         orch = Orchestrator(fig.network)
         orch.converge()
-        path = orch.bgp.as_path_to(fig.asn("A"),
-                                   fig.network.domains[fig.asn("Z")].prefix)
+        prefix = fig.network.domains[fig.asn("Z")].prefix
+        path = orch.bgp.speaker(fig.asn("A")).loc_rib[prefix].as_path
         assert path == (fig.asn("M"), fig.asn("N"), fig.asn("Z"))
 
     def test_hosts(self):
         fig = figure4()
-        assert fig.network.node(fig.node_id("host_A")).domain_id == fig.asn("A")
-        assert fig.network.node(fig.node_id("host_Z")).domain_id == fig.asn("Z")
+        assert fig.network.node(fig.nodes["host_A"]).domain_id == fig.asn("A")
+        assert fig.network.node(fig.nodes["host_Z"]).domain_id == fig.asn("Z")

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.net import LinkScope, Relationship, TopologyError
-from repro.topogen import InternetSpec, generate_internet, small_internet
+from repro.topogen import InternetSpec, generate_internet
+
+from tests.conftest import providers
 
 
 class TestStructure:
@@ -26,16 +28,16 @@ class TestStructure:
     def test_tier2_has_tier1_provider(self):
         g = generate_internet(InternetSpec(seed=2))
         for asn in g.tier2:
-            providers = g.network.domains[asn].providers()
-            assert providers
-            assert all(p in g.tier1 for p in providers)
+            uplinks = providers(g.network.domains[asn])
+            assert uplinks
+            assert all(p in g.tier1 for p in uplinks)
 
     def test_stub_has_tier2_provider(self):
         g = generate_internet(InternetSpec(seed=2))
         for asn in g.stubs:
-            providers = g.network.domains[asn].providers()
-            assert providers
-            assert all(p in g.tier2 for p in providers)
+            uplinks = providers(g.network.domains[asn])
+            assert uplinks
+            assert all(p in g.tier2 for p in uplinks)
 
     def test_hosts_in_stubs(self):
         g = generate_internet(InternetSpec(hosts_per_stub=3, seed=0))
@@ -43,12 +45,12 @@ class TestStructure:
             assert len(g.network.domains[asn].hosts) == 3
 
     def test_unique_prefixes(self):
-        g = small_internet(0)
+        g = generate_internet(InternetSpec(seed=0))
         prefixes = [d.prefix for d in g.network.domains.values()]
         assert len(set(prefixes)) == len(prefixes)
 
     def test_inter_domain_links_use_borders(self):
-        g = small_internet(0)
+        g = generate_internet(InternetSpec(seed=0))
         for link in g.network.links.values():
             if link.scope is LinkScope.INTER_DOMAIN:
                 for end in (link.a, link.b):
@@ -56,7 +58,7 @@ class TestStructure:
                     assert node.is_border
 
     def test_tiers_recorded(self):
-        g = small_internet(0)
+        g = generate_internet(InternetSpec(seed=0))
         assert all(g.network.domains[a].tier == 1 for a in g.tier1)
         assert all(g.network.domains[a].tier == 3 for a in g.stubs)
 
@@ -85,4 +87,4 @@ class TestLimits:
 
     def test_all_asns(self):
         g = generate_internet(InternetSpec(n_tier1=1, n_tier2=2, n_stub=3, seed=0))
-        assert sorted(g.all_asns()) == list(range(1, 7))
+        assert sorted(g.tier1 + g.tier2 + g.stubs) == list(range(1, 7))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.errors import DeploymentError
 from repro.vnbone.addressing import VnAddressPlan
+from repro.vnbone.state import native_domain_prefix
 
 
 @pytest.fixture
@@ -16,8 +17,8 @@ class TestNativeAllocation:
         a = plan.allocate_native(2)
         b = plan.allocate_native(2)
         assert a != b
-        assert plan.native_prefix(2).contains(a)
-        assert plan.native_prefix(2).contains(b)
+        assert native_domain_prefix(2).contains(a)
+        assert native_domain_prefix(2).contains(b)
 
     def test_unknown_domain_rejected(self, plan):
         with pytest.raises(DeploymentError):
@@ -25,7 +26,7 @@ class TestNativeAllocation:
 
     def test_domains_have_disjoint_blocks(self, plan):
         a = plan.allocate_native(2)
-        assert not plan.native_prefix(3).contains(a)
+        assert not native_domain_prefix(3).contains(a)
 
 
 class TestHostAddressing:
@@ -33,13 +34,13 @@ class TestHostAddressing:
         address = plan.ensure_host_address("hz")
         assert address.is_self_assigned
         assert address.embedded_ipv4() == hub_network.node("hz").ipv4
-        assert hub_network.node("hz").vn_address(8) == address
+        assert hub_network.node("hz").vn_addresses[8] == address
 
     def test_native_for_adopting_domain(self, hub_network, plan):
         hub_network.domains[2].deploy_version(8, {"x2"})
         address = plan.ensure_host_address("hx")
         assert not address.is_self_assigned
-        assert plan.native_prefix(2).contains(address)
+        assert native_domain_prefix(2).contains(address)
 
     def test_idempotent(self, plan):
         first = plan.ensure_host_address("hz")
@@ -51,8 +52,8 @@ class TestHostAddressing:
         with pytest.raises(DeploymentError):
             plan.ensure_host_address("x2")
 
-    def test_address_of_unassigned_is_none(self, plan):
-        assert plan.address_of("hz") is None
+    def test_address_of_unassigned_is_none(self, hub_network, plan):
+        assert hub_network.node("hz").vn_addresses.get(8) is None
 
 
 class TestRelabeling:
@@ -62,7 +63,7 @@ class TestRelabeling:
         hub_network.domains[2].deploy_version(8, {"x2"})
         count = plan.relabel_domain(2)
         assert count == 1
-        after = plan.address_of("hx")
+        after = hub_network.node("hx").vn_addresses.get(8)
         assert after is not None and not after.is_self_assigned
         assert plan.relabel_events == ["hx"]
 
@@ -71,7 +72,7 @@ class TestRelabeling:
         plan.ensure_host_address("hx")
         hub_network.domains[2].undeploy_version(8)
         plan.relabel_domain(2)
-        address = plan.address_of("hx")
+        address = hub_network.node("hx").vn_addresses.get(8)
         assert address is not None and address.is_self_assigned
 
     def test_unassigned_hosts_not_relabeled(self, hub_network, plan):

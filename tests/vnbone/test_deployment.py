@@ -207,7 +207,8 @@ class TestSenderResolution:
         forward = converged_hub.forward
 
         def spy(packet, start, *args, **kwargs):
-            headers.append((packet.inner.src, packet.inner.dst))
+            inner = packet.headers[0]
+            headers.append((inner.src, inner.dst))
             return forward(packet, start, *args, **kwargs)
 
         monkeypatch.setattr(converged_hub, "forward", spy)
@@ -233,10 +234,11 @@ class TestSenderResolution:
     def test_a_never_addressed_host_s_first_send(self, deployment, sent):
         deployment.deploy(2)
         deployment.rebuild()
-        assert deployment.plan.address_of("hz") is None
+        hz = deployment.network.node("hz")
+        assert hz.vn_addresses.get(8) is None
         _, dst = self.send_and_check(deployment, sent)
         assert dst.is_self_assigned
-        assert deployment.plan.address_of("hz") == dst
+        assert hz.vn_addresses[8] == dst
 
     def test_deploying_the_sender_s_domain(self, deployment, sent):
         deployment.deploy(1)

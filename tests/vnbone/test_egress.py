@@ -85,7 +85,7 @@ class TestHostRegistry:
         entry = entries[0]
         assert entry.owner == "x2"
         assert entry.egress_ipv4 == host.ipv4
-        assert entry.prefix == Prefix.host(host.vn_address(8))
+        assert entry.prefix == Prefix.host(host.vn_addresses[8])
 
     def test_fate_sharing_with_dead_member(self, converged_hub):
         registry = HostRegistry(version=8)

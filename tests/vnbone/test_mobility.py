@@ -41,8 +41,8 @@ class TestNetworkMoveHost:
         assert host.domain_id == asn
         assert host.ipv4 != old_ipv4
         assert internet.network.domains[asn].prefix.contains(host.ipv4)
-        assert internet.network.node_by_ipv4(old_ipv4) is None
-        assert internet.network.node_by_ipv4(host.ipv4) is host
+        assert old_ipv4 not in internet.network._addr_index
+        assert internet.network._addr_index[host.ipv4] == host_id
 
     def test_old_attachment_cleaned(self, setup):
         internet, _, _ = setup
@@ -77,7 +77,7 @@ class TestMobilityService:
         asn, access = new_home(internet, mobile)
         record = mobility.move(mobile, asn, access)
         assert mobility.identity_of(mobile) == identity
-        assert internet.network.node(mobile).vn_address(8) == identity
+        assert internet.network.node(mobile).vn_addresses[8] == identity
         assert record.old_ipv4 != record.new_ipv4
 
     def test_correspondent_reaches_moved_host(self, setup):
@@ -123,9 +123,9 @@ class TestMobilityService:
     def test_mobile_flag(self, setup):
         internet, _, mobility = setup
         host = internet.hosts()[0]
-        assert not mobility.is_mobile(host)
+        assert host not in mobility._mobile
         mobility.enable(host)
-        assert mobility.is_mobile(host)
+        assert host in mobility._mobile
 
     def test_move_into_adopting_domain(self, setup):
         """Moving into an IPvN-deploying domain also works; the pinned
@@ -136,6 +136,6 @@ class TestMobilityService:
         target = deployment.scheme.default_asn
         access = sorted(internet.network.domains[target].routers)[0]
         mobility.move(mobile, target, access)
-        assert internet.network.node(mobile).vn_address(8) == identity
+        assert internet.network.node(mobile).vn_addresses[8] == identity
         trace = mobility.reach(corr, mobile)
         assert trace.delivered and trace.delivered_to == mobile

@@ -14,7 +14,8 @@ from repro.vnbone.routing import (OwnerEntry, VnRouting, candidate_view,
 from repro.vnbone.state import (VnAction, VnFib, VnRouterState,
                                 vn_prefix_for_ipv4)
 
-from tests.oracles import reference_owner_row
+from tests.oracles import (reference_owner_row, vn_fib_entries,
+                           vn_fib_install)
 
 
 def make_states(*specs):
@@ -136,7 +137,7 @@ def fresh_fibs(states, entries):
     fresh = {m: dataclasses.replace(state, fib=VnFib())
              for m, state in states.items()}
     VnRouting(Network(), 8).compute(fresh, entries)
-    return {m: state.fib.entries() for m, state in fresh.items()}
+    return {m: vn_fib_entries(state.fib) for m, state in fresh.items()}
 
 
 def rewire(states, new_states):
@@ -161,7 +162,7 @@ class TestDeltaWrite:
         routing.compute(states, entries)
         assert routing.distance("a", "d") == 2.0
         assert states["a"].fib.lookup(states["d"].vn_address).next_hop == "c"
-        assert {m: s.fib.entries() for m, s in states.items()} == \
+        assert {m: vn_fib_entries(s.fib) for m, s in states.items()} == \
             fresh_fibs(states, entries)
 
     def test_a_changed_candidate_list_is_reselected(self):
@@ -176,7 +177,7 @@ class TestDeltaWrite:
         assert routing.rows_visited - visited == len(states)
         assert states["b"].fib.lookup(
             VNAddress.self_assigned(ipv4("10.9.0.5"))).next_hop == "a"
-        assert {m: s.fib.entries() for m, s in states.items()} == \
+        assert {m: vn_fib_entries(s.fib) for m, s in states.items()} == \
             fresh_fibs(states, entries)
 
     def test_a_gone_prefix_leaves_every_fib_by_name(self):
@@ -188,7 +189,7 @@ class TestDeltaWrite:
         routing.compute(states, local)
         assert routing.rows_visited == visited
         assert routing.rows_removed - removed == len(states)
-        assert {m: s.fib.entries() for m, s in states.items()} == \
+        assert {m: vn_fib_entries(s.fib) for m, s in states.items()} == \
             fresh_fibs(states, local)
 
     def test_a_prefix_left_with_no_reachable_owner_leaves_the_fib(self):
@@ -203,7 +204,7 @@ class TestDeltaWrite:
         routing.compute(states, entries)
         assert states["a"].fib.lookup(
             VNAddress.self_assigned(ipv4("10.9.0.5"))) is None
-        assert {m: s.fib.entries() for m, s in states.items()} == \
+        assert {m: vn_fib_entries(s.fib) for m, s in states.items()} == \
             fresh_fibs(states, entries)
 
 
@@ -246,7 +247,7 @@ class TestGrownTunnelGraph:
         routing.compute(states, entries)
         assert (routing._dist, routing._first_hop) == \
             fresh_trees(states, entries)
-        assert {m: s.fib.entries() for m, s in states.items()} == \
+        assert {m: vn_fib_entries(s.fib) for m, s in states.items()} == \
             fresh_fibs(states, entries)
 
     def test_a_joining_member_settles_only_what_moved(self):
@@ -312,7 +313,7 @@ class TestCostBoundedSelection:
         fib = VnFib()
         hops = {owner: f"via-{owner}" for owner in dist}
         write_owner_rows(member, fib, candidate_view(entries), dist, hops)
-        return fib.entries()
+        return vn_fib_entries(fib)
 
     def test_a_tie_at_the_bound_goes_to_the_earlier_owner(self):
         # b is reached first (cost 4) with total 5; a's own cost 5 equals
@@ -368,8 +369,8 @@ def test_cost_bounded_selection_equals_the_owner_order_rule(member, offers,
             member, prefix, [e for e in entries if e.prefix == prefix],
             dist, hops)
         if row is not None:
-            expected.install(row)
-    assert fib.entries() == expected.entries()
+            vn_fib_install(expected, row)
+    assert vn_fib_entries(fib) == vn_fib_entries(expected)
 
 
 class TestHandler:
@@ -433,9 +434,10 @@ class TestHandler:
         from repro.vnbone.state import VnFibEntry
 
         host_addr = VNAddress((1 << 32) | 77)
-        states["a"].fib.install(VnFibEntry(prefix=Prefix.host(host_addr),
-                                           action=VnAction.EGRESS,
-                                           egress_ipv4=target))
+        vn_fib_install(states["a"].fib,
+                       VnFibEntry(prefix=Prefix.host(host_addr),
+                                  action=VnAction.EGRESS,
+                                  egress_ipv4=target))
         handler = make_vn_handler(8)
         node = self.make_node(states["a"])
         decision = handler(node, vn_packet(VNAddress(9), host_addr))
