@@ -294,7 +294,7 @@ class TestInvalidationSites:
 
     def test_vn_fib_rows_are_seen(self, deployment):
         ingress = deployment.send("hx", "hz").ingress_router
-        fib = deployment.states[ingress].fib
+        fib = deployment.state_of(ingress).fib
         row = Prefix.host(deployment.network.node("hz").vn_addresses[8])
         fib.write(row, VnAction.LOCAL, None, None, 0.0, "test")
         assert deployment.send("hx", "hz").delivered_to == ingress

@@ -137,7 +137,7 @@ class FastPathChurn(RuleBasedStateMachine):
         asn = self._pick(partial, index)
         if asn is not None:
             rest = self.network.domains[asn].routers - self.deployment.members()
-            self.deployment.deploy(asn, router_ids={sorted(rest)[0]})
+            self.deployment.expand(asn, {sorted(rest)[0]})
 
     @rule(index=st.integers(0, 7))
     def undeploy(self, index):

@@ -24,6 +24,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
@@ -141,7 +142,8 @@ KEEP = {
 }
 
 
-def _run_entry_points(scratch: str) -> list:
+def _run_entry_points(scratch: str) -> Iterator[tuple]:
+    """(label, callable, args, kwargs) for every entry point."""
     from bench.spans import NullRecorder, Recorder
     from bench.workloads import WORKLOADS, Context
     from repro.cli import main
@@ -193,7 +195,8 @@ def _run_entry_points(scratch: str) -> list:
         for block in re.findall(r"```python\n(.*?)```", text, re.S):
             yield f"{doc} block", exec, (block, {}), {}
     for script in sorted((ROOT / "examples").glob("*.py")):
-        yield f"example {script.name}", runpy.run_path(str(script))["main"], (), {}
+        main_of = runpy.run_path(str(script))["main"]
+        yield f"example {script.name}", main_of, (), {}
 
 
 def reached_code() -> tuple:
