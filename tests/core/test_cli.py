@@ -110,8 +110,9 @@ class TestRemovedSurface:
 
 
 #: What a broken input file holds: nothing (missing), a byte that is not
-#: UTF-8, and JSON cut short.
-BAD_FILES = {"missing": None, "0xff": b"\xff\xfe{", "truncated": b'{"a": ['}
+#: UTF-8, JSON cut short, and JSON of the wrong shape.
+BAD_FILES = {"missing": None, "0xff": b"\xff\xfe{", "truncated": b'{"a": [',
+             "wrong-shape": b"{}"}
 
 #: (case name, the argv before the file, the argv after it, broken files).
 #: A cut-short trace is a trace with one bad line, which ``report`` reads
@@ -121,9 +122,9 @@ FILE_INPUTS = [
     ("report-catchment", ["report"], ["--catchment"], ("missing", "0xff")),
     ("report-check", ["report"], ["--check"], ("missing", "0xff")),
     ("topology-load", ["topology", "--load"], [],
-     ("missing", "0xff", "truncated")),
+     ("missing", "0xff", "truncated", "wrong-shape")),
     ("fleet-matrix", ["fleet", "--matrix"], ["--out", "fleet.json"],
-     ("missing", "0xff", "truncated")),
+     ("missing", "0xff", "truncated", "wrong-shape")),
 ]
 
 
