@@ -277,6 +277,3 @@ class Host(Node):
     def leave_group(self, group: VNAddress) -> None:
         self.vn_groups.discard(group)
         self._changed()
-
-
-NodePair = Tuple[str, str]

@@ -109,13 +109,6 @@ def random_domain(network: Network, asn: int, count: int,
     return ids
 
 
-STYLES = {
-    "ring": ring_domain,
-    "star": star_domain,
-    "random": random_domain,
-}
-
-
 def build_domain_routers(network: Network, asn: int, count: int, style: str,
                          border_count: int = 1,
                          rng: Optional[random.Random] = None,
